@@ -20,7 +20,15 @@ import numpy as np
 from . import __version__
 from .gamegen import builtin, game_from_dict, game_to_dict, load_game, load_policy, random_game
 from .games import MarkovGame
-from .learner import RunConfig, run_selfplay, run_single_player
+from .groundtruth import GroundTruth, shapley_solve
+from .learner import (
+    RunConfig,
+    _apply_gamma_override,
+    _check_game,
+    reduce_game_for_opponent,
+    run_selfplay,
+    run_single_player,
+)
 from .metrics import (
     aggregate_metrics,
     config_digest,
@@ -129,17 +137,35 @@ def _semantic_payload(cfg: ExperimentConfig, game: MarkovGame, seed: int) -> dic
     return payload
 
 
+def _shared_ground_truth(cfg: ExperimentConfig, game: MarkovGame) -> GroundTruth | None:
+    """Ground truth of the game every repetition learns on; None without metric rows.
+
+    Repetitions differ only in their seed, so they all solve this same game:
+    the configured discount applied, then the opponent folded in for
+    single-player runs.  The game is validated first, exactly as each
+    repetition would validate it before solving.
+    """
+    if int(cfg.run.cadence) <= 0:
+        return None
+    game = _apply_gamma_override(game, cfg.run)
+    if cfg.opponent is not None:
+        game = reduce_game_for_opponent(game, _resolve_opponent(cfg.opponent, game))
+    _check_game(game, cfg.run.strict)
+    return shapley_solve(game, tol=cfg.gt_tol)
+
+
 def _run_one_repetition(args: tuple) -> str:
     """Worker entry: run one seed and write its CSV; returns the path written."""
-    game_data, cfg_dict, seed, rep, out_path = args
+    game_data, cfg_dict, seed, rep, out_path, ground_truth = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
     game = game_from_dict(game_data)
     run_cfg = replace(cfg.run, seed=seed)
     if cfg.opponent is not None:
         opponent = _resolve_opponent(cfg.opponent, game)
-        result = run_single_player(game, opponent, run_cfg, gt_tol=cfg.gt_tol)
+        result = run_single_player(game, opponent, run_cfg, ground_truth=ground_truth,
+                                   gt_tol=cfg.gt_tol)
     else:
-        result = run_selfplay(game, run_cfg, gt_tol=cfg.gt_tol)
+        result = run_selfplay(game, run_cfg, ground_truth=ground_truth, gt_tol=cfg.gt_tol)
     metadata = {
         "schema": 1,
         "tool_version": __version__,
@@ -163,7 +189,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     """Run every repetition (in a process pool when ``workers`` > 1) and aggregate.
 
     Writes ``<label>_rep<k>.csv`` per repetition and ``<label>_aggregate.csv``
-    (median / quartiles across repetitions) when there is more than one.
+    (median / quartiles across repetitions) when there is more than one.  The
+    ground truth behind the metric rows is solved once and shared by all
+    repetitions.
     """
     game = resolve_game(cfg.game)
     out_dir = cfg.resolve_out_dir()
@@ -174,8 +202,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     if cfg.opponent is not None:
         cfg_dict["opponent"] = _resolve_opponent(cfg.opponent, game).tolist()
     game_data = game_to_dict(game)
+    # Solved on the config as each repetition rebuilds it from ``cfg_dict``.
+    ground_truth = _shared_ground_truth(ExperimentConfig.from_dict(cfg_dict), game)
     jobs = [
-        (game_data, cfg_dict, seed, rep, str(out_dir / f"{cfg.label}_rep{rep}.csv"))
+        (game_data, cfg_dict, seed, rep, str(out_dir / f"{cfg.label}_rep{rep}.csv"),
+         ground_truth)
         for rep, seed in enumerate(seeds)
     ]
     if cfg.workers > 1 and len(jobs) > 1:

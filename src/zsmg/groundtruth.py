@@ -5,6 +5,12 @@ a small dense simplex method, the Markov game itself by value iteration over
 per-state matrix games, and distances to the optimal-strategy polytopes by
 exact active-set projection.  These routines provide the yardstick against
 which learned policies are measured.
+
+The simplex can start from a given basis.  Value iteration keeps each state's
+optimal basis from one sweep to the next; late in the iteration it rarely
+changes, so most stage-game solves take no pivot.  Every solution reports its
+final ``basis`` and the ``pivots`` it took, and is certified the same way
+whatever the start.
 """
 
 from __future__ import annotations
@@ -49,15 +55,29 @@ class MatrixGameSolution:
     y: np.ndarray          # (B,) maximizer's optimal mixed strategy
     col_payoffs: np.ndarray  # (B,) payoffs x^T Q, all <= value + tol
     row_payoffs: np.ndarray  # (A,) payoffs Q y, all >= value - tol
+    basis: np.ndarray      # (B+1,) sorted column indices of the final optimal simplex basis
+    pivots: int            # simplex pivots taken from the starting basis to ``basis``
 
 
-def _simplex_pivot(q: np.ndarray, tol: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _simplex_pivot(
+    q: np.ndarray, tol: float, basis: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int]:
     """Solve min_x max_b (Q^T x)_b over the simplex by primal simplex with Bland's rule.
 
     Uses the classic value-variable LP: minimize v subject to Q^T x <= v * 1,
     sum(x) = 1, x >= 0.  Entries are shifted positive first so the value
-    variable stays basic throughout.  Returns (value, x, y) with y read off the
-    dual multipliers of the column constraints.
+    variable stays basic throughout.  Returns (value, x, y, basis, pivots) with
+    y read off the dual multipliers of the column constraints.
+
+    The loop starts from ``basis`` when one is given (a warm start, e.g. the
+    optimal basis of a nearby matrix).  If that basis is singular or not
+    primal feasible in the loop's first solve, the loop continues from the
+    cold start instead, so the rejected basis costs no extra solve.  Value,
+    x and y are all read from the solve at the terminal basis, so every start
+    that ends at the same optimal basis returns the same bits.  The loop ends
+    only at a basis that is both primal and dual feasible within ``tol``, so
+    re-solving from the returned basis takes no pivot (unless rounding made
+    the solve widen ``tol``, see below).
     """
     n_a, n_b = q.shape
     shift = 1.0 - float(q.min())
@@ -74,56 +94,132 @@ def _simplex_pivot(q: np.ndarray, tol: float) -> tuple[float, np.ndarray, np.nda
     a_mat[n_b, :n_a] = 1.0
     b_vec = np.zeros(m)
     b_vec[n_b] = 1.0
+    rhs = np.column_stack([b_vec, np.eye(m)])
     cost = np.zeros(n)
     cost[n_a] = 1.0
 
-    # Start from the vertex x = e_0, v = max_b Q[0, b]: basic variables are
-    # x_0, v, and every slack except the binding column's.
-    b_star = int(np.argmax(qs[0]))
-    basis = [0, n_a] + [n_a + 1 + b for b in range(n_b) if b != b_star]
-    basis = np.array(sorted(basis))
+    def cold_basis() -> np.ndarray:
+        # The vertex x = e_0, v = max_b Q[0, b]: basic variables are x_0, v,
+        # and every slack except the binding column's.
+        b_star = int(np.argmax(qs[0]))
+        return np.array([0, n_a] + [n_a + 1 + b for b in range(n_b) if b != b_star])
 
+    warm = basis is not None
+    if warm:
+        basis = np.sort(np.asarray(basis, dtype=np.intp))
+        if (basis.shape != (m,) or basis[0] < 0 or basis[-1] >= n
+                or bool((basis[1:] == basis[:-1]).any())):
+            raise ValueError(
+                f"basis must hold {m} distinct column indices in [0, {n}), got {basis.tolist()}"
+            )
+    else:
+        basis = cold_basis()
+
+    # Bland's rule cannot cycle in exact arithmetic, but near-tied entries make
+    # some bases nearly singular, and rounding there can revisit a basis or
+    # pivot into an exactly singular one.  The step after such an event is
+    # taken carefully instead: steepest entering column, largest pivot among
+    # the tied leaving rows, and a ratio test that ignores rounding-level
+    # infeasibility; a revisit also widens tol tenfold, up to 1e-9.  Solves
+    # that never meet such a basis take only Bland steps.
+    pivots = 0
+    seen = set()
+    careful = False
+    previous = None
     for _ in range(20_000):
-        b_inv_ab = np.linalg.solve(a_mat[:, basis], np.column_stack([b_vec, np.eye(m)]))
+        try:
+            b_inv_ab = np.linalg.solve(a_mat[:, basis], rhs)
+        except np.linalg.LinAlgError:
+            if not warm and previous is None:
+                raise
+            b_inv_ab = None
+        if warm:
+            warm = False
+            # A primal-infeasible start would walk the ratio test backwards;
+            # entries within tol of zero are the rounding of degenerate pivots.
+            if b_inv_ab is None or bool((b_inv_ab[:, 0] < -tol).any()):
+                basis = cold_basis()
+                continue
+        if b_inv_ab is None:
+            basis = previous  # already seen, so the retry is a careful step
+            continue
+        if basis.tobytes() in seen:
+            careful = True
+            tol = min(10.0 * tol, 1e-9)
+        seen.add(basis.tobytes())
+        previous = basis.copy()
         x_b = b_inv_ab[:, 0]
         b_inv = b_inv_ab[:, 1:]
         duals = cost[basis] @ b_inv
         reduced = cost - duals @ a_mat
         reduced[basis] = 0.0
         entering_candidates = np.nonzero(reduced < -tol)[0]
-        if entering_candidates.size == 0:
-            x = np.zeros(n)
-            x[basis] = x_b
-            sol_x = x[:n_a]
-            value = float(x[n_a]) - shift
-            y = -duals[:n_b]
-            return value, sol_x, y
-        j = int(entering_candidates[0])  # Bland: lowest index enters
-        direction = b_inv @ a_mat[:, j]
-        positive = direction > tol
-        if not positive.any():
-            raise LpSolveError("matrix-game LP is unbounded (should not happen)", q)
-        ratios = np.full(m, np.inf)
-        ratios[positive] = x_b[positive] / direction[positive]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + tol * max(1.0, best))[0]
-        leave_pos = ties[np.argmin(basis[ties])]  # Bland: lowest basic index leaves
+        if entering_candidates.size:
+            # Bland: lowest index enters
+            j = int(np.argmin(reduced)) if careful else int(entering_candidates[0])
+            direction = b_inv @ a_mat[:, j]
+            positive = direction > tol
+            if not positive.any():
+                raise LpSolveError("matrix-game LP is unbounded (should not happen)", q)
+            ratios = np.full(m, np.inf)
+            ratios[positive] = (np.maximum(x_b, 0.0) if careful else x_b)[positive] \
+                / direction[positive]
+            best = ratios.min()
+            ties = np.nonzero(ratios <= best + tol * max(1.0, best))[0]
+            if careful:
+                leave_pos = ties[np.argmax(direction[ties])]
+            else:
+                leave_pos = ties[np.argmin(basis[ties])]  # Bland: lowest basic index leaves
+        else:
+            infeasible = np.nonzero(x_b < -tol)[0]
+            if infeasible.size == 0:
+                x = np.zeros(n)
+                x[basis] = x_b
+                sol_x = x[:n_a]
+                value = float(x[n_a]) - shift
+                y = -duals[:n_b]
+                return value, sol_x, y, basis, pivots
+            # Rounding can also end the primal phase at a slightly infeasible
+            # basis.  A dual simplex step repairs it and keeps the reduced
+            # costs nonnegative; of the near-minimal ratios it takes the
+            # largest pivot, which keeps the next basis well posed.
+            leave_pos = (int(np.argmin(x_b)) if careful
+                         else infeasible[np.argmin(basis[infeasible])])  # Bland
+            row = b_inv[leave_pos] @ a_mat
+            row[basis] = 0.0
+            candidates = np.nonzero(row < -tol)[0]
+            if candidates.size == 0:
+                raise LpSolveError("matrix-game LP is infeasible (should not happen)", q)
+            ratios = np.maximum(reduced[candidates], 0.0) / -row[candidates]
+            near = candidates[ratios <= ratios.min() + tol]
+            j = int(near[np.argmin(row[near])])
+        careful = False
         basis[leave_pos] = j
         basis.sort()
+        pivots += 1
     raise LpSolveError("simplex iteration cap exceeded", q)
 
 
-def solve_matrix_game(q: np.ndarray, tol: float = 1e-9) -> MatrixGameSolution:
+def solve_matrix_game(
+    q: np.ndarray, tol: float = 1e-9, basis: np.ndarray | None = None
+) -> MatrixGameSolution:
     """Exact minimax solution of the matrix game where the row player minimizes.
 
     The optimal strategies are certified directly: every column payoff under
     ``x`` is at most ``value + tol`` and every row payoff under ``y`` at least
     ``value - tol``; a failed certificate raises ``LpSolveError``.
+
+    ``basis`` warm-starts the simplex, typically with the ``basis`` field of
+    the solution of a nearby matrix of the same shape.  A singular or
+    infeasible basis falls back to the cold start, so the result is always a
+    certified solution; ``pivots`` reports how many pivots the solve took.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.size == 0:
         raise ValueError(f"expected a nonempty 2-D payoff matrix, got shape {q.shape}")
-    value, x, y = _simplex_pivot(q, tol=1e-11)
+    value, x, y, basis, pivots = _simplex_pivot(q, tol=1e-11, basis=basis)
 
     x = np.maximum(x, 0.0)
     x /= x.sum()
@@ -142,7 +238,8 @@ def solve_matrix_game(q: np.ndarray, tol: float = 1e-9) -> MatrixGameSolution:
             q,
         )
     return MatrixGameSolution(
-        value=value, x=x, y=y, col_payoffs=col_payoffs, row_payoffs=row_payoffs
+        value=value, x=x, y=y, col_payoffs=col_payoffs, row_payoffs=row_payoffs,
+        basis=basis, pivots=pivots,
     )
 
 
@@ -169,13 +266,27 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     ``tol`` and a game-level duality gap of the returned witnesses below
     ``2 * tol`` (the per-step threshold is ``tol * (1-gamma)^2 / (2*gamma)``,
     which bounds the sup error by ``tol * (1-gamma) / 2``).
+
+    Each state's simplex is warm-started from that state's optimal basis of the
+    previous sweep (and the final witness solves from the last sweep's).  Late
+    in the iteration the optimal basis rarely changes, so most solves take no
+    pivot.  A stage game with a single optimal basis gives the same bits as a
+    cold solve; with several, the warm start may return another, equally
+    certified, witness.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     gamma = game.gamma
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma)
     v = np.zeros(game.n_states)
+    bases = [None] * game.n_states
     for _ in range(max_iter):
         q = q_from_v(game, v)
-        v_new = np.array([solve_matrix_game(q[s], tol=tol).value for s in range(game.n_states)])
+        sols = [solve_matrix_game(q[s], tol=tol, basis=bases[s]) for s in range(game.n_states)]
+        bases = [sol.basis for sol in sols]
+        v_new = np.array([sol.value for sol in sols])
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
         if step <= threshold:
@@ -187,7 +298,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
         )
 
     q_star = q_from_v(game, v)
-    sols = [solve_matrix_game(q_star[s], tol=tol) for s in range(game.n_states)]
+    sols = [solve_matrix_game(q_star[s], tol=tol, basis=bases[s]) for s in range(game.n_states)]
     for s, sol in enumerate(sols):
         if abs(sol.value - v[s]) > tol:
             raise ArithmeticError(

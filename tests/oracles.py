@@ -207,6 +207,38 @@ def last_iterate_budget_reference(xi: float, n_states: int, gamma: float,
 
 
 # ---------------------------------------------------------------------------
+# Cold-start value iteration
+# ---------------------------------------------------------------------------
+
+def cold_start_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_000):
+    """Shapley value iteration that solves every stage game from a cold simplex start.
+
+    Unlike the other oracles this is the library's own algorithm on purpose:
+    it is the reference for the solver's warm start, which must change only
+    where the simplex begins, never the returned bits.  Returns
+    (v_star, x_star, y_star).
+    """
+    from zsmg.games import q_from_v
+    from zsmg.groundtruth import solve_matrix_game
+
+    threshold = tol * (1.0 - game.gamma) ** 2 / (2.0 * game.gamma)
+    v = np.zeros(game.n_states)
+    for _ in range(max_iter):
+        q = q_from_v(game, v)
+        v_new = np.array([solve_matrix_game(q[s], tol=tol).value
+                          for s in range(game.n_states)])
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if step <= threshold:
+            break
+    else:
+        raise ArithmeticError("cold-start value iteration did not converge")
+    q_star = q_from_v(game, v)
+    sols = [solve_matrix_game(q_star[s], tol=tol) for s in range(game.n_states)]
+    return v, np.array([sol.x for sol in sols]), np.array([sol.y for sol in sols])
+
+
+# ---------------------------------------------------------------------------
 # Statistics helpers
 # ---------------------------------------------------------------------------
 

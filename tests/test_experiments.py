@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+import zsmg.experiments as experiments_mod
+import zsmg.groundtruth as groundtruth_mod
 from zsmg.experiments import ExperimentConfig, resolve_game, run_experiment
 from zsmg.gamegen import builtin, save_game, save_policy
-from zsmg.learner import RunConfig
+from zsmg.learner import RunConfig, run_selfplay, run_single_player
 from zsmg.metrics import aggregate_metrics, read_metrics_csv
 
 
@@ -215,3 +217,59 @@ class TestOpponentModes:
                                             opponent=policy.tolist()))
         assert by_file.rep_paths[0].read_text().splitlines()[1:] == \
             by_array.rep_paths[0].read_text().splitlines()[1:]
+
+
+# ---------------------------------------------------------------------------
+# One ground-truth solve per experiment
+# ---------------------------------------------------------------------------
+
+def _gt_bytes(gt) -> bytes:
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                    for a in (gt.v_star, gt.q_star, gt.x_star, gt.y_star))
+
+
+class TestSharedGroundTruth:
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        calls = []
+        real = groundtruth_mod.shapley_solve
+
+        def counting(game, *args, **kwargs):
+            calls.append(game.name)
+            return real(game, *args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "shapley_solve", counting)
+        monkeypatch.setattr(groundtruth_mod, "shapley_solve", counting)
+        return calls
+
+    def test_one_solve_for_all_repetitions(self, tmp_path, solves):
+        run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=3))
+        assert solves == ["mp1"]
+
+    def test_no_solve_without_metric_rows(self, tmp_path, solves):
+        run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=2,
+                                 run=RunConfig(iterations=20, eta=0.05, cadence=0)))
+        assert solves == []
+
+    def test_selfplay_solves_the_repetition_game(self):
+        cfg = _fast_cfg(run=RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.8))
+        game = resolve_game(cfg.game)
+        shared = experiments_mod._shared_ground_truth(cfg, game)
+        own = run_selfplay(game, cfg.run).ground_truth
+        assert _gt_bytes(shared) == _gt_bytes(own)
+
+    def test_single_player_solves_the_reduced_game(self):
+        opponent = [[0.8, 0.2]]
+        cfg = _fast_cfg(opponent=opponent,
+                        run=RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.8))
+        game = resolve_game(cfg.game)
+        shared = experiments_mod._shared_ground_truth(cfg, game)
+        own = run_single_player(game, np.array(opponent), cfg.run).ground_truth
+        assert shared.q_star.shape == (1, 2, 1)
+        assert _gt_bytes(shared) == _gt_bytes(own)
+
+    def test_invalid_game_rejected_before_solving(self, tmp_path, solves):
+        run = RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.3, strict=True)
+        with pytest.raises(ValueError, match="invalid game: gamma"):
+            run_experiment(_fast_cfg(out_dir=str(tmp_path), run=run))
+        assert solves == []

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zsmg.games import JointPolicy, evaluate_policy_pair, q_from_v, uniform_policy
-from zsmg.gamegen import builtin, random_game
+from zsmg.gamegen import BUILTIN_NAMES, builtin, random_game
 from zsmg.groundtruth import (
     GroundTruth,
     LpSolveError,
@@ -22,7 +24,42 @@ from zsmg.groundtruth import (
     solve_matrix_game,
 )
 
-from oracles import grid_distance_sq, grid_minimax_value, simplex_grid
+from oracles import cold_start_shapley, grid_distance_sq, grid_minimax_value, simplex_grid
+
+# sha256 of the <f8 bytes of v_star, x_star and y_star, recorded with the
+# cold-start simplex.  A solver change that moves these moves the ground truth,
+# and with it every metric CSV; that must be a deliberate change.
+GOLDEN_SOLVE_SHA256 = {
+    "switching-mp": "a4ef052ef75df2a236f65b55c306c33d666201189fe56e4845a9e4d71413e93c",
+    "random-11": "48d1234c5042d732450d8e7e3286b0f0d719c9d84e23f9ae3c6e4b799a2dbf55",
+    "random-22": "7902a1717a25f6bb460d54d6c71c832df2bb9596ef1b9cb82c823c6826b4a8ad",
+    "random-33": "63e74d22ef7d2b3055d4a4f1270bd1af0ba6d1ee980a22a79c75a7cae87ba6bd",
+}
+GOLDEN_GAMES = {
+    "switching-mp": lambda: builtin("switching-mp"),
+    "random-11": lambda: random_game(seed=11, n_states=4, n_actions_p1=3,
+                                     n_actions_p2=4, gamma=0.9),
+    "random-22": lambda: random_game(seed=22, n_states=3, n_actions_p1=5,
+                                     n_actions_p2=5, gamma=0.7),
+    "random-33": lambda: random_game(seed=33, n_states=6, n_actions_p1=2,
+                                     n_actions_p2=3, gamma=0.95),
+}
+
+
+def _solve_bytes(*arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+
+
+@st.composite
+def payoff_matrices(draw):
+    """Small payoff matrices: generic floats, or integers in [-2, 2] full of ties."""
+    n_a, n_b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        entries = st.integers(-2, 2).map(float)
+    else:
+        entries = st.floats(-1.0, 1.0, allow_nan=False)
+    cells = draw(st.lists(entries, min_size=n_a * n_b, max_size=n_a * n_b))
+    return np.array(cells, dtype=np.float64).reshape(n_a, n_b)
 
 
 def _fat(gt: GroundTruth, tol: float) -> GroundTruth:
@@ -100,6 +137,67 @@ class TestSolveMatrixGame:
         assert sol.x.sum() == pytest.approx(1.0, abs=1e-12)
         assert sol.y.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_matrix_game(np.eye(2), tol=tol)
+
+    def test_rejects_malformed_basis(self):
+        # The 2x2 LP has columns [x_0, x_1, v, s_0, s_1] and 3 rows.
+        for basis in ([0, 2], [0, 2, 2], [0, 2, 5], [-1, 0, 2]):
+            with pytest.raises(ValueError, match="basis"):
+                solve_matrix_game(np.eye(2), basis=basis)
+
+    def test_unusable_basis_falls_back_to_cold_start(self):
+        q = np.array([[1.0, 0.0], [0.0, 1.0]])
+        cold = solve_matrix_game(q)
+        # {v, s_0, s_1} is singular (no column covers the simplex row);
+        # {x_0, v, s_0} sets s_0 = Q[0, 1] - Q[0, 0] = -1 < 0, so it is infeasible.
+        for basis in ([2, 3, 4], [0, 2, 3]):
+            warm = solve_matrix_game(q, basis=basis)
+            assert _solve_bytes(warm.value, warm.x, warm.y) == \
+                _solve_bytes(cold.value, cold.x, cold.y)
+            np.testing.assert_array_equal(warm.basis, cold.basis)
+            assert warm.pivots == cold.pivots
+
+    def test_near_tied_matrices_are_certified(self):
+        # Entries tied up to ~1e-9 make the simplex bases nearly singular.  The
+        # first matrix used to end the simplex at an infeasible basis (failed
+        # certificate), the second used to cycle until the iteration cap.
+        tied = np.array([[0.0, 2.0, 2.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        cycling = np.array([
+            [-3.6222054214636003e-10, -2.0000000009917422, 1.0000000002950011, 1.0000000001890623],
+            [-7.2512247026073448e-10, 1.0000000000648224, 1.0000000009392589, 2.0000000008790897],
+            [2.0000000006694960, -0.99999999977576526, 0.99999999998848899, 1.0000000007329823],
+            [-1.9999999993019775, -1.9999999994458968, 1.0000000006189325, 1.0000000002577394],
+            [2.0000000005067680, -1.9999999998656481, -2.0000000007893366, -1.0000000005597645],
+        ])
+        noise = np.random.default_rng(1).uniform(-1.0, 1.0, size=tied.shape)
+        for q in (tied + 1e-9 * noise, cycling):
+            sol = solve_matrix_game(q)
+            assert sol.col_payoffs.max() <= sol.value + 1e-9
+            assert sol.row_payoffs.min() >= sol.value - 1e-9
+            assert solve_matrix_game(q, basis=sol.basis).pivots == 0
+
+    @given(q=payoff_matrices())
+    def test_resolve_from_own_basis_takes_no_pivot(self, q):
+        sol = solve_matrix_game(q)
+        again = solve_matrix_game(q, basis=sol.basis)
+        assert again.pivots == 0
+        np.testing.assert_array_equal(again.basis, sol.basis)
+        assert _solve_bytes(again.value, again.x, again.y) == \
+            _solve_bytes(sol.value, sol.x, sol.y)
+
+    @given(q=payoff_matrices(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-9, 1e-6, 1e-3, 0.1, 1.0]), whole=st.booleans())
+    def test_warm_start_from_neighbour_basis(self, q, seed, scale, whole):
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=q.shape)
+        neighbour = q + (np.round(noise) if whole else scale * noise)
+        warm = solve_matrix_game(q, basis=solve_matrix_game(neighbour).basis)
+        assert warm.col_payoffs.max() <= warm.value + 1e-9
+        assert warm.row_payoffs.min() >= warm.value - 1e-9
+        assert abs(warm.value - solve_matrix_game(q).value) <= 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Markov-game ground truth
@@ -147,6 +245,38 @@ class TestShapleySolve:
     def test_iteration_cap_raises(self, mp1):
         with pytest.raises(ArithmeticError):
             shapley_solve(mp1, tol=1e-9, max_iter=1)
+
+    def test_rejects_bad_arguments(self, mp1):
+        with pytest.raises(ValueError, match="max_iter"):
+            shapley_solve(mp1, max_iter=0)
+        for tol in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                shapley_solve(mp1, tol=tol)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("gamma", [None, 0.5, 0.95])
+    def test_warm_start_matches_cold_start_on_builtins(self, name, gamma):
+        game = builtin(name, gamma=gamma)
+        gt = shapley_solve(game)
+        assert _solve_bytes(gt.v_star, gt.x_star, gt.y_star) == \
+            _solve_bytes(*cold_start_shapley(game))
+
+    @given(seed=st.integers(0, 10_000), n_states=st.integers(1, 4),
+           n_a=st.integers(1, 4), n_b=st.integers(1, 4),
+           gamma=st.sampled_from([0.5, 0.7, 0.9, 0.95]))
+    def test_warm_start_matches_cold_start_on_random_games(self, seed, n_states,
+                                                          n_a, n_b, gamma):
+        game = random_game(seed=seed, n_states=n_states, n_actions_p1=n_a,
+                           n_actions_p2=n_b, gamma=gamma)
+        gt = shapley_solve(game)
+        assert _solve_bytes(gt.v_star, gt.x_star, gt.y_star) == \
+            _solve_bytes(*cold_start_shapley(game))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SOLVE_SHA256))
+    def test_solution_bytes_are_frozen(self, name):
+        gt = shapley_solve(GOLDEN_GAMES[name]())
+        digest = hashlib.sha256(_solve_bytes(gt.v_star, gt.x_star, gt.y_star)).hexdigest()
+        assert digest == GOLDEN_SOLVE_SHA256[name]
 
     def test_witness_policy_property(self, mp1):
         gt = shapley_solve(mp1)
