@@ -93,7 +93,6 @@ class Trajectory:
     n_states: int
     n_actions_p1: int
     n_actions_p2: int
-    seed: int | None = None
 
     def __len__(self) -> int:
         return self.losses.shape[0]
@@ -106,13 +105,11 @@ def rollout(
     n_steps: int,
     s_init: int,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> Trajectory:
     """Simulate ``n_steps`` of play under stationary strategies (x, y).
 
     Draws are inverse-CDF lookups against pre-drawn uniforms, so the trajectory
-    is a pure function of the generator state.  ``seed`` is metadata recorded
-    on the trajectory, not consumed here.
+    is a pure function of the generator state.
     """
     if n_steps < 1:
         raise ValueError("rollout length must be >= 1")
@@ -139,7 +136,7 @@ def rollout(
     states[n_steps] = s
     return Trajectory(
         states=states, actions_p1=acts_a, actions_p2=acts_b, losses=losses,
-        n_states=n_s, n_actions_p1=n_a, n_actions_p2=n_b, seed=seed,
+        n_states=n_s, n_actions_p1=n_a, n_actions_p2=n_b,
     )
 
 
@@ -181,7 +178,6 @@ class SampledEstimator:
             raise ValueError("rollout_len must be >= 1")
         self.rollout_len = int(rollout_len)
         self.epsilon_prime = float(epsilon_prime)
-        self.seed = seed
         self.reset_each_iteration = bool(reset_each_iteration)
         self.s_init = int(s_init)
         self._current = int(s_init)
@@ -193,7 +189,7 @@ class SampledEstimator:
         x_mix = explore_mix(state.x, self.epsilon_prime)
         y_mix = explore_mix(state.y, self.epsilon_prime)
         start = self.s_init if self.reset_each_iteration else self._current
-        traj = rollout(game, x_mix, y_mix, self.rollout_len, start, self._rng, seed=self.seed)
+        traj = rollout(game, x_mix, y_mix, self.rollout_len, start, self._rng)
         self._current = int(traj.states[-1])
         self.last_trajectory = traj
         triple = sampled_estimates(traj, state.v, game.gamma)

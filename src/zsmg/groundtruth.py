@@ -3,8 +3,9 @@
 Nothing in this module shares code with the learner: matrix games are solved by
 a small dense simplex method, the Markov game itself by value iteration over
 per-state matrix games, and distances to the optimal-strategy polytopes by
-exact active-set projection.  These routines provide the yardstick against
-which learned policies are measured.
+exact projection: one nonnegative least-squares solve finds the active set,
+and a KKT residual certifies the point.  These routines provide the yardstick
+against which learned policies are measured.
 
 The simplex can start from a given basis.  Value iteration keeps each state's
 optimal basis from one sweep to the next; late in the iteration it rarely
@@ -16,7 +17,6 @@ whatever the start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import nnls
@@ -373,74 +373,18 @@ def _affine_projection(z: np.ndarray, m_mat: np.ndarray, c_vec: np.ndarray) -> n
     return z - m_mat.T @ correction
 
 
-def _enumerate_projection(z: np.ndarray, ineq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Projection of z onto {u : sum(u) = 1, ineq @ u <= rhs} by active-set sweep.
-
-    The normal cone at the projection is generated by at most n - 1 linearly
-    independent constraint rows besides the sum equality, so projecting onto
-    the affine hull of every row subset smaller than n and keeping the closest
-    feasible candidate recovers the exact optimum: the true active set appears
-    as one subset, and every other feasible candidate is distance-dominated.
-    Constraint counts here are tiny (own plus opponent actions), so the
-    combinatorial sweep is cheap and has no convergence failure mode.
-    """
-    n = z.size
-    m = ineq.shape[0]
-    one = np.ones((1, n))
-    feas_tol = 1e-10
-    best = None
-    best_d = np.inf
-    for k in range(n):
-        for subset in combinations(range(m), k):
-            idx = list(subset)
-            m_mat = np.vstack([one, ineq[idx]])
-            c_vec = np.concatenate([[1.0], rhs[idx]])
-            u = _affine_projection(z, m_mat, c_vec)
-            if abs(float(u.sum()) - 1.0) > feas_tol:
-                continue
-            if float(np.max(ineq @ u - rhs)) > feas_tol:
-                continue
-            d = float(np.sum((u - z) ** 2))
-            if d < best_d:
-                best, best_d = u, d
-    if best is None:
-        raise ArithmeticError("infeasible polytope in projection")
-    return best
-
-
-def _refine_on_active_set(z: np.ndarray, u: np.ndarray, a_mat: np.ndarray,
-                          b_vec: np.ndarray, active_tol: float = 1e-7) -> np.ndarray:
-    """Re-project z onto the affine hull of the constraints active at u.
-
-    Once the correct active set is known the projection is a single linear
-    solve, which recovers full precision from an approximately located point.
-    """
-    rows = [np.ones_like(u)]
-    rhs = [1.0]
-    for j in np.nonzero(u <= active_tol)[0]:
-        basis = np.zeros_like(u)
-        basis[j] = 1.0
-        rows.append(basis)
-        rhs.append(0.0)
-    if a_mat.size:
-        for i in np.nonzero(a_mat @ u >= b_vec - active_tol)[0]:
-            rows.append(a_mat[i])
-            rhs.append(float(b_vec[i]))
-    m_mat = np.array(rows)
-    c_vec = np.array(rhs)
-    correction, *_ = np.linalg.lstsq(m_mat @ m_mat.T, m_mat @ z - c_vec, rcond=None)
-    refined = z - m_mat.T @ correction
-    return np.maximum(refined, 0.0)
-
-
 def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
                       kkt_tol: float = 1e-9) -> np.ndarray:
     """Euclidean projection of z onto {u in simplex : a_mat @ u <= b_vec}.
 
     Two-dimensional problems use the exact interval form (the feasible set is
     a segment of the simplex, so projection is a clamp).  Larger problems are
-    solved by active-set enumeration plus a refinement solve; the result is
-    certified against the KKT conditions before being returned.
+    solved as a least-distance program by one nonnegative least-squares solve
+    (Lawson & Hanson 1974, *Solving Least Squares Problems*, ch. 23).  The
+    constraints with positive multipliers form the active set, and z is
+    projected onto their affine hull exactly; should that point fail its
+    checks, the NNLS point itself is the fallback.  Either is returned only
+    once certified against the KKT conditions.
     """
     n = z.size
     if n == 1:
@@ -466,15 +410,35 @@ def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
     b_arr = np.asarray(b_vec, dtype=np.float64).reshape(-1)
     ineq = np.vstack([-np.eye(n), a_arr])
     rhs = np.concatenate([np.zeros(n), b_arr])
-    u = _enumerate_projection(z, ineq, rhs)
-    if _kkt_residual(z, u, a_arr, b_arr) <= kkt_tol:
+    # With p the projection of z onto the plane sum(u) = 1 and the columns of
+    # ``plane`` an orthonormal basis of its directions, u = p + plane @ w has
+    # ||u - z||^2 = ||p - z||^2 + ||w||^2.  So w is the least-norm point of
+    # {w : g @ w <= h}, whose dual is the NNLS below; its residual r gives
+    # w = -r[:-1] / r[-1], and r[-1] = -||r||^2 is zero only when the
+    # constraints are inconsistent.
+    plane = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+    p = z + (1.0 - float(z.sum())) / n
+    g = ineq @ plane
+    h = rhs - ineq @ p
+    lhs = np.vstack([-g.T, -h])
+    target = np.zeros(n)
+    target[-1] = 1.0
+    multipliers, _ = nnls(lhs, target)
+    residual = lhs @ multipliers - target
+    if not residual[-1] < 0.0:
+        raise ArithmeticError("infeasible polytope in projection")
+    active = np.nonzero(multipliers > 0.0)[0]
+    u = _affine_projection(z, np.vstack([np.ones((1, n)), ineq[active]]),
+                           np.concatenate([[1.0], rhs[active]]))
+    if (abs(float(u.sum()) - 1.0) <= 1e-10 and float(np.max(ineq @ u - rhs)) <= 1e-10
+            and _kkt_residual(z, u, a_arr, b_arr) <= kkt_tol):
         return u
-    refined = _refine_on_active_set(z, u, a_arr, b_arr)
-    if _kkt_residual(z, refined, a_arr, b_arr) <= kkt_tol:
-        return refined
+    u = p + plane @ (-residual[:-1] / residual[-1])
+    kkt = _kkt_residual(z, u, a_arr, b_arr)
+    if kkt <= kkt_tol:
+        return u
     raise ArithmeticError(
-        f"projection failed to reach KKT residual {kkt_tol:.1e} "
-        f"(got {_kkt_residual(z, u, a_arr, b_arr):.3e})"
+        f"projection failed to reach KKT residual {kkt_tol:.1e} (got {kkt:.3e})"
     )
 
 

@@ -90,8 +90,7 @@ class LearnerState:
 
     ``x_hat``/``y_hat`` are the primary (anchor) iterates, ``x``/``y`` the
     secondary iterates that gradients are evaluated at.  ``v`` is the critic
-    value vector shared by both players.  ``epsilon`` records the estimation
-    accuracy budget the run was planned for; it is bookkeeping, not enforced.
+    value vector shared by both players.
     """
 
     x_hat: np.ndarray  # (S, A)
@@ -101,7 +100,6 @@ class LearnerState:
     v: np.ndarray      # (S,)
     t: int
     eta: float
-    epsilon: float = 0.0
 
     @property
     def policy(self) -> JointPolicy:
@@ -112,7 +110,6 @@ class LearnerState:
 def initial_state(
     game: MarkovGame,
     eta: float,
-    epsilon: float = 0.0,
     init_x: np.ndarray | None = None,
     init_y: np.ndarray | None = None,
 ) -> LearnerState:
@@ -136,7 +133,7 @@ def initial_state(
             raise ValueError(f"{name} rows must be probability distributions")
     return LearnerState(
         x_hat=x, x=x.copy(), y_hat=y, y=y.copy(),
-        v=np.zeros(game.n_states), t=1, eta=float(eta), epsilon=float(epsilon),
+        v=np.zeros(game.n_states), t=1, eta=float(eta),
     )
 
 
@@ -242,7 +239,6 @@ class RunResult:
     game: MarkovGame
     ground_truth: Any
     config: RunConfig
-    eta: float
 
 
 def _resolve_eta(config: RunConfig, game: MarkovGame) -> float:
@@ -321,8 +317,7 @@ def run_selfplay(
             f"strict mode: epsilon={config.epsilon} outside [0, 1/(1-gamma)]"
         )
     alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
-    state = initial_state(game, eta=eta, epsilon=config.epsilon,
-                          init_x=config.init_x, init_y=config.init_y)
+    state = initial_state(game, eta=eta, init_x=config.init_x, init_y=config.init_y)
     if estimator is None:
         estimator = _build_estimator(config, game)
 
@@ -369,8 +364,7 @@ def run_selfplay(
         if iteration_hook is not None:
             iteration_hook(t, state)
 
-    return RunResult(state=state, rows=rows, game=game, ground_truth=gt,
-                     config=config, eta=eta)
+    return RunResult(state=state, rows=rows, game=game, ground_truth=gt, config=config)
 
 
 def run_single_player(

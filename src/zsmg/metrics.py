@@ -150,6 +150,17 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: str | Path, metadata: dict | None, columns, records) -> None:
+    """Write a sorted ``# key: value`` metadata block, a header, then ``records``."""
+    buf = io.StringIO()
+    for key in sorted(metadata or {}):
+        buf.write(f"# {key}: {metadata[key]}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(records)
+    Path(path).write_text(buf.getvalue())
+
+
 def write_metrics_csv(
     path: str | Path,
     rows: list[MetricsRow],
@@ -162,14 +173,8 @@ def write_metrics_csv(
     estimator-error fields are only emitted when ``debug_columns`` is set.
     """
     columns = CSV_COLUMNS + (DEBUG_COLUMNS if debug_columns else ())
-    buf = io.StringIO()
-    for key in sorted(metadata or {}):
-        buf.write(f"# {key}: {metadata[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in columns])
-    Path(path).write_text(buf.getvalue())
+    _write_csv(path, metadata, columns,
+               ([_fmt(getattr(row, col)) for col in columns] for row in rows))
 
 
 def read_metrics_csv(path: str | Path) -> tuple[dict, list[MetricsRow]]:
@@ -237,16 +242,8 @@ def write_aggregate_csv(path: str | Path, aggregate: dict[str, np.ndarray],
     columns = ["t"]
     for col in CSV_COLUMNS[1:]:
         columns += [f"{col}_med", f"{col}_q25", f"{col}_q75"]
-    buf = io.StringIO()
-    for key in sorted(metadata or {}):
-        buf.write(f"# {key}: {metadata[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    n_rows = len(aggregate["t"])
-    for i in range(n_rows):
-        record = []
-        for col in columns:
-            val = aggregate[col][i]
-            record.append(str(int(val)) if col == "t" else repr(float(val)))
-        writer.writerow(record)
-    Path(path).write_text(buf.getvalue())
+    _write_csv(path, metadata, columns, (
+        [str(int(aggregate[col][i])) if col == "t" else repr(float(aggregate[col][i]))
+         for col in columns]
+        for i in range(len(aggregate["t"]))
+    ))

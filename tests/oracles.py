@@ -8,13 +8,13 @@ the two is meaningful evidence rather than a tautology.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Simplex grids and grid-based minimax
+# Simplex grids, grid-based minimax and exhaustive projection
 # ---------------------------------------------------------------------------
 
 def simplex_grid(n: int, step: float) -> np.ndarray:
@@ -55,6 +55,38 @@ def grid_distance_sq(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
     if feasible.size == 0:
         raise ValueError("no feasible grid point; polytope too small for this step")
     return float(np.min(np.sum((feasible - z) ** 2, axis=1)))
+
+
+def enumerate_projection(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
+    """Projection of z onto {u in simplex : a_mat @ u <= b_vec} by active-set sweep.
+
+    The normal cone at the projection is generated by at most n - 1 linearly
+    independent constraint rows besides the sum equality, so projecting onto
+    the affine hull of every row subset smaller than n and keeping the closest
+    candidate that is feasible within 1e-10 recovers the optimum: the true
+    active set appears as one subset.  Exponential in n, so only for n <= 4.
+    Each candidate uses the library's least-norm affine formula with rows in
+    ascending order, so a unique active set gives the library's bits.
+    """
+    n = z.size
+    ineq = np.vstack([-np.eye(n), np.asarray(a_mat, dtype=np.float64).reshape(-1, n)])
+    rhs = np.concatenate([np.zeros(n), np.asarray(b_vec, dtype=np.float64).reshape(-1)])
+    best = None
+    best_d = np.inf
+    for k in range(n):
+        for subset in combinations(range(ineq.shape[0]), k):
+            m_mat = np.vstack([np.ones((1, n)), ineq[list(subset)]])
+            c_vec = np.concatenate([[1.0], rhs[list(subset)]])
+            correction, *_ = np.linalg.lstsq(m_mat @ m_mat.T, m_mat @ z - c_vec, rcond=None)
+            u = z - m_mat.T @ correction
+            if abs(float(u.sum()) - 1.0) > 1e-10 or float(np.max(ineq @ u - rhs)) > 1e-10:
+                continue
+            d = float(np.sum((u - z) ** 2))
+            if d < best_d:
+                best, best_d = u, d
+    if best is None:
+        raise ValueError("no feasible active set; the polytope is empty")
+    return best
 
 
 # ---------------------------------------------------------------------------

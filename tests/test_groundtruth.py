@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zsmg.games import JointPolicy, evaluate_policy_pair, q_from_v, uniform_policy
 from zsmg.gamegen import BUILTIN_NAMES, builtin, random_game
@@ -24,7 +24,13 @@ from zsmg.groundtruth import (
     solve_matrix_game,
 )
 
-from oracles import cold_start_shapley, grid_distance_sq, grid_minimax_value, simplex_grid
+from oracles import (
+    cold_start_shapley,
+    enumerate_projection,
+    grid_distance_sq,
+    grid_minimax_value,
+    simplex_grid,
+)
 
 # sha256 of the <f8 bytes of v_star, x_star and y_star, recorded with the
 # cold-start simplex.  A solver change that moves these moves the ground truth,
@@ -67,6 +73,37 @@ def _fat(gt: GroundTruth, tol: float) -> GroundTruth:
     optimal sets are wide enough for grid oracles to resolve."""
     return GroundTruth(v_star=gt.v_star, q_star=gt.q_star, x_star=gt.x_star,
                        y_star=gt.y_star, tol=tol)
+
+
+def _projection_case(seed: int, n: int, m: int, game: str, tol: float, point: str,
+                     side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, a_mat, b_vec) for projecting onto one player's tol-relaxed optimal set.
+
+    ``game`` is "random" (a random one-state Markov game, whose optimal sets
+    are often slivers around an x* with zero entries) or "tied" (an integer
+    matrix game in [-2, 2], whose optimal sets are often whole faces).  The
+    point z is interior, has zero entries, or lies near the witness.
+    """
+    rng = np.random.default_rng(seed)
+    if game == "random":
+        gt = shapley_solve(random_game(seed=seed, n_states=1, n_actions_p1=n if side == 1 else m,
+                                       n_actions_p2=m if side == 1 else n, gamma=0.9))
+        q, value = gt.q_star[0], gt.v_star[0]
+        witness = gt.x_star[0] if side == 1 else gt.y_star[0]
+    else:
+        q = rng.integers(-2, 3, size=(n, m) if side == 1 else (m, n)).astype(np.float64)
+        sol = solve_matrix_game(q)
+        value, witness = sol.value, sol.x if side == 1 else sol.y
+    # Player 2's set {y : -Q y <= -(v - tol)} has the same form as player 1's.
+    a_mat, b_vec = (q.T, np.full(m, value + tol)) if side == 1 else (-q, np.full(m, tol - value))
+    z = rng.dirichlet(np.ones(n))
+    if point == "zeros":
+        z[rng.permutation(n)[: int(rng.integers(1, n))]] = 0.0
+        z /= z.sum()
+    elif point == "near":
+        z = np.maximum(witness + rng.normal(scale=10.0 ** rng.uniform(-8, -2), size=n), 0.0)
+        z /= z.sum()
+    return z, a_mat, b_vec
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +499,52 @@ class TestDistance:
         feasible = grid[(grid @ q <= fat.v_star[0] + fat.tol + 1e-12).all(axis=1)]
         assert feasible.size > 0
         assert np.all(np.sum((feasible - z) ** 2, axis=1) >= d2 - 1e-12)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([3, 4]), m=st.integers(2, 4),
+           game=st.sampled_from(["random", "tied"]), tol=st.sampled_from([1e-9, 1e-4]),
+           point=st.sampled_from(["interior", "zeros", "near"]), side=st.sampled_from([1, 2]))
+    def test_projection_no_farther_than_enumeration(self, seed, n, m, game, tol, point, side):
+        # The sweep over every active set is the exponential reference.  The
+        # check is one-sided: on thin slivers the sweep's 1e-10 feasibility
+        # window can make it miss the true projection; it beats it only by
+        # rounding.
+        z, a_mat, b_vec = _projection_case(seed, n, m, game, tol, point, side)
+        px = _project_polytope(z, a_mat, b_vec)
+        assert abs(float(px.sum()) - 1.0) <= 1e-10
+        assert float(px.min()) >= -1e-10
+        assert float(np.max(a_mat @ px - b_vec)) <= 1e-10
+        assert _kkt_residual(z, px, a_mat, b_vec) <= 1e-9
+        ref = enumerate_projection(z, a_mat, b_vec)
+        assert np.sum((px - z) ** 2) <= np.sum((ref - z) ** 2) + 1e-12
+
+    def test_projection_bits_match_enumeration_on_generic_games(self):
+        # A generic game has one active set at the projection, and both
+        # routines project onto its affine hull with the same formula.
+        rng = np.random.default_rng(3)
+        for i in range(4):
+            gt = shapley_solve(random_game(seed=300 + i, n_states=1, n_actions_p1=3,
+                                           n_actions_p2=3, gamma=0.9))
+            q = gt.q_star[0]
+            b = np.full(3, gt.v_star[0] + gt.tol)
+            z = rng.dirichlet(np.ones(3))
+            assert np.array_equal(_project_polytope(z, q.T, b), enumerate_projection(z, q.T, b))
+
+    def test_projection_finds_closer_point_in_sliver(self):
+        # x* = (0, 0, 1) here, and the 1e-9-relaxed optimal set is a sliver
+        # along the edge u_0 = 0.  The exhaustive sweep (enumerate_projection)
+        # lands at about x*, farther from z than the feasible edge point p.
+        gt = shapley_solve(random_game(seed=688578784, n_states=2, n_actions_p1=3,
+                                       n_actions_p2=3, gamma=0.9))
+        q, v = gt.q_star[0], gt.v_star[0]
+        b = np.full(3, v + gt.tol)
+        z = np.full(3, 1.0 / 3.0)
+        t = 0.9 * (v + gt.tol - q[2, 0]) / (q[1, 0] - q[2, 0])
+        p = np.array([0.0, t, 1.0 - t])
+        assert 0.0 < t < 1e-5
+        assert np.all(q.T @ p <= b)
+        px = _project_polytope(z, q.T, b)
+        assert np.sum((px - z) ** 2) <= np.sum((p - z) ** 2)
 
     def test_single_action_projection_is_trivial(self, const_game):
         gt = shapley_solve(const_game)

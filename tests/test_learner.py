@@ -303,8 +303,7 @@ class TestRunSelfplay:
 
     def test_auto_eta_resolves_to_cap(self, mp1):
         result = run_selfplay(mp1, RunConfig(iterations=5, eta="auto"))
-        assert result.eta == eta_max(0.9, 1)
-        assert result.state.eta == result.eta
+        assert result.state.eta == eta_max(0.9, 1)
 
     def test_strict_mode_rejects_large_eta(self, mp1):
         with pytest.raises(ValueError):
