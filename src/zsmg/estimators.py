@@ -10,7 +10,9 @@ touches the game.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -109,33 +111,47 @@ def rollout(
     """Simulate ``n_steps`` of play under stationary strategies (x, y).
 
     Draws are inverse-CDF lookups against pre-drawn uniforms, so the trajectory
-    is a pure function of the generator state.
+    is a pure function of the generator state.  The walk runs over plain
+    Python lists: each lookup is ``bisect_right`` on a cumulative row, clamped
+    to the last index.  ``bisect_right`` probes the same midpoints as
+    ``np.searchsorted(side="right")``, so on NaN-free rows the indices match
+    it, even on the slightly non-monotone rows that rounding leaves in a
+    valid kernel.  A transition row is accumulated the first time the walk
+    reaches its (s, a, b), left to right as ``np.cumsum`` does, so the bits
+    match too.  Only visited rows are built, at most L of them, never the
+    whole cumulative kernel; the other buffers are O(L).
     """
     if n_steps < 1:
         raise ValueError("rollout length must be >= 1")
     if not 0 <= s_init < game.n_states:
         raise ValueError(f"initial state {s_init} out of range")
-    cum_x = np.cumsum(x, axis=1)
-    cum_y = np.cumsum(y, axis=1)
-    cum_p = np.cumsum(game.transition, axis=3)
-    u = rng.random((3, n_steps))
-    states = np.empty(n_steps + 1, dtype=np.int64)
-    acts_a = np.empty(n_steps, dtype=np.int64)
-    acts_b = np.empty(n_steps, dtype=np.int64)
-    losses = np.empty(n_steps)
-    s = s_init
     n_a, n_b, n_s = game.n_actions_p1, game.n_actions_p2, game.n_states
+    cum_x = np.cumsum(x, axis=1).tolist()
+    cum_y = np.cumsum(y, axis=1).tolist()
+    trans = game.transition.reshape(n_s * n_a * n_b, n_s)
+    u_a, u_b, u_s = rng.random((3, n_steps)).tolist()
+    rows: dict[int, list[float]] = {}
+    states = [s_init]
+    acts_a = []
+    acts_b = []
+    s = s_init
     for i in range(n_steps):
-        states[i] = s
-        a = min(int(np.searchsorted(cum_x[s], u[0, i], side="right")), n_a - 1)
-        b = min(int(np.searchsorted(cum_y[s], u[1, i], side="right")), n_b - 1)
-        acts_a[i] = a
-        acts_b[i] = b
-        losses[i] = game.loss[s, a, b]
-        s = min(int(np.searchsorted(cum_p[s, a, b], u[2, i], side="right")), n_s - 1)
-    states[n_steps] = s
+        a = min(bisect_right(cum_x[s], u_a[i]), n_a - 1)
+        b = min(bisect_right(cum_y[s], u_b[i]), n_b - 1)
+        k = (s * n_a + a) * n_b + b
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = list(accumulate(trans[k].tolist()))
+        s = min(bisect_right(row, u_s[i]), n_s - 1)
+        acts_a.append(a)
+        acts_b.append(b)
+        states.append(s)
+    states = np.array(states, dtype=np.int64)
+    acts_a = np.array(acts_a, dtype=np.int64)
+    acts_b = np.array(acts_b, dtype=np.int64)
     return Trajectory(
-        states=states, actions_p1=acts_a, actions_p2=acts_b, losses=losses,
+        states=states, actions_p1=acts_a, actions_p2=acts_b,
+        losses=game.loss[states[:-1], acts_a, acts_b],
         n_states=n_s, n_actions_p1=n_a, n_actions_p2=n_b,
     )
 
@@ -208,6 +224,12 @@ class SampledEstimator:
 # Budget planning
 # ---------------------------------------------------------------------------
 
+def _check_planning_gamma(gamma: float) -> None:
+    # Both budgets divide by a power of 1 - gamma; NaN fails the test too.
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1) to plan a budget, got gamma={gamma}")
+
+
 @dataclass(frozen=True)
 class SampleBudget:
     """Rollout length sufficient for epsilon-accurate estimates, with inputs echoed."""
@@ -238,6 +260,7 @@ def plan_sample_budget(
     where T is the number of iterations the estimates must stay accurate for
     and mu the irreducibility constant of the explored dynamics.
     """
+    _check_planning_gamma(gamma)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive to plan a finite budget")
     if mu <= 0:
@@ -291,6 +314,7 @@ def plan_accuracy_budget(
     constant estimate ``c_hat``:
         T = ceil(c_t * S^2 / (eta^4 c^4 (1-gamma)^4 xi)),  eps = eta c^2 (1-gamma)^3 xi.
     """
+    _check_planning_gamma(gamma)
     if xi <= 0:
         raise ValueError("xi must be positive")
     if eta <= 0:

@@ -25,6 +25,7 @@ from .learner import (
     RunConfig,
     _apply_gamma_override,
     _check_game,
+    _resolve_epsilon_prime,
     reduce_game_for_opponent,
     run_selfplay,
     run_single_player,
@@ -142,8 +143,9 @@ def _shared_ground_truth(cfg: ExperimentConfig, game: MarkovGame) -> GroundTruth
 
     Repetitions differ only in their seed, so they all solve this same game:
     the configured discount applied, then the opponent folded in for
-    single-player runs.  The game is validated first, exactly as each
-    repetition would validate it before solving.
+    single-player runs.  The game and, in sampled mode, the exploration
+    weight are validated first, exactly as each repetition would validate
+    them before solving.
     """
     if int(cfg.run.cadence) <= 0:
         return None
@@ -151,6 +153,8 @@ def _shared_ground_truth(cfg: ExperimentConfig, game: MarkovGame) -> GroundTruth
     if cfg.opponent is not None:
         game = reduce_game_for_opponent(game, _resolve_opponent(cfg.opponent, game))
     _check_game(game, cfg.run.strict)
+    if cfg.run.estimator == "sampled":
+        _resolve_epsilon_prime(cfg.run, game)
     return shapley_solve(game, tol=cfg.gt_tol)
 
 

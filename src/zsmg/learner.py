@@ -192,8 +192,8 @@ class RunConfig:
     enforces the guarantee regime: gamma >= 1/2, eta <= eta_max, and
     epsilon <= 1/(1-gamma).  ``gamma`` overrides the game's discount when set.
     In sampled mode each iteration rolls out ``rollout_len`` steps under the
-    exploration-mixed strategies (mixing weight ``epsilon_prime``, default
-    (1-gamma) * epsilon), continuing from the last state unless
+    exploration-mixed strategies (mixing weight ``epsilon_prime`` in [0, 1],
+    default (1-gamma) * epsilon), continuing from the last state unless
     ``rollout_reset`` is set.
     """
 
@@ -271,18 +271,29 @@ def _check_game(game: MarkovGame, strict: bool) -> None:
         raise ValueError("invalid game: " + "; ".join(structural))
 
 
+def _resolve_epsilon_prime(config: RunConfig, game: MarkovGame) -> float:
+    """Sampled mode's exploration weight; out of [0, 1] raises naming its source."""
+    if config.epsilon_prime is not None:
+        eps_prime = float(config.epsilon_prime)
+        source = f"epsilon_prime={eps_prime!r}"
+    else:
+        eps_prime = float((1.0 - game.gamma) * config.epsilon)
+        source = (f"epsilon_prime = (1 - gamma) * epsilon = "
+                  f"(1 - {game.gamma!r}) * {config.epsilon!r} = {eps_prime!r}")
+    if not 0.0 <= eps_prime <= 1.0:
+        raise ValueError(f"{source} must lie in [0, 1]")
+    return eps_prime
+
+
 def _build_estimator(config: RunConfig, game: MarkovGame):
     if config.estimator == "exact":
         return est_mod.ExactEstimator()
     if config.estimator == "sampled":
         if config.rollout_len < 1:
             raise ValueError("sampled mode requires rollout_len >= 1")
-        eps_prime = config.epsilon_prime
-        if eps_prime is None:
-            eps_prime = (1.0 - game.gamma) * config.epsilon
         return est_mod.SampledEstimator(
             rollout_len=config.rollout_len,
-            epsilon_prime=float(eps_prime),
+            epsilon_prime=_resolve_epsilon_prime(config, game),
             seed=config.seed,
             reset_each_iteration=config.rollout_reset,
         )

@@ -271,6 +271,48 @@ def cold_start_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_000):
 
 
 # ---------------------------------------------------------------------------
+# Rollouts by numpy binary search
+# ---------------------------------------------------------------------------
+
+def searchsorted_rollout(game, x, y, n_steps: int, s_init: int, rng):
+    """Rollout with one ``np.searchsorted`` per draw, stored into numpy arrays.
+
+    The reference for ``rollout``, which walks plain lists with
+    ``bisect_right`` instead and must return the same trajectory and leave
+    the generator in the same state.
+    """
+    from zsmg.estimators import Trajectory
+
+    if n_steps < 1:
+        raise ValueError("rollout length must be >= 1")
+    if not 0 <= s_init < game.n_states:
+        raise ValueError(f"initial state {s_init} out of range")
+    cum_x = np.cumsum(x, axis=1)
+    cum_y = np.cumsum(y, axis=1)
+    cum_p = np.cumsum(game.transition, axis=3)
+    u = rng.random((3, n_steps))
+    states = np.empty(n_steps + 1, dtype=np.int64)
+    acts_a = np.empty(n_steps, dtype=np.int64)
+    acts_b = np.empty(n_steps, dtype=np.int64)
+    losses = np.empty(n_steps)
+    s = s_init
+    n_a, n_b, n_s = game.n_actions_p1, game.n_actions_p2, game.n_states
+    for i in range(n_steps):
+        states[i] = s
+        a = min(int(np.searchsorted(cum_x[s], u[0, i], side="right")), n_a - 1)
+        b = min(int(np.searchsorted(cum_y[s], u[1, i], side="right")), n_b - 1)
+        acts_a[i] = a
+        acts_b[i] = b
+        losses[i] = game.loss[s, a, b]
+        s = min(int(np.searchsorted(cum_p[s, a, b], u[2, i], side="right")), n_s - 1)
+    states[n_steps] = s
+    return Trajectory(
+        states=states, actions_p1=acts_a, actions_p2=acts_b, losses=losses,
+        n_states=n_s, n_actions_p1=n_a, n_actions_p2=n_b,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Statistics helpers
 # ---------------------------------------------------------------------------
 

@@ -216,6 +216,17 @@ class TestPlan:
         assert "epsilon = 3.999999999999998e-06" in stdout
         assert "log_factor" not in stdout
 
+    @pytest.mark.parametrize("mode_args", [
+        ["--mode", "samples", "--mu", "0.5", "--epsilon", "0.1"],
+        ["--mode", "average-gap", "--xi", "0.1", "--eta", "0.01"],
+    ])
+    def test_gamma_outside_unit_interval_fails(self, cli, mode_args):
+        code, stdout, err = cli("plan", "--gamma", "1.5", *mode_args)
+        assert code != 0
+        assert "gamma" in err
+        assert "rollout_len =" not in stdout
+        assert "log_factor =" not in stdout
+
     @pytest.mark.parametrize("argv,fragment", [
         (["plan", "--mode", "samples", "--gamma", "0.9", "--mu", "0.5"],
          "--epsilon"),

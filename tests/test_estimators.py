@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zsmg.estimators import (
     ExactEstimator,
@@ -20,7 +20,7 @@ from zsmg.estimators import (
     rollout,
     sampled_estimates,
 )
-from zsmg.games import MarkovGame
+from zsmg.games import MarkovGame, validate_game
 from zsmg.gamegen import random_game
 from zsmg.learner import RunConfig, initial_state, run_selfplay
 
@@ -29,6 +29,7 @@ from oracles import (
     binomial_three_se,
     last_iterate_budget_reference,
     sample_budget_reference,
+    searchsorted_rollout,
     two_state_hitting_time,
 )
 
@@ -113,6 +114,26 @@ class TestExploreMix:
 # Rollouts
 # ---------------------------------------------------------------------------
 
+def _strategy_rows(rng: np.random.Generator, kind: str, n_rows: int, n: int) -> np.ndarray:
+    if kind == "pure":
+        return np.eye(n)[rng.integers(n, size=n_rows)]
+    rows = rng.dirichlet(np.ones(n), size=n_rows)
+    # Rows summing to 0.5 leave u > 0.5 past the end: the clamp picks n - 1.
+    return 0.5 * rows if kind == "half" else rows
+
+
+def _assert_same_rollout(game, x, y, n_steps, s_init, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = rollout(game, x, y, n_steps, s_init, rng)
+    want = searchsorted_rollout(game, x, y, n_steps, s_init, ref_rng)
+    for name in ("states", "actions_p1", "actions_p2", "losses"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    assert (got.n_states, got.n_actions_p1, got.n_actions_p2) == \
+        (want.n_states, want.n_actions_p1, want.n_actions_p2)
+    assert rng.random() == ref_rng.random()
+
+
 class TestRollout:
     def test_shapes_and_loss_consistency(self, switching_mp):
         rng = np.random.default_rng(0)
@@ -147,6 +168,55 @@ class TestRollout:
         traj = rollout(game, x, x, 100_000, 0, np.random.default_rng(0))
         freq = float(np.mean(traj.actions_p1 == 0))
         assert binomial_three_se(freq, 0.3, 100_000)
+
+    @settings(max_examples=100)
+    @given(n_s=st.integers(1, 8), n_a=st.integers(1, 5), n_b=st.integers(1, 5),
+           n_steps=st.integers(1, 400), data=st.data(),
+           kind_x=st.sampled_from(["dirichlet", "pure", "half"]),
+           kind_y=st.sampled_from(["dirichlet", "pure", "half"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_searchsorted_oracle(self, n_s, n_a, n_b, n_steps, data,
+                                        kind_x, kind_y, seed):
+        s_init = data.draw(st.integers(0, n_s - 1), label="s_init")
+        game = random_game(seed=seed, n_states=n_s, n_actions_p1=n_a,
+                           n_actions_p2=n_b, gamma=0.9)
+        rng = np.random.default_rng(seed)
+        x = _strategy_rows(rng, kind_x, n_s, n_a)
+        y = _strategy_rows(rng, kind_y, n_s, n_b)
+        _assert_same_rollout(game, x, y, n_steps, s_init, seed)
+
+    def test_non_monotone_cumulative_row(self):
+        # Within validate_game's 1e-12 tolerance, yet the cumulative row falls.
+        trans = np.full((2, 2, 2, 2), 0.5)
+        trans[0, 0, 0] = [1.0 + 5e-13, -5e-13]
+        game = MarkovGame(loss=np.arange(8.0).reshape(2, 2, 2) / 8.0,
+                          transition=trans, gamma=0.9)
+        assert validate_game(game) == []
+        cum = np.cumsum(trans[0, 0, 0])
+        assert cum[1] < cum[0]
+        x = np.full((2, 2), 0.5)
+        for s_init in (0, 1):
+            _assert_same_rollout(game, x, x, 400, s_init, seed=11)
+
+    def test_draw_inside_non_monotone_window(self):
+        # cum = [0.3, 0.5, 0.5 - 1e-12, 1]: a draw in [cum[2], cum[1]) gets 3
+        # from the binary search, 1 with the last column cut, 2 by counting.
+        row = [0.3, 0.2, -1e-12, 0.5 + 1e-12]
+        game = MarkovGame(loss=np.zeros((4, 1, 1)),
+                          transition=np.tile(row, (4, 1, 1, 1)), gamma=0.9)
+        assert validate_game(game) == []
+        cum = np.cumsum(row)
+        u_s = [cum[2], 0.5 * (cum[1] + cum[2]), np.nextafter(cum[1], 0.0), 0.1, 0.9]
+
+        class FixedDraws:
+            def random(self, shape):
+                return np.array([np.zeros(5), np.zeros(5), u_s]).reshape(shape)
+
+        x = np.ones((4, 1))
+        got = rollout(game, x, x, 5, 0, FixedDraws())
+        want = searchsorted_rollout(game, x, x, 5, 0, FixedDraws())
+        np.testing.assert_array_equal(want.states, [0, 3, 3, 3, 0, 3])
+        np.testing.assert_array_equal(got.states, want.states)
 
 
 class TestSampledEstimates:
@@ -243,6 +313,24 @@ class TestSampledEstimator:
         result = run_selfplay(mp1, cfg)
         assert result.state.t == 11
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(epsilon=30.0), r"epsilon_prime = \(1 - gamma\) \* epsilon = "
+                             r"\(1 - 0\.9\) \* 30\.0 = 2\.99"),
+        (dict(epsilon_prime=1.5), r"epsilon_prime=1\.5 must lie in \[0, 1\]"),
+    ])
+    def test_bad_exploration_weight_fails_before_ground_truth(
+            self, monkeypatch, switching_mp, fields, message):
+        import zsmg.groundtruth as groundtruth_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("ground truth solved before the config was checked")
+
+        monkeypatch.setattr(groundtruth_mod, "shapley_solve", no_solve)
+        cfg = RunConfig(iterations=10, eta=0.05, estimator="sampled",
+                        rollout_len=20, cadence=5, seed=0, **fields)
+        with pytest.raises(ValueError, match=message):
+            run_selfplay(switching_mp, cfg)
+
 
 # ---------------------------------------------------------------------------
 # Budget planning
@@ -287,6 +375,12 @@ class TestSampleBudget:
             plan_sample_budget(2, 2, 0.9, 0.5, 0.5, 10**3, 1.5)
         with pytest.raises(ValueError):
             plan_sample_budget(2, 2, 0.9, 0.5, 0.5, 0.5, 0.1)
+
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, float("nan"), -0.1])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            plan_sample_budget(2, 2, gamma, 0.5, 0.1, 10**3, 0.05)
 
 
 class TestAccuracyBudget:
@@ -340,6 +434,14 @@ class TestAccuracyBudget:
         with pytest.raises(ValueError):
             plan_accuracy_budget(xi=0.1, mode="last-iterate", n_states=1,
                                  gamma=0.9, eta=0.01, c_hat=0.0)
+
+
+    @pytest.mark.parametrize("mode", ["average-gap", "last-iterate"])
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, float("nan"), -0.1])
+    def test_gamma_outside_unit_interval_rejected(self, mode, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            plan_accuracy_budget(xi=0.1, mode=mode, n_states=2, gamma=gamma,
+                                 eta=0.01, c_hat=0.7)
 
 
 # ---------------------------------------------------------------------------

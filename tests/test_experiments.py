@@ -268,6 +268,18 @@ class TestSharedGroundTruth:
         assert shared.q_star.shape == (1, 2, 1)
         assert _gt_bytes(shared) == _gt_bytes(own)
 
+    def test_bad_exploration_weight_rejected_before_solving(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("ground truth solved before the config was checked")
+
+        monkeypatch.setattr(experiments_mod, "shapley_solve", no_solve)
+        monkeypatch.setattr(groundtruth_mod, "shapley_solve", no_solve)
+        run = RunConfig(iterations=10, eta=0.05, cadence=10, estimator="sampled",
+                        rollout_len=20, epsilon=30.0)
+        with pytest.raises(ValueError, match=r"epsilon_prime = \(1 - gamma\) \* epsilon"):
+            run_experiment(_fast_cfg(out_dir=str(tmp_path), run=run))
+        assert not list(tmp_path.iterdir())
+
     def test_invalid_game_rejected_before_solving(self, tmp_path, solves):
         run = RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.3, strict=True)
         with pytest.raises(ValueError, match="invalid game: gamma"):
