@@ -20,16 +20,8 @@ import numpy as np
 from . import __version__
 from .gamegen import builtin, game_from_dict, game_to_dict, load_game, load_policy, random_game
 from .games import MarkovGame
-from .groundtruth import GroundTruth, shapley_solve
-from .learner import (
-    RunConfig,
-    _apply_gamma_override,
-    _check_game,
-    _resolve_epsilon_prime,
-    reduce_game_for_opponent,
-    run_selfplay,
-    run_single_player,
-)
+from .groundtruth import shapley_solve
+from .learner import RunConfig, _setup, run_selfplay
 from .metrics import (
     aggregate_metrics,
     config_digest,
@@ -119,67 +111,20 @@ def _resolve_opponent(spec, game: MarkovGame) -> np.ndarray:
         if spec == "uniform":
             return np.full((game.n_states, game.n_actions_p2), 1.0 / game.n_actions_p2)
         return load_policy(spec)
-    arr = np.asarray(spec, dtype=np.float64)
-    return arr
-
-
-def _semantic_payload(cfg: ExperimentConfig, game: MarkovGame, seed: int) -> dict:
-    """Everything that determines one repetition's rows (no paths, no timing)."""
-    payload = {
-        "game": game_to_dict(game),
-        "run": replace(cfg.run, seed=seed).to_dict(),
-        "gt_tol": cfg.gt_tol,
-        "label": cfg.label,
-    }
-    if cfg.opponent is not None:
-        payload["opponent"] = np.asarray(
-            _resolve_opponent(cfg.opponent, game), dtype=np.float64
-        ).tolist()
-    return payload
-
-
-def _shared_ground_truth(cfg: ExperimentConfig, game: MarkovGame) -> GroundTruth | None:
-    """Ground truth of the game every repetition learns on; None without metric rows.
-
-    Repetitions differ only in their seed, so they all solve this same game:
-    the configured discount applied, then the opponent folded in for
-    single-player runs.  The game and, in sampled mode, the exploration
-    weight are validated first, exactly as each repetition would validate
-    them before solving.
-    """
-    if int(cfg.run.cadence) <= 0:
-        return None
-    game = _apply_gamma_override(game, cfg.run)
-    if cfg.opponent is not None:
-        game = reduce_game_for_opponent(game, _resolve_opponent(cfg.opponent, game))
-    _check_game(game, cfg.run.strict)
-    if cfg.run.estimator == "sampled":
-        _resolve_epsilon_prime(cfg.run, game)
-    return shapley_solve(game, tol=cfg.gt_tol)
+    return np.asarray(spec, dtype=np.float64)
 
 
 def _run_one_repetition(args: tuple) -> str:
-    """Worker entry: run one seed and write its CSV; returns the path written."""
-    game_data, cfg_dict, seed, rep, out_path, ground_truth = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    game = game_from_dict(game_data)
-    run_cfg = replace(cfg.run, seed=seed)
-    if cfg.opponent is not None:
-        opponent = _resolve_opponent(cfg.opponent, game)
-        result = run_single_player(game, opponent, run_cfg, ground_truth=ground_truth,
-                                   gt_tol=cfg.gt_tol)
-    else:
-        result = run_selfplay(game, run_cfg, ground_truth=ground_truth, gt_tol=cfg.gt_tol)
-    metadata = {
-        "schema": 1,
-        "tool_version": __version__,
-        "label": cfg.label,
-        "rep": rep,
-        "seed": seed,
-        "config_hash": config_digest(_semantic_payload(cfg, game, seed)),
-    }
-    write_metrics_csv(out_path, result.rows, metadata=metadata,
-                      debug_columns=cfg.debug_columns)
+    """Worker entry: run one prepared repetition and write its CSV; returns the path.
+
+    ``args`` is ``(game, run, ground_truth, out_path, metadata, debug_columns)``:
+    the game with the discount override and any opponent already applied, the
+    repetition's own ``RunConfig`` (its seed set, ``gamma`` cleared), the shared
+    ground truth (None without metric rows) and the CSV's header metadata.
+    """
+    game, run, ground_truth, out_path, metadata, debug_columns = args
+    result = run_selfplay(game, run, ground_truth=ground_truth)
+    write_metrics_csv(out_path, result.rows, metadata=metadata, debug_columns=debug_columns)
     return out_path
 
 
@@ -194,25 +139,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
 
     Writes ``<label>_rep<k>.csv`` per repetition and ``<label>_aggregate.csv``
     (median / quartiles across repetitions) when there is more than one.  The
-    ground truth behind the metric rows is solved once and shared by all
-    repetitions.
+    opponent is resolved and the run set up once, through the learner's own
+    set-up, so every config error is raised before anything is solved or
+    written; the ground truth behind the metric rows is then solved once, and
+    each repetition runs ``run_selfplay`` on the prepared game with its seed.
     """
     game = resolve_game(cfg.game)
+    seeds = cfg.seed_list()
+    opponent = None if cfg.opponent is None else _resolve_opponent(cfg.opponent, game)
+    run_game = _setup(game, cfg.run, opponent)[0]
     out_dir = cfg.resolve_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = cfg.seed_list()
-    cfg_dict = {**cfg.__dict__, "run": cfg.run.to_dict(), "seeds": None,
-                "out_dir": None}
-    if cfg.opponent is not None:
-        cfg_dict["opponent"] = _resolve_opponent(cfg.opponent, game).tolist()
-    game_data = game_to_dict(game)
-    # Solved on the config as each repetition rebuilds it from ``cfg_dict``.
-    ground_truth = _shared_ground_truth(ExperimentConfig.from_dict(cfg_dict), game)
-    jobs = [
-        (game_data, cfg_dict, seed, rep, str(out_dir / f"{cfg.label}_rep{rep}.csv"),
-         ground_truth)
-        for rep, seed in enumerate(seeds)
-    ]
+    ground_truth = (shapley_solve(run_game, tol=cfg.gt_tol)
+                    if int(cfg.run.cadence) > 0 else None)
+    # Everything that determines a repetition's rows (no paths, no timing).
+    payload = {"game": game_to_dict(game), "gt_tol": cfg.gt_tol, "label": cfg.label}
+    if opponent is not None:
+        payload["opponent"] = opponent.tolist()
+    jobs = []
+    for rep, seed in enumerate(seeds):
+        run = replace(cfg.run, seed=seed)
+        metadata = {
+            "schema": 1,
+            "tool_version": __version__,
+            "label": cfg.label,
+            "rep": rep,
+            "seed": seed,
+            "config_hash": config_digest({**payload, "run": run.to_dict()}),
+        }
+        jobs.append((run_game, replace(run, gamma=None), ground_truth,
+                     str(out_dir / f"{cfg.label}_rep{rep}.csv"), metadata,
+                     cfg.debug_columns))
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             paths = list(pool.map(_run_one_repetition, jobs))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .games import MarkovGame, validate_game
+from .games import MarkovGame, distribution_rows_error, validate_game
 
 __all__ = [
     "GameFormatError",
@@ -224,6 +224,7 @@ def load_policy(path: str | Path) -> np.ndarray:
         raise GameFormatError(f"policy: not a numeric array ({exc})") from None
     if policy.ndim != 2:
         raise GameFormatError(f"policy: expected a 2-D array, got shape {policy.shape}")
-    if (policy < 0).any() or np.max(np.abs(policy.sum(axis=1) - 1.0)) > 1e-9:
-        raise GameFormatError("policy: rows must be probability distributions")
+    problem = distribution_rows_error("policy", policy)
+    if problem:
+        raise GameFormatError(f"{path}: {problem}")
     return policy

@@ -20,6 +20,7 @@ __all__ = [
     "JointPolicy",
     "DimensionMismatchError",
     "validate_game",
+    "distribution_rows_error",
     "evaluate_policy_pair",
     "q_from_v",
     "best_response",
@@ -64,6 +65,10 @@ class MarkovGame:
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "gamma", float(self.gamma))
 
+    def __reduce__(self):
+        # Rebuild through __post_init__ so an unpickled game is read-only too.
+        return (MarkovGame, (self.loss, self.transition, self.gamma, self.name))
+
     @property
     def n_states(self) -> int:
         return self.loss.shape[0]
@@ -101,30 +106,59 @@ def uniform_policy(game: MarkovGame) -> JointPolicy:
     return JointPolicy(x=x, y=y)
 
 
+def distribution_rows_error(name: str, rows: np.ndarray, atol: float = 1e-9) -> str | None:
+    """Why the rows of the 2-D array ``rows`` are not all probability distributions.
+
+    Returns None when every entry is >= 0 and every row sums to 1 within
+    ``atol``; otherwise a message naming ``name`` and the first bad row.  The
+    comparisons are written so that NaN fails them.
+    """
+    ok = (rows >= 0.0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= atol)
+    bad = np.flatnonzero(~ok)
+    if bad.size == 0:
+        return None
+    return (f"{name} row {bad[0]} is not a probability distribution: "
+            f"{rows[bad[0]].tolist()!r}")
+
+
 def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
     """Check semantic invariants; returns a list of violations (empty = valid).
 
-    Checks: losses in [0, 1], transition rows are distributions (nonnegative,
-    summing to 1 within ``atol``), and gamma in [1/2, 1).  Each violation names
-    the offending entry.
+    Checks: losses and transitions finite, losses in [0, 1], transition rows
+    are distributions (nonnegative, summing to 1 within ``atol``), and gamma
+    in [1/2, 1).  Each violation names the offending entry; non-finite entries
+    are reported alone, since the range and sum checks mean nothing on them.
     """
     problems: list[str] = []
     if not (0.5 <= game.gamma < 1.0):
         problems.append(f"gamma must lie in [1/2, 1), got gamma={game.gamma}")
+    finite_loss = np.isfinite(game.loss)
+    finite_trans = np.isfinite(game.transition)
+    for s, a, b in np.argwhere(~finite_loss):
+        problems.append(f"non-finite loss at (s={s}, a={a}, b={b}): {float(game.loss[s, a, b])!r}")
+    for s, a, b, s2 in np.argwhere(~finite_trans):
+        problems.append(
+            f"non-finite transition probability at (s={s}, a={a}, b={b}, s'={s2}): "
+            f"{float(game.transition[s, a, b, s2])!r}"
+        )
+    if not (finite_loss.all() and finite_trans.all()):
+        return problems
     bad = np.argwhere((game.loss < -atol) | (game.loss > 1.0 + atol))
     for s, a, b in bad:
-        problems.append(f"loss out of [0, 1] at (s={s}, a={a}, b={b}): {game.loss[s, a, b]!r}")
+        problems.append(
+            f"loss out of [0, 1] at (s={s}, a={a}, b={b}): {float(game.loss[s, a, b])!r}"
+        )
     neg = np.argwhere(game.transition < -atol)
     for s, a, b, s2 in neg:
         problems.append(
             f"negative transition probability at (s={s}, a={a}, b={b}, s'={s2}): "
-            f"{game.transition[s, a, b, s2]!r}"
+            f"{float(game.transition[s, a, b, s2])!r}"
         )
     sums = game.transition.sum(axis=3)
     bad = np.argwhere(np.abs(sums - 1.0) > atol)
     for s, a, b in bad:
         problems.append(
-            f"transition row (s={s}, a={a}, b={b}) sums to {sums[s, a, b]!r}, expected 1"
+            f"transition row (s={s}, a={a}, b={b}) sums to {float(sums[s, a, b])!r}, expected 1"
         )
     return problems
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import estimators as est_mod
 from . import metrics as metrics_mod
 from .estimators import EstimateTriple
-from .games import MarkovGame, JointPolicy, q_from_v, validate_game
+from .games import MarkovGame, JointPolicy, distribution_rows_error, q_from_v, validate_game
 
 __all__ = [
     "LearnerState",
@@ -129,8 +129,9 @@ def initial_state(
     for name, arr, width in (("init_x", x, game.n_actions_p1), ("init_y", y, game.n_actions_p2)):
         if arr.shape != (game.n_states, width):
             raise ValueError(f"{name} has shape {arr.shape}, expected {(game.n_states, width)}")
-        if (arr < 0).any() or np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError(f"{name} rows must be probability distributions")
+        problem = distribution_rows_error(name, arr)
+        if problem:
+            raise ValueError(problem)
     return LearnerState(
         x_hat=x, x=x.copy(), y_hat=y, y=y.copy(),
         v=np.zeros(game.n_states), t=1, eta=float(eta),
@@ -178,6 +179,9 @@ def reduce_game_for_opponent(game: MarkovGame, opponent_y: np.ndarray) -> Markov
             f"opponent policy shape {y.shape} does not match "
             f"(S, B) = {(game.n_states, game.n_actions_p2)}"
         )
+    problem = distribution_rows_error("opponent_y", y)
+    if problem:
+        raise ValueError(problem)
     loss = np.einsum("sab,sb->sa", game.loss, y)[:, :, None]
     trans = np.einsum("sabt,sb->sat", game.transition, y)[:, :, None, :]
     return MarkovGame(loss=loss, transition=trans, gamma=game.gamma,
@@ -255,24 +259,44 @@ def _resolve_eta(config: RunConfig, game: MarkovGame) -> float:
     return eta
 
 
-def _apply_gamma_override(game: MarkovGame, config: RunConfig) -> MarkovGame:
-    if config.gamma is None or config.gamma == game.gamma:
-        return game
-    return MarkovGame(loss=game.loss, transition=game.transition,
-                      gamma=config.gamma, name=game.name)
+def _setup(game: MarkovGame, config: RunConfig, opponent_y: np.ndarray | None = None):
+    """Validate a run and build what its loop needs, before anything is solved.
 
-
-def _check_game(game: MarkovGame, strict: bool) -> None:
+    Applies the discount override, folds in a fixed opponent, checks the game,
+    ``iterations``, ``eta`` and strict ``epsilon``, then builds the alpha
+    schedule, the initial state and the estimator (which checks the sampled
+    settings).  Returns ``(game, alpha_fn, state, estimator)``.
+    """
+    if config.gamma is not None and config.gamma != game.gamma:
+        game = MarkovGame(loss=game.loss, transition=game.transition,
+                          gamma=config.gamma, name=game.name)
+    if opponent_y is not None:
+        game = reduce_game_for_opponent(game, opponent_y)
     problems = validate_game(game)
-    if strict and problems:
+    if not config.strict:
+        problems = [p for p in problems if not p.startswith("gamma")]
+    if problems:
         raise ValueError("invalid game: " + "; ".join(problems))
-    structural = [p for p in problems if not p.startswith("gamma")]
-    if structural:
-        raise ValueError("invalid game: " + "; ".join(structural))
+    if config.iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    eta = _resolve_eta(config, game)
+    if config.strict and not (0.0 <= config.epsilon <= 1.0 / (1.0 - game.gamma)):
+        raise ValueError(
+            f"strict mode: epsilon={config.epsilon} outside [0, 1/(1-gamma)]"
+        )
+    alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
+    state = initial_state(game, eta=eta, init_x=config.init_x, init_y=config.init_y)
+    return game, alpha_fn, state, _build_estimator(config, game)
 
 
-def _resolve_epsilon_prime(config: RunConfig, game: MarkovGame) -> float:
-    """Sampled mode's exploration weight; out of [0, 1] raises naming its source."""
+def _build_estimator(config: RunConfig, game: MarkovGame):
+    if config.estimator == "exact":
+        return est_mod.ExactEstimator()
+    if config.estimator != "sampled":
+        raise ValueError(f"unknown estimator mode {config.estimator!r}")
+    if config.rollout_len < 1:
+        raise ValueError("sampled mode requires rollout_len >= 1")
+    # The exploration weight; out of [0, 1] raises naming its source.
     if config.epsilon_prime is not None:
         eps_prime = float(config.epsilon_prime)
         source = f"epsilon_prime={eps_prime!r}"
@@ -282,28 +306,17 @@ def _resolve_epsilon_prime(config: RunConfig, game: MarkovGame) -> float:
                   f"(1 - {game.gamma!r}) * {config.epsilon!r} = {eps_prime!r}")
     if not 0.0 <= eps_prime <= 1.0:
         raise ValueError(f"{source} must lie in [0, 1]")
-    return eps_prime
-
-
-def _build_estimator(config: RunConfig, game: MarkovGame):
-    if config.estimator == "exact":
-        return est_mod.ExactEstimator()
-    if config.estimator == "sampled":
-        if config.rollout_len < 1:
-            raise ValueError("sampled mode requires rollout_len >= 1")
-        return est_mod.SampledEstimator(
-            rollout_len=config.rollout_len,
-            epsilon_prime=_resolve_epsilon_prime(config, game),
-            seed=config.seed,
-            reset_each_iteration=config.rollout_reset,
-        )
-    raise ValueError(f"unknown estimator mode {config.estimator!r}")
+    return est_mod.SampledEstimator(
+        rollout_len=config.rollout_len,
+        epsilon_prime=eps_prime,
+        seed=config.seed,
+        reset_each_iteration=config.rollout_reset,
+    )
 
 
 def run_selfplay(
     game: MarkovGame,
     config: RunConfig,
-    estimator=None,
     sink: Callable[[metrics_mod.MetricsRow], None] | None = None,
     ground_truth=None,
     gt_tol: float = 1e-9,
@@ -318,19 +331,7 @@ def run_selfplay(
     iteration) and pushed to ``sink`` as they appear; ground truth is solved
     on demand when metrics are requested.  Deterministic given the config.
     """
-    game = _apply_gamma_override(game, config)
-    _check_game(game, config.strict)
-    if config.iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    eta = _resolve_eta(config, game)
-    if config.strict and not (0.0 <= config.epsilon <= 1.0 / (1.0 - game.gamma)):
-        raise ValueError(
-            f"strict mode: epsilon={config.epsilon} outside [0, 1/(1-gamma)]"
-        )
-    alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
-    state = initial_state(game, eta=eta, init_x=config.init_x, init_y=config.init_y)
-    if estimator is None:
-        estimator = _build_estimator(config, game)
+    game, alpha_fn, state, estimator = _setup(game, config)
 
     cadence = int(config.cadence)
     gt = ground_truth
@@ -395,10 +396,7 @@ def run_single_player(
     exactly the player's exploitability against the fixed opponent, and the
     distance column measures distance to the best-response strategy set.
     """
-    game = _apply_gamma_override(game, config)
-    reduced = reduce_game_for_opponent(game, opponent_y)
-    cfg = replace(config, gamma=None)
     return run_selfplay(
-        reduced, cfg, sink=sink, ground_truth=ground_truth, gt_tol=gt_tol,
-        iteration_hook=iteration_hook,
+        _setup(game, config, opponent_y)[0], replace(config, gamma=None), sink=sink,
+        ground_truth=ground_truth, gt_tol=gt_tol, iteration_hook=iteration_hook,
     )

@@ -153,18 +153,28 @@ class TestRunExperiment:
         assert len(gaps) == 3
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        base = dict(repetitions=2, game="const",
-                    run=RunConfig(iterations=30, eta=0.05, cadence=10,
-                                  estimator="sampled", rollout_len=40,
-                                  epsilon=0.4))
-        serial = run_experiment(_fast_cfg(out_dir=str(tmp_path / "s"),
-                                          workers=1, **base))
-        parallel = run_experiment(_fast_cfg(out_dir=str(tmp_path / "p"),
-                                            workers=2, **base))
-        for a, b in zip(serial.rep_paths, parallel.rep_paths):
-            assert a.read_bytes() == b.read_bytes()
-        assert serial.aggregate_path.read_bytes() == \
-            parallel.aggregate_path.read_bytes()
+        run = RunConfig(iterations=30, eta=0.05, cadence=10, estimator="sampled",
+                        rollout_len=40, epsilon=0.4)
+        opponent = tmp_path / "opp.json"
+        save_policy(np.random.default_rng(5).dirichlet(np.ones(2), size=3), opponent)
+        cases = {
+            "const": dict(game="const"),
+            # The prepared game shipped to the workers is the opponent-reduced one.
+            "random-opponent": dict(
+                game={"random": {"seed": 8, "n_states": 3, "n_actions_p1": 3,
+                                 "n_actions_p2": 2, "gamma": 0.9}},
+                opponent=str(opponent)),
+        }
+        for name, case in cases.items():
+            serial = run_experiment(_fast_cfg(out_dir=str(tmp_path / name / "s"),
+                                              workers=1, repetitions=2, run=run, **case))
+            parallel = run_experiment(_fast_cfg(out_dir=str(tmp_path / name / "p"),
+                                                workers=2, repetitions=2, run=run, **case))
+            assert len(serial.rep_paths) == len(parallel.rep_paths) == 2
+            for a, b in zip(serial.rep_paths, parallel.rep_paths):
+                assert a.read_bytes() == b.read_bytes()
+            assert serial.aggregate_path.read_bytes() == \
+                parallel.aggregate_path.read_bytes()
 
     def test_config_hash_independent_of_out_dir(self, tmp_path):
         a = run_experiment(_fast_cfg(out_dir=str(tmp_path / "a")))
@@ -228,6 +238,22 @@ def _gt_bytes(gt) -> bytes:
                     for a in (gt.v_star, gt.q_star, gt.x_star, gt.y_star))
 
 
+def _recorded_ground_truth(cfg: ExperimentConfig, monkeypatch):
+    """The ground truth ``run_experiment`` solves once and hands to every repetition."""
+    shared = []
+    real = experiments_mod.shapley_solve
+
+    def recording(game, *args, **kwargs):
+        shared.append(real(game, *args, **kwargs))
+        return shared[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments_mod, "shapley_solve", recording)
+        run_experiment(cfg)
+    assert len(shared) == 1
+    return shared[0]
+
+
 class TestSharedGroundTruth:
     @pytest.fixture()
     def solves(self, monkeypatch):
@@ -251,22 +277,38 @@ class TestSharedGroundTruth:
                                  run=RunConfig(iterations=20, eta=0.05, cadence=0)))
         assert solves == []
 
-    def test_selfplay_solves_the_repetition_game(self):
-        cfg = _fast_cfg(run=RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.8))
+    def test_selfplay_solves_the_repetition_game(self, tmp_path, monkeypatch):
+        cfg = _fast_cfg(out_dir=str(tmp_path),
+                        run=RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.8))
         game = resolve_game(cfg.game)
-        shared = experiments_mod._shared_ground_truth(cfg, game)
+        shared = _recorded_ground_truth(cfg, monkeypatch)
         own = run_selfplay(game, cfg.run).ground_truth
         assert _gt_bytes(shared) == _gt_bytes(own)
 
-    def test_single_player_solves_the_reduced_game(self):
+    def test_single_player_solves_the_reduced_game(self, tmp_path, monkeypatch):
         opponent = [[0.8, 0.2]]
-        cfg = _fast_cfg(opponent=opponent,
+        cfg = _fast_cfg(out_dir=str(tmp_path), opponent=opponent,
                         run=RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.8))
         game = resolve_game(cfg.game)
-        shared = experiments_mod._shared_ground_truth(cfg, game)
+        shared = _recorded_ground_truth(cfg, monkeypatch)
         own = run_single_player(game, np.array(opponent), cfg.run).ground_truth
         assert shared.q_star.shape == (1, 2, 1)
         assert _gt_bytes(shared) == _gt_bytes(own)
+
+    @pytest.mark.parametrize("run, match", [
+        (dict(estimator="sampled", rollout_len=0), "rollout_len"),
+        (dict(init_x=[[0.7, 0.7]]), "init_x"),
+        (dict(alpha="bogus"), "alpha schedule"),
+        (dict(iterations=0), "iterations"),
+        (dict(eta=-1), "step size"),
+        (dict(estimator="bogus"), "estimator"),
+    ], ids=["rollout_len", "init_x", "alpha", "iterations", "eta", "estimator"])
+    def test_run_config_error_raised_before_solving(self, tmp_path, solves, run, match):
+        run = RunConfig(**{"iterations": 10, "eta": 0.05, "cadence": 10, **run})
+        with pytest.raises(ValueError, match=match):
+            run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=2, run=run))
+        assert solves == []
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_bad_exploration_weight_rejected_before_solving(self, tmp_path, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -178,6 +178,13 @@ class TestFormatErrors:
         with pytest.raises(GameFormatError, match="invalid"):
             game_from_dict(payload)
 
+    def test_nan_loss_in_file_rejected(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_game(builtin("mp1"), path)
+        path.write_text(path.read_text().replace("0.0", "NaN", 1))
+        with pytest.raises(GameFormatError, match=r"invalid: non-finite loss at \(s=0"):
+            load_game(path)
+
     def test_gamma_outside_contract_tolerated_on_load(self):
         # Low discounts are fine for exploratory runs; the strict check lives
         # in the run driver, not the file format.
@@ -218,6 +225,13 @@ class TestPolicyFiles:
         data["policy"] = [[0.7, 0.7]]
         path.write_text(json.dumps(data))
         with pytest.raises(GameFormatError, match="policy"):
+            load_policy(path)
+
+    def test_rejects_nan_rows(self, tmp_path):
+        path = tmp_path / "pol.json"
+        path.write_text('{"schema_version": 1, "policy": [[0.5, 0.5], [NaN, 1.0]]}')
+        with pytest.raises(GameFormatError,
+                           match=r"pol\.json: policy row 1 is not a probability"):
             load_policy(path)
 
     def test_rejects_wrong_rank(self, tmp_path):

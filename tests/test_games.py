@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +61,14 @@ class TestConstruction:
         assert switching_mp.n_actions_p1 == 2
         assert switching_mp.n_actions_p2 == 2
 
+    def test_read_only_through_pickle(self, switching_mp):
+        again = pickle.loads(pickle.dumps(switching_mp))
+        assert not again.loss.flags.writeable
+        assert not again.transition.flags.writeable
+        assert (again.gamma, again.name) == (switching_mp.gamma, switching_mp.name)
+        np.testing.assert_array_equal(again.loss, switching_mp.loss)
+        np.testing.assert_array_equal(again.transition, switching_mp.transition)
+
 
 class TestValidation:
     def test_clean_game_has_no_violations(self, mp1, switching_mp):
@@ -99,6 +109,18 @@ class TestValidation:
         game = MarkovGame(loss=np.zeros((2, 1, 1)), transition=trans, gamma=0.9)
         problems = validate_game(game)
         assert any("(s=0, a=0, b=0, s'=1)" in p for p in problems)
+
+    def test_non_finite_entries_reported(self):
+        loss = np.zeros((1, 2, 2))
+        loss[0, 1, 0] = np.nan
+        assert validate_game(MarkovGame(loss=loss, transition=np.ones((1, 2, 2, 1)),
+                                        gamma=0.9)) == [
+            "non-finite loss at (s=0, a=1, b=0): nan"]
+        trans = np.ones((1, 2, 2, 1))
+        trans[0, 0, 1, 0] = np.inf
+        problems = validate_game(MarkovGame(loss=np.zeros((1, 2, 2)), transition=trans,
+                                            gamma=0.9))
+        assert problems == ["non-finite transition probability at (s=0, a=0, b=1, s'=0): inf"]
 
     def test_multiple_violations_all_reported(self):
         loss = np.full((1, 1, 1), 2.0)

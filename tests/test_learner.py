@@ -216,6 +216,12 @@ class TestInitialState:
         with pytest.raises(ValueError):
             initial_state(mp1, eta=0.01, init_y=[[-0.1, 1.1]])
 
+    def test_rejects_nan_rows_naming_the_argument(self, switching_mp):
+        with pytest.raises(ValueError, match=r"init_x row 0 is not a probability"):
+            initial_state(switching_mp, eta=0.01, init_x=[[np.nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"init_y row 1 .*nan"):
+            initial_state(switching_mp, eta=0.01, init_y=[[0.5, 0.5], [np.nan, np.nan]])
+
     def test_policy_property_uses_anchors(self, mp1):
         state = initial_state(mp1, eta=0.01, init_x=[[0.9, 0.1]])
         pol = state.policy
@@ -249,6 +255,13 @@ class TestReduceGame:
     def test_rejects_wrong_shape(self, mp1):
         with pytest.raises(ValueError):
             reduce_game_for_opponent(mp1, np.array([[0.5, 0.3, 0.2]]))
+
+    @pytest.mark.parametrize("opponent", [[[0.5, 0.4], [0.5, 0.5]],
+                                          [[np.nan, 1.0], [0.5, 0.5]]])
+    def test_rejects_non_distribution_rows_naming_the_opponent(self, switching_mp,
+                                                               opponent):
+        with pytest.raises(ValueError, match=r"opponent_y row 0 is not a probability"):
+            reduce_game_for_opponent(switching_mp, np.array(opponent))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +395,11 @@ class TestRunSinglePlayer:
         result = run_single_player(mp1, np.array([[1.0, 0.0]]),
                                    RunConfig(iterations=3000, eta=0.05))
         assert result.state.x_hat[0, 1] >= 0.99
+
+    def test_nan_opponent_rejected_before_solving(self, switching_mp):
+        with pytest.raises(ValueError, match="opponent_y row 0"):
+            run_single_player(switching_mp, np.array([[np.nan, 1.0], [0.5, 0.5]]),
+                              RunConfig(iterations=5, eta=0.05, cadence=5))
 
     def test_reduced_game_has_single_column(self, mp1):
         result = run_single_player(mp1, np.array([[0.5, 0.5]]),
