@@ -106,14 +106,14 @@ def uniform_policy(game: MarkovGame) -> JointPolicy:
     return JointPolicy(x=x, y=y)
 
 
-def distribution_rows_error(name: str, rows: np.ndarray, atol: float = 1e-9) -> str | None:
+def distribution_rows_error(name: str, rows: np.ndarray) -> str | None:
     """Why the rows of the 2-D array ``rows`` are not all probability distributions.
 
     Returns None when every entry is >= 0 and every row sums to 1 within
-    ``atol``; otherwise a message naming ``name`` and the first bad row.  The
+    1e-9; otherwise a message naming ``name`` and the first bad row.  The
     comparisons are written so that NaN fails them.
     """
-    ok = (rows >= 0.0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= atol)
+    ok = (rows >= 0.0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
     bad = np.flatnonzero(~ok)
     if bad.size == 0:
         return None
@@ -145,20 +145,18 @@ def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
         return problems
     bad = np.argwhere((game.loss < -atol) | (game.loss > 1.0 + atol))
     for s, a, b in bad:
-        problems.append(
-            f"loss out of [0, 1] at (s={s}, a={a}, b={b}): {float(game.loss[s, a, b])!r}"
-        )
+        problems.append(f"loss out of [0, 1] at (s={s}, a={a}, b={b}): {game.loss[s, a, b]!r}")
     neg = np.argwhere(game.transition < -atol)
     for s, a, b, s2 in neg:
         problems.append(
             f"negative transition probability at (s={s}, a={a}, b={b}, s'={s2}): "
-            f"{float(game.transition[s, a, b, s2])!r}"
+            f"{game.transition[s, a, b, s2]!r}"
         )
     sums = game.transition.sum(axis=3)
     bad = np.argwhere(np.abs(sums - 1.0) > atol)
     for s, a, b in bad:
         problems.append(
-            f"transition row (s={s}, a={a}, b={b}) sums to {float(sums[s, a, b])!r}, expected 1"
+            f"transition row (s={s}, a={a}, b={b}) sums to {sums[s, a, b]!r}, expected 1"
         )
     return problems
 
