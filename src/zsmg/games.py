@@ -51,8 +51,10 @@ class MarkovGame:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        loss = np.ascontiguousarray(np.asarray(self.loss, dtype=np.float64))
-        trans = np.ascontiguousarray(np.asarray(self.transition, dtype=np.float64))
+        # Own copies: freezing the caller's arrays in place would make them
+        # read-only for the caller too.
+        loss = np.array(self.loss, dtype=np.float64, order="C")
+        trans = np.array(self.transition, dtype=np.float64, order="C")
         if loss.ndim != 3:
             raise DimensionMismatchError(f"loss must have shape (S, A, B), got {loss.shape}")
         if trans.shape != loss.shape + (loss.shape[0],):

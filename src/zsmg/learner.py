@@ -10,7 +10,7 @@ exact and trajectory-sampled modes share the identical update path.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -40,21 +40,27 @@ __all__ = [
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the probability simplex (last axis).
 
-    Sort-and-threshold algorithm: find the largest prefix of the descending
-    sort with positive water level, subtract the level, clip at zero.  Accepts
-    a single vector or a batch of row vectors; rows are processed by the same
-    elementwise arithmetic either way, so batched and single calls agree
-    bit-for-bit.
+    Sort-and-threshold algorithm (Duchi et al., ICML 2008): find the largest
+    prefix of the descending sort with positive water level, subtract the
+    level, clip at zero.  Accepts a single vector or a batch of row vectors;
+    rows are processed by the same elementwise arithmetic either way, so
+    batched and single calls agree bit-for-bit.
+
+    Padding contract: extra entries that lie below every real entry of their
+    row, and more than 1 below its largest, sort last, change no prefix sum of
+    the support and fail the threshold test.  They project to exactly 0 and
+    the row's real outputs keep their bits.  The learner pads with ``-1e30``.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[-1]
-    u = np.sort(v, axis=-1)[..., ::-1]
+    u = v.copy()
+    u.sort(axis=-1)
+    u = u[..., ::-1]
     css = np.cumsum(u, axis=-1)
     j = np.arange(1, n + 1, dtype=np.float64)
-    rho = np.count_nonzero(u + (1.0 - css) / j > 0.0, axis=-1)
-    rho_flat = np.asarray(rho, dtype=np.intp).reshape(-1)
-    css_rho = css.reshape(-1, n)[np.arange(rho_flat.size), rho_flat - 1]
-    tau = ((css_rho - 1.0) / rho_flat).reshape(v.shape[:-1] + (1,))
+    rho = (u + (1.0 - css) / j > 0.0).sum(axis=-1).reshape(-1)
+    css_rho = css.reshape(-1)[np.arange(0, css.size, n) + rho - 1]
+    tau = ((css_rho - 1.0) / rho).reshape(v.shape[:-1] + (1,))
     return np.maximum(v - tau, 0.0)
 
 
@@ -84,22 +90,49 @@ def eta_max(gamma: float, n_states: int) -> float:
     return 1e-4 * np.sqrt((1.0 - gamma) ** 5 / n_states)
 
 
+# Gradient entry in the padded columns of the stacked layout.  A padded iterate
+# entry is 0, so each half-step projects 0 - 1e30: far below every real entry,
+# which keeps the real bits and projects to 0.  Finite on purpose: an
+# infinite pad would turn the threshold arithmetic into inf - inf = NaN.
+_PAD = 1e30
+
+
 @dataclass(frozen=True)
 class LearnerState:
-    """Iterates of both players plus the shared critic.
+    """Iterates of both players plus the shared critic, in one stacked layout.
 
-    ``x_hat``/``y_hat`` are the primary (anchor) iterates, ``x``/``y`` the
-    secondary iterates that gradients are evaluated at.  ``v`` is the critic
-    value vector shared by both players.
+    ``z_hat`` holds the primary (anchor) iterates and ``z`` the secondary
+    iterates that gradients are evaluated at, each as one ``(2S, W)`` array
+    with ``W = max(A, B)``: rows ``0..S-1`` are player 1's strategies and rows
+    ``S..2S-1`` player 2's.  Columns past a player's own width are padding and
+    always hold exactly 0.  ``x_hat``/``x`` and ``y_hat``/``y`` are the
+    players' ``(S, A)`` and ``(S, B)`` views of these arrays.  ``v`` is the
+    critic value vector shared by both players.
     """
 
-    x_hat: np.ndarray  # (S, A)
-    x: np.ndarray      # (S, A)
-    y_hat: np.ndarray  # (S, B)
-    y: np.ndarray      # (S, B)
+    z_hat: np.ndarray  # (2S, W)
+    z: np.ndarray      # (2S, W)
     v: np.ndarray      # (S,)
     t: int
     eta: float
+    n_actions_p1: int
+    n_actions_p2: int
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        return self.z_hat[: self.v.shape[0], : self.n_actions_p1]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.z[: self.v.shape[0], : self.n_actions_p1]
+
+    @property
+    def y_hat(self) -> np.ndarray:
+        return self.z_hat[self.v.shape[0]:, : self.n_actions_p2]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.z[self.v.shape[0]:, : self.n_actions_p2]
 
     @property
     def policy(self) -> JointPolicy:
@@ -118,24 +151,26 @@ def initial_state(
     Defaults to the uniform policy per state; explicit initial strategies must
     be row-stochastic within 1e-9.
     """
+    n_states, n_a, n_b = game.loss.shape
     if init_x is None:
-        x = np.full((game.n_states, game.n_actions_p1), 1.0 / game.n_actions_p1)
+        x = np.full((n_states, n_a), 1.0 / n_a)
     else:
         x = np.array(init_x, dtype=np.float64)
     if init_y is None:
-        y = np.full((game.n_states, game.n_actions_p2), 1.0 / game.n_actions_p2)
+        y = np.full((n_states, n_b), 1.0 / n_b)
     else:
         y = np.array(init_y, dtype=np.float64)
-    for name, arr, width in (("init_x", x, game.n_actions_p1), ("init_y", y, game.n_actions_p2)):
-        if arr.shape != (game.n_states, width):
-            raise ValueError(f"{name} has shape {arr.shape}, expected {(game.n_states, width)}")
+    for name, arr, width in (("init_x", x, n_a), ("init_y", y, n_b)):
+        if arr.shape != (n_states, width):
+            raise ValueError(f"{name} has shape {arr.shape}, expected {(n_states, width)}")
         problem = distribution_rows_error(name, arr)
         if problem:
             raise ValueError(problem)
-    return LearnerState(
-        x_hat=x, x=x.copy(), y_hat=y, y=y.copy(),
-        v=np.zeros(game.n_states), t=1, eta=float(eta),
-    )
+    z_hat = np.zeros((2 * n_states, max(n_a, n_b)))
+    z_hat[:n_states, :n_a] = x
+    z_hat[n_states:, :n_b] = y
+    return LearnerState(z_hat=z_hat, z=z_hat.copy(), v=np.zeros(n_states), t=1,
+                        eta=float(eta), n_actions_p1=n_a, n_actions_p2=n_b)
 
 
 def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
@@ -144,7 +179,14 @@ def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
     Anchor update then a lookahead step with the same gradient:
         x_hat' = P(x_hat - eta * ell);  x' = P(x_hat' - eta * ell)
         y_hat' = P(y_hat + eta * r);    y' = P(y_hat' + eta * r)
-    Non-finite estimates raise ValueError and leave the state unchanged.
+    Both players' rows go through one projection per half-step on the stacked
+    layout: the gradient ``g`` holds ``eta * ell`` in player 1's rows,
+    ``-(eta * r)`` in player 2's and ``_PAD`` in the padded columns, and
+    ``z_hat' = P(z_hat - g)``, ``z' = P(z_hat' - g)``.  Negation is exact and
+    ``a - (-b) == a + b`` in IEEE arithmetic, and the projection works row by
+    row, so every real entry is bit-identical to the four separate
+    projections and no row depends on another.  Non-finite estimates raise
+    ValueError and leave the state unchanged.
     """
     if not (
         np.isfinite(estimates.ell).all()
@@ -152,13 +194,14 @@ def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
         and np.isfinite(estimates.rho).all()
     ):
         raise ValueError("non-finite payoff estimates passed to ogda_step")
-    gx = state.eta * estimates.ell
-    gy = state.eta * estimates.r
-    x_hat = project_simplex(state.x_hat - gx)
-    x = project_simplex(x_hat - gx)
-    y_hat = project_simplex(state.y_hat + gy)
-    y = project_simplex(y_hat + gy)
-    return replace(state, x_hat=x_hat, x=x, y_hat=y_hat, y=y, t=state.t + 1)
+    n_states = state.v.shape[0]
+    g = np.full(state.z_hat.shape, _PAD)
+    g[:n_states, : state.n_actions_p1] = state.eta * estimates.ell
+    g[n_states:, : state.n_actions_p2] = -(state.eta * estimates.r)
+    z_hat = project_simplex(state.z_hat - g)
+    return LearnerState(z_hat=z_hat, z=project_simplex(z_hat - g), v=state.v,
+                        t=state.t + 1, eta=state.eta, n_actions_p1=state.n_actions_p1,
+                        n_actions_p2=state.n_actions_p2)
 
 
 def critic_step(v_prev: np.ndarray, rho: np.ndarray, alpha_t: float) -> np.ndarray:
@@ -274,7 +317,11 @@ def _setup(game: MarkovGame, config: RunConfig, opponent_y: np.ndarray | None = 
         game = reduce_game_for_opponent(game, opponent_y)
     problems = validate_game(game)
     if not config.strict:
+        # Off the guarantee regime gamma may lie in [0, 1/2), but never
+        # outside [0, 1): the critic's horizon 2/(1-gamma) needs it.
         problems = [p for p in problems if not p.startswith("gamma")]
+        if not 0.0 <= game.gamma < 1.0:
+            problems.insert(0, f"gamma must lie in [0, 1), got gamma={game.gamma}")
     if problems:
         raise ValueError("invalid game: " + "; ".join(problems))
     if config.iterations < 1:
@@ -325,11 +372,13 @@ def run_selfplay(
     """Run decentralized self-play for ``config.iterations`` iterations.
 
     Per iteration: build the critic's stage games, obtain payoff estimates from
-    the estimator, take one optimistic step per player, then average the critic
-    toward the shared payoff estimate.  Metric rows are produced every
-    ``config.cadence`` iterations (computed on the anchor iterates entering the
-    iteration) and pushed to ``sink`` as they appear; ground truth is solved
-    on demand when metrics are requested.  Deterministic given the config.
+    the estimator, take one stacked optimistic step for both players, then
+    average the critic toward the shared payoff estimate.  Metric rows are
+    produced every ``config.cadence`` iterations (computed on the anchor
+    iterates entering the iteration) and pushed to ``sink`` as they appear;
+    the movement diagnostics they report are only tracked when ``cadence > 0``,
+    and ground truth is solved on demand when metrics are requested.
+    Deterministic given the config.
     """
     game, alpha_fn, state, estimator = _setup(game, config)
 
@@ -351,9 +400,11 @@ def run_selfplay(
     for t in range(1, config.iterations + 1):
         q_t = q_from_v(game, state.v)
         alpha_t = alpha_fn(t)
-        j_state, k_state, q_step = metrics_mod.diagnostics_update(
-            j_state, k_state, state.x, x_prev, state.y, y_prev, q_t, q_prev, alpha_t
-        )
+        if cadence > 0:
+            j_state, k_state, q_step = metrics_mod.diagnostics_update(
+                j_state, k_state, state.x, x_prev, state.y, y_prev, q_t, q_prev, alpha_t
+            )
+            x_prev, y_prev, q_prev = state.x, state.y, q_t
         logging_now = cadence > 0 and t % cadence == 0
         triple, est_err = estimator.estimates(
             game, state, q_t, collect_error=logging_now
@@ -369,10 +420,12 @@ def run_selfplay(
             rows.append(row)
             if sink is not None:
                 sink(row)
-        x_prev, y_prev, q_prev = state.x, state.y, q_t
         stepped = ogda_step(state, triple)
-        v_new = critic_step(state.v, triple.rho, alpha_t)
-        state = replace(stepped, v=v_new)
+        state = LearnerState(
+            z_hat=stepped.z_hat, z=stepped.z, v=critic_step(state.v, triple.rho, alpha_t),
+            t=stepped.t, eta=stepped.eta, n_actions_p1=stepped.n_actions_p1,
+            n_actions_p2=stepped.n_actions_p2,
+        )
         if iteration_hook is not None:
             iteration_hook(t, state)
 

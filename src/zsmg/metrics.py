@@ -94,8 +94,8 @@ def diagnostics_update(
     the first movement norms themselves.  Returns (J, K, per-state max-abs
     stage-game step) so callers can log the raw step too.
     """
-    move = np.sum((x_t - x_prev) ** 2, axis=1) + np.sum((y_t - y_prev) ** 2, axis=1)
-    q_step = np.max(np.abs(q_t - q_prev), axis=(1, 2))
+    move = ((x_t - x_prev) ** 2).sum(axis=1) + ((y_t - y_prev) ** 2).sum(axis=1)
+    q_step = np.abs(q_t - q_prev).max(axis=(1, 2))
     j_new = (1.0 - alpha_t) * j_prev + alpha_t * move
     k_new = (1.0 - alpha_t) * k_prev + alpha_t * q_step**2
     return j_new, k_new, q_step

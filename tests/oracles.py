@@ -8,6 +8,7 @@ the two is meaningful evidence rather than a tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -200,6 +201,89 @@ def matrix_ogda_run(q: np.ndarray, eta: float, n_steps: int,
         y_hat = sort_projection_1d(y_hat + eta * r)
         y = sort_projection_1d(y_hat + eta * r)
     return x_hat, x, y_hat, y
+
+
+# ---------------------------------------------------------------------------
+# The learner step with one projection per player and half-step
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class UnstackedState:
+    """Learner iterates with each player's strategies in its own array."""
+
+    x_hat: np.ndarray  # (S, A)
+    x: np.ndarray      # (S, A)
+    y_hat: np.ndarray  # (S, B)
+    y: np.ndarray      # (S, B)
+    v: np.ndarray      # (S,)
+    t: int
+    eta: float
+
+
+def unstacked_ogda_step(state: UnstackedState, estimates) -> UnstackedState:
+    """The optimistic step as four ``project_simplex`` calls.
+
+    Unlike the other oracles this is the library's own arithmetic on purpose:
+    it is the reference for ``ogda_step``, which stacks both players' rows
+    into one padded projection per half-step and must return the same bits.
+    """
+    from zsmg.learner import project_simplex
+
+    if not (
+        np.isfinite(estimates.ell).all()
+        and np.isfinite(estimates.r).all()
+        and np.isfinite(estimates.rho).all()
+    ):
+        raise ValueError("non-finite payoff estimates passed to ogda_step")
+    gx = state.eta * estimates.ell
+    gy = state.eta * estimates.r
+    x_hat = project_simplex(state.x_hat - gx)
+    x = project_simplex(x_hat - gx)
+    y_hat = project_simplex(state.y_hat + gy)
+    y = project_simplex(y_hat + gy)
+    return replace(state, x_hat=x_hat, x=x, y_hat=y_hat, y=y, t=state.t + 1)
+
+
+def unstacked_selfplay(game, config, ground_truth=None):
+    """Self-play loop built on ``unstacked_ogda_step``; returns (final state, rows).
+
+    The loop updates the movement diagnostics every iteration, with or
+    without metric rows.  ``ground_truth`` is required when
+    ``config.cadence > 0``.
+    """
+    from zsmg.learner import _setup, critic_step
+    from zsmg.metrics import diagnostics_update, make_metrics_row
+    from zsmg.games import q_from_v
+
+    game, alpha_fn, stacked, estimator = _setup(game, config)
+    state = UnstackedState(
+        x_hat=stacked.x_hat.copy(), x=stacked.x.copy(), y_hat=stacked.y_hat.copy(),
+        y=stacked.y.copy(), v=stacked.v, t=stacked.t, eta=stacked.eta,
+    )
+    cadence = int(config.cadence)
+    q_prev = np.zeros_like(game.loss)
+    x_prev, y_prev = np.zeros_like(state.x), np.zeros_like(state.y)
+    j_state = k_state = np.zeros(game.n_states)
+    rows = []
+    for t in range(1, config.iterations + 1):
+        q_t = q_from_v(game, state.v)
+        alpha_t = alpha_fn(t)
+        j_state, k_state, q_step = diagnostics_update(
+            j_state, k_state, state.x, x_prev, state.y, y_prev, q_t, q_prev, alpha_t
+        )
+        logging_now = cadence > 0 and t % cadence == 0
+        triple, est_err = estimator.estimates(game, state, q_t, collect_error=logging_now)
+        if logging_now:
+            rows.append(make_metrics_row(
+                t=t, game=game, ground_truth=ground_truth,
+                x_hat=state.x_hat, y_hat=state.y_hat, q_t=q_t,
+                j_max=float(j_state.max()), k_max=float(k_state.max()),
+                q_step_max=float(q_step.max()), est_err=est_err,
+            ))
+        x_prev, y_prev, q_prev = state.x, state.y, q_t
+        stepped = unstacked_ogda_step(state, triple)
+        state = replace(stepped, v=critic_step(state.v, triple.rho, alpha_t))
+    return state, rows
 
 
 # ---------------------------------------------------------------------------

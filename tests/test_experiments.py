@@ -302,7 +302,10 @@ class TestSharedGroundTruth:
         (dict(iterations=0), "iterations"),
         (dict(eta=-1), "step size"),
         (dict(estimator="bogus"), "estimator"),
-    ], ids=["rollout_len", "init_x", "alpha", "iterations", "eta", "estimator"])
+        (dict(gamma=1.0), r"gamma=1\.0"),
+        (dict(gamma=float("nan")), "gamma=nan"),
+    ], ids=["rollout_len", "init_x", "alpha", "iterations", "eta", "estimator",
+            "gamma_one", "gamma_nan"])
     def test_run_config_error_raised_before_solving(self, tmp_path, solves, run, match):
         run = RunConfig(**{"iterations": 10, "eta": 0.05, "cadence": 10, **run})
         with pytest.raises(ValueError, match=match):

@@ -61,6 +61,17 @@ class TestConstruction:
         assert switching_mp.n_actions_p1 == 2
         assert switching_mp.n_actions_p2 == 2
 
+    def test_caller_arrays_stay_writeable(self):
+        loss, trans = np.zeros((1, 1, 1)), np.ones((1, 1, 1, 1))
+        game = MarkovGame(loss=loss, transition=trans, gamma=0.9)
+        again = pickle.loads(pickle.dumps(game))
+        for own in (game, again):
+            assert not own.loss.flags.writeable
+            assert not own.transition.flags.writeable
+        assert loss.flags.writeable and trans.flags.writeable
+        loss[0, 0, 0] = 1.0
+        assert game.loss[0, 0, 0] == again.loss[0, 0, 0] == 0.0
+
     def test_read_only_through_pickle(self, switching_mp):
         again = pickle.loads(pickle.dumps(switching_mp))
         assert not again.loss.flags.writeable

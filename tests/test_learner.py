@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zsmg import groundtruth as groundtruth_mod
 from zsmg.estimators import EstimateTriple, exact_estimates
 from zsmg.games import MarkovGame, evaluate_policy_pair, JointPolicy, q_from_v
 from zsmg.gamegen import random_game
+from zsmg.groundtruth import shapley_solve
 from zsmg.learner import (
+    _PAD,
     RunConfig,
     alpha_schedule,
     critic_step,
@@ -25,7 +29,7 @@ from zsmg.learner import (
     run_single_player,
 )
 
-from oracles import sort_projection_1d
+from oracles import sort_projection_1d, unstacked_selfplay
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +80,28 @@ class TestProjectSimplex:
         for _ in range(50):
             p = project_simplex(rng.uniform(-1.0, 1.0, size=4))
             np.testing.assert_allclose(project_simplex(p), p, atol=1e-12)
+
+    @given(data=st.data())
+    def test_stacked_padded_rows_match_separate_calls(self, data):
+        # Both players' rows in one (2S, W) call, padded as ogda_step pads them.
+        n_states = data.draw(st.integers(1, 3))
+        widths = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+        # The small pool makes ties common; the float range reaches 1e3.
+        value = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
+                          st.floats(-1e3, 1e3, allow_nan=False))
+        blocks = [
+            np.array(data.draw(st.lists(value, min_size=n_states * w,
+                                        max_size=n_states * w))).reshape(n_states, w)
+            for w in widths
+        ]
+        stacked = np.full((2 * n_states, max(widths)), -_PAD)
+        for k, (block, w) in enumerate(zip(blocks, widths)):
+            stacked[k * n_states:(k + 1) * n_states, :w] = block
+        out = project_simplex(stacked)
+        for k, (block, w) in enumerate(zip(blocks, widths)):
+            rows = out[k * n_states:(k + 1) * n_states]
+            assert rows[:, :w].tobytes() == project_simplex(block).tobytes()
+            assert (rows[:, w:] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +220,57 @@ class TestOgdaStep:
         nxt = ogda_step(state, zero)
         assert nxt.t == state.t + 1
         assert nxt.v is state.v
+
+    def test_stacked_layout_pads_with_zeros(self):
+        game = random_game(seed=3, n_states=2, n_actions_p1=2, n_actions_p2=5, gamma=0.9)
+        state = initial_state(game, eta=0.05)
+        rng = np.random.default_rng(4)
+        nxt = ogda_step(state, EstimateTriple(ell=rng.uniform(0, 9, (2, 2)),
+                                              r=rng.uniform(0, 9, (2, 5)), rho=np.zeros(2)))
+        for st_ in (state, nxt):
+            assert st_.z_hat.shape == st_.z.shape == (4, 5)
+            assert (st_.z_hat[:2, 2:] == 0.0).all() and (st_.z[:2, 2:] == 0.0).all()
+            assert st_.x_hat.shape == st_.x.shape == (2, 2)
+            assert st_.y_hat.shape == st_.y.shape == (2, 5)
+            assert np.shares_memory(st_.x_hat, st_.z_hat)
+            assert np.shares_memory(st_.y, st_.z)
+
+    @staticmethod
+    def _decentralization_case():
+        game = random_game(seed=5, n_states=3, n_actions_p1=2, n_actions_p2=4, gamma=0.9)
+        rng = np.random.default_rng(6)
+        state = initial_state(game, eta=0.05, init_x=rng.dirichlet(np.ones(2), size=3),
+                              init_y=rng.dirichlet(np.ones(4), size=3))
+        base = EstimateTriple(ell=rng.uniform(0, 5, (3, 2)), r=rng.uniform(0, 5, (3, 4)),
+                              rho=rng.uniform(0, 5, 3))
+        return state, base, ogda_step(state, base)
+
+    @staticmethod
+    def _row_bytes(state):
+        return {(name, s): getattr(state, name)[s].tobytes()
+                for name in ("x_hat", "x", "y_hat", "y") for s in range(3)}
+
+    def test_perturbing_one_player_leaves_the_other_players_rows(self):
+        state, base, ref = self._decentralization_case()
+        before = self._row_bytes(ref)
+        for field_name, own in (("ell", "x"), ("r", "y")):
+            est = getattr(base, field_name).copy()
+            est[:, 0] += 4.0
+            est[:, 1] -= 3.0
+            nxt = self._row_bytes(ogda_step(state, replace(base, **{field_name: est})))
+            for (name, s), value in before.items():
+                assert (value == nxt[name, s]) == (not name.startswith(own)), (field_name, name, s)
+
+    def test_perturbing_one_state_leaves_every_other_states_rows(self):
+        state, base, ref = self._decentralization_case()
+        before = self._row_bytes(ref)
+        for s in range(3):
+            ell, r = base.ell.copy(), base.r.copy()
+            ell[s] += [4.0, -3.0]
+            r[s] += [-3.0, 4.0, 0.0, 1.0]
+            nxt = self._row_bytes(ogda_step(state, replace(base, ell=ell, r=r)))
+            for key, value in before.items():
+                assert (value == nxt[key]) == (key[1] != s), (s, key)
 
 
 class TestInitialState:
@@ -368,6 +445,40 @@ class TestRunSelfplay:
                                     rollout_len=30, seed=5),
                      iteration_hook=check)
 
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (3, 1, 4), (2, 8, 3), (1, 2, 8)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_matches_unstacked_oracle_loop(self, shape, estimator):
+        n_states, n_a, n_b = shape
+        game = random_game(seed=sum(shape), n_states=n_states, n_actions_p1=n_a,
+                           n_actions_p2=n_b, gamma=0.9)
+        rng = np.random.default_rng(sum(shape))
+        cfg = RunConfig(iterations=120, eta=0.05, cadence=15, seed=3, estimator=estimator,
+                        rollout_len=25 if estimator == "sampled" else 0, epsilon=1.0,
+                        init_x=rng.dirichlet(np.ones(n_a), size=n_states),
+                        init_y=rng.dirichlet(np.ones(n_b), size=n_states))
+        gt = shapley_solve(game)
+        result = run_selfplay(game, cfg, ground_truth=gt)
+        ref_state, ref_rows = unstacked_selfplay(game, cfg, gt)
+        for name in ("x_hat", "x", "y_hat", "y", "v"):
+            assert getattr(result.state, name).tobytes() == getattr(ref_state, name).tobytes()
+        assert result.state.t == ref_state.t == 121
+        assert [replace(row, wall_clock=None) for row in result.rows] == ref_rows
+
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
+    def test_diagnostics_do_not_touch_iterates(self, estimator):
+        # Diagnostics run only when metric rows are requested; the iterates
+        # must not depend on whether they ran.
+        game = random_game(seed=11, n_states=2, n_actions_p1=3, n_actions_p2=2, gamma=0.9)
+        gt = shapley_solve(game)
+        finals = set()
+        for cadence in (0, 1, 7):
+            cfg = RunConfig(iterations=60, eta=0.05, cadence=cadence, seed=2,
+                            estimator=estimator, rollout_len=20, epsilon=1.0)
+            st_ = run_selfplay(game, cfg, ground_truth=gt).state
+            finals.add(b"".join(arr.tobytes() for arr in (st_.z_hat, st_.z, st_.v)))
+        assert len(finals) == 1
+
     def test_critic_drift_bounded_by_schedule(self, mp1):
         # ||Q_t - Q_{t-1}|| <= gamma * alpha_{t-1} / (1 - gamma), with the
         # convention alpha_0 = 1 for the first logged step.
@@ -405,3 +516,31 @@ class TestRunSinglePlayer:
         result = run_single_player(mp1, np.array([[0.5, 0.5]]),
                                    RunConfig(iterations=5, eta=0.05))
         assert result.game.n_actions_p2 == 1
+
+
+class TestDiscountRange:
+    """gamma outside [0, 1) is rejected before any ground truth is solved."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ground truth solved before gamma was checked")
+
+        monkeypatch.setattr(groundtruth_mod, "shapley_solve", fail)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, -0.1, float("nan")])
+    def test_selfplay_rejects(self, switching_mp, gamma):
+        with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}")):
+            run_selfplay(switching_mp,
+                         RunConfig(iterations=10, eta=0.05, cadence=1, gamma=gamma))
+
+    @pytest.mark.parametrize("gamma", [1.0, float("nan")])
+    def test_single_player_rejects(self, switching_mp, gamma):
+        with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}")):
+            run_single_player(switching_mp, np.full((2, 2), 0.5),
+                              RunConfig(iterations=10, eta=0.05, cadence=1, gamma=gamma))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_below_half_allowed_when_not_strict(self, switching_mp, gamma):
+        result = run_selfplay(switching_mp, RunConfig(iterations=10, eta=0.05, gamma=gamma))
+        assert result.game.gamma == gamma
