@@ -21,7 +21,7 @@ from . import __version__
 from .gamegen import builtin, game_from_dict, game_to_dict, load_game, load_policy, random_game
 from .games import MarkovGame
 from .groundtruth import shapley_solve
-from .learner import RunConfig, _setup, run_selfplay
+from .learner import RunConfig, _prepare_game, run_selfplay
 from .metrics import (
     aggregate_metrics,
     config_digest,
@@ -147,7 +147,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     game = resolve_game(cfg.game)
     seeds = cfg.seed_list()
     opponent = None if cfg.opponent is None else _resolve_opponent(cfg.opponent, game)
-    run_game = _setup(game, cfg.run, opponent)[0]
+    run_game = _prepare_game(game, cfg.run, opponent)
     out_dir = cfg.resolve_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     ground_truth = (shapley_solve(run_game, tol=cfg.gt_tol)

@@ -9,9 +9,20 @@ against which learned policies are measured.
 
 The simplex can start from a given basis.  Value iteration keeps each state's
 optimal basis from one sweep to the next; late in the iteration it rarely
-changes, so most stage-game solves take no pivot.  Every solution reports its
-final ``basis`` and the ``pivots`` it took, and is certified the same way
-whatever the start.
+changes, so most stage-game solves would take no pivot.  Every solution
+reports its final ``basis`` and the ``pivots`` it took, and is certified the
+same way whatever the start.
+
+Each value-iteration sweep therefore first checks all S kept bases at once:
+one stacked ``np.linalg.solve`` on the basis columns (the same LAPACK solve,
+on the same matrices, as the scalar simplex, so the values have its bits),
+then every optimality and certificate check of the scalar path in batched
+arithmetic.  Batched rounding may differ from the scalar code's, so a state
+settles only if it clears each of those thresholds by a rounding margin.
+Every other state (no basis yet, a basis that must pivot, a state within the
+margin, or any state of a singular stack) goes through the scalar
+``solve_matrix_game``, warm-started from its basis, which decides exactly as
+it would alone.  The scalar simplex stays the only code that pivots.
 """
 
 from __future__ import annotations
@@ -258,6 +269,97 @@ class GroundTruth:
         return JointPolicy(x=self.x_star, y=self.y_star)
 
 
+# How far, in units of eps per term times the size of the terms, a threshold
+# that the stacked check computes in batched arithmetic must be cleared.  Two
+# evaluations of a k-term dot product in different orders differ by at most
+# about 2 (k + 2) eps times the sum of the terms' magnitudes, so 8 (k + 2)
+# leaves a factor of four.
+_ROUNDING_ULPS = 8.0
+
+
+class _StackedCheck:
+    """One stacked certificate of every state's warm simplex basis per sweep.
+
+    Holds the parts of the ``(S, B+1, A+1+B)`` standard-form LPs of
+    ``_simplex_pivot`` that do not change between sweeps: the value column,
+    the slack identity, the simplex row and the ``[b | I]`` right-hand side.
+    """
+
+    def __init__(self, n_states: int, n_a: int, n_b: int):
+        m = n_b + 1
+        self.a_mat = np.zeros((n_states, m, n_a + 1 + n_b))
+        self.a_mat[:, :n_b, n_a] = -1.0
+        self.a_mat[:, :n_b, n_a + 1:] = np.eye(n_b)
+        self.a_mat[:, n_b, :n_a] = 1.0
+        rhs = np.zeros((m, m + 1))
+        rhs[n_b, 0] = 1.0
+        rhs[:, 1:] = np.eye(m)
+        self.rhs = np.broadcast_to(rhs, (n_states, m, m + 1))
+        self.rows = np.arange(n_states)
+        eps = np.finfo(np.float64).eps
+        self.reduced_margin = _ROUNDING_ULPS * (m + 2) * eps
+        self.payoff_margin = _ROUNDING_ULPS * (max(n_a, n_b) + 2) * eps
+
+    def __call__(self, q: np.ndarray, bases: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(values, settled)`` for the stage games ``q`` at the given bases.
+
+        One stacked ``np.linalg.solve`` on the basis columns runs LAPACK's
+        ``gesv`` on the same matrices and right-hand side as the scalar solve,
+        so ``x_b`` and the value read from it have the scalar bits.  A state
+        is settled when its basis passes every check ``solve_matrix_game``
+        makes without a pivot: ``x_b >= -1e-11``, no reduced cost below
+        ``-1e-11``, a dual sum in (0.5, 2) and the minimax certificate within
+        ``tol``.  The reduced costs, the dual sum and the payoffs are computed
+        in batched arithmetic, whose rounding may differ from the scalar
+        code's, so each of those thresholds must be cleared by a rounding
+        margin.  ``values`` holds only where ``settled`` does; a singular
+        stack settles no state.
+        """
+        n_states, n_a, n_b = q.shape
+        rows = self.rows
+        q_min = q.min(axis=(1, 2))
+        shift = 1.0 - q_min
+        a_mat = self.a_mat
+        a_mat[:, :n_b, :n_a] = (q + shift[:, None, None]).transpose(0, 2, 1)
+        try:
+            b_inv_ab = np.linalg.solve(a_mat[rows[:, None], :, bases].transpose(0, 2, 1),
+                                       self.rhs)
+        except np.linalg.LinAlgError:
+            return np.full(n_states, np.nan), np.zeros(n_states, dtype=bool)
+        with np.errstate(all="ignore"):
+            x_b = b_inv_ab[:, :, 0]
+            v_pos = (bases < n_a).sum(axis=1)
+            values = x_b[rows, v_pos] - shift
+            # The cost vector is the value column's unit vector, so the duals
+            # are the value row of B^-1 and the reduced costs c - duals @ A.
+            # Every other column of A is nonnegative, and the value column is
+            # basic in a settled state, so (|duals| @ A)_j bounds the terms.
+            duals = b_inv_ab[rows, v_pos, 1:]
+            slack = 1e-11 - self.reduced_margin - (
+                (duals + self.reduced_margin * np.abs(duals))[:, None, :] @ a_mat)[:, 0]
+            # Basic columns never enter; their slot holds the primal check.
+            slack[rows[:, None], bases] = x_b + 1e-11
+
+            x = np.zeros(slack.shape)
+            x[rows[:, None], bases] = x_b
+            x = np.maximum(x[:, :n_a], 0.0)
+            x /= x.sum(axis=1, keepdims=True)
+            y = np.maximum(-duals[:, :n_b], 0.0)
+            y_sum = y.sum(axis=1)
+            y /= y_sum[:, None]
+            # Strategies sum to 1, so no payoff sums terms beyond max |q|.
+            margin = self.payoff_margin * (1.0 + np.maximum(-q_min, q.max(axis=(1, 2))))
+            settled = (
+                (bases[rows, v_pos] == n_a)
+                & (slack.min(axis=1) >= 0.0)
+                & (np.abs(y_sum - 1.25) < 0.75 - margin)
+                & ((x[:, None, :] @ q)[:, 0].max(axis=1) + margin <= values + tol)
+                & ((q @ y[:, :, None])[:, :, 0].min(axis=1) - margin >= values - tol)
+            )
+        return values, settled
+
+
 def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000) -> GroundTruth:
     """Solve the Markov game by value iteration with per-state matrix-game solves.
 
@@ -267,12 +369,18 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     ``2 * tol`` (the per-step threshold is ``tol * (1-gamma)^2 / (2*gamma)``,
     which bounds the sup error by ``tol * (1-gamma) / 2``).
 
-    Each state's simplex is warm-started from that state's optimal basis of the
-    previous sweep (and the final witness solves from the last sweep's).  Late
-    in the iteration the optimal basis rarely changes, so most solves take no
-    pivot.  A stage game with a single optimal basis gives the same bits as a
-    cold solve; with several, the warm start may return another, equally
-    certified, witness.
+    Each sweep handles all S stage games at once.  Every state's optimal
+    basis of the previous sweep is checked in one stacked solve
+    (``_StackedCheck``); late in the iteration the optimal basis rarely
+    changes, so almost every state settles there, with the bits the scalar
+    simplex would give.  A state goes to the scalar ``solve_matrix_game``,
+    warm-started from its basis, when it has no basis yet (the first sweep),
+    when its basis must pivot, when it is within the rounding margin of any
+    threshold of the check, or when the stack is singular.  The final witness
+    solves are scalar and warm-started from the last sweep's bases.  A stage
+    game with a single optimal basis gives the same bits as a cold solve;
+    with several, the warm start may return another, equally certified,
+    witness.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -280,13 +388,20 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     gamma = game.gamma
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma)
-    v = np.zeros(game.n_states)
-    bases = [None] * game.n_states
-    for _ in range(max_iter):
+    n_states, n_a, n_b = game.loss.shape
+    stacked_check = _StackedCheck(n_states, n_a, n_b)
+    v = np.zeros(n_states)
+    bases = np.zeros((n_states, n_b + 1), dtype=np.intp)
+    for sweep in range(max_iter):
         q = q_from_v(game, v)
-        sols = [solve_matrix_game(q[s], tol=tol, basis=bases[s]) for s in range(game.n_states)]
-        bases = [sol.basis for sol in sols]
-        v_new = np.array([sol.value for sol in sols])
+        if sweep:
+            v_new, settled = stacked_check(q, bases, tol)
+        else:
+            v_new, settled = np.empty(n_states), np.zeros(n_states, dtype=bool)
+        for s in np.flatnonzero(~settled):
+            sol = solve_matrix_game(q[s], tol=tol, basis=bases[s] if sweep else None)
+            v_new[s] = sol.value
+            bases[s] = sol.basis
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
         if step <= threshold:
@@ -298,7 +413,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
         )
 
     q_star = q_from_v(game, v)
-    sols = [solve_matrix_game(q_star[s], tol=tol, basis=bases[s]) for s in range(game.n_states)]
+    sols = [solve_matrix_game(q_star[s], tol=tol, basis=bases[s]) for s in range(n_states)]
     for s, sol in enumerate(sols):
         if abs(sol.value - v[s]) > tol:
             raise ArithmeticError(

@@ -78,11 +78,15 @@ def alpha_schedule(t: int, gamma: float) -> float:
 
 def make_alpha_schedule(name: str, gamma: float) -> Callable[[int], float]:
     """Critic step-size schedule by name: 'horizon' (default) or 'harmonic' 1/t."""
+    _check_alpha_name(name)
     if name == "horizon":
         return lambda t: alpha_schedule(t, gamma)
-    if name == "harmonic":
-        return lambda t: 1.0 / t
-    raise ValueError(f"unknown alpha schedule {name!r} (expected 'horizon' or 'harmonic')")
+    return lambda t: 1.0 / t
+
+
+def _check_alpha_name(name: str) -> None:
+    if name not in ("horizon", "harmonic"):
+        raise ValueError(f"unknown alpha schedule {name!r} (expected 'horizon' or 'harmonic')")
 
 
 def eta_max(gamma: float, n_states: int) -> float:
@@ -152,6 +156,17 @@ def initial_state(
     be row-stochastic within 1e-9.
     """
     n_states, n_a, n_b = game.loss.shape
+    x, y = _initial_strategies(game, init_x, init_y)
+    z_hat = np.zeros((2 * n_states, max(n_a, n_b)))
+    z_hat[:n_states, :n_a] = x
+    z_hat[n_states:, :n_b] = y
+    return LearnerState(z_hat=z_hat, z=z_hat.copy(), v=np.zeros(n_states), t=1,
+                        eta=float(eta), n_actions_p1=n_a, n_actions_p2=n_b)
+
+
+def _initial_strategies(game: MarkovGame, init_x, init_y) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' checked initial strategies, uniform where none is given."""
+    n_states, n_a, n_b = game.loss.shape
     if init_x is None:
         x = np.full((n_states, n_a), 1.0 / n_a)
     else:
@@ -166,11 +181,7 @@ def initial_state(
         problem = distribution_rows_error(name, arr)
         if problem:
             raise ValueError(problem)
-    z_hat = np.zeros((2 * n_states, max(n_a, n_b)))
-    z_hat[:n_states, :n_a] = x
-    z_hat[n_states:, :n_b] = y
-    return LearnerState(z_hat=z_hat, z=z_hat.copy(), v=np.zeros(n_states), t=1,
-                        eta=float(eta), n_actions_p1=n_a, n_actions_p2=n_b)
+    return x, y
 
 
 def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
@@ -185,16 +196,24 @@ def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
     ``z_hat' = P(z_hat - g)``, ``z' = P(z_hat' - g)``.  Negation is exact and
     ``a - (-b) == a + b`` in IEEE arithmetic, and the projection works row by
     row, so every real entry is bit-identical to the four separate
-    projections and no row depends on another.  Non-finite estimates raise
-    ValueError and leave the state unchanged.
+    projections and no row depends on another.  Estimates whose shapes are
+    not ``(S, A)``, ``(S, B)`` and ``(S,)``, or that are not finite, raise
+    ValueError before any arithmetic and leave the state unchanged.
     """
+    n_states = state.v.shape[0]
+    for name, estimate, shape in (("ell", estimates.ell, (n_states, state.n_actions_p1)),
+                                  ("r", estimates.r, (n_states, state.n_actions_p2)),
+                                  ("rho", estimates.rho, (n_states,))):
+        if np.shape(estimate) != shape:
+            raise ValueError(
+                f"payoff estimate {name} has shape {np.shape(estimate)}, expected {shape}"
+            )
     if not (
         np.isfinite(estimates.ell).all()
         and np.isfinite(estimates.r).all()
         and np.isfinite(estimates.rho).all()
     ):
         raise ValueError("non-finite payoff estimates passed to ogda_step")
-    n_states = state.v.shape[0]
     g = np.full(state.z_hat.shape, _PAD)
     g[:n_states, : state.n_actions_p1] = state.eta * estimates.ell
     g[n_states:, : state.n_actions_p2] = -(state.eta * estimates.r)
@@ -302,13 +321,15 @@ def _resolve_eta(config: RunConfig, game: MarkovGame) -> float:
     return eta
 
 
-def _setup(game: MarkovGame, config: RunConfig, opponent_y: np.ndarray | None = None):
-    """Validate a run and build what its loop needs, before anything is solved.
+def _prepare_game(game: MarkovGame, config: RunConfig,
+                  opponent_y: np.ndarray | None = None) -> MarkovGame:
+    """Check a run before anything is solved and return the game it runs on.
 
-    Applies the discount override, folds in a fixed opponent, checks the game,
-    ``iterations``, ``eta`` and strict ``epsilon``, then builds the alpha
-    schedule, the initial state and the estimator (which checks the sampled
-    settings).  Returns ``(game, alpha_fn, state, estimator)``.
+    Applies the discount override and folds in a fixed opponent, then checks
+    the game, ``iterations``, ``eta``, strict ``epsilon``, the alpha
+    schedule's name, the initial strategies and the estimator settings, in
+    that order.  Builds nothing else: ``run_selfplay`` builds the schedule,
+    the state and the estimator of the run.
     """
     if config.gamma is not None and config.gamma != game.gamma:
         game = MarkovGame(loss=game.loss, transition=game.transition,
@@ -326,19 +347,21 @@ def _setup(game: MarkovGame, config: RunConfig, opponent_y: np.ndarray | None = 
         raise ValueError("invalid game: " + "; ".join(problems))
     if config.iterations < 1:
         raise ValueError("iterations must be >= 1")
-    eta = _resolve_eta(config, game)
+    _resolve_eta(config, game)
     if config.strict and not (0.0 <= config.epsilon <= 1.0 / (1.0 - game.gamma)):
         raise ValueError(
             f"strict mode: epsilon={config.epsilon} outside [0, 1/(1-gamma)]"
         )
-    alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
-    state = initial_state(game, eta=eta, init_x=config.init_x, init_y=config.init_y)
-    return game, alpha_fn, state, _build_estimator(config, game)
+    _check_alpha_name(config.alpha)
+    _initial_strategies(game, config.init_x, config.init_y)
+    _exploration_weight(config, game)
+    return game
 
 
-def _build_estimator(config: RunConfig, game: MarkovGame):
+def _exploration_weight(config: RunConfig, game: MarkovGame) -> float | None:
+    """The checked exploration weight of a sampled run; None in exact mode."""
     if config.estimator == "exact":
-        return est_mod.ExactEstimator()
+        return None
     if config.estimator != "sampled":
         raise ValueError(f"unknown estimator mode {config.estimator!r}")
     if config.rollout_len < 1:
@@ -353,6 +376,13 @@ def _build_estimator(config: RunConfig, game: MarkovGame):
                   f"(1 - {game.gamma!r}) * {config.epsilon!r} = {eps_prime!r}")
     if not 0.0 <= eps_prime <= 1.0:
         raise ValueError(f"{source} must lie in [0, 1]")
+    return eps_prime
+
+
+def _build_estimator(config: RunConfig, game: MarkovGame):
+    eps_prime = _exploration_weight(config, game)
+    if eps_prime is None:
+        return est_mod.ExactEstimator()
     return est_mod.SampledEstimator(
         rollout_len=config.rollout_len,
         epsilon_prime=eps_prime,
@@ -380,7 +410,11 @@ def run_selfplay(
     and ground truth is solved on demand when metrics are requested.
     Deterministic given the config.
     """
-    game, alpha_fn, state, estimator = _setup(game, config)
+    game = _prepare_game(game, config)
+    alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
+    state = initial_state(game, eta=_resolve_eta(config, game),
+                          init_x=config.init_x, init_y=config.init_y)
+    estimator = _build_estimator(config, game)
 
     cadence = int(config.cadence)
     gt = ground_truth
@@ -450,6 +484,6 @@ def run_single_player(
     distance column measures distance to the best-response strategy set.
     """
     return run_selfplay(
-        _setup(game, config, opponent_y)[0], replace(config, gamma=None), sink=sink,
+        _prepare_game(game, config, opponent_y), replace(config, gamma=None), sink=sink,
         ground_truth=ground_truth, gt_tol=gt_tol, iteration_hook=iteration_hook,
     )

@@ -251,11 +251,16 @@ def unstacked_selfplay(game, config, ground_truth=None):
     without metric rows.  ``ground_truth`` is required when
     ``config.cadence > 0``.
     """
-    from zsmg.learner import _setup, critic_step
+    from zsmg.learner import (_build_estimator, _prepare_game, _resolve_eta, critic_step,
+                              initial_state, make_alpha_schedule)
     from zsmg.metrics import diagnostics_update, make_metrics_row
     from zsmg.games import q_from_v
 
-    game, alpha_fn, stacked, estimator = _setup(game, config)
+    game = _prepare_game(game, config)
+    alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
+    stacked = initial_state(game, eta=_resolve_eta(config, game),
+                            init_x=config.init_x, init_y=config.init_y)
+    estimator = _build_estimator(config, game)
     state = UnstackedState(
         x_hat=stacked.x_hat.copy(), x=stacked.x.copy(), y_hat=stacked.y_hat.copy(),
         y=stacked.y.copy(), v=stacked.v, t=stacked.t, eta=stacked.eta,
@@ -352,6 +357,37 @@ def cold_start_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_000):
     q_star = q_from_v(game, v)
     sols = [solve_matrix_game(q_star[s], tol=tol) for s in range(game.n_states)]
     return v, np.array([sol.x for sol in sols]), np.array([sol.y for sol in sols])
+
+
+def per_state_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_000):
+    """Shapley value iteration with one warm-started scalar simplex per state per sweep.
+
+    Like ``cold_start_shapley`` this is the library's own algorithm on
+    purpose: it is the solver's loop before the stacked check, and the
+    reference for it.  The stacked check may only decide which states skip
+    the scalar solve, never the returned bits.  Returns
+    (v_star, q_star, x_star, y_star).
+    """
+    from zsmg.games import q_from_v
+    from zsmg.groundtruth import solve_matrix_game
+
+    threshold = tol * (1.0 - game.gamma) ** 2 / (2.0 * game.gamma)
+    v = np.zeros(game.n_states)
+    bases = [None] * game.n_states
+    for _ in range(max_iter):
+        q = q_from_v(game, v)
+        sols = [solve_matrix_game(q[s], tol=tol, basis=bases[s]) for s in range(game.n_states)]
+        bases = [sol.basis for sol in sols]
+        v_new = np.array([sol.value for sol in sols])
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if step <= threshold:
+            break
+    else:
+        raise ArithmeticError("per-state value iteration did not converge")
+    q_star = q_from_v(game, v)
+    sols = [solve_matrix_game(q_star[s], tol=tol, basis=bases[s]) for s in range(game.n_states)]
+    return v, q_star, np.array([sol.x for sol in sols]), np.array([sol.y for sol in sols])
 
 
 # ---------------------------------------------------------------------------

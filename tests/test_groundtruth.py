@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsmg.games import JointPolicy, evaluate_policy_pair, q_from_v, uniform_policy
+from zsmg import groundtruth as groundtruth_mod
+from zsmg.games import JointPolicy, MarkovGame, evaluate_policy_pair, q_from_v, uniform_policy
 from zsmg.gamegen import BUILTIN_NAMES, builtin, random_game
 from zsmg.groundtruth import (
     GroundTruth,
@@ -29,6 +30,7 @@ from oracles import (
     enumerate_projection,
     grid_distance_sq,
     grid_minimax_value,
+    per_state_shapley,
     simplex_grid,
 )
 
@@ -320,6 +322,148 @@ class TestShapleySolve:
         pol = gt.witness_policy
         np.testing.assert_array_equal(pol.x, gt.x_star)
         np.testing.assert_array_equal(pol.y, gt.y_star)
+
+
+class TestStackedSweep:
+    """Each sweep checks every kept basis at once and solves only the rest alone."""
+
+    @staticmethod
+    def _tied_game(seed: int, n_states: int, n_a: int, n_b: int, gamma: float) -> MarkovGame:
+        # Losses in {0, 1/2, 1} and transition weights in {1, 2}: full of ties.
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(1, 3, size=(n_states, n_a, n_b, n_states)).astype(np.float64)
+        return MarkovGame(loss=rng.integers(0, 3, size=(n_states, n_a, n_b)) / 2.0,
+                          transition=weights / weights.sum(axis=-1, keepdims=True),
+                          gamma=gamma)
+
+    @staticmethod
+    def _traced_solve(monkeypatch, game):
+        """shapley_solve, recording per ``q_from_v`` call the scalar solves that followed.
+
+        Returns the solution and one list per sweep (and one for the final
+        witness solves) of ``(warm, pivots)`` per scalar solve.
+        """
+        sweeps = []
+        q_from_v_, solve_ = groundtruth_mod.q_from_v, groundtruth_mod.solve_matrix_game
+
+        def traced_q_from_v(*args, **kwargs):
+            sweeps.append([])
+            return q_from_v_(*args, **kwargs)
+
+        def traced_solve(q, tol=1e-9, basis=None):
+            sol = solve_(q, tol=tol, basis=basis)
+            sweeps[-1].append((basis is not None, sol.pivots))
+            return sol
+
+        monkeypatch.setattr(groundtruth_mod, "q_from_v", traced_q_from_v)
+        monkeypatch.setattr(groundtruth_mod, "solve_matrix_game", traced_solve)
+        return shapley_solve(game), sweeps
+
+    @staticmethod
+    def _assert_matches_oracle(gt, expected):
+        v, q, x, y = expected
+        assert _solve_bytes(gt.v_star, gt.q_star, gt.x_star, gt.y_star) == \
+            _solve_bytes(v, q, x, y)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 10_000), n_states=st.integers(1, 8),
+           n_a=st.integers(1, 6), n_b=st.integers(1, 6), gamma=st.floats(0.5, 0.95),
+           tied=st.booleans())
+    def test_matches_per_state_oracle(self, seed, n_states, n_a, n_b, gamma, tied):
+        game = (self._tied_game(seed, n_states, n_a, n_b, gamma) if tied else
+                random_game(seed=seed, n_states=n_states, n_actions_p1=n_a,
+                            n_actions_p2=n_b, gamma=gamma))
+        self._assert_matches_oracle(shapley_solve(game), per_state_shapley(game))
+
+    def test_first_sweep_solves_every_state_alone(self, monkeypatch):
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        expected = per_state_shapley(game)
+        gt, sweeps = self._traced_solve(monkeypatch, game)
+        self._assert_matches_oracle(gt, expected)
+        assert [warm for warm, _ in sweeps[0]] == [False] * 4
+        assert all(warm for calls in sweeps[1:] for warm, _ in calls)
+        assert [warm for warm, _ in sweeps[-1]] == [True] * 4  # witnesses stay scalar
+
+    def test_pivoting_state_falls_back_beside_settled_states(self, monkeypatch):
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        expected = per_state_shapley(game)
+        gt, sweeps = self._traced_solve(monkeypatch, game)
+        self._assert_matches_oracle(gt, expected)
+        inner = sweeps[1:-1]
+        assert any(0 < len(calls) < 4 and all(pivots > 0 for _, pivots in calls)
+                   for calls in inner)
+        # Almost every state settles in the stacked check.
+        assert sum(map(len, inner)) < len(inner)
+
+    def test_singular_stack_sends_every_state_alone(self, monkeypatch):
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        expected = per_state_shapley(game)
+        solve = np.linalg.solve
+
+        def singular_when_stacked(a, b):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
+        gt, sweeps = self._traced_solve(monkeypatch, game)
+        self._assert_matches_oracle(gt, expected)
+        assert all(len(calls) == 4 for calls in sweeps)
+
+    def test_singular_basis_settles_no_state(self):
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        gt = shapley_solve(game)
+        bases = np.array([solve_matrix_game(q).basis for q in gt.q_star])
+        check = groundtruth_mod._StackedCheck(4, 3, 3)
+        values, settled = check(gt.q_star, bases, 1e-9)
+        assert settled.all()
+        assert values.tobytes() == np.array(
+            [solve_matrix_game(q, basis=b).value for q, b in zip(gt.q_star, bases)]).tobytes()
+        # The value column and every slack: the simplex row is zero on them.
+        bases[2] = np.arange(3, 7)
+        assert not check(gt.q_star, bases, 1e-9)[1].any()
+
+    @pytest.mark.parametrize("before, after", [
+        # Player 2's best column moves: the old basis is primal infeasible.
+        ([[1e-10, 0.0]], [[0.0, 1e-10]]),
+        # Player 1's best row moves: the old basis has a negative reduced cost.
+        ([[0.0], [1e-10]], [[1e-10], [0.0]]),
+    ], ids=["primal", "dual"])
+    def test_basis_stale_by_less_than_tol_does_not_settle(self, before, after):
+        # The minimax certificate alone would pass the old basis (it is off by
+        # 1e-10 < tol); the scalar simplex would leave it, so the check must too.
+        other = np.array(after) + 0.5 + np.arange(np.size(after)).reshape(np.shape(after))
+        q_before = np.array([before, other])
+        q_after = np.array([after, other])
+        bases = np.array([solve_matrix_game(q).basis for q in q_before])
+        values, settled = groundtruth_mod._StackedCheck(2, *q_after.shape[1:])(
+            q_after, bases, 1e-9)
+        assert settled.tolist() == [False, True]
+        assert solve_matrix_game(q_after[0], basis=bases[0]).basis.tolist() != bases[0].tolist()
+        assert values[1] == solve_matrix_game(q_after[1], basis=bases[1]).value
+
+    def test_state_inside_rounding_margin_falls_back(self, monkeypatch):
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        expected = per_state_shapley(game)
+        # A margin wider than the certificate's tol puts every state inside it.
+        monkeypatch.setattr(groundtruth_mod, "_ROUNDING_ULPS", 1e12)
+        gt, sweeps = self._traced_solve(monkeypatch, game)
+        self._assert_matches_oracle(gt, expected)
+        assert all(len(calls) == 4 for calls in sweeps)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GAMES))
+    def test_q_from_v_counts_sweeps_plus_one(self, monkeypatch, name):
+        # perfbench derives groundtruth.vi_iterations from this count.
+        game = GOLDEN_GAMES[name]()
+        solves = []
+        solve = groundtruth_mod.solve_matrix_game
+        monkeypatch.setattr(groundtruth_mod, "solve_matrix_game",
+                            lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+        per_state_shapley(game)
+        sweeps = len(solves) // game.n_states - 1
+        monkeypatch.undo()
+        _, traced = self._traced_solve(monkeypatch, game)
+        assert len(traced) == sweeps + 1
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,23 @@ class TestOgdaStep:
         with pytest.raises(ValueError):
             ogda_step(state, bad)
 
+    @pytest.mark.parametrize("name, estimates, shape, expected", [
+        # One state's loss row would broadcast over both states.
+        ("ell", dict(ell=np.array([[1.0, 0.0]])), (1, 2), (2, 2)),
+        ("ell", dict(ell=np.zeros((2, 3))), (2, 3), (2, 2)),
+        ("r", dict(r=np.zeros(2)), (2,), (2, 2)),
+        ("rho", dict(rho=np.zeros(7)), (7,), (2,)),
+        ("rho", dict(rho=np.zeros((2, 1))), (2, 1), (2,)),
+    ], ids=["ell_one_state", "ell_wide", "r_flat", "rho_long", "rho_column"])
+    def test_misshapen_estimates_rejected(self, switching_mp, name, estimates, shape,
+                                          expected):
+        state = initial_state(switching_mp, eta=0.1)
+        bad = EstimateTriple(**{"ell": np.zeros((2, 2)), "r": np.zeros((2, 2)),
+                                "rho": np.zeros(2), **estimates})
+        with pytest.raises(ValueError, match=re.escape(
+                f"payoff estimate {name} has shape {shape}, expected {expected}")):
+            ogda_step(state, bad)
+
     def test_increments_time_and_preserves_critic(self, mp1):
         state = self._mp_state(mp1, eta=0.05)
         zero = EstimateTriple(ell=np.zeros((1, 2)), r=np.zeros((1, 2)),
