@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve a game exactly and print per-state values")
     p_solve.add_argument("--game", required=True,
                          help=f"builtin name ({', '.join(BUILTIN_NAMES)}) or game file path")
-    p_solve.add_argument("--gamma", type=float, default=None,
-                         help="discount override for builtin games")
+    p_solve.add_argument("--gamma", type=float, default=None, help="discount override")
     p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.add_argument("--out", default=None, help="write a JSON ground-truth sidecar here")
 
@@ -126,9 +126,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = {"builtin": args.game, "gamma": args.gamma} if args.game in BUILTIN_NAMES \
-        else {"file": args.game}
-    game = resolve_game(spec)
+    if args.game in BUILTIN_NAMES:
+        game = resolve_game({"builtin": args.game, "gamma": args.gamma})
+    else:
+        game = resolve_game({"file": args.game})
+        if args.gamma is not None:
+            game = replace(game, gamma=args.gamma)
     gt = shapley_solve(game, tol=args.tol)
     for s, val in enumerate(gt.v_star):
         print(f"V*[{s}] = {float(val)!r}")
@@ -155,7 +158,8 @@ def _experiment_from_args(args, opponent=None) -> ExperimentConfig:
         cfg.game = {"builtin": args.game, "gamma": args.gamma} \
             if args.game in BUILTIN_NAMES else {"file": args.game}
     run_overrides = {
-        "gamma": args.gamma if args.game is None else None,
+        # A builtin takes the discount in its spec; any other game through the run.
+        "gamma": None if args.game in BUILTIN_NAMES else args.gamma,
         "iterations": args.iterations,
         "eta": args.eta if args.eta in (None, "auto") else float(args.eta),
         "seed": args.seed,

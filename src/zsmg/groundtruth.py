@@ -7,27 +7,20 @@ exact projection: one nonnegative least-squares solve finds the active set,
 and a KKT residual certifies the point.  These routines provide the yardstick
 against which learned policies are measured.
 
-The simplex can start from a given basis.  Value iteration keeps each state's
-optimal basis from one sweep to the next; late in the iteration it rarely
-changes, so most stage-game solves would take no pivot.  Every solution
-reports its final ``basis`` and the ``pivots`` it took, and is certified the
-same way whatever the start.
-
-Each value-iteration sweep therefore first checks all S kept bases at once:
-one stacked ``np.linalg.solve`` on the basis columns (the same LAPACK solve,
-on the same matrices, as the scalar simplex, so the values have its bits),
-then every optimality and certificate check of the scalar path in batched
-arithmetic.  Batched rounding may differ from the scalar code's, so a state
-settles only if it clears each of those thresholds by a rounding margin.
-Every other state (no basis yet, a basis that must pivot, a state within the
-margin, or any state of a singular stack) goes through the scalar
-``solve_matrix_game``, warm-started from its basis, which decides exactly as
-it would alone.  The scalar simplex stays the only code that pivots.
+The simplex can start from a given basis, and value iteration keeps each
+state's optimal basis from one sweep to the next.  Building the LP, reading a
+basis and the minimax certificate are written once with a leading stack axis:
+the simplex uses a stack of one, and each sweep reads all S kept bases at
+once, so a state settles exactly when the simplex, started there, would take
+no pivot.  numpy's stacked ``solve`` and ``matmul`` run the same per-matrix
+kernel on every item, so each item has the bits it would have alone.  The
+scalar simplex stays the only code that pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import nnls
@@ -47,6 +40,9 @@ __all__ = [
     "dist_state",
     "margin_constant_estimate",
 ]
+
+# The simplex's starting feasibility and optimality tolerance.
+_PIVOT_TOL = 1e-11
 
 
 class LpSolveError(ArithmeticError):
@@ -70,49 +66,113 @@ class MatrixGameSolution:
     pivots: int            # simplex pivots taken from the starting basis to ``basis``
 
 
+def _check_finite(name: str, array: np.ndarray, axes: str) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of ``array``."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        where = ", ".join(f"{axis}={i}" for axis, i in zip(axes.split(), bad[0]))
+        raise ValueError(f"non-finite {name} at ({where}): {float(array[tuple(bad[0])])!r}")
+
+
+@lru_cache(maxsize=64)
+def _lp_constants(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only shape-only parts of the value-variable LP: the constraint matrix
+    with a zero payoff block, the right-hand side ``[b | I]`` of a basis solve, the cost."""
+    m, n = n_b + 1, n_a + 1 + n_b
+    frame = np.zeros((m, n))
+    frame[:n_b, n_a] = -1.0
+    frame[:n_b, n_a + 1:] = np.eye(n_b)
+    frame[n_b, :n_a] = 1.0
+    constants = frame, np.column_stack([np.eye(m)[n_b], np.eye(m)])[None], np.eye(n)[n_a]
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
+def _value_lp(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts (S,) and standard-form LPs (S, B+1, A+1+B) of the stage games ``q``.
+
+    Each LP minimizes v s.t. Q^T x <= v * 1, sum(x) = 1, x >= 0, on entries
+    shifted to at least 1 so v is basic at every feasible basis.  Columns are
+    [x_1..x_A, v, s_1..s_B]; rows the B column constraints, then sum(x) = 1.
+    """
+    n_states, n_a, n_b = q.shape
+    shift = 1.0 - q.min(axis=(1, 2))
+    frame = _lp_constants(n_a, n_b)[0]
+    a_mat = np.empty((n_states,) + frame.shape)
+    a_mat[:] = frame
+    a_mat[:, :n_b, :n_a] = (q + shift[:, None, None]).transpose(0, 2, 1)
+    return shift, a_mat
+
+
+def _read_bases(a_mat: np.ndarray, bases: np.ndarray) -> tuple:
+    """Read each LP of ``_value_lp`` at its basis: ``(x_b, duals, b_inv, reduced)``.
+
+    One stacked solve gives ``[B^-1 b | B^-1]``; the duals are ``c_B B^-1``, the
+    reduced costs ``c - duals A`` (zero on the basis).  Any singular basis raises.
+    """
+    n_states, m, n = a_mat.shape
+    _, rhs, cost = _lp_constants(n - m, m - 1)
+    rows = np.arange(n_states)[:, None]
+    b_inv_ab = np.linalg.solve(a_mat[rows, :, bases].transpose(0, 2, 1), rhs)
+    b_inv = b_inv_ab[:, :, 1:]
+    duals = (cost[bases][:, None, :] @ b_inv)[:, 0]
+    reduced = cost - (duals[:, None, :] @ a_mat)[:, 0]
+    reduced[rows, bases] = 0.0
+    return b_inv_ab[:, :, 0], duals, b_inv, reduced
+
+
+def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray,
+             duals: np.ndarray, tol: float) -> tuple:
+    """``(value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok)`` at each basis.
+
+    x and y (the duals of the column constraints) are clipped and normalised;
+    ``dual_ok`` when the clipped duals sum into (0.5, 2), ``payoff_ok`` when no
+    column payoff exceeds ``value + tol`` and no row payoff is below ``value - tol``.
+    """
+    n_states, n_a, n_b = q.shape
+    primal = np.zeros((n_states, n_a + 1 + n_b))
+    primal[np.arange(n_states)[:, None], bases] = x_b
+    value = primal[:, n_a] - shift
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.maximum(primal[:, :n_a], 0.0)
+        x /= x.sum(axis=1, keepdims=True)
+        y = np.maximum(-duals[:, :n_b], 0.0)
+        y_sum = y.sum(axis=1)
+        y /= y_sum[:, None]
+        col_payoffs = (x[:, None, :] @ q)[:, 0]
+        row_payoffs = (q @ y[:, :, None])[:, :, 0]
+        payoff_ok = ~((col_payoffs.max(axis=1) > value + tol)
+                      | (row_payoffs.min(axis=1) < value - tol))
+    dual_ok = (0.5 < y_sum) & (y_sum < 2.0)
+    return value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok
+
+
 def _simplex_pivot(
-    q: np.ndarray, tol: float, basis: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int]:
+    q: np.ndarray, a_stack: np.ndarray, tol: float, basis: np.ndarray | None = None
+) -> tuple[tuple, np.ndarray, int]:
     """Solve min_x max_b (Q^T x)_b over the simplex by primal simplex with Bland's rule.
 
-    Uses the classic value-variable LP: minimize v subject to Q^T x <= v * 1,
-    sum(x) = 1, x >= 0.  Entries are shifted positive first so the value
-    variable stays basic throughout.  Returns (value, x, y, basis, pivots) with
-    y read off the dual multipliers of the column constraints.
-
-    The loop starts from ``basis`` when one is given (a warm start, e.g. the
+    Works on the stack-of-one LP ``a_stack`` of ``_value_lp``; returns ``(x_b,
+    duals)`` read at the terminal basis, the basis and the pivots taken.  The
+    loop starts from ``basis`` when one is given (a warm start, e.g. the
     optimal basis of a nearby matrix).  If that basis is singular or not
     primal feasible in the loop's first solve, the loop continues from the
-    cold start instead, so the rejected basis costs no extra solve.  Value,
-    x and y are all read from the solve at the terminal basis, so every start
-    that ends at the same optimal basis returns the same bits.  The loop ends
-    only at a basis that is both primal and dual feasible within ``tol``, so
-    re-solving from the returned basis takes no pivot (unless rounding made
-    the solve widen ``tol``, see below).
+    cold start instead, so the rejected basis costs no extra solve.  Every
+    start that ends at the same optimal basis returns the same bits.  The loop
+    ends only at a basis that is both primal and dual feasible within
+    ``tol``, so re-solving from the returned basis takes no pivot (unless
+    rounding made the solve widen ``tol``, see below).
     """
     n_a, n_b = q.shape
-    shift = 1.0 - float(q.min())
-    qs = q + shift
-
-    # Standard form: columns are [x_1..x_A, v, s_1..s_B]; rows are the B column
-    # constraints (with slacks) followed by the simplex equality.
-    m = n_b + 1
-    n = n_a + 1 + n_b
-    a_mat = np.zeros((m, n))
-    a_mat[:n_b, :n_a] = qs.T
-    a_mat[:n_b, n_a] = -1.0
-    a_mat[:n_b, n_a + 1:] = np.eye(n_b)
-    a_mat[n_b, :n_a] = 1.0
-    b_vec = np.zeros(m)
-    b_vec[n_b] = 1.0
-    rhs = np.column_stack([b_vec, np.eye(m)])
-    cost = np.zeros(n)
-    cost[n_a] = 1.0
+    a_mat = a_stack[0]
+    m, n = a_mat.shape
 
     def cold_basis() -> np.ndarray:
         # The vertex x = e_0, v = max_b Q[0, b]: basic variables are x_0, v,
         # and every slack except the binding column's.
-        b_star = int(np.argmax(qs[0]))
+        b_star = int(np.argmax(a_mat[:n_b, 0]))
         return np.array([0, n_a] + [n_a + 1 + b for b in range(n_b) if b != b_star])
 
     warm = basis is not None
@@ -139,19 +199,20 @@ def _simplex_pivot(
     previous = None
     for _ in range(20_000):
         try:
-            b_inv_ab = np.linalg.solve(a_mat[:, basis], rhs)
+            read = _read_bases(a_stack, basis[None])
+            x_b, _, b_inv, reduced = (part[0] for part in read)
         except np.linalg.LinAlgError:
             if not warm and previous is None:
                 raise
-            b_inv_ab = None
+            read = None
         if warm:
             warm = False
             # A primal-infeasible start would walk the ratio test backwards;
             # entries within tol of zero are the rounding of degenerate pivots.
-            if b_inv_ab is None or bool((b_inv_ab[:, 0] < -tol).any()):
+            if read is None or bool((x_b < -tol).any()):
                 basis = cold_basis()
                 continue
-        if b_inv_ab is None:
+        if read is None:
             basis = previous  # already seen, so the retry is a careful step
             continue
         if basis.tobytes() in seen:
@@ -159,11 +220,6 @@ def _simplex_pivot(
             tol = min(10.0 * tol, 1e-9)
         seen.add(basis.tobytes())
         previous = basis.copy()
-        x_b = b_inv_ab[:, 0]
-        b_inv = b_inv_ab[:, 1:]
-        duals = cost[basis] @ b_inv
-        reduced = cost - duals @ a_mat
-        reduced[basis] = 0.0
         entering_candidates = np.nonzero(reduced < -tol)[0]
         if entering_candidates.size:
             # Bland: lowest index enters
@@ -184,12 +240,7 @@ def _simplex_pivot(
         else:
             infeasible = np.nonzero(x_b < -tol)[0]
             if infeasible.size == 0:
-                x = np.zeros(n)
-                x[basis] = x_b
-                sol_x = x[:n_a]
-                value = float(x[n_a]) - shift
-                y = -duals[:n_b]
-                return value, sol_x, y, basis, pivots
+                return read[:2], basis, pivots
             # Rounding can also end the primal phase at a slightly infeasible
             # basis.  A dual simplex step repairs it and keeps the reduced
             # costs nonnegative; of the near-minimal ratios it takes the
@@ -218,7 +269,8 @@ def solve_matrix_game(
 
     The optimal strategies are certified directly: every column payoff under
     ``x`` is at most ``value + tol`` and every row payoff under ``y`` at least
-    ``value - tol``; a failed certificate raises ``LpSolveError``.
+    ``value - tol``; a failed certificate raises ``LpSolveError``.  A
+    non-finite payoff raises ``ValueError`` before any simplex work.
 
     ``basis`` warm-starts the simplex, typically with the ``basis`` field of
     the solution of a nearby matrix of the same shape.  A singular or
@@ -230,19 +282,15 @@ def solve_matrix_game(
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.size == 0:
         raise ValueError(f"expected a nonempty 2-D payoff matrix, got shape {q.shape}")
-    value, x, y, basis, pivots = _simplex_pivot(q, tol=1e-11, basis=basis)
-
-    x = np.maximum(x, 0.0)
-    x /= x.sum()
-    y = np.maximum(y, 0.0)
-    ysum = y.sum()
-    if not (0.5 < ysum < 2.0):
-        raise LpSolveError(f"dual strategy sum {ysum:.6f} far from 1", q)
-    y /= ysum
-
-    col_payoffs = x @ q
-    row_payoffs = q @ y
-    if col_payoffs.max() > value + tol or row_payoffs.min() < value - tol:
+    _check_finite("payoff", q, "a b")
+    shift, a_stack = _value_lp(q[None])
+    read, basis, pivots = _simplex_pivot(q, a_stack, tol=_PIVOT_TOL, basis=basis)
+    value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = (
+        part[0] for part in _certify(q[None], shift, basis[None], *read, tol))
+    value = float(value)
+    if not dual_ok:
+        raise LpSolveError(f"dual strategy sum {y_sum:.6f} far from 1", q)
+    if not payoff_ok:
         raise LpSolveError(
             f"minimax certificate failed: value={value!r}, "
             f"max col payoff={col_payoffs.max()!r}, min row payoff={row_payoffs.min()!r}",
@@ -269,95 +317,18 @@ class GroundTruth:
         return JointPolicy(x=self.x_star, y=self.y_star)
 
 
-# How far, in units of eps per term times the size of the terms, a threshold
-# that the stacked check computes in batched arithmetic must be cleared.  Two
-# evaluations of a k-term dot product in different orders differ by at most
-# about 2 (k + 2) eps times the sum of the terms' magnitudes, so 8 (k + 2)
-# leaves a factor of four.
-_ROUNDING_ULPS = 8.0
-
-
-class _StackedCheck:
-    """One stacked certificate of every state's warm simplex basis per sweep.
-
-    Holds the parts of the ``(S, B+1, A+1+B)`` standard-form LPs of
-    ``_simplex_pivot`` that do not change between sweeps: the value column,
-    the slack identity, the simplex row and the ``[b | I]`` right-hand side.
-    """
-
-    def __init__(self, n_states: int, n_a: int, n_b: int):
-        m = n_b + 1
-        self.a_mat = np.zeros((n_states, m, n_a + 1 + n_b))
-        self.a_mat[:, :n_b, n_a] = -1.0
-        self.a_mat[:, :n_b, n_a + 1:] = np.eye(n_b)
-        self.a_mat[:, n_b, :n_a] = 1.0
-        rhs = np.zeros((m, m + 1))
-        rhs[n_b, 0] = 1.0
-        rhs[:, 1:] = np.eye(m)
-        self.rhs = np.broadcast_to(rhs, (n_states, m, m + 1))
-        self.rows = np.arange(n_states)
-        eps = np.finfo(np.float64).eps
-        self.reduced_margin = _ROUNDING_ULPS * (m + 2) * eps
-        self.payoff_margin = _ROUNDING_ULPS * (max(n_a, n_b) + 2) * eps
-
-    def __call__(self, q: np.ndarray, bases: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(values, settled)`` for the stage games ``q`` at the given bases.
-
-        One stacked ``np.linalg.solve`` on the basis columns runs LAPACK's
-        ``gesv`` on the same matrices and right-hand side as the scalar solve,
-        so ``x_b`` and the value read from it have the scalar bits.  A state
-        is settled when its basis passes every check ``solve_matrix_game``
-        makes without a pivot: ``x_b >= -1e-11``, no reduced cost below
-        ``-1e-11``, a dual sum in (0.5, 2) and the minimax certificate within
-        ``tol``.  The reduced costs, the dual sum and the payoffs are computed
-        in batched arithmetic, whose rounding may differ from the scalar
-        code's, so each of those thresholds must be cleared by a rounding
-        margin.  ``values`` holds only where ``settled`` does; a singular
-        stack settles no state.
-        """
-        n_states, n_a, n_b = q.shape
-        rows = self.rows
-        q_min = q.min(axis=(1, 2))
-        shift = 1.0 - q_min
-        a_mat = self.a_mat
-        a_mat[:, :n_b, :n_a] = (q + shift[:, None, None]).transpose(0, 2, 1)
-        try:
-            b_inv_ab = np.linalg.solve(a_mat[rows[:, None], :, bases].transpose(0, 2, 1),
-                                       self.rhs)
-        except np.linalg.LinAlgError:
-            return np.full(n_states, np.nan), np.zeros(n_states, dtype=bool)
-        with np.errstate(all="ignore"):
-            x_b = b_inv_ab[:, :, 0]
-            v_pos = (bases < n_a).sum(axis=1)
-            values = x_b[rows, v_pos] - shift
-            # The cost vector is the value column's unit vector, so the duals
-            # are the value row of B^-1 and the reduced costs c - duals @ A.
-            # Every other column of A is nonnegative, and the value column is
-            # basic in a settled state, so (|duals| @ A)_j bounds the terms.
-            duals = b_inv_ab[rows, v_pos, 1:]
-            slack = 1e-11 - self.reduced_margin - (
-                (duals + self.reduced_margin * np.abs(duals))[:, None, :] @ a_mat)[:, 0]
-            # Basic columns never enter; their slot holds the primal check.
-            slack[rows[:, None], bases] = x_b + 1e-11
-
-            x = np.zeros(slack.shape)
-            x[rows[:, None], bases] = x_b
-            x = np.maximum(x[:, :n_a], 0.0)
-            x /= x.sum(axis=1, keepdims=True)
-            y = np.maximum(-duals[:, :n_b], 0.0)
-            y_sum = y.sum(axis=1)
-            y /= y_sum[:, None]
-            # Strategies sum to 1, so no payoff sums terms beyond max |q|.
-            margin = self.payoff_margin * (1.0 + np.maximum(-q_min, q.max(axis=(1, 2))))
-            settled = (
-                (bases[rows, v_pos] == n_a)
-                & (slack.min(axis=1) >= 0.0)
-                & (np.abs(y_sum - 1.25) < 0.75 - margin)
-                & ((x[:, None, :] @ q)[:, 0].max(axis=1) + margin <= values + tol)
-                & ((q @ y[:, :, None])[:, :, 0].min(axis=1) - margin >= values - tol)
-            )
-        return values, settled
+def _settled_values(q: np.ndarray, bases: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, settled)``: a state settles when ``solve_matrix_game`` started
+    from its basis would take no pivot and pass its certificate, so its value
+    has that solve's bits.  A singular stack settles no state."""
+    shift, a_mat = _value_lp(q)
+    try:
+        x_b, duals, _, reduced = _read_bases(a_mat, bases)
+    except np.linalg.LinAlgError:
+        return np.empty(len(q)), np.zeros(len(q), dtype=bool)
+    values, *_, dual_ok, payoff_ok = _certify(q, shift, bases, x_b, duals, tol)
+    pivot_free = ~(x_b < -_PIVOT_TOL).any(axis=1) & ~(reduced < -_PIVOT_TOL).any(axis=1)
+    return values, pivot_free & dual_ok & payoff_ok
 
 
 def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000) -> GroundTruth:
@@ -367,37 +338,35 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     Iteration stops once the step size guarantees both a sup-norm error below
     ``tol`` and a game-level duality gap of the returned witnesses below
     ``2 * tol`` (the per-step threshold is ``tol * (1-gamma)^2 / (2*gamma)``,
-    which bounds the sup error by ``tol * (1-gamma) / 2``).
+    which bounds the sup error by ``tol * (1-gamma) / 2``).  At gamma = 0 the
+    stage games do not depend on V, so one sweep is exact.  A discount outside
+    [0, 1) or a non-finite loss or transition entry raises ``ValueError``
+    before any sweep.
 
-    Each sweep handles all S stage games at once.  Every state's optimal
-    basis of the previous sweep is checked in one stacked solve
-    (``_StackedCheck``); late in the iteration the optimal basis rarely
-    changes, so almost every state settles there, with the bits the scalar
-    simplex would give.  A state goes to the scalar ``solve_matrix_game``,
-    warm-started from its basis, when it has no basis yet (the first sweep),
-    when its basis must pivot, when it is within the rounding margin of any
-    threshold of the check, or when the stack is singular.  The final witness
-    solves are scalar and warm-started from the last sweep's bases.  A stage
-    game with a single optimal basis gives the same bits as a cold solve;
-    with several, the warm start may return another, equally certified,
-    witness.
+    Each sweep reads every state's basis of the previous sweep at once with
+    the simplex's own arithmetic (``_settled_values``).  The first sweep, a
+    basis that must pivot and a singular stack send states to the scalar
+    ``solve_matrix_game``, warm-started, as do the final witness solves.  A
+    stage game with several optimal bases may get another, equally certified,
+    witness than a cold solve would give.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     gamma = game.gamma
-    threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma)
-    n_states, n_a, n_b = game.loss.shape
-    stacked_check = _StackedCheck(n_states, n_a, n_b)
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got gamma={gamma!r}")
+    _check_finite("loss", game.loss, "s a b")
+    _check_finite("transition probability", game.transition, "s a b s'")
+    threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma) if gamma else np.inf
+    n_states, _, n_b = game.loss.shape
     v = np.zeros(n_states)
     bases = np.zeros((n_states, n_b + 1), dtype=np.intp)
     for sweep in range(max_iter):
         q = q_from_v(game, v)
-        if sweep:
-            v_new, settled = stacked_check(q, bases, tol)
-        else:
-            v_new, settled = np.empty(n_states), np.zeros(n_states, dtype=bool)
+        v_new, settled = (_settled_values(q, bases, tol) if sweep else
+                          (np.empty(n_states), np.zeros(n_states, dtype=bool)))
         for s in np.flatnonzero(~settled):
             sol = solve_matrix_game(q[s], tol=tol, basis=bases[s] if sweep else None)
             v_new[s] = sol.value

@@ -396,7 +396,6 @@ def run_selfplay(
     config: RunConfig,
     sink: Callable[[metrics_mod.MetricsRow], None] | None = None,
     ground_truth=None,
-    gt_tol: float = 1e-9,
     iteration_hook: Callable[[int, LearnerState], None] | None = None,
 ) -> RunResult:
     """Run decentralized self-play for ``config.iterations`` iterations.
@@ -420,7 +419,7 @@ def run_selfplay(
     gt = ground_truth
     if cadence > 0 and gt is None:
         from .groundtruth import shapley_solve
-        gt = shapley_solve(game, tol=gt_tol)
+        gt = shapley_solve(game)
 
     n_states = game.n_states
     q_prev = np.zeros_like(game.loss)
@@ -472,7 +471,6 @@ def run_single_player(
     config: RunConfig,
     sink: Callable[[metrics_mod.MetricsRow], None] | None = None,
     ground_truth=None,
-    gt_tol: float = 1e-9,
     iteration_hook: Callable[[int, LearnerState], None] | None = None,
 ) -> RunResult:
     """Learn a best response against a fixed stationary opponent.
@@ -485,5 +483,5 @@ def run_single_player(
     """
     return run_selfplay(
         _prepare_game(game, config, opponent_y), replace(config, gamma=None), sink=sink,
-        ground_truth=ground_truth, gt_tol=gt_tol, iteration_hook=iteration_hook,
+        ground_truth=ground_truth, iteration_hook=iteration_hook,
     )

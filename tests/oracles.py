@@ -363,9 +363,9 @@ def per_state_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_000):
     """Shapley value iteration with one warm-started scalar simplex per state per sweep.
 
     Like ``cold_start_shapley`` this is the library's own algorithm on
-    purpose: it is the solver's loop before the stacked check, and the
-    reference for it.  The stacked check may only decide which states skip
-    the scalar solve, never the returned bits.  Returns
+    purpose: it is the solver's loop before the stacked sweep, and the
+    reference for it.  The stacked basis read may only decide which states
+    skip the scalar solve, never the returned bits.  Returns
     (v_star, q_star, x_star, y_star).
     """
     from zsmg.games import q_from_v

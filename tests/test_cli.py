@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zsmg.cli import main
 from zsmg.estimators import plan_sample_budget
-from zsmg.gamegen import load_game, save_policy
+from zsmg.gamegen import load_game, random_game, save_game, save_policy
+from zsmg.groundtruth import shapley_solve
 from zsmg.metrics import read_metrics_csv
 
 
@@ -92,6 +94,15 @@ class TestGenSolve:
         value = float(stdout.splitlines()[0].split("=")[1])
         assert abs(value - 1.0) < 1e-7  # pennies: 0.5 per stage, horizon 2
 
+    def test_solve_gamma_override_applies_to_game_file(self, cli, tmp_path):
+        out = tmp_path / "g.json"
+        cli("gen", "--seed", "1", "--states", "2", "--actions-p1", "2",
+            "--actions-p2", "2", "--gamma", "0.9", "--out", str(out))
+        code, stdout, _ = cli("solve", "--game", str(out), "--gamma", "0.5")
+        assert code == 0
+        expected = shapley_solve(replace(load_game(out), gamma=0.5)).v_star
+        assert stdout.splitlines() == [f"V*[{s}] = {float(v)!r}" for s, v in enumerate(expected)]
+
     def test_solve_game_file(self, cli, tmp_path):
         out = tmp_path / "g.json"
         cli("gen", "--seed", "1", "--states", "2", "--actions-p1", "2",
@@ -154,6 +165,22 @@ class TestRunCommands:
         assert code == 0
         _, rows = read_metrics_csv(tmp_path / "fromfile_rep0.csv")
         assert [row.t for row in rows] == [5, 10, 15, 20]
+
+    @pytest.mark.parametrize("command", ["run", "rational"])
+    def test_gamma_override_applies_to_game_file(self, cli, tmp_path, command):
+        game = random_game(seed=2, n_states=2, n_actions_p1=2, n_actions_p2=2, gamma=0.9)
+        save_game(game, tmp_path / "g9.json")
+        save_game(replace(game, gamma=0.5), tmp_path / "g5.json")
+        args = [command, "--iterations", "20", "--eta", "0.05", "--cadence", "10"]
+
+        def rows(name, *extra):
+            cli(*args, "--game", str(tmp_path / f"{name}.json"), *extra,
+                "--out-dir", str(tmp_path / f"{name}{len(extra)}"))
+            return read_metrics_csv(tmp_path / f"{name}{len(extra)}" / "run_rep0.csv")[1]
+
+        flagged = rows("g9", "--gamma", "0.5")
+        assert flagged == rows("g5")
+        assert flagged != rows("g9")
 
     def test_rational_uniform_opponent(self, cli, tmp_path):
         code, _, _ = cli("rational", "--game", "mp1", "--iterations", "40",

@@ -181,6 +181,12 @@ class TestSolveMatrixGame:
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_matrix_game(np.eye(2), tol=tol)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_payoffs(self, bad):
+        q = np.array([[0.0, 1.0], [bad, 0.5]])
+        with pytest.raises(ValueError, match=rf"non-finite payoff at \(a=1, b=0\): {bad!r}"):
+            solve_matrix_game(q)
+
     def test_rejects_malformed_basis(self):
         # The 2x2 LP has columns [x_0, x_1, v, s_0, s_1] and 3 rows.
         for basis in ([0, 2], [0, 2, 2], [0, 2, 5], [-1, 0, 2]):
@@ -292,6 +298,34 @@ class TestShapleySolve:
             with pytest.raises(ValueError, match="tol must be positive"):
                 shapley_solve(mp1, tol=tol)
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, -0.1, float("nan")])
+    def test_rejects_discount_outside_unit_interval(self, mp1, gamma):
+        game = MarkovGame(loss=mp1.loss, transition=mp1.transition, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            shapley_solve(game, max_iter=10)
+
+    def test_zero_discount_takes_one_sweep(self, monkeypatch):
+        base = random_game(seed=4, n_states=3, n_actions_p1=2, n_actions_p2=3, gamma=0.9)
+        game = MarkovGame(loss=base.loss, transition=base.transition, gamma=0.0)
+        calls = []
+        monkeypatch.setattr(groundtruth_mod, "q_from_v",
+                            lambda *args: calls.append(1) or q_from_v(*args))
+        gt = shapley_solve(game)
+        assert len(calls) == 2  # one sweep, then the witness solves
+        assert gt.v_star.tolist() == [solve_matrix_game(q).value for q in game.loss]
+
+    @pytest.mark.parametrize("field, index, message", [
+        ("loss", (1, 0, 1), r"non-finite loss at \(s=1, a=0, b=1\): nan"),
+        ("transition", (0, 1, 1, 0),
+         r"non-finite transition probability at \(s=0, a=1, b=1, s'=0\): inf"),
+    ], ids=["loss", "transition"])
+    def test_rejects_non_finite_game_entries(self, field, index, message):
+        game = random_game(seed=3, n_states=2, n_actions_p1=2, n_actions_p2=2, gamma=0.9)
+        arrays = {"loss": game.loss.copy(), "transition": game.transition.copy()}
+        arrays[field][index] = np.nan if field == "loss" else np.inf
+        with pytest.raises(ValueError, match=message):
+            shapley_solve(MarkovGame(gamma=0.9, **arrays))
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     @pytest.mark.parametrize("gamma", [None, 0.5, 0.95])
     def test_warm_start_matches_cold_start_on_builtins(self, name, gamma):
@@ -375,6 +409,42 @@ class TestStackedSweep:
                             n_actions_p2=n_b, gamma=gamma))
         self._assert_matches_oracle(shapley_solve(game), per_state_shapley(game))
 
+    @staticmethod
+    def _read_and_certify(q, bases):
+        shift, a_mat = groundtruth_mod._value_lp(q)
+        read = groundtruth_mod._read_bases(a_mat, bases)
+        return (shift, a_mat) + read + groundtruth_mod._certify(q, shift, bases, *read[:2], 1e-9)
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 8),
+           n_a=st.integers(1, 6), n_b=st.integers(1, 6), tied=st.booleans(),
+           scale=st.sampled_from([1.0, 1e3]))
+    def test_stacked_read_matches_each_state_alone(self, seed, n_states, n_a, n_b, tied, scale):
+        # The design rests on this: a state's numbers from a stack of S are
+        # byte-equal to its numbers from a stack of one, so the sweep settles
+        # a state exactly when the scalar simplex would take no pivot.
+        rng = np.random.default_rng(seed)
+        shape = (n_states, n_a, n_b)
+        q = scale * (rng.integers(-2, 3, size=shape) if tied else rng.uniform(-1.0, 1.0, shape))
+        # Each state's own optimal basis, or that of a neighbouring matrix.
+        moved = rng.integers(-1, 2, size=shape) * rng.integers(0, 2, size=(n_states, 1, 1))
+        bases = np.array([solve_matrix_game(m).basis for m in q + moved])
+        singular = []
+        for s in range(n_states):
+            try:
+                self._read_and_certify(q[s:s + 1], bases[s:s + 1])
+            except np.linalg.LinAlgError:
+                singular.append(s)
+        if singular:
+            with pytest.raises(np.linalg.LinAlgError):
+                self._read_and_certify(q, bases)
+            return
+        stacked = self._read_and_certify(q, bases)
+        for s in range(n_states):
+            alone = self._read_and_certify(q[s:s + 1], bases[s:s + 1])
+            for part, part_alone in zip(stacked, alone, strict=True):
+                assert part[s].tobytes() == part_alone[0].tobytes()
+
     def test_first_sweep_solves_every_state_alone(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         expected = per_state_shapley(game)
@@ -401,7 +471,7 @@ class TestStackedSweep:
         solve = np.linalg.solve
 
         def singular_when_stacked(a, b):
-            if np.ndim(a) == 3:
+            if np.ndim(a) == 3 and len(a) > 1:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
@@ -414,14 +484,13 @@ class TestStackedSweep:
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         gt = shapley_solve(game)
         bases = np.array([solve_matrix_game(q).basis for q in gt.q_star])
-        check = groundtruth_mod._StackedCheck(4, 3, 3)
-        values, settled = check(gt.q_star, bases, 1e-9)
+        values, settled = groundtruth_mod._settled_values(gt.q_star, bases, 1e-9)
         assert settled.all()
         assert values.tobytes() == np.array(
             [solve_matrix_game(q, basis=b).value for q, b in zip(gt.q_star, bases)]).tobytes()
         # The value column and every slack: the simplex row is zero on them.
         bases[2] = np.arange(3, 7)
-        assert not check(gt.q_star, bases, 1e-9)[1].any()
+        assert not groundtruth_mod._settled_values(gt.q_star, bases, 1e-9)[1].any()
 
     @pytest.mark.parametrize("before, after", [
         # Player 2's best column moves: the old basis is primal infeasible.
@@ -436,20 +505,10 @@ class TestStackedSweep:
         q_before = np.array([before, other])
         q_after = np.array([after, other])
         bases = np.array([solve_matrix_game(q).basis for q in q_before])
-        values, settled = groundtruth_mod._StackedCheck(2, *q_after.shape[1:])(
-            q_after, bases, 1e-9)
+        values, settled = groundtruth_mod._settled_values(q_after, bases, 1e-9)
         assert settled.tolist() == [False, True]
         assert solve_matrix_game(q_after[0], basis=bases[0]).basis.tolist() != bases[0].tolist()
         assert values[1] == solve_matrix_game(q_after[1], basis=bases[1]).value
-
-    def test_state_inside_rounding_margin_falls_back(self, monkeypatch):
-        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
-        expected = per_state_shapley(game)
-        # A margin wider than the certificate's tol puts every state inside it.
-        monkeypatch.setattr(groundtruth_mod, "_ROUNDING_ULPS", 1e12)
-        gt, sweeps = self._traced_solve(monkeypatch, game)
-        self._assert_matches_oracle(gt, expected)
-        assert all(len(calls) == 4 for calls in sweeps)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GAMES))
     def test_q_from_v_counts_sweeps_plus_one(self, monkeypatch, name):

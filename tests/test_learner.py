@@ -385,6 +385,20 @@ class TestRunSelfplay:
         assert len(result.rows) == 14
         assert result.rows[-1].t == 98
 
+    def test_zero_discount_logs_rows(self, mp1):
+        # Off strict gamma may be 0; the ground truth behind the rows must solve.
+        result = run_selfplay(mp1, RunConfig(iterations=20, eta=0.05, cadence=10, gamma=0.0))
+        assert [row.t for row in result.rows] == [10, 20]
+        np.testing.assert_array_equal(result.ground_truth.v_star, [0.5])
+
+    def test_ground_truth_tolerance_is_not_a_keyword(self, mp1):
+        # A custom tolerance goes through ``ground_truth=``.
+        with pytest.raises(TypeError, match="gt_tol"):
+            run_selfplay(mp1, RunConfig(iterations=5, eta=0.05, cadence=5), gt_tol=1e-6)
+        with pytest.raises(TypeError, match="gt_tol"):
+            run_single_player(mp1, np.array([[0.5, 0.5]]),
+                              RunConfig(iterations=5, eta=0.05, cadence=5), gt_tol=1e-6)
+
     def test_cadence_zero_produces_no_rows(self, mp1):
         result = run_selfplay(mp1, RunConfig(iterations=50, eta=0.05, cadence=0))
         assert result.rows == []
