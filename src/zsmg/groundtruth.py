@@ -457,6 +457,14 @@ def _affine_projection(z: np.ndarray, m_mat: np.ndarray, c_vec: np.ndarray) -> n
     return z - m_mat.T @ correction
 
 
+@lru_cache(maxsize=64)
+def _plane_basis(n: int) -> np.ndarray:
+    """Read-only ``(n, n-1)`` orthonormal basis of the directions of the plane sum(u) = 1."""
+    plane = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+    plane.flags.writeable = False
+    return plane
+
+
 def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
                       kkt_tol: float = 1e-9) -> np.ndarray:
     """Euclidean projection of z onto {u in simplex : a_mat @ u <= b_vec}.
@@ -500,7 +508,7 @@ def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
     # {w : g @ w <= h}, whose dual is the NNLS below; its residual r gives
     # w = -r[:-1] / r[-1], and r[-1] = -||r||^2 is zero only when the
     # constraints are inconsistent.
-    plane = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+    plane = _plane_basis(n)
     p = z + (1.0 - float(z.sum())) / n
     g = ineq @ plane
     h = rhs - ineq @ p

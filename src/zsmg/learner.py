@@ -9,8 +9,10 @@ exact and trajectory-sampled modes share the identical update path.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -37,6 +39,18 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _projection_constants(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only per-shape constants of ``project_simplex``: the ranks ``1..n``
+    as floats and, per row, the flat index of its first entry minus one."""
+    n = shape[-1]
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    offsets = np.arange(-1, math.prod(shape) - 1, n)
+    for array in (ranks, offsets):
+        array.flags.writeable = False
+    return ranks, offsets
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the probability simplex (last axis).
 
@@ -44,7 +58,16 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     prefix of the descending sort with positive water level, subtract the
     level, clip at zero.  Accepts a single vector or a batch of row vectors;
     rows are processed by the same elementwise arithmetic either way, so
-    batched and single calls agree bit-for-bit.
+    batched and single calls agree bit-for-bit.  The ranks and row offsets
+    depend only on the shape and come from a cache of read-only arrays.
+
+    A row whose support would be empty raises ``ValueError`` naming the row
+    (counted over the leading axes in C order) and its largest entry, and no
+    row ever reads another.  In exact arithmetic the first threshold test,
+    ``u_0 + (1 - u_0) / 1 > 0``, always holds; it fails only when rounding
+    swamps it (a largest entry of magnitude about 1e16 or more) or the row
+    holds NaN, +inf or nothing but -inf.  Such a row has no meaningful
+    projection, so it is not clamped.
 
     Padding contract: extra entries that lie below every real entry of their
     row, and more than 1 below its largest, sort last, change no prefix sum of
@@ -52,15 +75,27 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     the row's real outputs keep their bits.  The learner pads with ``-1e30``.
     """
     v = np.asarray(v, dtype=np.float64)
-    n = v.shape[-1]
+    ranks, offsets = _projection_constants(v.shape)
     u = v.copy()
     u.sort(axis=-1)
     u = u[..., ::-1]
-    css = np.cumsum(u, axis=-1)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    rho = (u + (1.0 - css) / j > 0.0).sum(axis=-1).reshape(-1)
-    css_rho = css.reshape(-1)[np.arange(0, css.size, n) + rho - 1]
-    tau = ((css_rho - 1.0) / rho).reshape(v.shape[:-1] + (1,))
+    # levels[..., j-1] = (css_j - 1) / j is the water level if the support
+    # were the top j entries, and ``u > levels`` is bit-for-bit the Duchi test
+    # ``u + (1 - css) / j > 0``: IEEE rounding is sign-symmetric, and a
+    # rounded difference is positive exactly when the exact one is.  The
+    # level at the support size rho is tau, with the bits of
+    # ``(css_rho - 1) / rho``.
+    levels = (u.cumsum(axis=-1) - 1.0) / ranks
+    rho = (u > levels).sum(axis=-1).reshape(-1)
+    if np.count_nonzero(rho) < rho.size:
+        row = int(np.argmin(rho))
+        largest = float(np.max(v.reshape(rho.size, -1)[row]))
+        raise ValueError(
+            f"project_simplex: row {row} has empty support: its largest entry "
+            f"{largest!r} fails the threshold test at rank 1 (rounding swamps the "
+            f"test from a magnitude of about 1e16; NaN and inf always fail it)"
+        )
+    tau = levels.reshape(-1)[offsets + rho].reshape(v.shape[:-1] + (1,))
     return np.maximum(v - tau, 0.0)
 
 
@@ -96,8 +131,8 @@ def eta_max(gamma: float, n_states: int) -> float:
 
 # Gradient entry in the padded columns of the stacked layout.  A padded iterate
 # entry is 0, so each half-step projects 0 - 1e30: far below every real entry,
-# which keeps the real bits and projects to 0.  Finite on purpose: an
-# infinite pad would turn the threshold arithmetic into inf - inf = NaN.
+# which keeps the real bits and projects to 0.  Finite on purpose: ogda_step
+# tests the whole gradient, pad included, for finiteness in one pass.
 _PAD = 1e30
 
 
@@ -192,35 +227,43 @@ def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
         y_hat' = P(y_hat + eta * r);    y' = P(y_hat' + eta * r)
     Both players' rows go through one projection per half-step on the stacked
     layout: the gradient ``g`` holds ``eta * ell`` in player 1's rows,
-    ``-(eta * r)`` in player 2's and ``_PAD`` in the padded columns, and
-    ``z_hat' = P(z_hat - g)``, ``z' = P(z_hat' - g)``.  Negation is exact and
-    ``a - (-b) == a + b`` in IEEE arithmetic, and the projection works row by
-    row, so every real entry is bit-identical to the four separate
-    projections and no row depends on another.  Estimates whose shapes are
-    not ``(S, A)``, ``(S, B)`` and ``(S,)``, or that are not finite, raise
-    ValueError before any arithmetic and leave the state unchanged.
+    ``r * (-eta)`` in player 2's and ``_PAD`` in the padded columns, and
+    ``z_hat' = P(z_hat - g)``, ``z' = P(z_hat' - g)``.  Both products are
+    written straight into ``g``.  Negation is exact, so
+    ``r * (-eta) == -(eta * r)`` and ``a - (-b) == a + b`` in IEEE arithmetic,
+    and the projection works row by row, so every real entry is bit-identical
+    to the four separate projections and no row depends on another.
+
+    Estimates whose shapes are not ``(S, A)``, ``(S, B)`` and ``(S,)`` raise
+    ValueError before any arithmetic.  One finiteness test on ``g`` and
+    ``rho`` then raises ValueError, naming the estimate, if one holds NaN or
+    inf, or naming ``eta`` if its product with a finite estimate overflows.
+    Either way the state is unchanged.  A row that the projection cannot
+    place on the simplex raises the projection's ValueError.
     """
     n_states = state.v.shape[0]
-    for name, estimate, shape in (("ell", estimates.ell, (n_states, state.n_actions_p1)),
-                                  ("r", estimates.r, (n_states, state.n_actions_p2)),
-                                  ("rho", estimates.rho, (n_states,))):
-        if np.shape(estimate) != shape:
-            raise ValueError(
-                f"payoff estimate {name} has shape {np.shape(estimate)}, expected {shape}"
-            )
-    if not (
-        np.isfinite(estimates.ell).all()
-        and np.isfinite(estimates.r).all()
-        and np.isfinite(estimates.rho).all()
-    ):
-        raise ValueError("non-finite payoff estimates passed to ogda_step")
+    n_a, n_b = state.n_actions_p1, state.n_actions_p2
+    ell, r, rho = estimates.ell, estimates.r, estimates.rho
+    shapes = (np.shape(ell), np.shape(r), np.shape(rho))
+    expected = ((n_states, n_a), (n_states, n_b), (n_states,))
+    if shapes != expected:
+        name, shape, want = next(item for item in zip(("ell", "r", "rho"), shapes, expected)
+                                 if item[1] != item[2])
+        raise ValueError(f"payoff estimate {name} has shape {shape}, expected {want}")
+    eta = state.eta
     g = np.full(state.z_hat.shape, _PAD)
-    g[:n_states, : state.n_actions_p1] = state.eta * estimates.ell
-    g[n_states:, : state.n_actions_p2] = -(state.eta * estimates.r)
-    z_hat = project_simplex(state.z_hat - g)
-    return LearnerState(z_hat=z_hat, z=project_simplex(z_hat - g), v=state.v,
-                        t=state.t + 1, eta=state.eta, n_actions_p1=state.n_actions_p1,
-                        n_actions_p2=state.n_actions_p2)
+    np.multiply(ell, eta, out=g[:n_states, :n_a])
+    np.multiply(r, -eta, out=g[n_states:, :n_b])
+    if not (np.isfinite(g).all() and np.isfinite(rho).all()):
+        for name, estimate in (("ell", ell), ("r", r), ("rho", rho)):
+            if not np.isfinite(estimate).all():
+                raise ValueError(f"non-finite payoff estimate {name} passed to ogda_step")
+        raise ValueError(f"eta={eta!r} times a payoff estimate overflows in ogda_step")
+    step = state.z_hat - g
+    z_hat = project_simplex(step)
+    return LearnerState(z_hat=z_hat, z=project_simplex(np.subtract(z_hat, g, out=step)),
+                        v=state.v, t=state.t + 1, eta=eta, n_actions_p1=n_a,
+                        n_actions_p2=n_b)
 
 
 def critic_step(v_prev: np.ndarray, rho: np.ndarray, alpha_t: float) -> np.ndarray:
@@ -434,10 +477,11 @@ def run_selfplay(
         q_t = q_from_v(game, state.v)
         alpha_t = alpha_fn(t)
         if cadence > 0:
+            x_t, y_t = state.x, state.y
             j_state, k_state, q_step = metrics_mod.diagnostics_update(
-                j_state, k_state, state.x, x_prev, state.y, y_prev, q_t, q_prev, alpha_t
+                j_state, k_state, x_t, x_prev, y_t, y_prev, q_t, q_prev, alpha_t
             )
-            x_prev, y_prev, q_prev = state.x, state.y, q_t
+            x_prev, y_prev, q_prev = x_t, y_t, q_t
         logging_now = cadence > 0 and t % cadence == 0
         triple, est_err = estimator.estimates(
             game, state, q_t, collect_error=logging_now

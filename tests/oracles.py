@@ -140,19 +140,35 @@ def enumeration_best_response(loss: np.ndarray, transition: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def sort_projection_1d(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of one vector onto the simplex (sort-threshold form).
+    """Euclidean projection of one vector onto the simplex, in plain Python floats.
 
-    Textbook O(n log n) algorithm written independently of the library's
-    batched version: sort descending, find the largest prefix whose running
-    threshold stays positive, subtract, clip.
+    Textbook O(n log n) sort-threshold algorithm, written independently of
+    the library's batched version.  The vector is sorted in descending order
+    and walked once with a running sum, left to right as ``np.cumsum`` adds,
+    taking the Duchi et al. test ``u_j + (1 - css_j) / j > 0`` at every
+    rank.  The support size is the number of ranks that pass, the library's
+    rule: where rounding makes the test fail and then pass again, the passing
+    ranks are not a prefix and the largest of them would give another
+    support.  A vector that passes no test has no projection and raises
+    ``ValueError``.
     """
-    u = np.sort(v)[::-1]
-    rho = 0
-    for j in range(1, v.size + 1):
-        if u[j - 1] + (1.0 - np.sum(u[:j])) / j > 0.0:
-            rho = j
-    tau = (np.sum(u[:rho]) - 1.0) / rho
-    return np.maximum(v - tau, 0.0)
+    entries = np.asarray(v, dtype=np.float64).tolist()
+    css, running, support = 0.0, [], 0
+    for j, value in enumerate(sorted(entries, reverse=True), start=1):
+        css += value
+        running.append(css)
+        support += value + (1.0 - css) / j > 0.0
+    if support == 0:
+        raise ValueError("empty support")
+    tau = (running[support - 1] - 1.0) / support
+    return np.array([value - tau if value - tau > 0.0 else 0.0 for value in entries])
+
+
+def sort_projection_rows(v: np.ndarray) -> np.ndarray:
+    """``sort_projection_1d`` applied to every row (last axis) of ``v``."""
+    v = np.asarray(v, dtype=np.float64)
+    rows = v.reshape(-1, v.shape[-1])
+    return np.array([sort_projection_1d(row) for row in rows]).reshape(v.shape)
 
 
 def scalar_mat_vec(q: np.ndarray, v: np.ndarray) -> np.ndarray:

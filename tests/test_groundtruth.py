@@ -15,6 +15,7 @@ from zsmg.groundtruth import (
     GroundTruth,
     LpSolveError,
     _kkt_residual,
+    _plane_basis,
     _project_polytope,
     dist_state,
     dist_to_optimal_sets,
@@ -767,6 +768,18 @@ class TestDistance:
         b_vec = np.array([0.5])  # impossible: coordinates must sum to 1
         with pytest.raises(ArithmeticError):
             _project_polytope(np.array([0.4, 0.4, 0.2]), a_mat, b_vec)
+
+    def test_plane_basis_is_cached_read_only_and_unchanged(self):
+        for n in (3, 4, 6):
+            plane = _plane_basis(n)
+            assert _plane_basis(n) is plane
+            assert not plane.flags.writeable
+            with pytest.raises(ValueError):
+                plane[0, 0] = 0.0
+            fresh = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+            assert plane.tobytes() == fresh.tobytes()
+            np.testing.assert_allclose(plane.T @ plane, np.eye(n - 1), atol=1e-12)
+            np.testing.assert_allclose(plane.sum(axis=0), 0.0, atol=1e-12)
 
 
 class TestMarginConstant:

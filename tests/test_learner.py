@@ -16,6 +16,7 @@ from zsmg.gamegen import random_game
 from zsmg.groundtruth import shapley_solve
 from zsmg.learner import (
     _PAD,
+    _projection_constants,
     RunConfig,
     alpha_schedule,
     critic_step,
@@ -29,7 +30,7 @@ from zsmg.learner import (
     run_single_player,
 )
 
-from oracles import sort_projection_1d, unstacked_selfplay
+from oracles import sort_projection_1d, sort_projection_rows, unstacked_selfplay
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,54 @@ class TestProjectSimplex:
             rows = out[k * n_states:(k + 1) * n_states]
             assert rows[:, :w].tobytes() == project_simplex(block).tobytes()
             assert (rows[:, w:] == 0.0).all()
+
+    @given(data=st.data())
+    def test_interleaved_shapes_match_the_row_oracle(self, data):
+        # Each shape twice, in a drawn order, so the cached constants of one
+        # shape are used between calls on every other shape.
+        shapes = data.draw(st.permutations([(3,), (2, 3), (4, 2), (4, 8), (1, 1)] * 2))
+        value = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
+                          st.floats(-1e3, 1e3, allow_nan=False))
+        for shape in shapes:
+            size = int(np.prod(shape))
+            v = np.array(data.draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+            assert project_simplex(v).tobytes() == sort_projection_rows(v).tobytes()
+            for constant in _projection_constants(shape):
+                assert not constant.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    constant[0] = 0
+
+    @pytest.mark.parametrize("v, row, largest", [
+        ([[1e17, 0.0], [0.3, 0.1]], 0, "1e+17"),
+        ([1e17, 0.0], 0, "1e+17"),
+        ([[0.3, 0.1], [-1e20, -1e20]], 1, "-1e+20"),
+        ([[0.3, 0.1], [0.2, np.nan]], 1, "nan"),
+        ([[np.inf, 0.0]], 0, "inf"),
+        ([[0.3, 0.1], [-np.inf, -np.inf]], 1, "-inf"),
+    ], ids=["huge_first_row", "huge_vector", "huge_negative_row", "nan", "inf", "all_minus_inf"])
+    def test_empty_support_raises_naming_the_row(self, v, row, largest):
+        with pytest.raises(ValueError, match=re.escape(
+                f"row {row} has empty support: its largest entry {largest} ")):
+            project_simplex(np.array(v))
+
+    @given(data=st.data())
+    def test_huge_entries_raise_or_keep_each_rows_own_bits(self, data):
+        n_rows, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        value = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0, 1e16, -1e17, 1e300, -1e300]),
+                          st.floats(-1e300, 1e300, allow_nan=False))
+        batch = np.array(data.draw(st.lists(value, min_size=n_rows * width,
+                                            max_size=n_rows * width))).reshape(n_rows, width)
+        alone = []
+        for row in batch:
+            try:
+                alone.append(project_simplex(row).tobytes())
+            except ValueError:
+                alone.append(None)
+        if None in alone:
+            with pytest.raises(ValueError, match=f"row {alone.index(None)} has empty support"):
+                project_simplex(batch)
+        else:
+            assert [row.tobytes() for row in project_simplex(batch)] == alone
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +261,30 @@ class TestOgdaStep:
                              rho=np.zeros(1))
         with pytest.raises(ValueError):
             ogda_step(state, bad)
+
+    @pytest.mark.parametrize("name", ["ell", "r", "rho"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_estimate_raises_before_the_state_moves(self, switching_mp, name, bad):
+        state = initial_state(switching_mp, eta=0.1)
+        before = [state.z_hat.tobytes(), state.z.tobytes(), state.v.tobytes(), state.t]
+        estimates = {"ell": np.zeros((2, 2)), "r": np.zeros((2, 2)), "rho": np.zeros(2)}
+        estimates[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"non-finite payoff estimate {name} passed"):
+            ogda_step(state, EstimateTriple(**estimates))
+        assert [state.z_hat.tobytes(), state.z.tobytes(), state.v.tobytes(), state.t] == before
+
+    @pytest.mark.parametrize("name, estimate", [
+        ("ell", np.array([[1e10, 0.0]])),
+        ("r", np.array([[0.0, -1e10]])),
+    ])
+    def test_overflowing_gradient_raises_naming_eta(self, mp1, name, estimate):
+        # Finite estimates, but eta * 1e10 overflows to inf.
+        state = self._mp_state(mp1, eta=1e300)
+        estimates = {"ell": np.zeros((1, 2)), "r": np.zeros((1, 2)), "rho": np.zeros(1),
+                     name: estimate}
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=re.escape("eta=1e+300 times a payoff estimate")):
+            ogda_step(state, EstimateTriple(**estimates))
 
     @pytest.mark.parametrize("name, estimates, shape, expected", [
         # One state's loss row would broadcast over both states.
@@ -458,6 +531,14 @@ class TestRunSelfplay:
                      iteration_hook=lambda t, s: ts.append((t, s.t)))
         assert ts[0] == (1, 2)
         assert ts[-1] == (25, 26)
+
+    def test_swamping_step_size_raises_on_the_first_step(self, switching_mp):
+        # eta * loss dwarfs 1, so rounding empties a row's support at once.
+        seen = []
+        with pytest.raises(ValueError, match=r"project_simplex: row \d+ has empty support"):
+            run_selfplay(switching_mp, RunConfig(iterations=5, eta=1e20),
+                         iteration_hook=lambda t, state: seen.append(t))
+        assert seen == []
 
     def test_learns_to_avoid_dominated_row(self):
         # Action 0 is strictly better for the minimizer regardless of the
