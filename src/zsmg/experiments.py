@@ -1,10 +1,12 @@
 """Multi-repetition experiment driver.
 
-An experiment is a game source plus a run configuration, executed once per
-seed.  Repetitions are independent and run in a process pool keyed by seed;
-each writes its own CSV, and an aggregate CSV (median and quartiles per
-iteration) is recomputed from the per-repetition results afterwards.  Output
-bytes depend only on the configuration, never on scheduling or wall time.
+An experiment is a game source plus a run configuration, repeated once per
+seed.  The learner runs once per distinct row set: once in exact mode, where
+the seed reaches nothing, and once per seed in sampled mode, in a process pool
+when ``workers`` > 1.  Each repetition's CSV is written from those rows with
+its own header, and an aggregate CSV (median and quartiles per iteration) is
+computed from the same rows in memory.  Output bytes depend only on the
+configuration, never on scheduling or wall time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +24,10 @@ from . import __version__
 from .gamegen import builtin, game_from_dict, game_to_dict, load_game, load_policy, random_game
 from .games import MarkovGame
 from .groundtruth import shapley_solve
-from .learner import RunConfig, _prepare_game, run_selfplay
+from .learner import RunConfig, _prepare_game, _rows_seed, run_selfplay
 from .metrics import (
     aggregate_metrics,
     config_digest,
-    read_metrics_csv,
     write_aggregate_csv,
     write_metrics_csv,
 )
@@ -93,6 +95,8 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def seed_list(self) -> list[int]:
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions!r}")
         if self.seeds is not None:
             if len(self.seeds) != self.repetitions:
                 raise ValueError(
@@ -114,18 +118,9 @@ def _resolve_opponent(spec, game: MarkovGame) -> np.ndarray:
     return np.asarray(spec, dtype=np.float64)
 
 
-def _run_one_repetition(args: tuple) -> str:
-    """Worker entry: run one prepared repetition and write its CSV; returns the path.
-
-    ``args`` is ``(game, run, ground_truth, out_path, metadata, debug_columns)``:
-    the game with the discount override and any opponent already applied, the
-    repetition's own ``RunConfig`` (its seed set, ``gamma`` cleared), the shared
-    ground truth (None without metric rows) and the CSV's header metadata.
-    """
-    game, run, ground_truth, out_path, metadata, debug_columns = args
-    result = run_selfplay(game, run, ground_truth=ground_truth)
-    write_metrics_csv(out_path, result.rows, metadata=metadata, debug_columns=debug_columns)
-    return out_path
+def _learner_rows(game: MarkovGame, run: RunConfig, ground_truth) -> list:
+    """Worker entry: the metric rows of one learner run."""
+    return run_selfplay(game, run, ground_truth=ground_truth).rows
 
 
 @dataclass
@@ -135,14 +130,17 @@ class ExperimentOutput:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
-    """Run every repetition (in a process pool when ``workers`` > 1) and aggregate.
+    """Run the learner once per distinct row set, write every repetition, and aggregate.
 
     Writes ``<label>_rep<k>.csv`` per repetition and ``<label>_aggregate.csv``
     (median / quartiles across repetitions) when there is more than one.  The
     opponent is resolved and the run set up once, through the learner's own
     set-up, so every config error is raised before anything is solved or
-    written; the ground truth behind the metric rows is then solved once, and
-    each repetition runs ``run_selfplay`` on the prepared game with its seed.
+    written; the ground truth behind the metric rows is then solved once.
+    Repetitions whose rows read the same seed share one ``run_selfplay`` call:
+    exact repetitions all share one (and one ``wall_clock`` under
+    ``debug_columns``), sampled ones run per seed, in a process pool when
+    ``workers`` > 1.
     """
     game = resolve_game(cfg.game)
     seeds = cfg.seed_list()
@@ -152,42 +150,32 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
     ground_truth = (shapley_solve(run_game, tol=cfg.gt_tol)
                     if int(cfg.run.cadence) > 0 else None)
+    reps = [replace(cfg.run, seed=seed) for seed in seeds]
+    # The gamma override is already in run_game; one run per distinct row seed.
+    runs = {_rows_seed(run): replace(run, gamma=None) for run in reps}
+    job = partial(_learner_rows, run_game, ground_truth=ground_truth)
+    if cfg.workers > 1 and len(runs) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(runs))) as pool:
+            rows_by_seed = dict(zip(runs, pool.map(job, runs.values())))
+    else:
+        rows_by_seed = dict(zip(runs, map(job, runs.values())))
+    rep_rows = [rows_by_seed[_rows_seed(run)] for run in reps]
+
     # Everything that determines a repetition's rows (no paths, no timing).
     payload = {"game": game_to_dict(game), "gt_tol": cfg.gt_tol, "label": cfg.label}
     if opponent is not None:
         payload["opponent"] = opponent.tolist()
-    jobs = []
-    for rep, seed in enumerate(seeds):
-        run = replace(cfg.run, seed=seed)
-        metadata = {
-            "schema": 1,
-            "tool_version": __version__,
-            "label": cfg.label,
-            "rep": rep,
-            "seed": seed,
-            "config_hash": config_digest({**payload, "run": run.to_dict()}),
-        }
-        jobs.append((run_game, replace(run, gamma=None), ground_truth,
-                     str(out_dir / f"{cfg.label}_rep{rep}.csv"), metadata,
-                     cfg.debug_columns))
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-            paths = list(pool.map(_run_one_repetition, jobs))
-    else:
-        paths = [_run_one_repetition(job) for job in jobs]
+    header = {"schema": 1, "tool_version": __version__, "label": cfg.label}
+    rep_paths = [out_dir / f"{cfg.label}_rep{rep}.csv" for rep in range(len(reps))]
+    for rep, (path, run, run_rows) in enumerate(zip(rep_paths, reps, rep_rows)):
+        metadata = {**header, "rep": rep, "seed": run.seed,
+                    "config_hash": config_digest({**payload, "run": run.to_dict()})}
+        write_metrics_csv(path, run_rows, metadata=metadata, debug_columns=cfg.debug_columns)
 
     aggregate_path = None
-    if len(paths) > 1:
-        runs = [read_metrics_csv(p)[1] for p in paths]
-        agg = aggregate_metrics(runs)
+    if len(reps) > 1:
         aggregate_path = out_dir / f"{cfg.label}_aggregate.csv"
-        metadata = {
-            "schema": 1,
-            "tool_version": __version__,
-            "label": cfg.label,
-            "repetitions": len(paths),
-            "seeds": ",".join(str(s) for s in seeds),
-        }
-        write_aggregate_csv(aggregate_path, agg, metadata=metadata)
-    return ExperimentOutput(rep_paths=[Path(p) for p in paths],
-                            aggregate_path=aggregate_path)
+        metadata = {**header, "repetitions": len(reps),
+                    "seeds": ",".join(str(s) for s in seeds)}
+        write_aggregate_csv(aggregate_path, aggregate_metrics(rep_rows), metadata=metadata)
+    return ExperimentOutput(rep_paths=rep_paths, aggregate_path=aggregate_path)

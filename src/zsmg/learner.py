@@ -20,7 +20,8 @@ import numpy as np
 from . import estimators as est_mod
 from . import metrics as metrics_mod
 from .estimators import EstimateTriple
-from .games import MarkovGame, JointPolicy, distribution_rows_error, q_from_v, validate_game
+from .games import (MarkovGame, JointPolicy, _induced_mdp, distribution_rows_error, q_from_v,
+                    validate_game)
 
 __all__ = [
     "LearnerState",
@@ -287,9 +288,8 @@ def reduce_game_for_opponent(game: MarkovGame, opponent_y: np.ndarray) -> Markov
     problem = distribution_rows_error("opponent_y", y)
     if problem:
         raise ValueError(problem)
-    loss = np.einsum("sab,sb->sa", game.loss, y)[:, :, None]
-    trans = np.einsum("sabt,sb->sat", game.transition, y)[:, :, None, :]
-    return MarkovGame(loss=loss, transition=trans, gamma=game.gamma,
+    loss, trans = _induced_mdp(game, y, fixed_side=2)
+    return MarkovGame(loss=loss[:, :, None], transition=trans[:, :, None, :], gamma=game.gamma,
                       name=f"{game.name or 'game'}|fixed-opponent")
 
 
@@ -432,6 +432,11 @@ def _build_estimator(config: RunConfig, game: MarkovGame):
         seed=config.seed,
         reset_each_iteration=config.rollout_reset,
     )
+
+
+def _rows_seed(config: RunConfig) -> int | None:
+    """The seed a run's rows depend on: only the sampled estimator reads one."""
+    return int(config.seed) if config.estimator == "sampled" else None
 
 
 def run_selfplay(

@@ -146,6 +146,14 @@ class TestRunCommands:
         assert (tmp_path / "pen_rep1.csv").exists()
         assert "pen_aggregate.csv" in stdout
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_run_without_repetitions_fails(self, cli, tmp_path, reps):
+        code, _, err = cli("run", "--game", "mp1", "--iterations", "20", "--eta", "0.05",
+                           "--reps", reps, "--out-dir", str(tmp_path))
+        assert code != 0
+        assert "repetitions" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_byte_identical_across_directories(self, cli, tmp_path):
         args = ["run", "--game", "mp1", "--iterations", "50", "--eta", "0.05",
                 "--cadence", "10", "--seed", "3"]

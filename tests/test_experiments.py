@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import zsmg.experiments as experiments_mod
 import zsmg.groundtruth as groundtruth_mod
+from zsmg import __version__
 from zsmg.experiments import ExperimentConfig, resolve_game, run_experiment
-from zsmg.gamegen import builtin, save_game, save_policy
+from zsmg.gamegen import builtin, game_to_dict, save_game, save_policy
+from zsmg.groundtruth import shapley_solve
 from zsmg.learner import RunConfig, run_selfplay, run_single_player
-from zsmg.metrics import aggregate_metrics, read_metrics_csv
+from zsmg.metrics import (aggregate_metrics, config_digest, read_metrics_csv,
+                          write_aggregate_csv, write_metrics_csv)
 
 
 def _fast_cfg(**overrides) -> ExperimentConfig:
@@ -176,6 +180,55 @@ class TestRunExperiment:
             assert serial.aggregate_path.read_bytes() == \
                 parallel.aggregate_path.read_bytes()
 
+    @pytest.mark.parametrize("reps, workers", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_exact_bytes_equal_separate_learner_runs(self, tmp_path, reps, workers):
+        # Every exact repetition is its own run_selfplay call, written with its own header.
+        cfg = _fast_cfg(out_dir=str(tmp_path / "exp"), repetitions=reps, workers=workers,
+                        game={"random": {"seed": 6, "n_states": 3, "n_actions_p1": 3,
+                                         "n_actions_p2": 2, "gamma": 0.9}},
+                        run=RunConfig(iterations=60, eta=0.05, cadence=15, seed=5,
+                                      gamma=0.8))
+        out = run_experiment(cfg)
+        game = resolve_game(cfg.game)
+        ground_truth = shapley_solve(replace(game, gamma=0.8), tol=cfg.gt_tol)
+        header = {"schema": 1, "tool_version": __version__, "label": "t"}
+        runs = []
+        for rep, seed in enumerate(range(5, 5 + reps)):
+            run = replace(cfg.run, seed=seed)
+            rows = run_selfplay(game, run, ground_truth=ground_truth).rows
+            runs.append(rows)
+            digest = config_digest({"game": game_to_dict(game), "gt_tol": cfg.gt_tol,
+                                    "label": "t", "run": run.to_dict()})
+            expected = tmp_path / f"rep{rep}.csv"
+            write_metrics_csv(expected, rows, metadata={**header, "rep": rep, "seed": seed,
+                                                        "config_hash": digest})
+            assert out.rep_paths[rep].read_bytes() == expected.read_bytes()
+        assert len(out.rep_paths) == reps
+        if reps == 1:
+            assert out.aggregate_path is None
+            return
+        expected = tmp_path / "aggregate.csv"
+        write_aggregate_csv(expected, aggregate_metrics(runs), metadata={
+            **header, "repetitions": reps, "seeds": ",".join(map(str, range(5, 5 + reps)))})
+        assert out.aggregate_path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("estimator, calls", [("exact", 1), ("sampled", 3)])
+    def test_one_learner_run_per_distinct_repetition(self, tmp_path, monkeypatch,
+                                                     estimator, calls):
+        seeds = []
+        real = experiments_mod.run_selfplay
+
+        def counting(game, run, **kwargs):
+            seeds.append(run.seed)
+            return real(game, run, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "run_selfplay", counting)
+        run = RunConfig(iterations=20, eta=0.05, cadence=10, estimator=estimator,
+                        rollout_len=10, epsilon=0.5)
+        out = run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=3, run=run))
+        assert len(set(seeds)) == len(seeds) == calls
+        assert len(out.rep_paths) == 3 and out.aggregate_path is not None
+
     def test_config_hash_independent_of_out_dir(self, tmp_path):
         a = run_experiment(_fast_cfg(out_dir=str(tmp_path / "a")))
         b = run_experiment(_fast_cfg(out_dir=str(tmp_path / "b")))
@@ -324,6 +377,13 @@ class TestSharedGroundTruth:
         with pytest.raises(ValueError, match=r"epsilon_prime = \(1 - gamma\) \* epsilon"):
             run_experiment(_fast_cfg(out_dir=str(tmp_path), run=run))
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("reps, seeds", [(0, None), (-2, None), (0, [])])
+    def test_no_repetitions_rejected_before_solving(self, tmp_path, solves, reps, seeds):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=reps, seeds=seeds))
+        assert solves == []
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_invalid_game_rejected_before_solving(self, tmp_path, solves):
         run = RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.3, strict=True)
