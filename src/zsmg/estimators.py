@@ -1,11 +1,14 @@
 """Payoff estimators feeding the learner, plus sampling-budget planners.
 
-The learner only ever sees an ``EstimateTriple``: per-state estimates of the
-stage-game payoff vector for each player and the scalar payoff both share.  In
-exact mode the triple is computed from the critic's stage games directly; in
-sampled mode it comes from visitation averages along a rollout generated by
-the exploration-mixed strategies, which is the only way the sampled path
-touches the game.
+The learner only ever sees an estimate triple: per-state estimates of the
+stage-game payoff vector for each player (``ell`` and ``r``) and the scalar
+payoff both share (``rho``).  An estimator returns it as an ``EstimateTriple``
+from ``estimates``, or writes ``ell`` and ``r`` into arrays the caller owns
+from ``estimate_into``, which the learner's loop uses.  In exact mode the
+triple is computed from the critic's stage games directly; in sampled mode it
+comes from visitation averages along a rollout generated by the
+exploration-mixed strategies, which is the only way the sampled path touches
+the game.
 """
 
 from __future__ import annotations
@@ -48,11 +51,18 @@ class EstimateTriple:
     rho: np.ndarray  # (S,)  estimate of x[s] @ Q_t[s] @ y[s]
 
 
+def _exact_into(q_t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                ell: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Write the noise-free ``ell`` and ``r`` into the given arrays; return ``rho``."""
+    np.einsum("sab,sb->sa", q_t, y, out=ell)
+    np.einsum("sab,sa->sb", q_t, x, out=r)
+    return np.einsum("sa,sa->s", x, ell)
+
+
 def exact_triple_from_q(q_t: np.ndarray, x: np.ndarray, y: np.ndarray) -> EstimateTriple:
     """Noise-free estimate triple from a stage-game tensor and the current strategies."""
-    ell = np.einsum("sab,sb->sa", q_t, y)
-    r = np.einsum("sab,sa->sb", q_t, x)
-    rho = np.einsum("sa,sa->s", x, ell)
+    ell, r = np.empty(x.shape), np.empty(y.shape)
+    rho = _exact_into(q_t, x, y, ell, r)
     return EstimateTriple(ell=ell, r=r, rho=rho)
 
 
@@ -63,11 +73,22 @@ def exact_estimates(game: MarkovGame, v_prev: np.ndarray,
 
 
 class ExactEstimator:
-    """Estimator that reads the stage games directly (zero estimation error)."""
+    """Estimator that reads the stage games directly (zero estimation error).
+
+    ``estimates`` returns ``(EstimateTriple, est_err)`` for a learner state.
+    ``estimate_into`` takes the strategies ``(x, y)`` and critic ``v``
+    instead, writes ``ell`` and ``r`` into the given arrays and returns
+    ``(rho, est_err)``.  ``SampledEstimator`` has the same two methods.
+    """
 
     def estimates(self, game: MarkovGame, state, q_t: np.ndarray,
                   collect_error: bool = False) -> tuple[EstimateTriple, float | None]:
         return exact_triple_from_q(q_t, state.x, state.y), None
+
+    def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
+                      q_t: np.ndarray, ell: np.ndarray, r: np.ndarray,
+                      collect_error: bool = False) -> tuple[np.ndarray, float | None]:
+        return _exact_into(q_t, x, y, ell, r), None
 
 
 def explore_mix(policy: np.ndarray, epsilon_prime: float) -> np.ndarray:
@@ -202,13 +223,25 @@ class SampledEstimator:
 
     def estimates(self, game: MarkovGame, state, q_t: np.ndarray,
                   collect_error: bool = False) -> tuple[EstimateTriple, float | None]:
-        x_mix = explore_mix(state.x, self.epsilon_prime)
-        y_mix = explore_mix(state.y, self.epsilon_prime)
+        return self._sample(game, state.x, state.y, state.v, q_t, collect_error)
+
+    def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
+                      q_t: np.ndarray, ell: np.ndarray, r: np.ndarray,
+                      collect_error: bool = False) -> tuple[np.ndarray, float | None]:
+        triple, err = self._sample(game, x, y, v, q_t, collect_error)
+        np.copyto(ell, triple.ell)
+        np.copyto(r, triple.r)
+        return triple.rho, err
+
+    def _sample(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
+                q_t: np.ndarray, collect_error: bool) -> tuple[EstimateTriple, float | None]:
+        x_mix = explore_mix(x, self.epsilon_prime)
+        y_mix = explore_mix(y, self.epsilon_prime)
         start = self.s_init if self.reset_each_iteration else self._current
         traj = rollout(game, x_mix, y_mix, self.rollout_len, start, self._rng)
         self._current = int(traj.states[-1])
         self.last_trajectory = traj
-        triple = sampled_estimates(traj, state.v, game.gamma)
+        triple = sampled_estimates(traj, v, game.gamma)
         err = None
         if collect_error:
             exact = exact_triple_from_q(q_t, x_mix, y_mix)

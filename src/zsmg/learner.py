@@ -251,20 +251,32 @@ def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
         name, shape, want = next(item for item in zip(("ell", "r", "rho"), shapes, expected)
                                  if item[1] != item[2])
         raise ValueError(f"payoff estimate {name} has shape {shape}, expected {want}")
-    eta = state.eta
-    g = np.full(state.z_hat.shape, _PAD)
-    np.multiply(ell, eta, out=g[:n_states, :n_a])
-    np.multiply(r, -eta, out=g[n_states:, :n_b])
+    z_hat, z = _ogda_update(state.z_hat, np.full(state.z_hat.shape, _PAD), ell, r, rho,
+                            state.eta)
+    return LearnerState(z_hat=z_hat, z=z, v=state.v, t=state.t + 1, eta=state.eta,
+                        n_actions_p1=n_a, n_actions_p2=n_b)
+
+
+def _ogda_update(z_hat: np.ndarray, g: np.ndarray, ell: np.ndarray, r: np.ndarray,
+                 rho: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The arithmetic and checks of ``ogda_step`` on checked estimates.
+
+    Writes ``eta * ell`` and ``r * (-eta)`` into the players' blocks of the
+    gradient ``g``, whose padded columns must hold ``_PAD``, and returns the
+    new ``(z_hat, z)``.  ``g`` is the only array written; the estimates are
+    read again only to name the cause when the finiteness test fails.
+    """
+    n_states = rho.shape[0]
+    np.multiply(ell, eta, out=g[:n_states, :ell.shape[1]])
+    np.multiply(r, -eta, out=g[n_states:, :r.shape[1]])
     if not (np.isfinite(g).all() and np.isfinite(rho).all()):
         for name, estimate in (("ell", ell), ("r", r), ("rho", rho)):
             if not np.isfinite(estimate).all():
                 raise ValueError(f"non-finite payoff estimate {name} passed to ogda_step")
         raise ValueError(f"eta={eta!r} times a payoff estimate overflows in ogda_step")
-    step = state.z_hat - g
+    step = z_hat - g
     z_hat = project_simplex(step)
-    return LearnerState(z_hat=z_hat, z=project_simplex(np.subtract(z_hat, g, out=step)),
-                        v=state.v, t=state.t + 1, eta=eta, n_actions_p1=n_a,
-                        n_actions_p2=n_b)
+    return z_hat, project_simplex(np.subtract(z_hat, g, out=step))
 
 
 def critic_step(v_prev: np.ndarray, rho: np.ndarray, alpha_t: float) -> np.ndarray:
@@ -459,7 +471,7 @@ def run_selfplay(
     """
     game = _prepare_game(game, config)
     alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
-    state = initial_state(game, eta=_resolve_eta(config, game),
+    start = initial_state(game, eta=_resolve_eta(config, game),
                           init_x=config.init_x, init_y=config.init_y)
     estimator = _build_estimator(config, game)
 
@@ -469,32 +481,41 @@ def run_selfplay(
         from .groundtruth import shapley_solve
         gt = shapley_solve(game)
 
-    n_states = game.n_states
+    # The iterates live in locals; a LearnerState is built only for the hook
+    # and the result.  No array handed out is ever written: each step
+    # returns fresh z_hat, z and v, and only the buffers below are reused.
+    # The estimator writes the raw estimates into ``ell`` and ``r``, and the
+    # step scales them into ``g``, whose padded columns keep _PAD for the
+    # whole run.  The raw estimates stay readable, so a failed finiteness
+    # test can name its cause without estimating again.
+    n_states, n_a, n_b = game.loss.shape
+    z_hat, z, v, eta = start.z_hat, start.z, start.v, start.eta
+    ell, r = np.empty((n_states, n_a)), np.empty((n_states, n_b))
+    g = np.full_like(z, _PAD)
     q_prev = np.zeros_like(game.loss)
-    x_prev = np.zeros_like(state.x)
-    y_prev = np.zeros_like(state.y)
+    z_prev = np.zeros_like(z)
     j_state = np.zeros(n_states)
     k_state = np.zeros(n_states)
     rows: list[metrics_mod.MetricsRow] = []
     started = time.perf_counter()
 
     for t in range(1, config.iterations + 1):
-        q_t = q_from_v(game, state.v)
+        q_t = q_from_v(game, v)
         alpha_t = alpha_fn(t)
         if cadence > 0:
-            x_t, y_t = state.x, state.y
             j_state, k_state, q_step = metrics_mod.diagnostics_update(
-                j_state, k_state, x_t, x_prev, y_t, y_prev, q_t, q_prev, alpha_t
+                j_state, k_state, z, z_prev, q_t, q_prev, alpha_t
             )
-            x_prev, y_prev, q_prev = x_t, y_t, q_t
+            z_prev, q_prev = z, q_t
         logging_now = cadence > 0 and t % cadence == 0
-        triple, est_err = estimator.estimates(
-            game, state, q_t, collect_error=logging_now
+        rho, est_err = estimator.estimate_into(
+            game, z[:n_states, :n_a], z[n_states:, :n_b], v, q_t, ell, r,
+            collect_error=logging_now,
         )
         if logging_now:
             row = metrics_mod.make_metrics_row(
                 t=t, game=game, ground_truth=gt,
-                x_hat=state.x_hat, y_hat=state.y_hat, q_t=q_t,
+                x_hat=z_hat[:n_states, :n_a], y_hat=z_hat[n_states:, :n_b], q_t=q_t,
                 j_max=float(j_state.max()), k_max=float(k_state.max()),
                 q_step_max=float(q_step.max()), est_err=est_err,
                 wall_clock=time.perf_counter() - started,
@@ -502,15 +523,14 @@ def run_selfplay(
             rows.append(row)
             if sink is not None:
                 sink(row)
-        stepped = ogda_step(state, triple)
-        state = LearnerState(
-            z_hat=stepped.z_hat, z=stepped.z, v=critic_step(state.v, triple.rho, alpha_t),
-            t=stepped.t, eta=stepped.eta, n_actions_p1=stepped.n_actions_p1,
-            n_actions_p2=stepped.n_actions_p2,
-        )
+        z_hat, z = _ogda_update(z_hat, g, ell, r, rho, eta)
+        v = critic_step(v, rho, alpha_t)
         if iteration_hook is not None:
-            iteration_hook(t, state)
+            iteration_hook(t, LearnerState(z_hat=z_hat, z=z, v=v, t=t + 1, eta=eta,
+                                           n_actions_p1=n_a, n_actions_p2=n_b))
 
+    state = LearnerState(z_hat=z_hat, z=z, v=v, t=config.iterations + 1, eta=eta,
+                         n_actions_p1=n_a, n_actions_p2=n_b)
     return RunResult(state=state, rows=rows, game=game, ground_truth=gt, config=config)
 
 

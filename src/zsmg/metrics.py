@@ -77,10 +77,8 @@ class MetricsRow:
 def diagnostics_update(
     j_prev: np.ndarray,
     k_prev: np.ndarray,
-    x_t: np.ndarray,
-    x_prev: np.ndarray,
-    y_t: np.ndarray,
-    y_prev: np.ndarray,
+    z_t: np.ndarray,
+    z_prev: np.ndarray,
     q_t: np.ndarray,
     q_prev: np.ndarray,
     alpha_t: float,
@@ -90,11 +88,22 @@ def diagnostics_update(
     J[s] <- (1-a) J[s] + a * ||z_t[s] - z_{t-1}[s]||^2   (policy movement)
     K[s] <- (1-a) K[s] + a * ||Q_t[s] - Q_{t-1}[s]||^2   (stage-game movement)
 
+    ``z_t`` and ``z_prev`` are the learner's stacked ``(2S, W)`` iterates:
+    player 1's strategies in rows ``0..S-1``, player 2's in ``S..2S-1``, each
+    in its own leading ``A`` or ``B`` columns, where ``(S, A, B)`` is the
+    shape of ``q_t``.  Both players' rows are differenced and squared in one
+    pass; each player's squares are then summed over its own columns only.
+    A whole padded row sums in another order once ``W`` reaches 8 (numpy's
+    pairwise sum unrolls eight wide), so it would not keep the bits of
+    summing each player's rows on their own.
+
     At t=1 call with zero prev arrays and alpha=1; the recursions then start at
     the first movement norms themselves.  Returns (J, K, per-state max-abs
     stage-game step) so callers can log the raw step too.
     """
-    move = ((x_t - x_prev) ** 2).sum(axis=1) + ((y_t - y_prev) ** 2).sum(axis=1)
+    n_states, n_a, n_b = q_t.shape
+    sq = (z_t - z_prev) ** 2
+    move = sq[:n_states, :n_a].sum(axis=1) + sq[n_states:, :n_b].sum(axis=1)
     q_step = np.abs(q_t - q_prev).max(axis=(1, 2))
     j_new = (1.0 - alpha_t) * j_prev + alpha_t * move
     k_new = (1.0 - alpha_t) * k_prev + alpha_t * q_step**2

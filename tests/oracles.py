@@ -9,6 +9,7 @@ the two is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -18,23 +19,29 @@ import numpy as np
 # Simplex grids, grid-based minimax and exhaustive projection
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def simplex_grid(n: int, step: float) -> np.ndarray:
     """All points of the n-simplex with coordinates on a uniform grid.
 
     Returns an array of shape (count, n) whose rows sum to one.  Supports
-    n in {2, 3}, which is all the tests need.
+    n in {2, 3}, which is all the tests need.  Each grid is built once per
+    ``(n, step)`` and returned read-only, since every caller gets the same
+    array.
     """
     m = int(round(1.0 / step))
     if n == 2:
         a = np.arange(m + 1) / m
-        return np.stack([a, 1.0 - a], axis=1)
-    if n == 3:
+        grid = np.stack([a, 1.0 - a], axis=1)
+    elif n == 3:
         blocks = []
         for i in range(m + 1):
             j = np.arange(m - i + 1)
             blocks.append(np.stack([np.full(j.size, i), j, m - i - j], axis=1))
-        return np.concatenate(blocks) / m
-    raise ValueError(f"simplex_grid supports n in {{2, 3}}, got {n}")
+        grid = np.concatenate(blocks) / m
+    else:
+        raise ValueError(f"simplex_grid supports n in {{2, 3}}, got {n}")
+    grid.flags.writeable = False
+    return grid
 
 
 def grid_minimax_value(q: np.ndarray, step: float = 1e-3) -> float:
@@ -260,16 +267,45 @@ def unstacked_ogda_step(state: UnstackedState, estimates) -> UnstackedState:
     return replace(state, x_hat=x_hat, x=x, y_hat=y_hat, y=y, t=state.t + 1)
 
 
+def unstacked_diagnostics_update(j_prev, k_prev, x_t, x_prev, y_t, y_prev, q_t, q_prev,
+                                 alpha_t):
+    """The movement diagnostics with each player's strategies in its own array.
+
+    The library's own arithmetic on purpose: it is the reference for
+    ``diagnostics_update``, which differences and squares the stacked
+    iterates in one pass and must return the same bits.
+    """
+    move = ((x_t - x_prev) ** 2).sum(axis=1) + ((y_t - y_prev) ** 2).sum(axis=1)
+    q_step = np.abs(q_t - q_prev).max(axis=(1, 2))
+    j_new = (1.0 - alpha_t) * j_prev + alpha_t * move
+    k_new = (1.0 - alpha_t) * k_prev + alpha_t * q_step**2
+    return j_new, k_new, q_step
+
+
+def contiguous_exact_triple(q_t, x, y):
+    """The exact estimate triple from three einsums into fresh contiguous arrays.
+
+    The reference for the learner's exact estimates, which the library writes
+    with ``out=`` into arrays its loop reuses and which must keep these bits.
+    """
+    from zsmg.estimators import EstimateTriple
+
+    ell = np.einsum("sab,sb->sa", q_t, y)
+    r = np.einsum("sab,sa->sb", q_t, x)
+    return EstimateTriple(ell=ell, r=r, rho=np.einsum("sa,sa->s", x, ell))
+
+
 def unstacked_selfplay(game, config, ground_truth=None):
     """Self-play loop built on ``unstacked_ogda_step``; returns (final state, rows).
 
     The loop updates the movement diagnostics every iteration, with or
-    without metric rows.  ``ground_truth`` is required when
+    without metric rows, and computes exact estimates with
+    ``contiguous_exact_triple``.  ``ground_truth`` is required when
     ``config.cadence > 0``.
     """
     from zsmg.learner import (_build_estimator, _prepare_game, _resolve_eta, critic_step,
                               initial_state, make_alpha_schedule)
-    from zsmg.metrics import diagnostics_update, make_metrics_row
+    from zsmg.metrics import make_metrics_row
     from zsmg.games import q_from_v
 
     game = _prepare_game(game, config)
@@ -289,11 +325,14 @@ def unstacked_selfplay(game, config, ground_truth=None):
     for t in range(1, config.iterations + 1):
         q_t = q_from_v(game, state.v)
         alpha_t = alpha_fn(t)
-        j_state, k_state, q_step = diagnostics_update(
+        j_state, k_state, q_step = unstacked_diagnostics_update(
             j_state, k_state, state.x, x_prev, state.y, y_prev, q_t, q_prev, alpha_t
         )
         logging_now = cadence > 0 and t % cadence == 0
-        triple, est_err = estimator.estimates(game, state, q_t, collect_error=logging_now)
+        if config.estimator == "exact":
+            triple, est_err = contiguous_exact_triple(q_t, state.x, state.y), None
+        else:
+            triple, est_err = estimator.estimates(game, state, q_t, collect_error=logging_now)
         if logging_now:
             rows.append(make_metrics_row(
                 t=t, game=game, ground_truth=ground_truth,

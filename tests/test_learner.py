@@ -7,10 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zsmg import groundtruth as groundtruth_mod
-from zsmg.estimators import EstimateTriple, exact_estimates
+from zsmg import learner as learner_mod
+from zsmg.estimators import EstimateTriple, ExactEstimator, exact_estimates
 from zsmg.games import MarkovGame, evaluate_policy_pair, JointPolicy, q_from_v
 from zsmg.gamegen import random_game
 from zsmg.groundtruth import shapley_solve
@@ -576,6 +577,79 @@ class TestRunSelfplay:
             assert getattr(result.state, name).tobytes() == getattr(ref_state, name).tobytes()
         assert result.state.t == ref_state.t == 121
         assert [replace(row, wall_clock=None) for row in result.rows] == ref_rows
+
+    # A whole padded row sum gets the diagnostics' bits wrong at these widths,
+    # and a row at every iteration shows it in every one of these runs.
+    @example(shape=(1, 8, 5), estimator="exact", cadence=1)
+    @example(shape=(1, 9, 4), estimator="exact", cadence=1)
+    @example(shape=(1, 5, 8), estimator="exact", cadence=1)
+    @example(shape=(3, 8, 5), estimator="sampled", cadence=1)
+    @example(shape=(3, 9, 4), estimator="sampled", cadence=1)
+    @example(shape=(3, 5, 8), estimator="sampled", cadence=1)
+    @settings(max_examples=40)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+           estimator=st.sampled_from(["exact", "sampled"]), cadence=st.sampled_from([0, 1]))
+    def test_whole_runs_match_the_unstacked_oracle(self, shape, estimator, cadence):
+        # The loop writes estimates into strided rows of a padded buffer and
+        # runs the diagnostics on the stacked iterates; the oracle keeps one
+        # array per player and fresh contiguous estimates.
+        n_states, n_a, n_b = shape
+        seed = n_states * 100 + n_a * 10 + n_b
+        game = random_game(seed=seed, n_states=n_states, n_actions_p1=n_a,
+                           n_actions_p2=n_b, gamma=0.9)
+        rng = np.random.default_rng(seed)
+        cfg = RunConfig(iterations=40, eta=0.01, cadence=cadence, seed=seed,
+                        estimator=estimator, rollout_len=12 if estimator == "sampled" else 0,
+                        epsilon=1.0, init_x=rng.dirichlet(np.ones(n_a), size=n_states),
+                        init_y=rng.dirichlet(np.ones(n_b), size=n_states))
+        gt = shapley_solve(game) if cadence else None
+        result = run_selfplay(game, cfg, ground_truth=gt)
+        ref_state, ref_rows = unstacked_selfplay(game, cfg, gt)
+        for name in ("x_hat", "x", "y_hat", "y", "v"):
+            assert getattr(result.state, name).tobytes() == getattr(ref_state, name).tobytes()
+        assert [replace(row, wall_clock=None) for row in result.rows] == ref_rows
+        assert len(ref_rows) == (40 if cadence else 0)
+
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
+    def test_loop_never_writes_a_state_it_handed_out(self, switching_mp, estimator):
+        kept = []
+
+        def keep(t, state):
+            kept.append((t, state, [arr.copy() for arr in (state.z_hat, state.z, state.v)]))
+
+        cfg = RunConfig(iterations=40, eta=0.05, cadence=5, estimator=estimator,
+                        rollout_len=20 if estimator == "sampled" else 0, seed=1)
+        result = run_selfplay(switching_mp, cfg, iteration_hook=keep)
+        assert [(t, state.t) for t, state, _ in kept] == [(t, t + 1) for t in range(1, 41)]
+        for t, state, copies in kept:
+            for arr, copy in zip((state.z_hat, state.z, state.v), copies):
+                assert arr.tobytes() == copy.tobytes(), t
+        final = kept[-1][1]
+        for name in ("z_hat", "z", "v", "t"):
+            assert np.array_equal(getattr(result.state, name), getattr(final, name))
+
+    @pytest.mark.parametrize("name, value, eta, message", [
+        ("ell", np.nan, 0.05, "non-finite payoff estimate ell passed"),
+        ("r", np.inf, 0.05, "non-finite payoff estimate r passed"),
+        ("rho", -np.inf, 0.05, "non-finite payoff estimate rho passed"),
+        ("r", -1e10, 1e300, "eta=1e+300 times a payoff estimate overflows"),
+    ], ids=["nan_ell", "inf_r", "-inf_rho", "eta_overflow"])
+    def test_loop_names_the_cause_of_a_non_finite_gradient(self, switching_mp, monkeypatch,
+                                                           name, value, eta, message):
+        # The loop scales the estimates into its gradient buffer; the cause
+        # is still named from the raw estimates, before any state is handed out.
+        class Corrupting(ExactEstimator):
+            def estimate_into(self, game, x, y, v, q_t, ell, r, collect_error=False):
+                rho, err = super().estimate_into(game, x, y, v, q_t, ell, r, collect_error)
+                {"ell": ell, "r": r, "rho": rho}[name].flat[-1] = value
+                return rho, err
+
+        monkeypatch.setattr(learner_mod, "_build_estimator", lambda config, game: Corrupting())
+        seen = []
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message)):
+            run_selfplay(switching_mp, RunConfig(iterations=3, eta=eta),
+                         iteration_hook=lambda t, state: seen.append(t))
+        assert seen == []
 
     @pytest.mark.parametrize("estimator", ["exact", "sampled"])
     def test_diagnostics_do_not_touch_iterates(self, estimator):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from zsmg.groundtruth import shapley_solve
 from zsmg.metrics import (
@@ -18,6 +19,8 @@ from zsmg.metrics import (
     write_aggregate_csv,
     write_metrics_csv,
 )
+
+from oracles import unstacked_diagnostics_update
 
 
 def _row(t, base=0.5, **overrides):
@@ -41,7 +44,7 @@ class TestDiagnostics:
         x_t = np.array([[0.3, 0.7], [0.5, 0.5]])
         y_t = np.array([[1.0, 0.0], [0.0, 1.0]])
         j, k, q_step = diagnostics_update(
-            np.zeros(2), np.zeros(2), x_t, x_prev, y_t, y_prev,
+            np.zeros(2), np.zeros(2), np.vstack([x_t, y_t]), np.vstack([x_prev, y_prev]),
             np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), alpha_t=1.0,
         )
         expected = np.sum(x_t**2, axis=1) + np.sum(y_t**2, axis=1)
@@ -55,7 +58,8 @@ class TestDiagnostics:
         x = np.array([[0.5, 0.5]])
         q = np.zeros((1, 2, 2))
         for _ in range(3):
-            j, k, _ = diagnostics_update(j, k, x, x, x, x, q, q, alpha_t=0.5)
+            j, k, _ = diagnostics_update(j, k, np.vstack([x, x]), np.vstack([x, x]), q, q,
+                                         alpha_t=0.5)
         assert j[0] == pytest.approx(1.0 / 8.0, abs=1e-15)
         assert k[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -63,10 +67,30 @@ class TestDiagnostics:
         q_prev = np.zeros((1, 2, 2))
         q_t = np.array([[[0.1, -0.4], [0.2, 0.0]]])
         _, _, q_step = diagnostics_update(
-            np.zeros(1), np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)),
-            np.zeros((1, 2)), np.zeros((1, 2)), q_t, q_prev, alpha_t=1.0,
+            np.zeros(1), np.zeros(1), np.zeros((2, 2)), np.zeros((2, 2)), q_t, q_prev,
+            alpha_t=1.0,
         )
         assert q_step[0] == pytest.approx(0.4, abs=0)
+
+    # A whole padded row sum gets the bits wrong at these widths.
+    @example(n_states=3, widths=(8, 5), seed=1)
+    @example(n_states=2, widths=(9, 4), seed=6)
+    @example(n_states=3, widths=(5, 8), seed=0)
+    @given(n_states=st.integers(1, 4), widths=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_stacked_iterates_match_the_unstacked_reference(self, n_states, widths, seed):
+        rng = np.random.default_rng(seed)
+        n_a, n_b = widths
+        x_t, x_p = (rng.dirichlet(np.ones(n_a), size=n_states) for _ in range(2))
+        y_t, y_p = (rng.dirichlet(np.ones(n_b), size=n_states) for _ in range(2))
+        z_t, z_p = (np.zeros((2 * n_states, max(widths))) for _ in range(2))
+        for z, x, y in ((z_t, x_t, y_t), (z_p, x_p, y_p)):
+            z[:n_states, :n_a], z[n_states:, :n_b] = x, y
+        q_t, q_p = rng.uniform(size=(2, n_states, n_a, n_b))
+        j, k = rng.uniform(size=(2, n_states))
+        got = diagnostics_update(j, k, z_t, z_p, q_t, q_p, alpha_t=0.3)
+        want = unstacked_diagnostics_update(j, k, x_t, x_p, y_t, y_p, q_t, q_p, alpha_t=0.3)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_outputs_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -76,8 +100,8 @@ class TestDiagnostics:
             x_t, x_p = rng.dirichlet(np.ones(2), size=3), rng.dirichlet(np.ones(2), size=3)
             y_t, y_p = rng.dirichlet(np.ones(2), size=3), rng.dirichlet(np.ones(2), size=3)
             q_t, q_p = rng.uniform(size=(3, 2, 2)), rng.uniform(size=(3, 2, 2))
-            j, k, q_step = diagnostics_update(j, k, x_t, x_p, y_t, y_p, q_t, q_p,
-                                              alpha_t=1.0 / t)
+            j, k, q_step = diagnostics_update(j, k, np.vstack([x_t, y_t]), np.vstack([x_p, y_p]),
+                                              q_t, q_p, alpha_t=1.0 / t)
             assert np.all(j >= 0.0) and np.all(k >= 0.0) and np.all(q_step >= 0.0)
 
 
