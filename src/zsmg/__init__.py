@@ -46,7 +46,6 @@ from .learner import (
 )
 from .estimators import (
     AccuracyBudget,
-    EstimateTriple,
     ExactEstimator,
     MuEstimate,
     ReducibleChainError,
@@ -54,7 +53,6 @@ from .estimators import (
     SampledEstimator,
     Trajectory,
     estimate_mu,
-    exact_estimates,
     explore_mix,
     plan_accuracy_budget,
     plan_sample_budget,

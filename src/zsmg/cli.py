@@ -37,6 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _step_size(text: str) -> float | str:
+    """The value of a run's ``--eta``: 'auto' or a number."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zsmg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"zsmg {__version__}")
@@ -63,7 +73,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--game", default=None)
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--eta", default=None, help="step size (number or 'auto')")
+        p.add_argument("--eta", type=_step_size, default=None,
+                       help="step size (number or 'auto')")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cadence", type=int, default=None)
         p.add_argument("--estimator", choices=["exact", "sampled"], default=None)
@@ -161,7 +172,7 @@ def _experiment_from_args(args, opponent=None) -> ExperimentConfig:
         # A builtin takes the discount in its spec; any other game through the run.
         "gamma": None if args.game in BUILTIN_NAMES else args.gamma,
         "iterations": args.iterations,
-        "eta": args.eta if args.eta in (None, "auto") else float(args.eta),
+        "eta": args.eta,
         "seed": args.seed,
         "cadence": args.cadence,
         "estimator": args.estimator,

@@ -1,34 +1,34 @@
 """Payoff estimators feeding the learner, plus sampling-budget planners.
 
-The learner only ever sees an estimate triple: per-state estimates of the
-stage-game payoff vector for each player (``ell`` and ``r``) and the scalar
-payoff both share (``rho``).  An estimator returns it as an ``EstimateTriple``
-from ``estimates``, or writes ``ell`` and ``r`` into arrays the caller owns
-from ``estimate_into``, which the learner's loop uses.  In exact mode the
-triple is computed from the critic's stage games directly; in sampled mode it
-comes from visitation averages along a rollout generated by the
-exploration-mixed strategies, which is the only way the sampled path touches
-the game.
+The learner only ever sees per-state payoff estimates: each player's
+stage-game payoff vector (``ell`` for player 1, ``r`` for player 2) and the
+scalar payoff both share (``rho``).  An estimator has one method,
+``estimate_into(game, x, y, v, q_t, ell, r, collect_error)``: it writes
+``ell`` and ``r`` into arrays the caller owns and returns ``(rho, est_err)``.
+Its body is one public estimate function.  In exact mode that is
+``exact_triple_from_q``, which reads the critic's stage games directly; in
+sampled mode it is ``sampled_estimates``, which averages visits along a
+rollout generated by the exploration-mixed strategies, the only way the
+sampled path touches the game.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .games import MarkovGame, q_from_v
+from .games import MarkovGame
 
 __all__ = [
-    "EstimateTriple",
     "Trajectory",
     "SampleBudget",
     "AccuracyBudget",
     "MuEstimate",
     "ReducibleChainError",
-    "exact_estimates",
     "exact_triple_from_q",
     "ExactEstimator",
     "SampledEstimator",
@@ -41,54 +41,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EstimateTriple:
-    """Per-state payoff estimates: player 1's action payoffs ``ell``,
-    player 2's action payoffs ``r``, and the shared scalar payoff ``rho``."""
+def exact_triple_from_q(q_t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                        ell: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Noise-free estimates from a stage-game tensor and the current strategies.
 
-    ell: np.ndarray  # (S, A) estimate of Q_t[s] @ y[s]
-    r: np.ndarray    # (S, B) estimate of Q_t[s].T @ x[s]
-    rho: np.ndarray  # (S,)  estimate of x[s] @ Q_t[s] @ y[s]
-
-
-def _exact_into(q_t: np.ndarray, x: np.ndarray, y: np.ndarray,
-                ell: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Write the noise-free ``ell`` and ``r`` into the given arrays; return ``rho``."""
+    Writes ``ell[s] = Q_t[s] @ y[s]`` and ``r[s] = Q_t[s].T @ x[s]`` into the
+    given arrays and returns ``rho[s] = x[s] @ ell[s]``, read from the
+    written ``ell``.
+    """
     np.einsum("sab,sb->sa", q_t, y, out=ell)
     np.einsum("sab,sa->sb", q_t, x, out=r)
     return np.einsum("sa,sa->s", x, ell)
 
 
-def exact_triple_from_q(q_t: np.ndarray, x: np.ndarray, y: np.ndarray) -> EstimateTriple:
-    """Noise-free estimate triple from a stage-game tensor and the current strategies."""
-    ell, r = np.empty(x.shape), np.empty(y.shape)
-    rho = _exact_into(q_t, x, y, ell, r)
-    return EstimateTriple(ell=ell, r=r, rho=rho)
-
-
-def exact_estimates(game: MarkovGame, v_prev: np.ndarray,
-                    x: np.ndarray, y: np.ndarray) -> EstimateTriple:
-    """Exact payoff triple for strategies (x, y) under critic values ``v_prev``."""
-    return exact_triple_from_q(q_from_v(game, v_prev), x, y)
-
-
 class ExactEstimator:
     """Estimator that reads the stage games directly (zero estimation error).
 
-    ``estimates`` returns ``(EstimateTriple, est_err)`` for a learner state.
-    ``estimate_into`` takes the strategies ``(x, y)`` and critic ``v``
-    instead, writes ``ell`` and ``r`` into the given arrays and returns
-    ``(rho, est_err)``.  ``SampledEstimator`` has the same two methods.
+    ``estimate_into`` writes ``ell`` and ``r`` for the strategies ``(x, y)``
+    into the given arrays and returns ``(rho, None)``.  ``SampledEstimator``
+    has the same method.
     """
-
-    def estimates(self, game: MarkovGame, state, q_t: np.ndarray,
-                  collect_error: bool = False) -> tuple[EstimateTriple, float | None]:
-        return exact_triple_from_q(q_t, state.x, state.y), None
 
     def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
                       q_t: np.ndarray, ell: np.ndarray, r: np.ndarray,
                       collect_error: bool = False) -> tuple[np.ndarray, float | None]:
-        return _exact_into(q_t, x, y, ell, r), None
+        return exact_triple_from_q(q_t, x, y, ell, r), None
 
 
 def explore_mix(policy: np.ndarray, epsilon_prime: float) -> np.ndarray:
@@ -177,27 +154,33 @@ def rollout(
     )
 
 
-def sampled_estimates(traj: Trajectory, v_prev: np.ndarray, gamma: float) -> EstimateTriple:
+def sampled_estimates(traj: Trajectory, v_prev: np.ndarray, gamma: float,
+                      ell: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Visitation-average payoff estimates from one rollout.
 
     Each sample contributes its realized loss plus the discounted critic value
     of the observed next state; estimates average these over the matching
-    visits.  Entries with zero visits are exactly 0.
+    visits.  The means for ``ell`` and ``r`` are written into the given
+    arrays, and the one for ``rho`` is returned.  Entries with zero visits
+    are exactly 0, whatever the arrays held before.
     """
     v_prev = np.asarray(v_prev, dtype=np.float64)
     n_s, n_a, n_b = traj.n_states, traj.n_actions_p1, traj.n_actions_p2
     target = traj.losses + gamma * v_prev[traj.states[1:]]
     s = traj.states[:-1]
 
-    def mean_by(idx: np.ndarray, n_bins: int) -> np.ndarray:
-        sums = np.bincount(idx, weights=target, minlength=n_bins)
-        counts = np.bincount(idx, minlength=n_bins)
-        return np.divide(sums, counts, out=np.zeros(n_bins), where=counts > 0)
+    def mean_into(idx: np.ndarray, shape: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+        # Sums and counts are fresh, so their reshapes are views; ``out`` is
+        # written only by the fill and the division.
+        n_bins = math.prod(shape)
+        sums = np.bincount(idx, weights=target, minlength=n_bins).reshape(shape)
+        counts = np.bincount(idx, minlength=n_bins).reshape(shape)
+        out[...] = 0.0
+        return np.divide(sums, counts, out=out, where=counts > 0)
 
-    ell = mean_by(s * n_a + traj.actions_p1, n_s * n_a).reshape(n_s, n_a)
-    r = mean_by(s * n_b + traj.actions_p2, n_s * n_b).reshape(n_s, n_b)
-    rho = mean_by(s, n_s)
-    return EstimateTriple(ell=ell, r=r, rho=rho)
+    mean_into(s * n_a + traj.actions_p1, (n_s, n_a), ell)
+    mean_into(s * n_b + traj.actions_p2, (n_s, n_b), r)
+    return mean_into(s, (n_s,), np.empty(n_s))
 
 
 class SampledEstimator:
@@ -205,52 +188,46 @@ class SampledEstimator:
 
     Keeps its own generator (seeded once) and, by default, continues each
     rollout from where the previous one stopped, modeling one uninterrupted
-    stream of play.  ``reset_each_iteration`` restarts from ``s_init`` instead
-    (useful when debugging visitation issues).
+    stream of play.  ``reset_each_iteration`` restarts every rollout from
+    state 0 instead (useful when debugging visitation issues).
     """
 
     def __init__(self, rollout_len: int, epsilon_prime: float, seed: int = 0,
-                 reset_each_iteration: bool = False, s_init: int = 0):
+                 reset_each_iteration: bool = False):
         if rollout_len < 1:
             raise ValueError("rollout_len must be >= 1")
         self.rollout_len = int(rollout_len)
         self.epsilon_prime = float(epsilon_prime)
         self.reset_each_iteration = bool(reset_each_iteration)
-        self.s_init = int(s_init)
-        self._current = int(s_init)
+        self._current = 0
         self._rng = np.random.default_rng(seed)
         self.last_trajectory: Trajectory | None = None
-
-    def estimates(self, game: MarkovGame, state, q_t: np.ndarray,
-                  collect_error: bool = False) -> tuple[EstimateTriple, float | None]:
-        return self._sample(game, state.x, state.y, state.v, q_t, collect_error)
 
     def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
                       q_t: np.ndarray, ell: np.ndarray, r: np.ndarray,
                       collect_error: bool = False) -> tuple[np.ndarray, float | None]:
-        triple, err = self._sample(game, x, y, v, q_t, collect_error)
-        np.copyto(ell, triple.ell)
-        np.copyto(r, triple.r)
-        return triple.rho, err
+        """Roll out, write the visit means into ``ell`` and ``r``, return ``(rho, est_err)``.
 
-    def _sample(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
-                q_t: np.ndarray, collect_error: bool) -> tuple[EstimateTriple, float | None]:
+        With ``collect_error`` the error is the largest deviation of any
+        estimate from the exact one for the exploration-mixed strategies.
+        """
         x_mix = explore_mix(x, self.epsilon_prime)
         y_mix = explore_mix(y, self.epsilon_prime)
-        start = self.s_init if self.reset_each_iteration else self._current
+        start = 0 if self.reset_each_iteration else self._current
         traj = rollout(game, x_mix, y_mix, self.rollout_len, start, self._rng)
         self._current = int(traj.states[-1])
         self.last_trajectory = traj
-        triple = sampled_estimates(traj, v, game.gamma)
+        rho = sampled_estimates(traj, v, game.gamma, ell, r)
         err = None
         if collect_error:
-            exact = exact_triple_from_q(q_t, x_mix, y_mix)
+            exact_ell, exact_r = np.empty(x_mix.shape), np.empty(y_mix.shape)
+            exact_rho = exact_triple_from_q(q_t, x_mix, y_mix, exact_ell, exact_r)
             err = float(max(
-                np.max(np.abs(triple.ell - exact.ell)),
-                np.max(np.abs(triple.r - exact.r)),
-                np.max(np.abs(triple.rho - exact.rho)),
+                np.max(np.abs(ell - exact_ell)),
+                np.max(np.abs(r - exact_r)),
+                np.max(np.abs(rho - exact_rho)),
             ))
-        return triple, err
+        return rho, err
 
 
 # ---------------------------------------------------------------------------

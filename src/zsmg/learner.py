@@ -19,7 +19,6 @@ import numpy as np
 
 from . import estimators as est_mod
 from . import metrics as metrics_mod
-from .estimators import EstimateTriple
 from .games import (MarkovGame, JointPolicy, _induced_mdp, distribution_rows_error, q_from_v,
                     validate_game)
 
@@ -220,7 +219,8 @@ def _initial_strategies(game: MarkovGame, init_x, init_y) -> tuple[np.ndarray, n
     return x, y
 
 
-def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
+def ogda_step(state: LearnerState, ell: np.ndarray, r: np.ndarray,
+              rho: np.ndarray) -> LearnerState:
     """One optimistic gradient step for both players; the critic is untouched.
 
     Anchor update then a lookahead step with the same gradient:
@@ -235,6 +235,8 @@ def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
     and the projection works row by row, so every real entry is bit-identical
     to the four separate projections and no row depends on another.
 
+    The estimates are the ones an estimator's ``estimate_into`` yields:
+    player 1's payoffs ``ell``, player 2's ``r`` and the shared ``rho``.
     Estimates whose shapes are not ``(S, A)``, ``(S, B)`` and ``(S,)`` raise
     ValueError before any arithmetic.  One finiteness test on ``g`` and
     ``rho`` then raises ValueError, naming the estimate, if one holds NaN or
@@ -244,7 +246,6 @@ def ogda_step(state: LearnerState, estimates: EstimateTriple) -> LearnerState:
     """
     n_states = state.v.shape[0]
     n_a, n_b = state.n_actions_p1, state.n_actions_p2
-    ell, r, rho = estimates.ell, estimates.r, estimates.rho
     shapes = (np.shape(ell), np.shape(r), np.shape(rho))
     expected = ((n_states, n_a), (n_states, n_b), (n_states,))
     if shapes != expected:
@@ -367,8 +368,9 @@ def _resolve_eta(config: RunConfig, game: MarkovGame) -> float:
     if config.eta == "auto":
         return cap
     eta = float(config.eta)
-    if eta <= 0:
-        raise ValueError(f"step size must be positive, got {eta}")
+    # NaN fails the test too, so it needs no case of its own.
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"step size must be finite and positive, got eta={eta!r}")
     if config.strict and eta > cap * (1.0 + 1e-12):
         raise ValueError(
             f"strict mode: eta={eta} exceeds the guaranteed-stable maximum {cap:.6e}"

@@ -243,7 +243,7 @@ class UnstackedState:
     eta: float
 
 
-def unstacked_ogda_step(state: UnstackedState, estimates) -> UnstackedState:
+def unstacked_ogda_step(state: UnstackedState, ell, r, rho) -> UnstackedState:
     """The optimistic step as four ``project_simplex`` calls.
 
     Unlike the other oracles this is the library's own arithmetic on purpose:
@@ -252,14 +252,10 @@ def unstacked_ogda_step(state: UnstackedState, estimates) -> UnstackedState:
     """
     from zsmg.learner import project_simplex
 
-    if not (
-        np.isfinite(estimates.ell).all()
-        and np.isfinite(estimates.r).all()
-        and np.isfinite(estimates.rho).all()
-    ):
+    if not (np.isfinite(ell).all() and np.isfinite(r).all() and np.isfinite(rho).all()):
         raise ValueError("non-finite payoff estimates passed to ogda_step")
-    gx = state.eta * estimates.ell
-    gy = state.eta * estimates.r
+    gx = state.eta * ell
+    gy = state.eta * r
     x_hat = project_simplex(state.x_hat - gx)
     x = project_simplex(x_hat - gx)
     y_hat = project_simplex(state.y_hat + gy)
@@ -283,16 +279,36 @@ def unstacked_diagnostics_update(j_prev, k_prev, x_t, x_prev, y_t, y_prev, q_t, 
 
 
 def contiguous_exact_triple(q_t, x, y):
-    """The exact estimate triple from three einsums into fresh contiguous arrays.
+    """The exact ``(ell, r, rho)`` from three einsums into fresh contiguous arrays.
 
     The reference for the learner's exact estimates, which the library writes
     with ``out=`` into arrays its loop reuses and which must keep these bits.
     """
-    from zsmg.estimators import EstimateTriple
-
     ell = np.einsum("sab,sb->sa", q_t, y)
     r = np.einsum("sab,sa->sb", q_t, x)
-    return EstimateTriple(ell=ell, r=r, rho=np.einsum("sa,sa->s", x, ell))
+    return ell, r, np.einsum("sa,sa->s", x, ell)
+
+
+def fresh_sampled_estimates(traj, v_prev, gamma):
+    """Visit-mean ``(ell, r, rho)`` of a rollout, each built in a fresh zeroed array.
+
+    The reference for ``sampled_estimates``, which writes ``ell`` and ``r``
+    into arrays the caller owns and reuses, and must give these bits whatever
+    those arrays held before.
+    """
+    v_prev = np.asarray(v_prev, dtype=np.float64)
+    n_s, n_a, n_b = traj.n_states, traj.n_actions_p1, traj.n_actions_p2
+    target = traj.losses + gamma * v_prev[traj.states[1:]]
+    s = traj.states[:-1]
+
+    def mean_by(idx, n_bins):
+        sums = np.bincount(idx, weights=target, minlength=n_bins)
+        counts = np.bincount(idx, minlength=n_bins)
+        return np.divide(sums, counts, out=np.zeros(n_bins), where=counts > 0)
+
+    ell = mean_by(s * n_a + traj.actions_p1, n_s * n_a).reshape(n_s, n_a)
+    r = mean_by(s * n_b + traj.actions_p2, n_s * n_b).reshape(n_s, n_b)
+    return ell, r, mean_by(s, n_s)
 
 
 def unstacked_selfplay(game, config, ground_truth=None):
@@ -330,9 +346,11 @@ def unstacked_selfplay(game, config, ground_truth=None):
         )
         logging_now = cadence > 0 and t % cadence == 0
         if config.estimator == "exact":
-            triple, est_err = contiguous_exact_triple(q_t, state.x, state.y), None
+            (ell, r, rho), est_err = contiguous_exact_triple(q_t, state.x, state.y), None
         else:
-            triple, est_err = estimator.estimates(game, state, q_t, collect_error=logging_now)
+            ell, r = np.empty_like(state.x), np.empty_like(state.y)
+            rho, est_err = estimator.estimate_into(game, state.x, state.y, state.v, q_t,
+                                                   ell, r, collect_error=logging_now)
         if logging_now:
             rows.append(make_metrics_row(
                 t=t, game=game, ground_truth=ground_truth,
@@ -341,8 +359,8 @@ def unstacked_selfplay(game, config, ground_truth=None):
                 q_step_max=float(q_step.max()), est_err=est_err,
             ))
         x_prev, y_prev, q_prev = state.x, state.y, q_t
-        stepped = unstacked_ogda_step(state, triple)
-        state = replace(stepped, v=critic_step(state.v, triple.rho, alpha_t))
+        stepped = unstacked_ogda_step(state, ell, r, rho)
+        state = replace(stepped, v=critic_step(state.v, rho, alpha_t))
     return state, rows
 
 

@@ -21,12 +21,7 @@ from oracles import (
     sort_projection_1d,
 )
 from zsmg.cli import main
-from zsmg.estimators import (
-    exact_estimates,
-    exact_triple_from_q,
-    rollout,
-    sampled_estimates,
-)
+from zsmg.estimators import exact_triple_from_q, rollout, sampled_estimates
 from zsmg.gamegen import builtin, random_game
 from zsmg.games import JointPolicy, best_response, evaluate_policy_pair, q_from_v
 from zsmg.groundtruth import game_duality_gap, shapley_solve, solve_matrix_game
@@ -122,9 +117,10 @@ def test_criterion_03_frozen_critic_reduces_to_matrix_ogda():
     q = q_frozen[0]
     x_hat, x = x0.copy(), x0.copy()
     y_hat, y = y0.copy(), y0.copy()
+    est_ell, est_r = np.empty((1, 2)), np.empty((1, 2))
     for _ in range(10_000):
-        triple = exact_triple_from_q(q_frozen, state.x, state.y)
-        state = ogda_step(state, triple)
+        rho = exact_triple_from_q(q_frozen, state.x, state.y, est_ell, est_r)
+        state = ogda_step(state, est_ell, est_r, rho)
         ell = scalar_mat_vec(q, y)
         r = scalar_vec_mat(x, q)
         x_hat = sort_projection_1d(x_hat - eta * ell)
@@ -225,7 +221,9 @@ def test_criterion_08_sampled_estimates_consistency():
     x = np.full((2, 2), 0.5)
     y = np.full((2, 2), 0.5)
     v_prev = np.array([0.3, 0.7])
-    exact = exact_estimates(game, v_prev, x, y)
+    exact_ell, exact_r = np.empty((2, 2)), np.empty((2, 2))
+    exact_triple_from_q(q_from_v(game, v_prev), x, y, exact_ell, exact_r)
+    ell, r = np.empty((2, 2)), np.empty((2, 2))
 
     medians = []
     for length in (1_000, 10_000, 100_000):
@@ -233,8 +231,8 @@ def test_criterion_08_sampled_estimates_consistency():
         for k in range(20):
             traj = rollout(game, x, y, n_steps=length, s_init=0,
                            rng=np.random.default_rng(9000 + k))
-            est = sampled_estimates(traj, v_prev, game.gamma)
-            errors.append(float(np.max(np.abs(est.ell - exact.ell))))
+            sampled_estimates(traj, v_prev, game.gamma, ell, r)
+            errors.append(float(np.max(np.abs(ell - exact_ell))))
         medians.append(float(np.median(errors)))
     print(f"criterion 8: median ell error by budget = {medians}")
     assert medians[0] > medians[1] > medians[2]
@@ -243,9 +241,10 @@ def test_criterion_08_sampled_estimates_consistency():
     x_pure = np.array([[1.0, 0.0], [1.0, 0.0]])
     traj = rollout(game, x_pure, y, n_steps=2000, s_init=0,
                    rng=np.random.default_rng(77))
-    est = sampled_estimates(traj, v_prev, game.gamma)
-    assert est.ell[0, 1] == 0.0 and est.ell[1, 1] == 0.0
-    assert est.ell[0, 0] != 0.0
+    ell.fill(np.nan)
+    sampled_estimates(traj, v_prev, game.gamma, ell, r)
+    assert ell[0, 1] == 0.0 and ell[1, 1] == 0.0
+    assert ell[0, 0] != 0.0
 
 
 def test_criterion_09_diagnostics_sanity(convergence_runs):

@@ -48,6 +48,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["run", "rational"])
+    def test_bad_eta_is_usage_error(self, cli, tmp_path, command):
+        code, out, err = cli(command, "--game", "mp1", "--iterations", "5", "--eta", "abc",
+                             "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("usage error:") and "--eta" in err and "'abc'" in err
+        assert out == "" and not list(tmp_path.iterdir())
+
     def test_version_flag_raises_system_exit(self, cli):
         with pytest.raises(SystemExit) as excinfo:
             cli("--version")

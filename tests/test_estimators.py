@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from zsmg.estimators import (
     SampledEstimator,
     Trajectory,
     estimate_mu,
-    exact_estimates,
     exact_triple_from_q,
     explore_mix,
     plan_accuracy_budget,
@@ -20,18 +21,32 @@ from zsmg.estimators import (
     rollout,
     sampled_estimates,
 )
-from zsmg.games import MarkovGame, validate_game
+from zsmg.games import MarkovGame, q_from_v, validate_game
 from zsmg.gamegen import random_game
 from zsmg.learner import RunConfig, initial_state, run_selfplay
 
 from oracles import (
     average_gap_budget_reference,
     binomial_three_se,
+    fresh_sampled_estimates,
     last_iterate_budget_reference,
     sample_budget_reference,
     searchsorted_rollout,
     two_state_hitting_time,
 )
+
+
+def _exact(q, x, y):
+    """``(ell, r, rho)`` from ``exact_triple_from_q`` into fresh arrays."""
+    ell, r = np.empty(x.shape), np.empty(y.shape)
+    return ell, r, exact_triple_from_q(q, x, y, ell, r)
+
+
+def _sampled(traj, v_prev, gamma):
+    """``(ell, r, rho)`` from ``sampled_estimates`` into fresh arrays."""
+    ell = np.empty((traj.n_states, traj.n_actions_p1))
+    r = np.empty((traj.n_states, traj.n_actions_p2))
+    return ell, r, sampled_estimates(traj, v_prev, gamma, ell, r)
 
 
 # ---------------------------------------------------------------------------
@@ -44,37 +59,39 @@ class TestExactEstimates:
         q = rng.uniform(size=(2, 3, 4))
         x = rng.dirichlet(np.ones(3), size=2)
         y = rng.dirichlet(np.ones(4), size=2)
-        triple = exact_triple_from_q(q, x, y)
-        expected_rho = np.einsum("sa,sa->s", x, triple.ell)
-        np.testing.assert_array_equal(triple.rho, expected_rho)
+        ell, _, rho = _exact(q, x, y)
+        np.testing.assert_array_equal(rho, np.einsum("sa,sa->s", x, ell))
 
     def test_both_contractions_agree(self):
         rng = np.random.default_rng(1)
         q = rng.uniform(size=(3, 4, 2))
         x = rng.dirichlet(np.ones(4), size=3)
         y = rng.dirichlet(np.ones(2), size=3)
-        triple = exact_triple_from_q(q, x, y)
+        ell, r, _ = _exact(q, x, y)
         # x^T (Q y) and (x^T Q) y are the same bilinear form.
         for s in range(3):
-            assert abs(float(x[s] @ triple.ell[s]) -
-                       float(triple.r[s] @ y[s])) <= 1e-12
+            assert abs(float(x[s] @ ell[s]) - float(r[s] @ y[s])) <= 1e-12
 
     def test_zero_critic_reduces_to_stage_loss(self, mp1):
         x = np.array([[0.5, 0.5]])
         y = np.array([[1.0, 0.0]])
-        triple = exact_estimates(mp1, np.zeros(1), x, y)
-        np.testing.assert_array_equal(triple.ell, mp1.loss[:, :, 0])
+        ell, _, _ = _exact(q_from_v(mp1, np.zeros(1)), x, y)
+        np.testing.assert_array_equal(ell, mp1.loss[:, :, 0])
 
     def test_uniform_pennies_payoff(self, mp1):
         x = np.array([[0.5, 0.5]])
-        triple = exact_estimates(mp1, np.zeros(1), x, x)
-        assert triple.rho[0] == pytest.approx(0.5, abs=1e-15)
+        _, _, rho = _exact(q_from_v(mp1, np.zeros(1)), x, x)
+        assert rho[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_estimator_protocol_returns_no_error(self, mp1):
         state = initial_state(mp1, eta=0.01)
-        triple, err = ExactEstimator().estimates(mp1, state, mp1.loss)
+        ell, r = np.full((1, 2), np.nan), np.full((1, 2), np.nan)
+        rho, err = ExactEstimator().estimate_into(mp1, state.x, state.y, state.v, mp1.loss,
+                                                  ell, r)
         assert err is None
-        assert triple.ell.shape == (1, 2)
+        want = _exact(mp1.loss, state.x, state.y)
+        for got, ref in zip((ell, r, rho), want):
+            assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +243,10 @@ class TestSampledEstimates:
             actions_p2=np.array([0]), losses=np.array([0.6]),
             n_states=1, n_actions_p1=2, n_actions_p2=2,
         )
-        triple = sampled_estimates(traj, np.zeros(1), 0.9)
-        assert triple.ell[0, 1] == 0.6
-        assert triple.r[0, 0] == 0.6
-        assert triple.rho[0] == 0.6
+        ell, r, rho = _sampled(traj, np.zeros(1), 0.9)
+        assert ell[0, 1] == 0.6
+        assert r[0, 0] == 0.6
+        assert rho[0] == 0.6
 
     def test_zero_visit_entries_are_zero(self):
         traj = Trajectory(
@@ -237,10 +254,10 @@ class TestSampledEstimates:
             actions_p2=np.array([0]), losses=np.array([0.6]),
             n_states=2, n_actions_p1=2, n_actions_p2=2,
         )
-        triple = sampled_estimates(traj, np.zeros(2), 0.9)
-        assert triple.ell[0, 0] == 0.0
-        assert triple.ell[1, 0] == triple.ell[1, 1] == 0.0
-        assert triple.rho[1] == 0.0
+        ell, _, rho = _sampled(traj, np.zeros(2), 0.9)
+        assert ell[0, 0] == 0.0
+        assert ell[1, 0] == ell[1, 1] == 0.0
+        assert rho[1] == 0.0
 
     def test_critic_value_discounted_into_target(self):
         traj = Trajectory(
@@ -248,17 +265,16 @@ class TestSampledEstimates:
             actions_p2=np.array([0]), losses=np.array([0.25]),
             n_states=2, n_actions_p1=1, n_actions_p2=1,
         )
-        triple = sampled_estimates(traj, np.array([0.0, 2.0]), 0.5)
-        assert triple.ell[0, 0] == 0.25 + 0.5 * 2.0
+        ell, _, _ = _sampled(traj, np.array([0.0, 2.0]), 0.5)
+        assert ell[0, 0] == 0.25 + 0.5 * 2.0
 
     def test_estimates_stay_in_value_range(self, switching_mp):
         rng = np.random.default_rng(3)
         x = np.full((2, 2), 0.5)
         traj = rollout(switching_mp, x, x, 500, 0, rng)
         v = rng.uniform(0.0, 10.0, size=2)
-        triple = sampled_estimates(traj, v, switching_mp.gamma)
         upper = 1.0 + switching_mp.gamma * v.max()
-        for arr in (triple.ell, triple.r, triple.rho):
+        for arr in _sampled(traj, v, switching_mp.gamma):
             assert arr.min() >= 0.0
             assert arr.max() <= upper + 1e-12
 
@@ -266,40 +282,94 @@ class TestSampledEstimates:
         x = np.full((2, 2), 0.5)
         traj = rollout(switching_mp, x, x, 100_000, 0, np.random.default_rng(0))
         v = np.array([1.0, 3.0])
-        triple = sampled_estimates(traj, v, switching_mp.gamma)
-        exact = exact_estimates(switching_mp, v, x, x)
-        assert np.max(np.abs(triple.ell - exact.ell)) <= 0.05
-        assert np.max(np.abs(triple.rho - exact.rho)) <= 0.05
+        ell, _, rho = _sampled(traj, v, switching_mp.gamma)
+        exact_ell, _, exact_rho = _exact(q_from_v(switching_mp, v), x, x)
+        assert np.max(np.abs(ell - exact_ell)) <= 0.05
+        assert np.max(np.abs(rho - exact_rho)) <= 0.05
+
+    @settings(max_examples=60)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+           n_steps=st.integers(1, 30), gamma=st.floats(0.0, 0.99),
+           seed=st.integers(0, 2**32 - 1), strided=st.booleans())
+    def test_dirty_buffers_get_the_fresh_array_bits(self, shape, n_steps, gamma, seed,
+                                                    strided):
+        # Short walks over many entries leave zero-visit entries in most
+        # examples; those must come out exactly +0.0 over the NaN left before.
+        n_s, n_a, n_b = shape
+        rng = np.random.default_rng(seed)
+        traj = Trajectory(
+            states=rng.integers(n_s, size=n_steps + 1),
+            actions_p1=rng.integers(n_a, size=n_steps),
+            actions_p2=rng.integers(n_b, size=n_steps),
+            losses=rng.uniform(-1.0, 1.0, size=n_steps),
+            n_states=n_s, n_actions_p1=n_a, n_actions_p2=n_b,
+        )
+        v_prev = rng.uniform(0.0, 10.0, size=n_s)
+        pad = 2 if strided else 0
+        ell_base = np.full((n_s, n_a + pad), np.nan)
+        r_base = np.full((n_s, n_b + pad), np.nan)
+        ell, r = ell_base[:, pad:], r_base[:, pad:]
+        rho = sampled_estimates(traj, v_prev, gamma, ell, r)
+        want = fresh_sampled_estimates(traj, v_prev, gamma)
+        for got, ref in zip((ell, r, rho), want):
+            assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+        assert np.isnan(ell_base[:, :pad]).all() and np.isnan(r_base[:, :pad]).all()
+        visited = np.zeros((n_s, n_a), dtype=bool)
+        visited[traj.states[:-1], traj.actions_p1] = True
+        assert (ell[~visited] == 0.0).all() and not np.signbit(ell[~visited]).any()
+
+
+def _estimate(est, game, state, q_t, collect_error=False):
+    """One ``estimate_into`` call on a learner state into NaN-filled arrays."""
+    ell, r = np.full(state.x.shape, np.nan), np.full(state.y.shape, np.nan)
+    rho, err = est.estimate_into(game, state.x, state.y, state.v, q_t, ell, r,
+                                 collect_error=collect_error)
+    return ell, r, rho, err
 
 
 class TestSampledEstimator:
     def test_continues_from_last_state(self, switching_mp):
         est = SampledEstimator(rollout_len=30, epsilon_prime=0.1, seed=0)
         state = initial_state(switching_mp, eta=0.01)
-        est.estimates(switching_mp, state, switching_mp.loss)
+        _estimate(est, switching_mp, state, switching_mp.loss)
         first = est.last_trajectory
-        est.estimates(switching_mp, state, switching_mp.loss)
+        _estimate(est, switching_mp, state, switching_mp.loss)
         second = est.last_trajectory
         assert second.states[0] == first.states[-1]
 
     def test_reset_mode_restarts(self, switching_mp):
-        est = SampledEstimator(rollout_len=30, epsilon_prime=0.1, seed=0,
-                               reset_each_iteration=True, s_init=1)
+        # At seed 1 the continuing rollouts start in states 0, 1, 0, so a
+        # reset that were ignored would start the second rollout in state 1.
         state = initial_state(switching_mp, eta=0.01)
-        for _ in range(3):
-            est.estimates(switching_mp, state, switching_mp.loss)
-            assert est.last_trajectory.states[0] == 1
+        starts = {}
+        for reset in (False, True):
+            est = SampledEstimator(rollout_len=30, epsilon_prime=0.1, seed=1,
+                                   reset_each_iteration=reset)
+            starts[reset] = []
+            for _ in range(3):
+                _estimate(est, switching_mp, state, switching_mp.loss)
+                starts[reset].append(int(est.last_trajectory.states[0]))
+        assert starts[False] == [0, 1, 0]
+        assert starts[True] == [0, 0, 0]
+
+    def test_writes_the_visit_means_of_its_rollout(self, switching_mp):
+        est = SampledEstimator(rollout_len=40, epsilon_prime=0.3, seed=2)
+        state = replace(initial_state(switching_mp, eta=0.01), v=np.array([0.5, 2.0]))
+        ell, r, rho, err = _estimate(est, switching_mp, state, switching_mp.loss)
+        assert err is None
+        want = fresh_sampled_estimates(est.last_trajectory, state.v, switching_mp.gamma)
+        for got, ref in zip((ell, r, rho), want):
+            assert got.tobytes() == ref.tobytes()
 
     def test_collect_error_reports_sup_deviation(self, mp1):
         est = SampledEstimator(rollout_len=200, epsilon_prime=0.2, seed=1)
         state = initial_state(mp1, eta=0.01)
         q_t = mp1.loss
-        triple, err = est.estimates(mp1, state, q_t, collect_error=True)
-        assert err is not None and err >= 0.0
+        ell, r, rho, err = _estimate(est, mp1, state, q_t, collect_error=True)
         # err is measured against the exploration-mixed strategies.
-        x_mix = explore_mix(state.x, 0.2)
-        exact = exact_triple_from_q(q_t, x_mix, explore_mix(state.y, 0.2))
-        assert err >= np.max(np.abs(triple.ell - exact.ell)) - 1e-15
+        exact = _exact(q_t, explore_mix(state.x, 0.2), explore_mix(state.y, 0.2))
+        assert err == max(float(np.max(np.abs(got - ref)))
+                          for got, ref in zip((ell, r, rho), exact))
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):

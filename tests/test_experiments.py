@@ -354,11 +354,13 @@ class TestSharedGroundTruth:
         (dict(alpha="bogus"), "alpha schedule"),
         (dict(iterations=0), "iterations"),
         (dict(eta=-1), "step size"),
+        (dict(eta=float("nan")), "step size must be finite and positive, got eta=nan"),
+        (dict(eta=float("inf")), "step size must be finite and positive, got eta=inf"),
         (dict(estimator="bogus"), "estimator"),
         (dict(gamma=1.0), r"gamma=1\.0"),
         (dict(gamma=float("nan")), "gamma=nan"),
-    ], ids=["rollout_len", "init_x", "alpha", "iterations", "eta", "estimator",
-            "gamma_one", "gamma_nan"])
+    ], ids=["rollout_len", "init_x", "alpha", "iterations", "eta", "eta_nan", "eta_inf",
+            "estimator", "gamma_one", "gamma_nan"])
     def test_run_config_error_raised_before_solving(self, tmp_path, solves, run, match):
         run = RunConfig(**{"iterations": 10, "eta": 0.05, "cadence": 10, **run})
         with pytest.raises(ValueError, match=match):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zsmg import groundtruth as groundtruth_mod
 from zsmg import learner as learner_mod
-from zsmg.estimators import EstimateTriple, ExactEstimator, exact_estimates
+from zsmg.estimators import ExactEstimator, exact_triple_from_q
 from zsmg.games import MarkovGame, evaluate_policy_pair, JointPolicy, q_from_v
 from zsmg.gamegen import random_game
 from zsmg.groundtruth import shapley_solve
@@ -221,9 +221,7 @@ class TestOgdaStep:
 
     def test_zero_gradient_is_fixed_point(self, mp1):
         state = self._mp_state(mp1, eta=0.05)
-        zero = EstimateTriple(ell=np.zeros((1, 2)), r=np.zeros((1, 2)),
-                              rho=np.zeros(1))
-        nxt = ogda_step(state, zero)
+        nxt = ogda_step(state, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1))
         assert np.array_equal(nxt.x_hat, state.x_hat)
         assert np.array_equal(nxt.y, state.y)
 
@@ -231,8 +229,9 @@ class TestOgdaStep:
         # Equal stage payoffs shift both coordinates identically, and the
         # projection removes the common shift exactly for a power-of-two eta.
         state = self._mp_state(mp1, eta=1.0 / 64.0)
-        triple = exact_estimates(mp1, state.v, state.x, state.y)
-        nxt = ogda_step(state, triple)
+        ell, r = np.empty((1, 2)), np.empty((1, 2))
+        rho = exact_triple_from_q(q_from_v(mp1, state.v), state.x, state.y, ell, r)
+        nxt = ogda_step(state, ell, r, rho)
         assert np.array_equal(nxt.x_hat, state.x_hat)
         assert np.array_equal(nxt.x, state.x)
         assert np.array_equal(nxt.y_hat, state.y_hat)
@@ -242,26 +241,20 @@ class TestOgdaStep:
         # strictly inside the simplex with the row sum exactly 1, so the
         # projection is the identity and the arithmetic is exact.
         state = self._mp_state(mp1, eta=1.0 / 64.0)
-        g = EstimateTriple(ell=np.array([[1.0, -1.0]]), r=np.zeros((1, 2)),
-                           rho=np.zeros(1))
-        nxt = ogda_step(state, g)
+        nxt = ogda_step(state, np.array([[1.0, -1.0]]), np.zeros((1, 2)), np.zeros(1))
         np.testing.assert_array_equal(nxt.x_hat, [[0.484375, 0.515625]])
         np.testing.assert_array_equal(nxt.x, [[0.46875, 0.53125]])
 
     def test_descends_loss_and_ascends_reward(self, mp1):
         state = self._mp_state(mp1, eta=0.05)
-        g = EstimateTriple(ell=np.array([[1.0, 0.0]]), r=np.array([[0.0, 1.0]]),
-                           rho=np.zeros(1))
-        nxt = ogda_step(state, g)
+        nxt = ogda_step(state, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.zeros(1))
         assert nxt.x_hat[0, 0] < state.x_hat[0, 0]     # loss on action 0 pushed down
         assert nxt.y_hat[0, 1] > state.y_hat[0, 1]     # reward on action 1 pushed up
 
     def test_non_finite_estimates_rejected(self, mp1):
         state = self._mp_state(mp1, eta=0.05)
-        bad = EstimateTriple(ell=np.array([[np.nan, 0.0]]), r=np.zeros((1, 2)),
-                             rho=np.zeros(1))
         with pytest.raises(ValueError):
-            ogda_step(state, bad)
+            ogda_step(state, np.array([[np.nan, 0.0]]), np.zeros((1, 2)), np.zeros(1))
 
     @pytest.mark.parametrize("name", ["ell", "r", "rho"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -271,7 +264,7 @@ class TestOgdaStep:
         estimates = {"ell": np.zeros((2, 2)), "r": np.zeros((2, 2)), "rho": np.zeros(2)}
         estimates[name].flat[-1] = bad
         with pytest.raises(ValueError, match=f"non-finite payoff estimate {name} passed"):
-            ogda_step(state, EstimateTriple(**estimates))
+            ogda_step(state, **estimates)
         assert [state.z_hat.tobytes(), state.z.tobytes(), state.v.tobytes(), state.t] == before
 
     @pytest.mark.parametrize("name, estimate", [
@@ -285,7 +278,7 @@ class TestOgdaStep:
                      name: estimate}
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match=re.escape("eta=1e+300 times a payoff estimate")):
-            ogda_step(state, EstimateTriple(**estimates))
+            ogda_step(state, **estimates)
 
     @pytest.mark.parametrize("name, estimates, shape, expected", [
         # One state's loss row would broadcast over both states.
@@ -298,17 +291,14 @@ class TestOgdaStep:
     def test_misshapen_estimates_rejected(self, switching_mp, name, estimates, shape,
                                           expected):
         state = initial_state(switching_mp, eta=0.1)
-        bad = EstimateTriple(**{"ell": np.zeros((2, 2)), "r": np.zeros((2, 2)),
-                                "rho": np.zeros(2), **estimates})
+        bad = {"ell": np.zeros((2, 2)), "r": np.zeros((2, 2)), "rho": np.zeros(2), **estimates}
         with pytest.raises(ValueError, match=re.escape(
                 f"payoff estimate {name} has shape {shape}, expected {expected}")):
-            ogda_step(state, bad)
+            ogda_step(state, **bad)
 
     def test_increments_time_and_preserves_critic(self, mp1):
         state = self._mp_state(mp1, eta=0.05)
-        zero = EstimateTriple(ell=np.zeros((1, 2)), r=np.zeros((1, 2)),
-                              rho=np.zeros(1))
-        nxt = ogda_step(state, zero)
+        nxt = ogda_step(state, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1))
         assert nxt.t == state.t + 1
         assert nxt.v is state.v
 
@@ -316,8 +306,8 @@ class TestOgdaStep:
         game = random_game(seed=3, n_states=2, n_actions_p1=2, n_actions_p2=5, gamma=0.9)
         state = initial_state(game, eta=0.05)
         rng = np.random.default_rng(4)
-        nxt = ogda_step(state, EstimateTriple(ell=rng.uniform(0, 9, (2, 2)),
-                                              r=rng.uniform(0, 9, (2, 5)), rho=np.zeros(2)))
+        nxt = ogda_step(state, rng.uniform(0, 9, (2, 2)), rng.uniform(0, 9, (2, 5)),
+                        np.zeros(2))
         for st_ in (state, nxt):
             assert st_.z_hat.shape == st_.z.shape == (4, 5)
             assert (st_.z_hat[:2, 2:] == 0.0).all() and (st_.z[:2, 2:] == 0.0).all()
@@ -332,9 +322,9 @@ class TestOgdaStep:
         rng = np.random.default_rng(6)
         state = initial_state(game, eta=0.05, init_x=rng.dirichlet(np.ones(2), size=3),
                               init_y=rng.dirichlet(np.ones(4), size=3))
-        base = EstimateTriple(ell=rng.uniform(0, 5, (3, 2)), r=rng.uniform(0, 5, (3, 4)),
-                              rho=rng.uniform(0, 5, 3))
-        return state, base, ogda_step(state, base)
+        base = {"ell": rng.uniform(0, 5, (3, 2)), "r": rng.uniform(0, 5, (3, 4)),
+                "rho": rng.uniform(0, 5, 3)}
+        return state, base, ogda_step(state, **base)
 
     @staticmethod
     def _row_bytes(state):
@@ -345,10 +335,10 @@ class TestOgdaStep:
         state, base, ref = self._decentralization_case()
         before = self._row_bytes(ref)
         for field_name, own in (("ell", "x"), ("r", "y")):
-            est = getattr(base, field_name).copy()
+            est = base[field_name].copy()
             est[:, 0] += 4.0
             est[:, 1] -= 3.0
-            nxt = self._row_bytes(ogda_step(state, replace(base, **{field_name: est})))
+            nxt = self._row_bytes(ogda_step(state, **{**base, field_name: est}))
             for (name, s), value in before.items():
                 assert (value == nxt[name, s]) == (not name.startswith(own)), (field_name, name, s)
 
@@ -356,10 +346,10 @@ class TestOgdaStep:
         state, base, ref = self._decentralization_case()
         before = self._row_bytes(ref)
         for s in range(3):
-            ell, r = base.ell.copy(), base.r.copy()
+            ell, r = base["ell"].copy(), base["r"].copy()
             ell[s] += [4.0, -3.0]
             r[s] += [-3.0, 4.0, 0.0, 1.0]
-            nxt = self._row_bytes(ogda_step(state, replace(base, ell=ell, r=r)))
+            nxt = self._row_bytes(ogda_step(state, ell, r, base["rho"]))
             for key, value in before.items():
                 assert (value == nxt[key]) == (key[1] != s), (s, key)
 
@@ -704,15 +694,33 @@ class TestRunSinglePlayer:
         assert result.game.n_actions_p2 == 1
 
 
+@pytest.fixture()
+def no_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ground truth solved before the config was checked")
+
+    monkeypatch.setattr(groundtruth_mod, "shapley_solve", fail)
+
+
+@pytest.mark.usefixtures("no_solve")
+class TestStepSizeRange:
+    """A step size that is not finite and positive is rejected before any solve."""
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_selfplay_rejects(self, switching_mp, eta):
+        with pytest.raises(ValueError, match=re.escape(f"step size must be finite and "
+                                                       f"positive, got eta={eta!r}")):
+            run_selfplay(switching_mp, RunConfig(iterations=3, eta=eta, cadence=1))
+
+    def test_single_player_rejects(self, switching_mp):
+        with pytest.raises(ValueError, match="eta=nan"):
+            run_single_player(switching_mp, np.full((2, 2), 0.5),
+                              RunConfig(iterations=3, eta=float("nan"), cadence=1))
+
+
+@pytest.mark.usefixtures("no_solve")
 class TestDiscountRange:
     """gamma outside [0, 1) is rejected before any ground truth is solved."""
-
-    @pytest.fixture(autouse=True)
-    def no_solve(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("ground truth solved before gamma was checked")
-
-        monkeypatch.setattr(groundtruth_mod, "shapley_solve", fail)
 
     @pytest.mark.parametrize("gamma", [1.0, 1.5, -0.1, float("nan")])
     def test_selfplay_rejects(self, switching_mp, gamma):

@@ -1,0 +1,72 @@
+"""The parts of the library that the benchmark harness in ``perfbench/`` relies on.
+
+The harness wraps the functions its ``workloads.TRACED`` names at every
+binding in the loaded ``zsmg`` modules, reads rollout lengths and
+trajectories positionally from their calls, and expects an exact learner run
+to reach the traced exact estimate.  An API change that breaks one of these
+would otherwise show only as a failed benchmark run.
+"""
+
+from __future__ import annotations
+
+import inspect
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import zsmg
+from zsmg import estimators
+from zsmg.gamegen import builtin
+from zsmg.learner import RunConfig, run_selfplay
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py`` executed from its source, writing nothing beside it."""
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(WORKLOADS_PATH)
+    exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), module.__dict__)
+    return module
+
+
+def _zsmg_modules() -> list[types.ModuleType]:
+    return [m for key, m in sys.modules.items()
+            if m is not None and (key == "zsmg" or key.startswith("zsmg."))]
+
+
+def test_every_traced_function_is_bound_in_its_module(workloads):
+    # The tracer raises LookupError for a function bound in no loaded module.
+    for name, fn in workloads.TRACED.items():
+        module_name, attr = name.rsplit(".", 1)
+        assert getattr(getattr(zsmg, module_name), attr) is fn, name
+        assert any(value is fn for m in _zsmg_modules() for value in vars(m).values()), name
+
+
+@pytest.mark.parametrize("fn, index, param", [
+    (estimators.rollout, 3, "n_steps"),
+    (estimators.sampled_estimates, 0, "traj"),
+])
+def test_observed_arguments_keep_their_positions(fn, index, param):
+    # perfbench's observers read these arguments by position when not passed by name.
+    assert list(inspect.signature(fn).parameters)[index] == param
+
+
+def test_exact_run_reaches_the_traced_exact_estimate(monkeypatch):
+    real = estimators.exact_triple_from_q
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # Rebind wherever the function is bound, as the tracer does.
+    for module in _zsmg_modules():
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
+    run_selfplay(builtin("switching-mp"), RunConfig(iterations=7, eta=0.05))
+    assert len(calls) == 7
