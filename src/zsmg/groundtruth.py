@@ -7,12 +7,12 @@ exact projection: one nonnegative least-squares solve finds the active set,
 and a KKT residual certifies the point.  These routines provide the yardstick
 against which learned policies are measured.
 
-The simplex can start from a given basis, and value iteration keeps each
-state's optimal basis from one sweep to the next.  Building the LP, reading a
-basis and the minimax certificate are written once with a leading stack axis:
-the simplex uses a stack of one, and each sweep reads all S kept bases at
-once, so a state settles exactly when the simplex, started there, would take
-no pivot.  numpy's stacked ``solve`` and ``matmul`` run the same per-matrix
+Value iteration keeps each state's optimal simplex basis from one sweep to
+the next.  Building the LP, the cold basis, reading a basis and the minimax
+certificate are written once with a leading stack axis: the simplex uses a
+stack of one, and every sweep and the witness step read all S bases at once,
+so a state settles exactly when the simplex, started there, would take no
+pivot.  numpy's stacked ``solve`` and ``matmul`` run the same per-matrix
 kernel on every item, so each item has the bits it would have alone.  The
 scalar simplex stays the only code that pivots.
 """
@@ -149,42 +149,36 @@ def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarra
     return value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok
 
 
+def _cold_bases(a_mat: np.ndarray) -> np.ndarray:
+    """The simplex's cold start for each LP of ``_value_lp``: the vertex x = e_0,
+    v = max_b Q[0, b], with x_0, v and every slack but the binding column's basic."""
+    n_states, m, n = a_mat.shape
+    n_a = n - m
+    others = np.arange(m - 2)
+    b_star = np.argmax(a_mat[:, :m - 1, 0], axis=1)[:, None]
+    bases = np.empty((n_states, m), dtype=np.intp)
+    bases[:, 0], bases[:, 1] = 0, n_a
+    bases[:, 2:] = n_a + 1 + others + (others >= b_star)
+    return bases
+
+
 def _simplex_pivot(
-    q: np.ndarray, a_stack: np.ndarray, tol: float, basis: np.ndarray | None = None
+    q: np.ndarray, a_stack: np.ndarray, tol: float, basis: np.ndarray
 ) -> tuple[tuple, np.ndarray, int]:
     """Solve min_x max_b (Q^T x)_b over the simplex by primal simplex with Bland's rule.
 
     Works on the stack-of-one LP ``a_stack`` of ``_value_lp``; returns ``(x_b,
     duals)`` read at the terminal basis, the basis and the pivots taken.  The
-    loop starts from ``basis`` when one is given (a warm start, e.g. the
-    optimal basis of a nearby matrix).  If that basis is singular or not
-    primal feasible in the loop's first solve, the loop continues from the
-    cold start instead, so the rejected basis costs no extra solve.  Every
-    start that ends at the same optimal basis returns the same bits.  The loop
-    ends only at a basis that is both primal and dual feasible within
-    ``tol``, so re-solving from the returned basis takes no pivot (unless
-    rounding made the solve widen ``tol``, see below).
+    loop starts from ``basis``, a sorted array it may change.  If that basis
+    is singular or not primal feasible in the loop's first solve, the loop
+    continues from the cold start of ``_cold_bases`` instead.  Every start
+    that ends at the same optimal basis returns the same bits.  The loop ends
+    only at a basis that is both primal and dual feasible within ``tol``, so
+    re-solving from the returned basis takes no pivot (unless rounding made
+    the solve widen ``tol``, see below).
     """
-    n_a, n_b = q.shape
     a_mat = a_stack[0]
-    m, n = a_mat.shape
-
-    def cold_basis() -> np.ndarray:
-        # The vertex x = e_0, v = max_b Q[0, b]: basic variables are x_0, v,
-        # and every slack except the binding column's.
-        b_star = int(np.argmax(a_mat[:n_b, 0]))
-        return np.array([0, n_a] + [n_a + 1 + b for b in range(n_b) if b != b_star])
-
-    warm = basis is not None
-    if warm:
-        basis = np.sort(np.asarray(basis, dtype=np.intp))
-        if (basis.shape != (m,) or basis[0] < 0 or basis[-1] >= n
-                or bool((basis[1:] == basis[:-1]).any())):
-            raise ValueError(
-                f"basis must hold {m} distinct column indices in [0, {n}), got {basis.tolist()}"
-            )
-    else:
-        basis = cold_basis()
+    m = a_mat.shape[0]
 
     # Bland's rule cannot cycle in exact arithmetic, but near-tied entries make
     # some bases nearly singular, and rounding there can revisit a basis or
@@ -197,20 +191,21 @@ def _simplex_pivot(
     seen = set()
     careful = False
     previous = None
+    first = True
     for _ in range(20_000):
         try:
             read = _read_bases(a_stack, basis[None])
             x_b, _, b_inv, reduced = (part[0] for part in read)
         except np.linalg.LinAlgError:
-            if not warm and previous is None:
+            if not first and previous is None:
                 raise
             read = None
-        if warm:
-            warm = False
+        if first:
+            first = False
             # A primal-infeasible start would walk the ratio test backwards;
             # entries within tol of zero are the rounding of degenerate pivots.
             if read is None or bool((x_b < -tol).any()):
-                basis = cold_basis()
+                basis = _cold_bases(a_stack)[0]
                 continue
         if read is None:
             basis = previous  # already seen, so the retry is a careful step
@@ -270,10 +265,11 @@ def solve_matrix_game(
     The optimal strategies are certified directly: every column payoff under
     ``x`` is at most ``value + tol`` and every row payoff under ``y`` at least
     ``value - tol``; a failed certificate raises ``LpSolveError``.  A
-    non-finite payoff raises ``ValueError`` before any simplex work.
+    non-finite payoff or a malformed ``basis`` raises ``ValueError`` before
+    any simplex work.
 
-    ``basis`` warm-starts the simplex, typically with the ``basis`` field of
-    the solution of a nearby matrix of the same shape.  A singular or
+    ``basis`` warm-starts the simplex (by default it starts cold), typically
+    with the ``basis`` field of a nearby matrix's solution.  A singular or
     infeasible basis falls back to the cold start, so the result is always a
     certified solution; ``pivots`` reports how many pivots the solve took.
     """
@@ -284,6 +280,15 @@ def solve_matrix_game(
         raise ValueError(f"expected a nonempty 2-D payoff matrix, got shape {q.shape}")
     _check_finite("payoff", q, "a b")
     shift, a_stack = _value_lp(q[None])
+    if basis is None:
+        basis = _cold_bases(a_stack)[0]
+    else:
+        basis = np.sort(np.asarray(basis, dtype=np.intp))
+        m, n = a_stack.shape[1:]
+        if (basis.shape != (m,) or basis[0] < 0 or basis[-1] >= n
+                or bool((basis[1:] == basis[:-1]).any())):
+            raise ValueError(f"basis must hold {m} distinct column indices in [0, {n}), "
+                             f"got {basis.tolist()}")
     read, basis, pivots = _simplex_pivot(q, a_stack, tol=_PIVOT_TOL, basis=basis)
     value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = (
         part[0] for part in _certify(q[None], shift, basis[None], *read, tol))
@@ -317,18 +322,29 @@ class GroundTruth:
         return JointPolicy(x=self.x_star, y=self.y_star)
 
 
-def _settled_values(q: np.ndarray, bases: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, settled)``: a state settles when ``solve_matrix_game`` started
-    from its basis would take no pivot and pass its certificate, so its value
-    has that solve's bits.  A singular stack settles no state."""
+def _stage_solutions(q: np.ndarray, bases: np.ndarray, tol: float) -> tuple:
+    """``(values, x, y)`` of the stage games ``q``, each solved from its basis in ``bases``.
+
+    All S bases are read at once; a state whose ``solve_matrix_game`` from its
+    basis would take no pivot and pass its certificate gets that solve's bits.
+    The rest (all of a singular stack) go to ``solve_matrix_game`` from their
+    bases, and their new bases are written into ``bases``.
+    """
+    n_states, n_a, n_b = q.shape
     shift, a_mat = _value_lp(q)
     try:
         x_b, duals, _, reduced = _read_bases(a_mat, bases)
     except np.linalg.LinAlgError:
-        return np.empty(len(q)), np.zeros(len(q), dtype=bool)
-    values, *_, dual_ok, payoff_ok = _certify(q, shift, bases, x_b, duals, tol)
-    pivot_free = ~(x_b < -_PIVOT_TOL).any(axis=1) & ~(reduced < -_PIVOT_TOL).any(axis=1)
-    return values, pivot_free & dual_ok & payoff_ok
+        values, x, y = np.empty(n_states), np.empty((n_states, n_a)), np.empty((n_states, n_b))
+        settled = np.zeros(n_states, dtype=bool)
+    else:
+        values, x, y, *_, dual_ok, payoff_ok = _certify(q, shift, bases, x_b, duals, tol)
+        settled = (dual_ok & payoff_ok & ~(x_b < -_PIVOT_TOL).any(axis=1)
+                   & ~(reduced < -_PIVOT_TOL).any(axis=1))
+    for s in np.flatnonzero(~settled):
+        sol = solve_matrix_game(q[s], tol=tol, basis=bases[s])
+        values[s], x[s], y[s], bases[s] = sol.value, sol.x, sol.y, sol.basis
+    return values, x, y
 
 
 def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000) -> GroundTruth:
@@ -343,12 +359,10 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     [0, 1) or a non-finite loss or transition entry raises ``ValueError``
     before any sweep.
 
-    Each sweep reads every state's basis of the previous sweep at once with
-    the simplex's own arithmetic (``_settled_values``).  The first sweep, a
-    basis that must pivot and a singular stack send states to the scalar
-    ``solve_matrix_game``, warm-started, as do the final witness solves.  A
-    stage game with several optimal bases may get another, equally certified,
-    witness than a cold solve would give.
+    Every sweep and the witness step at ``q_star`` call ``_stage_solutions``,
+    from the simplex's cold bases in the first sweep and from the bases the
+    states ended at after it.  A stage game with several optimal bases may
+    get another, equally certified, witness than a cold solve would give.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -360,19 +374,14 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     _check_finite("loss", game.loss, "s a b")
     _check_finite("transition probability", game.transition, "s a b s'")
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma) if gamma else np.inf
-    n_states, _, n_b = game.loss.shape
-    v = np.zeros(n_states)
-    bases = np.zeros((n_states, n_b + 1), dtype=np.intp)
-    for sweep in range(max_iter):
-        q = q_from_v(game, v)
-        v_new, settled = (_settled_values(q, bases, tol) if sweep else
-                          (np.empty(n_states), np.zeros(n_states, dtype=bool)))
-        for s in np.flatnonzero(~settled):
-            sol = solve_matrix_game(q[s], tol=tol, basis=bases[s] if sweep else None)
-            v_new[s] = sol.value
-            bases[s] = sol.basis
+    v = np.zeros(game.n_states)
+    q = q_from_v(game, v)
+    bases = _cold_bases(_value_lp(q)[1])
+    for _ in range(max_iter):
+        v_new = _stage_solutions(q, bases, tol)[0]
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
+        q = q_from_v(game, v)
         if step <= threshold:
             break
     else:
@@ -381,21 +390,12 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
             f"(last step {step:.3e}, threshold {threshold:.3e})"
         )
 
-    q_star = q_from_v(game, v)
-    sols = [solve_matrix_game(q_star[s], tol=tol, basis=bases[s]) for s in range(n_states)]
-    for s, sol in enumerate(sols):
-        if abs(sol.value - v[s]) > tol:
-            raise ArithmeticError(
-                f"fixed-point consistency failed at state {s}: "
-                f"val={sol.value!r} vs v_star={v[s]!r}"
-            )
-    return GroundTruth(
-        v_star=v,
-        q_star=q_star,
-        x_star=np.array([sol.x for sol in sols]),
-        y_star=np.array([sol.y for sol in sols]),
-        tol=tol,
-    )
+    values, x_star, y_star = _stage_solutions(q, bases, tol)
+    for s in range(game.n_states):
+        if abs(values[s] - v[s]) > tol:
+            raise ArithmeticError(f"fixed-point consistency failed at state {s}: "
+                                  f"val={float(values[s])!r} vs v_star={float(v[s])!r}")
+    return GroundTruth(v_star=v, q_star=q, x_star=x_star, y_star=y_star, tol=tol)
 
 
 def duality_gap_state(q_star_s: np.ndarray, x_s: np.ndarray, y_s: np.ndarray) -> float:

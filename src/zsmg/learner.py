@@ -10,6 +10,7 @@ exact and trajectory-sampled modes share the identical update path.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -367,7 +368,10 @@ def _resolve_eta(config: RunConfig, game: MarkovGame) -> float:
     cap = eta_max(game.gamma, game.n_states)
     if config.eta == "auto":
         return cap
-    eta = float(config.eta)
+    try:
+        eta = float(config.eta)
+    except (TypeError, ValueError):
+        raise ValueError(f"step size must be a number or 'auto', got eta={config.eta!r}") from None
     # NaN fails the test too, so it needs no case of its own.
     if not 0.0 < eta < math.inf:
         raise ValueError(f"step size must be finite and positive, got eta={eta!r}")
@@ -383,9 +387,9 @@ def _prepare_game(game: MarkovGame, config: RunConfig,
     """Check a run before anything is solved and return the game it runs on.
 
     Applies the discount override and folds in a fixed opponent, then checks
-    the game, ``iterations``, ``eta``, strict ``epsilon``, the alpha
-    schedule's name, the initial strategies and the estimator settings, in
-    that order.  Builds nothing else: ``run_selfplay`` builds the schedule,
+    the game, ``iterations``, ``cadence``, ``eta``, strict ``epsilon``, the
+    alpha schedule's name, the initial strategies and the estimator settings,
+    in that order.  Builds nothing else: ``run_selfplay`` builds the schedule,
     the state and the estimator of the run.
     """
     if config.gamma is not None and config.gamma != game.gamma:
@@ -404,6 +408,9 @@ def _prepare_game(game: MarkovGame, config: RunConfig,
         raise ValueError("invalid game: " + "; ".join(problems))
     if config.iterations < 1:
         raise ValueError("iterations must be >= 1")
+    cadence = config.cadence
+    if not (isinstance(cadence, numbers.Real) and float(cadence).is_integer() and cadence >= 0):
+        raise ValueError(f"cadence must be a nonnegative integer, got cadence={cadence!r}")
     _resolve_eta(config, game)
     if config.strict and not (0.0 <= config.epsilon <= 1.0 / (1.0 - game.gamma)):
         raise ValueError(

@@ -182,6 +182,21 @@ class TestRunCommands:
         _, rows = read_metrics_csv(tmp_path / "fromfile_rep0.csv")
         assert [row.t for row in rows] == [5, 10, 15, 20]
 
+    def test_non_numeric_config_eta_fails_naming_it(self, cli, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"game": "mp1", "run": {"iterations": 10, "eta": "abc"}}))
+        code, out, err = cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:") and "eta='abc'" in err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    def test_negative_cadence_fails_naming_it(self, cli, tmp_path):
+        code, out, err = cli("run", "--game", "mp1", "--iterations", "10", "--cadence", "-3",
+                             "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:") and "cadence=-3" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["run", "rational"])
     def test_gamma_override_applies_to_game_file(self, cli, tmp_path, command):
         game = random_game(seed=2, n_states=2, n_actions_p1=2, n_actions_p2=2, gamma=0.9)

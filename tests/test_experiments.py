@@ -387,6 +387,21 @@ class TestSharedGroundTruth:
         assert solves == []
         assert list(tmp_path.rglob("*.csv")) == []
 
+    def test_non_numeric_eta_rejected_before_solving(self, tmp_path, solves):
+        run = RunConfig(iterations=10, eta="abc", cadence=10)
+        with pytest.raises(ValueError, match="step size must be a number or 'auto', got eta='abc'"):
+            run_experiment(_fast_cfg(out_dir=str(tmp_path), run=run))
+        assert solves == []
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("cadence", [-3, 2.5])
+    def test_bad_cadence_rejected_before_solving(self, tmp_path, solves, cadence):
+        run = RunConfig(iterations=10, eta=0.05, cadence=cadence)
+        with pytest.raises(ValueError, match=f"got cadence={cadence}"):
+            run_experiment(_fast_cfg(out_dir=str(tmp_path), run=run))
+        assert solves == []
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_invalid_game_rejected_before_solving(self, tmp_path, solves):
         run = RunConfig(iterations=10, eta=0.05, cadence=10, gamma=0.3, strict=True)
         with pytest.raises(ValueError, match="invalid game: gamma"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from zsmg.gamegen import BUILTIN_NAMES, builtin, random_game
 from zsmg.groundtruth import (
     GroundTruth,
     LpSolveError,
+    MatrixGameSolution,
     _kkt_residual,
     _plane_basis,
     _project_polytope,
@@ -234,6 +236,14 @@ class TestSolveMatrixGame:
         assert _solve_bytes(again.value, again.x, again.y) == \
             _solve_bytes(sol.value, sol.x, sol.y)
 
+    @given(q=payoff_matrices())
+    def test_default_start_is_the_cold_basis(self, q):
+        cold = groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q[None])[1])[0]
+        default, given_cold = solve_matrix_game(q), solve_matrix_game(q, basis=cold)
+        for field in dataclasses.fields(MatrixGameSolution):
+            assert np.asarray(getattr(default, field.name)).tobytes() == \
+                np.asarray(getattr(given_cold, field.name)).tobytes()
+
     @given(q=payoff_matrices(), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([1e-9, 1e-6, 1e-3, 0.1, 1.0]), whole=st.booleans())
     def test_warm_start_from_neighbour_basis(self, q, seed, scale, whole):
@@ -372,11 +382,13 @@ class TestStackedSweep:
                           gamma=gamma)
 
     @staticmethod
-    def _traced_solve(monkeypatch, game):
-        """shapley_solve, recording per ``q_from_v`` call the scalar solves that followed.
+    def _traced_solve(monkeypatch, game, run=shapley_solve):
+        """``run(game)``, recording per ``q_from_v`` call the scalar solves that followed.
 
-        Returns the solution and one list per sweep (and one for the final
-        witness solves) of ``(warm, pivots)`` per scalar solve.
+        Returns the result and one list per sweep (and one for the witness
+        step) of ``(warm, pivots)`` per scalar solve.  Scalar solves before
+        any ``q_from_v`` call, as in a direct ``_stage_solutions`` call, go
+        into one first list.
         """
         sweeps = []
         q_from_v_, solve_ = groundtruth_mod.q_from_v, groundtruth_mod.solve_matrix_game
@@ -387,12 +399,14 @@ class TestStackedSweep:
 
         def traced_solve(q, tol=1e-9, basis=None):
             sol = solve_(q, tol=tol, basis=basis)
+            if not sweeps:
+                sweeps.append([])
             sweeps[-1].append((basis is not None, sol.pivots))
             return sol
 
         monkeypatch.setattr(groundtruth_mod, "q_from_v", traced_q_from_v)
         monkeypatch.setattr(groundtruth_mod, "solve_matrix_game", traced_solve)
-        return shapley_solve(game), sweeps
+        return run(game), sweeps
 
     @staticmethod
     def _assert_matches_oracle(gt, expected):
@@ -446,14 +460,45 @@ class TestStackedSweep:
             for part, part_alone in zip(stacked, alone, strict=True):
                 assert part[s].tobytes() == part_alone[0].tobytes()
 
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 8),
+           n_a=st.integers(1, 6), n_b=st.integers(1, 6), tied=st.booleans(),
+           singular=st.booleans(), scale=st.sampled_from([1.0, 1e3]))
+    def test_stage_solutions_match_each_state_alone(self, seed, n_states, n_a, n_b, tied,
+                                                    singular, scale):
+        rng = np.random.default_rng(seed)
+        shape = (n_states, n_a, n_b)
+        q = scale * (rng.integers(-2, 3, size=shape) if tied else rng.uniform(-1.0, 1.0, shape))
+        moved = rng.integers(-1, 2, size=shape) * rng.integers(0, 2, size=(n_states, 1, 1))
+        bases = np.array([solve_matrix_game(m).basis for m in q + moved])
+        if singular:
+            # The value column and every slack: the simplex row is zero on them.
+            bases[rng.integers(n_states)] = np.arange(n_a, n_a + 1 + n_b)
+        alone = [solve_matrix_game(q[s], basis=bases[s]) for s in range(n_states)]
+        values, x, y = groundtruth_mod._stage_solutions(q, bases, 1e-9)
+        for stacked, field in ((values, "value"), (x, "x"), (y, "y"), (bases, "basis")):
+            assert stacked.tobytes() == np.array([getattr(sol, field) for sol in alone]).tobytes()
+
     def test_first_sweep_solves_every_state_alone(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         expected = per_state_shapley(game)
+        starts = []
+        stage = groundtruth_mod._stage_solutions
+
+        def traced_stage(q, bases, tol):
+            starts.append(bases.copy())
+            return stage(q, bases, tol)
+
+        monkeypatch.setattr(groundtruth_mod, "_stage_solutions", traced_stage)
         gt, sweeps = self._traced_solve(monkeypatch, game)
         self._assert_matches_oracle(gt, expected)
-        assert [warm for warm, _ in sweeps[0]] == [False] * 4
-        assert all(warm for calls in sweeps[1:] for warm, _ in calls)
-        assert [warm for warm, _ in sweeps[-1]] == [True] * 4  # witnesses stay scalar
+        # The simplex's cold start x = e_0, v = max_b Q[0, b]: x_0, v and the
+        # slacks of every column but the binding one.
+        cold = [[0, 3] + [4 + b for b in range(3) if b != np.argmax(game.loss[s, 0])]
+                for s in range(4)]
+        assert starts[0].tolist() == cold
+        assert all(warm for calls in sweeps for warm, _ in calls)
+        assert sweeps[-1] == []  # every final basis settles: no scalar witness solve
 
     def test_pivoting_state_falls_back_beside_settled_states(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
@@ -481,17 +526,24 @@ class TestStackedSweep:
         self._assert_matches_oracle(gt, expected)
         assert all(len(calls) == 4 for calls in sweeps)
 
-    def test_singular_basis_settles_no_state(self):
+    def test_singular_basis_settles_no_state(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         gt = shapley_solve(game)
         bases = np.array([solve_matrix_game(q).basis for q in gt.q_star])
-        values, settled = groundtruth_mod._settled_values(gt.q_star, bases, 1e-9)
-        assert settled.all()
-        assert values.tobytes() == np.array(
-            [solve_matrix_game(q, basis=b).value for q, b in zip(gt.q_star, bases)]).tobytes()
+        expected = np.array([solve_matrix_game(q, basis=b).value for q, b in zip(gt.q_star, bases)])
+
+        def stage(q):
+            return groundtruth_mod._stage_solutions(q, bases, 1e-9)
+
+        (values, _, _), calls = self._traced_solve(monkeypatch, gt.q_star, stage)
+        assert calls == []  # every state settles
+        assert values.tobytes() == expected.tobytes()
+        monkeypatch.undo()
         # The value column and every slack: the simplex row is zero on them.
         bases[2] = np.arange(3, 7)
-        assert not groundtruth_mod._settled_values(gt.q_star, bases, 1e-9)[1].any()
+        (values, _, _), calls = self._traced_solve(monkeypatch, gt.q_star, stage)
+        assert [len(c) for c in calls] == [4]
+        assert values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("before, after", [
         # Player 2's best column moves: the old basis is primal infeasible.
@@ -499,17 +551,22 @@ class TestStackedSweep:
         # Player 1's best row moves: the old basis has a negative reduced cost.
         ([[0.0], [1e-10]], [[1e-10], [0.0]]),
     ], ids=["primal", "dual"])
-    def test_basis_stale_by_less_than_tol_does_not_settle(self, before, after):
+    def test_basis_stale_by_less_than_tol_does_not_settle(self, monkeypatch, before, after):
         # The minimax certificate alone would pass the old basis (it is off by
         # 1e-10 < tol); the scalar simplex would leave it, so the check must too.
         other = np.array(after) + 0.5 + np.arange(np.size(after)).reshape(np.shape(after))
         q_before = np.array([before, other])
         q_after = np.array([after, other])
         bases = np.array([solve_matrix_game(q).basis for q in q_before])
-        values, settled = groundtruth_mod._settled_values(q_after, bases, 1e-9)
-        assert settled.tolist() == [False, True]
-        assert solve_matrix_game(q_after[0], basis=bases[0]).basis.tolist() != bases[0].tolist()
-        assert values[1] == solve_matrix_game(q_after[1], basis=bases[1]).value
+        stale = solve_matrix_game(q_after[0], basis=bases[0])
+        assert stale.basis.tolist() != bases[0].tolist()
+        value_1 = solve_matrix_game(q_after[1], basis=bases[1]).value
+        (values, _, _), calls = self._traced_solve(
+            monkeypatch, q_after, lambda q: groundtruth_mod._stage_solutions(q, bases, 1e-9))
+        # One scalar solve, state 0's, which left the stale basis; state 1 settles.
+        assert [len(c) for c in calls] == [1]
+        assert bases[0].tolist() == stale.basis.tolist()
+        assert values.tolist() == [stale.value, value_1]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GAMES))
     def test_q_from_v_counts_sweeps_plus_one(self, monkeypatch, name):

@@ -718,6 +718,24 @@ class TestStepSizeRange:
                               RunConfig(iterations=3, eta=float("nan"), cadence=1))
 
 
+    @pytest.mark.parametrize("eta", ["abc", None])
+    def test_selfplay_rejects_non_numeric(self, switching_mp, eta):
+        with pytest.raises(ValueError, match=re.escape(f"got eta={eta!r}")):
+            run_selfplay(switching_mp, RunConfig(iterations=3, eta=eta, cadence=1))
+
+
+@pytest.mark.usefixtures("no_solve")
+class TestCadence:
+    """A negative or non-integral cadence is rejected before any solve."""
+
+    @pytest.mark.parametrize("cadence", [-3, 2.5, float("nan"), "5"])
+    def test_selfplay_rejects(self, switching_mp, cadence):
+        with pytest.raises(ValueError, match=re.escape(f"got cadence={cadence!r}")):
+            run_selfplay(switching_mp, RunConfig(iterations=10, eta=0.05, cadence=cadence))
+
+    def test_zero_cadence_gives_no_rows(self, switching_mp):
+        assert run_selfplay(switching_mp, RunConfig(iterations=10, eta=0.05)).rows == []
+
 @pytest.mark.usefixtures("no_solve")
 class TestDiscountRange:
     """gamma outside [0, 1) is rejected before any ground truth is solved."""
