@@ -4,7 +4,10 @@
 For each seed, samples a fresh random game and a fixed random stationary
 opponent, runs the single-player learner, and reports the learned strategy's
 exploitability (its value against the opponent minus the true best-response
-value, maximized over states).  Writes one metrics CSV per seed plus an
+value, maximized over states).  The seeds' opponent-reduced games all have
+the same shape, so their runs step together as one learner batch, each
+against its own ground truth; every run keeps the bits of its own
+``run_single_player`` call.  Writes one metrics CSV per seed plus an
 exploitability summary CSV.
 
 Example:
@@ -22,7 +25,7 @@ import numpy as np
 
 from zsmg.gamegen import random_game
 from zsmg.games import JointPolicy, best_response, evaluate_policy_pair
-from zsmg.learner import RunConfig, run_single_player
+from zsmg.learner import RunConfig, reduce_game_for_opponent, run_selfplay_batch
 from zsmg.metrics import write_metrics_csv
 
 
@@ -51,18 +54,22 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cadence = args.cadence or max(1, args.iterations // 100)
 
-    summary = []
+    games, opponents = [], []
     for k in range(args.seeds):
-        game = random_game(seed=args.game_seed_base + k, n_states=args.states,
-                           n_actions_p1=args.actions_p1,
-                           n_actions_p2=args.actions_p2,
-                           gamma=args.gamma, kappa=args.kappa)
-        opponent = np.random.default_rng(args.opponent_seed_base + k).dirichlet(
-            np.ones(args.actions_p2), size=args.states)
-        cfg = RunConfig(iterations=args.iterations, eta=args.eta,
-                        cadence=cadence, seed=k)
-        result = run_single_player(game, opponent, cfg)
+        games.append(random_game(seed=args.game_seed_base + k, n_states=args.states,
+                                 n_actions_p1=args.actions_p1,
+                                 n_actions_p2=args.actions_p2,
+                                 gamma=args.gamma, kappa=args.kappa))
+        opponents.append(np.random.default_rng(args.opponent_seed_base + k).dirichlet(
+            np.ones(args.actions_p2), size=args.states))
+    results = run_selfplay_batch(
+        [reduce_game_for_opponent(game, opponent) for game, opponent in zip(games, opponents)],
+        [RunConfig(iterations=args.iterations, eta=args.eta, cadence=cadence, seed=k)
+         for k in range(args.seeds)],
+    )
 
+    summary = []
+    for k, (game, opponent, result) in enumerate(zip(games, opponents, results)):
         learned = result.state.x_hat
         v_pair = evaluate_policy_pair(game, JointPolicy(x=learned, y=opponent))
         v_best, _ = best_response(game, opponent, fixed_side=2)

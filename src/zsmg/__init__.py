@@ -42,6 +42,7 @@ from .learner import (
     project_simplex,
     reduce_game_for_opponent,
     run_selfplay,
+    run_selfplay_batch,
     run_single_player,
 )
 from .estimators import (

@@ -47,11 +47,12 @@ def exact_triple_from_q(q_t: np.ndarray, x: np.ndarray, y: np.ndarray,
 
     Writes ``ell[s] = Q_t[s] @ y[s]`` and ``r[s] = Q_t[s].T @ x[s]`` into the
     given arrays and returns ``rho[s] = x[s] @ ell[s]``, read from the
-    written ``ell``.
+    written ``ell``.  Leading axes before ``s`` (the learner's run axis) ride
+    along, and every state keeps the bits it has alone.
     """
-    np.einsum("sab,sb->sa", q_t, y, out=ell)
-    np.einsum("sab,sa->sb", q_t, x, out=r)
-    return np.einsum("sa,sa->s", x, ell)
+    np.einsum("...ab,...b->...a", q_t, y, out=ell)
+    np.einsum("...ab,...a->...b", q_t, x, out=r)
+    return np.einsum("...a,...a->...", x, ell)
 
 
 class ExactEstimator:
@@ -59,7 +60,8 @@ class ExactEstimator:
 
     ``estimate_into`` writes ``ell`` and ``r`` for the strategies ``(x, y)``
     into the given arrays and returns ``(rho, None)``.  ``SampledEstimator``
-    has the same method.
+    has the same method.  Only ``q_t``, ``x`` and ``y`` are read, state by
+    state, so the learner makes one call over every run of a batch.
     """
 
     def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,

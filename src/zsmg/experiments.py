@@ -2,11 +2,12 @@
 
 An experiment is a game source plus a run configuration, repeated once per
 seed.  The learner runs once per distinct row set: once in exact mode, where
-the seed reaches nothing, and once per seed in sampled mode, in a process pool
-when ``workers`` > 1.  Each repetition's CSV is written from those rows with
-its own header, and an aggregate CSV (median and quartiles per iteration) is
-computed from the same rows in memory.  Output bytes depend only on the
-configuration, never on scheduling or wall time.
+the seed reaches nothing, and once per seed in sampled mode, where the runs
+step together as one batch, split into at most ``workers`` batches in a
+process pool when ``workers`` > 1.  Each repetition's CSV is written from
+those rows with its own header, and an aggregate CSV (median and quartiles
+per iteration) is computed from the same rows in memory.  Output bytes
+depend only on the configuration, never on scheduling or wall time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import __version__
 from .gamegen import builtin, game_from_dict, game_to_dict, load_game, load_policy, random_game
 from .games import MarkovGame
 from .groundtruth import shapley_solve
-from .learner import RunConfig, _prepare_game, _rows_seed, run_selfplay
+from .learner import RunConfig, _check_integer, _prepare_game, _rows_seed, run_selfplay_batch
 from .metrics import (
     aggregate_metrics,
     config_digest,
@@ -102,6 +103,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"got {len(self.seeds)} seeds for {self.repetitions} repetitions"
                 )
+            for seed in self.seeds:
+                _check_integer("seeds", seed, 0, "every seed must be >= 0")
             return [int(s) for s in self.seeds]
         return [int(self.run.seed) + rep for rep in range(self.repetitions)]
 
@@ -118,9 +121,10 @@ def _resolve_opponent(spec, game: MarkovGame) -> np.ndarray:
     return np.asarray(spec, dtype=np.float64)
 
 
-def _learner_rows(game: MarkovGame, run: RunConfig, ground_truth) -> list:
-    """Worker entry: the metric rows of one learner run."""
-    return run_selfplay(game, run, ground_truth=ground_truth).rows
+def _learner_rows(game: MarkovGame, runs: list[RunConfig], ground_truth) -> list[list]:
+    """Worker entry: the metric rows of each run, the runs stepped as one batch."""
+    results = run_selfplay_batch([game] * len(runs), runs, [ground_truth] * len(runs))
+    return [result.rows for result in results]
 
 
 @dataclass
@@ -137,15 +141,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     opponent is resolved and the run set up once, through the learner's own
     set-up, so every config error is raised before anything is solved or
     written; the ground truth behind the metric rows is then solved once.
-    Repetitions whose rows read the same seed share one ``run_selfplay`` call:
-    exact repetitions all share one (and one ``wall_clock`` under
-    ``debug_columns``), sampled ones run per seed, in a process pool when
-    ``workers`` > 1.
+    Repetitions whose rows read the same seed share one learner run: exact
+    repetitions all share one (and one ``wall_clock`` under
+    ``debug_columns``), sampled ones run one per seed.  The distinct runs go
+    through ``run_selfplay_batch``: one batch, or with ``workers`` > 1 at most
+    ``workers`` contiguous batches, one process-pool task each.  A run's rows
+    do not depend on its batch, so the bytes do not depend on ``workers``.
     """
     game = resolve_game(cfg.game)
-    seeds = cfg.seed_list()
     opponent = None if cfg.opponent is None else _resolve_opponent(cfg.opponent, game)
     run_game = _prepare_game(game, cfg.run, opponent)
+    seeds = cfg.seed_list()
     out_dir = cfg.resolve_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     ground_truth = (shapley_solve(run_game, tol=cfg.gt_tol)
@@ -153,12 +159,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     reps = [replace(cfg.run, seed=seed) for seed in seeds]
     # The gamma override is already in run_game; one run per distinct row seed.
     runs = {_rows_seed(run): replace(run, gamma=None) for run in reps}
+    distinct = list(runs.values())
+    n_batches = max(1, min(cfg.workers, len(distinct)))
+    bounds = [len(distinct) * k // n_batches for k in range(n_batches + 1)]
+    batches = [distinct[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     job = partial(_learner_rows, run_game, ground_truth=ground_truth)
-    if cfg.workers > 1 and len(runs) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(runs))) as pool:
-            rows_by_seed = dict(zip(runs, pool.map(job, runs.values())))
+    if n_batches > 1:
+        with ProcessPoolExecutor(max_workers=n_batches) as pool:
+            batch_rows = list(pool.map(job, batches))
     else:
-        rows_by_seed = dict(zip(runs, map(job, runs.values())))
+        batch_rows = list(map(job, batches))
+    rows_by_seed = dict(zip(runs, (rows for batch in batch_rows for rows in batch)))
     rep_rows = [rows_by_seed[_rows_seed(run)] for run in reps]
 
     # Everything that determines a repetition's rows (no paths, no timing).

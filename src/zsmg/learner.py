@@ -3,8 +3,10 @@
 Each player runs projected optimistic gradient steps on its per-state mixed
 strategy against the stage games induced by a critic value vector; the critic
 itself moves by a decaying average toward the players' payoff estimate.  The
-loop touches only loss/transition feedback through an estimator object, so the
-exact and trajectory-sampled modes share the identical update path.
+loop touches only loss/transition feedback through estimator objects, so the
+exact and trajectory-sampled modes share the identical update path.  The loop
+carries a leading run axis: same-shape runs step together, and a single run is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 
 from . import estimators as est_mod
 from . import metrics as metrics_mod
-from .games import (MarkovGame, JointPolicy, _induced_mdp, distribution_rows_error, q_from_v,
-                    validate_game)
+from .games import MarkovGame, JointPolicy, _induced_mdp, distribution_rows_error, validate_game
 
 __all__ = [
     "LearnerState",
@@ -36,6 +37,7 @@ __all__ = [
     "initial_state",
     "reduce_game_for_opponent",
     "run_selfplay",
+    "run_selfplay_batch",
     "run_single_player",
 ]
 
@@ -253,24 +255,26 @@ def ogda_step(state: LearnerState, ell: np.ndarray, r: np.ndarray,
         name, shape, want = next(item for item in zip(("ell", "r", "rho"), shapes, expected)
                                  if item[1] != item[2])
         raise ValueError(f"payoff estimate {name} has shape {shape}, expected {want}")
-    z_hat, z = _ogda_update(state.z_hat, np.full(state.z_hat.shape, _PAD), ell, r, rho,
-                            state.eta)
+    g = np.full(state.z_hat.shape, _PAD)
+    z_hat, z = _ogda_update(state.z_hat, g, (g[:n_states, :n_a], g[n_states:, :n_b]),
+                            ell, r, rho, state.eta)
     return LearnerState(z_hat=z_hat, z=z, v=state.v, t=state.t + 1, eta=state.eta,
                         n_actions_p1=n_a, n_actions_p2=n_b)
 
 
-def _ogda_update(z_hat: np.ndarray, g: np.ndarray, ell: np.ndarray, r: np.ndarray,
-                 rho: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+def _ogda_update(z_hat: np.ndarray, g: np.ndarray, g_blocks: tuple, ell: np.ndarray,
+                 r: np.ndarray, rho: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """The arithmetic and checks of ``ogda_step`` on checked estimates.
 
-    Writes ``eta * ell`` and ``r * (-eta)`` into the players' blocks of the
-    gradient ``g``, whose padded columns must hold ``_PAD``, and returns the
-    new ``(z_hat, z)``.  ``g`` is the only array written; the estimates are
-    read again only to name the cause when the finiteness test fails.
+    Writes ``eta * ell`` and ``r * (-eta)`` into ``g_blocks``, the views of
+    the players' blocks of the gradient ``g``, whose padded columns must hold
+    ``_PAD``, and returns the new ``(z_hat, z)``.  ``g`` is the only array
+    written; the estimates are read again only to name the cause when the
+    finiteness test fails.  Any leading axes (the loop's run axis) ride
+    along: every array carries them.
     """
-    n_states = rho.shape[0]
-    np.multiply(ell, eta, out=g[:n_states, :ell.shape[1]])
-    np.multiply(r, -eta, out=g[n_states:, :r.shape[1]])
+    np.multiply(ell, eta, out=g_blocks[0])
+    np.multiply(r, -eta, out=g_blocks[1])
     if not (np.isfinite(g).all() and np.isfinite(rho).all()):
         for name, estimate in (("ell", ell), ("r", r), ("rho", rho)):
             if not np.isfinite(estimate).all():
@@ -387,10 +391,10 @@ def _prepare_game(game: MarkovGame, config: RunConfig,
     """Check a run before anything is solved and return the game it runs on.
 
     Applies the discount override and folds in a fixed opponent, then checks
-    the game, ``iterations``, ``cadence``, ``eta``, strict ``epsilon``, the
-    alpha schedule's name, the initial strategies and the estimator settings,
-    in that order.  Builds nothing else: ``run_selfplay`` builds the schedule,
-    the state and the estimator of the run.
+    the game, ``iterations``, ``cadence``, ``seed``, ``eta``, strict
+    ``epsilon``, the alpha schedule's name, the initial strategies and the
+    estimator settings, in that order.  Builds nothing else: the run loop
+    builds the schedule, the state and the estimator of the run.
     """
     if config.gamma is not None and config.gamma != game.gamma:
         game = MarkovGame(loss=game.loss, transition=game.transition,
@@ -406,11 +410,11 @@ def _prepare_game(game: MarkovGame, config: RunConfig,
             problems.insert(0, f"gamma must lie in [0, 1), got gamma={game.gamma}")
     if problems:
         raise ValueError("invalid game: " + "; ".join(problems))
-    if config.iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    _check_integer("iterations", config.iterations, 1, "iterations must be >= 1")
     cadence = config.cadence
     if not (isinstance(cadence, numbers.Real) and float(cadence).is_integer() and cadence >= 0):
         raise ValueError(f"cadence must be a nonnegative integer, got cadence={cadence!r}")
+    _check_integer("seed", config.seed, 0, "seed must be >= 0")
     _resolve_eta(config, game)
     if config.strict and not (0.0 <= config.epsilon <= 1.0 / (1.0 - game.gamma)):
         raise ValueError(
@@ -422,14 +426,23 @@ def _prepare_game(game: MarkovGame, config: RunConfig,
     return game
 
 
+def _check_integer(name: str, value, minimum: int, requirement: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``.
+
+    A bool is rejected although Python counts it as an integer: ``True``
+    would silently mean 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{requirement} and an integer (not a bool), got {name}={value!r}")
+
+
 def _exploration_weight(config: RunConfig, game: MarkovGame) -> float | None:
     """The checked exploration weight of a sampled run; None in exact mode."""
     if config.estimator == "exact":
         return None
     if config.estimator != "sampled":
         raise ValueError(f"unknown estimator mode {config.estimator!r}")
-    if config.rollout_len < 1:
-        raise ValueError("sampled mode requires rollout_len >= 1")
+    _check_integer("rollout_len", config.rollout_len, 1, "sampled mode requires rollout_len >= 1")
     # The exploration weight; out of [0, 1] raises naming its source.
     if config.epsilon_prime is not None:
         eps_prime = float(config.epsilon_prime)
@@ -476,40 +489,114 @@ def run_selfplay(
     iterates entering the iteration) and pushed to ``sink`` as they appear;
     the movement diagnostics they report are only tracked when ``cadence > 0``,
     and ground truth is solved on demand when metrics are requested.
-    Deterministic given the config.
+    Deterministic given the config.  This is the batch loop of
+    ``run_selfplay_batch`` with a batch of one.
     """
-    game = _prepare_game(game, config)
-    alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
-    start = initial_state(game, eta=_resolve_eta(config, game),
-                          init_x=config.init_x, init_y=config.init_y)
-    estimator = _build_estimator(config, game)
+    return _run_batch([game], [config], [ground_truth], sink, iteration_hook)[0]
 
-    cadence = int(config.cadence)
-    gt = ground_truth
-    if cadence > 0 and gt is None:
+
+def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
+    """Run same-shape self-play runs in one loop and return one result per run.
+
+    Run ``i`` is ``run_selfplay(games[i], configs[i],
+    ground_truth=ground_truths[i])``, and its iterates and metric rows keep
+    the bits of that call; only the ``wall_clock`` debug field differs, as it
+    counts from the start of the batch.  The loop's arrays carry a leading run
+    axis, so one projection per half-step, one critic step and one
+    diagnostics update serve every run, and exact estimates are one
+    ``exact_triple_from_q`` call over the states of all runs.  Sampled runs
+    each keep their own estimator and generator.  Ground truth is solved per
+    run where rows need it and none is given.
+
+    The runs must share the shape ``(S, A, B)``, ``gamma``, the resolved
+    ``eta``, ``alpha``, ``iterations``, ``cadence``, ``estimator`` and, in
+    sampled mode, ``rollout_len`` and the exploration weight
+    ``epsilon_prime``.  Every config is checked first, and a field the runs
+    do not share raises ValueError naming it, all before anything is solved.
+    An empty batch raises ValueError too.
+    """
+    return _run_batch(games, configs, ground_truths)
+
+
+def _batch_key(game: MarkovGame, config: RunConfig) -> dict:
+    """The settings of a checked run that every run of a batch must share."""
+    eps_prime = _exploration_weight(config, game)
+    return {
+        "shape": game.loss.shape, "gamma": game.gamma, "eta": _resolve_eta(config, game),
+        "alpha": config.alpha, "iterations": config.iterations,
+        "cadence": int(config.cadence), "estimator": config.estimator,
+        "rollout_len": None if eps_prime is None else config.rollout_len,
+        "epsilon_prime": eps_prime,
+    }
+
+
+def _run_batch(games, configs, ground_truths, sink=None, iteration_hook=None
+               ) -> list[RunResult]:
+    """The loop of ``run_selfplay_batch``; ``sink`` and ``iteration_hook``
+    see every run's rows and states, in run order."""
+    if ground_truths is None:
+        ground_truths = [None] * len(configs)
+    if not len(games) == len(configs) == len(ground_truths):
+        raise ValueError(f"a batch needs one config and one ground truth per game, got "
+                         f"{len(games)} games, {len(configs)} configs and "
+                         f"{len(ground_truths)} ground truths")
+    if not configs:
+        raise ValueError("a batch needs at least one run")
+    games = [_prepare_game(game, config) for game, config in zip(games, configs)]
+    keys = [_batch_key(game, config) for game, config in zip(games, configs)]
+    for run, key in enumerate(keys[1:], 1):
+        for name, value in key.items():
+            if value != keys[0][name]:
+                raise ValueError(f"batched runs must share {name}: run 0 has "
+                                 f"{keys[0][name]!r}, run {run} has {value!r}")
+
+    config, n_runs = configs[0], len(configs)
+    gamma, eta, cadence = games[0].gamma, keys[0]["eta"], keys[0]["cadence"]
+    n_states, n_a, n_b = games[0].loss.shape
+    alpha_fn = make_alpha_schedule(config.alpha, gamma)
+    starts = [initial_state(game, eta, run.init_x, run.init_y)
+              for game, run in zip(games, configs)]
+    exact = config.estimator == "exact"
+    # Exact estimates read only the stage games and strategies, so one
+    # estimator call serves every run; sampled runs each roll out with their
+    # own generator.
+    estimators = ([_build_estimator(config, games[0])] if exact
+                  else [_build_estimator(run, game) for game, run in zip(games, configs)])
+    if cadence > 0 and None in ground_truths:
         from .groundtruth import shapley_solve
-        gt = shapley_solve(game)
+        ground_truths = [shapley_solve(game) if gt is None else gt
+                         for game, gt in zip(games, ground_truths)]
 
-    # The iterates live in locals; a LearnerState is built only for the hook
-    # and the result.  No array handed out is ever written: each step
-    # returns fresh z_hat, z and v, and only the buffers below are reused.
-    # The estimator writes the raw estimates into ``ell`` and ``r``, and the
-    # step scales them into ``g``, whose padded columns keep _PAD for the
-    # whole run.  The raw estimates stay readable, so a failed finiteness
-    # test can name its cause without estimating again.
-    n_states, n_a, n_b = game.loss.shape
-    z_hat, z, v, eta = start.z_hat, start.z, start.v, start.eta
-    ell, r = np.empty((n_states, n_a)), np.empty((n_states, n_b))
+    # The iterates live in locals with a leading run axis; a LearnerState is
+    # built only for the hook and the results.  No array handed out is ever
+    # written: each step returns fresh z_hat, z and v, and only the buffers
+    # below are reused.  The estimators write the raw estimates into ``ell``
+    # and ``r``, and the step scales them into ``g_blocks``, views of ``g``
+    # made once, whose padded columns keep _PAD for the whole run.  The raw
+    # estimates stay readable, so a failed finiteness test can name its
+    # cause without estimating again.
+    loss = np.stack([game.loss for game in games])
+    transition = np.stack([game.transition for game in games])
+    z_hat = np.stack([start.z_hat for start in starts])
+    z, v = z_hat.copy(), np.zeros((n_runs, n_states))
+    ell, r = np.empty((n_runs, n_states, n_a)), np.empty((n_runs, n_states, n_b))
     g = np.full_like(z, _PAD)
-    q_prev = np.zeros_like(game.loss)
+    g_blocks = (g[:, :n_states, :n_a], g[:, n_states:, :n_b])
+    q_prev = np.zeros_like(loss)
     z_prev = np.zeros_like(z)
-    j_state = np.zeros(n_states)
-    k_state = np.zeros(n_states)
-    rows: list[metrics_mod.MetricsRow] = []
+    j_state = np.zeros((n_runs, n_states))
+    k_state = np.zeros((n_runs, n_states))
+    est_errs = [None] * n_runs
+    rows: list[list[metrics_mod.MetricsRow]] = [[] for _ in games]
     started = time.perf_counter()
 
+    def state_of(run: int, t: int) -> LearnerState:
+        return LearnerState(z_hat=z_hat[run], z=z[run], v=v[run], t=t, eta=eta,
+                            n_actions_p1=n_a, n_actions_p2=n_b)
+
     for t in range(1, config.iterations + 1):
-        q_t = q_from_v(game, v)
+        # q_from_v for every run at once, with the same arithmetic per run.
+        q_t = loss + gamma * (transition @ v[:, None, None, :, None])[..., 0]
         alpha_t = alpha_fn(t)
         if cadence > 0:
             j_state, k_state, q_step = metrics_mod.diagnostics_update(
@@ -517,30 +604,37 @@ def run_selfplay(
             )
             z_prev, q_prev = z, q_t
         logging_now = cadence > 0 and t % cadence == 0
-        rho, est_err = estimator.estimate_into(
-            game, z[:n_states, :n_a], z[n_states:, :n_b], v, q_t, ell, r,
-            collect_error=logging_now,
-        )
+        if exact:
+            rho, _ = estimators[0].estimate_into(
+                None, z[:, :n_states, :n_a], z[:, n_states:, :n_b], v, q_t, ell, r)
+        else:
+            rho = np.empty((n_runs, n_states))
+            for run, estimator in enumerate(estimators):
+                rho[run], est_errs[run] = estimator.estimate_into(
+                    games[run], z[run, :n_states, :n_a], z[run, n_states:, :n_b], v[run],
+                    q_t[run], ell[run], r[run], collect_error=logging_now,
+                )
         if logging_now:
-            row = metrics_mod.make_metrics_row(
-                t=t, game=game, ground_truth=gt,
-                x_hat=z_hat[:n_states, :n_a], y_hat=z_hat[n_states:, :n_b], q_t=q_t,
-                j_max=float(j_state.max()), k_max=float(k_state.max()),
-                q_step_max=float(q_step.max()), est_err=est_err,
-                wall_clock=time.perf_counter() - started,
-            )
-            rows.append(row)
-            if sink is not None:
-                sink(row)
-        z_hat, z = _ogda_update(z_hat, g, ell, r, rho, eta)
+            for run, (game, gt) in enumerate(zip(games, ground_truths)):
+                row = metrics_mod.make_metrics_row(
+                    t=t, game=game, ground_truth=gt,
+                    x_hat=z_hat[run, :n_states, :n_a], y_hat=z_hat[run, n_states:, :n_b],
+                    q_t=q_t[run], j_max=float(j_state[run].max()),
+                    k_max=float(k_state[run].max()), q_step_max=float(q_step[run].max()),
+                    est_err=est_errs[run], wall_clock=time.perf_counter() - started,
+                )
+                rows[run].append(row)
+                if sink is not None:
+                    sink(row)
+        z_hat, z = _ogda_update(z_hat, g, g_blocks, ell, r, rho, eta)
         v = critic_step(v, rho, alpha_t)
         if iteration_hook is not None:
-            iteration_hook(t, LearnerState(z_hat=z_hat, z=z, v=v, t=t + 1, eta=eta,
-                                           n_actions_p1=n_a, n_actions_p2=n_b))
+            for run in range(n_runs):
+                iteration_hook(t, state_of(run, t + 1))
 
-    state = LearnerState(z_hat=z_hat, z=z, v=v, t=config.iterations + 1, eta=eta,
-                         n_actions_p1=n_a, n_actions_p2=n_b)
-    return RunResult(state=state, rows=rows, game=game, ground_truth=gt, config=config)
+    return [RunResult(state=state_of(run, config.iterations + 1), rows=rows[run],
+                      game=games[run], ground_truth=ground_truths[run], config=configs[run])
+            for run in range(n_runs)]
 
 
 def run_single_player(

@@ -95,16 +95,17 @@ def diagnostics_update(
     pass; each player's squares are then summed over its own columns only.
     A whole padded row sums in another order once ``W`` reaches 8 (numpy's
     pairwise sum unrolls eight wide), so it would not keep the bits of
-    summing each player's rows on their own.
+    summing each player's rows on their own.  Leading axes (the learner's run
+    axis) ride along on every argument, and each run keeps its own bits.
 
     At t=1 call with zero prev arrays and alpha=1; the recursions then start at
     the first movement norms themselves.  Returns (J, K, per-state max-abs
     stage-game step) so callers can log the raw step too.
     """
-    n_states, n_a, n_b = q_t.shape
+    n_states, n_a, n_b = q_t.shape[-3:]
     sq = (z_t - z_prev) ** 2
-    move = sq[:n_states, :n_a].sum(axis=1) + sq[n_states:, :n_b].sum(axis=1)
-    q_step = np.abs(q_t - q_prev).max(axis=(1, 2))
+    move = sq[..., :n_states, :n_a].sum(axis=-1) + sq[..., n_states:, :n_b].sum(axis=-1)
+    q_step = np.abs(q_t - q_prev).max(axis=(-2, -1))
     j_new = (1.0 - alpha_t) * j_prev + alpha_t * move
     k_new = (1.0 - alpha_t) * k_prev + alpha_t * q_step**2
     return j_new, k_new, q_step

@@ -32,6 +32,7 @@ from zsmg.learner import (
     ogda_step,
     reduce_game_for_opponent,
     run_selfplay,
+    run_selfplay_batch,
     run_single_player,
 )
 from zsmg.metrics import read_metrics_csv
@@ -197,14 +198,21 @@ def test_criterion_06_average_gap_decreases(convergence_runs):
 
 def test_criterion_07_rationality_against_fixed_opponents():
     """After T=1e5 exact-mode iterations vs a fixed random opponent, the
-    learned strategy's exploitability is < 1e-2 (max over states, 5 seeds)."""
+    learned strategy's exploitability is < 1e-2 (max over states, 5 seeds).
+
+    The five opponent-reduced games share one shape, so their runs step
+    together as one batch; each run keeps the bits of its own
+    ``run_single_player`` call (see ``TestRunSelfplayBatch`` in test_learner.py)."""
+    games = [random_game(seed=100 + k, n_states=2, n_actions_p1=2,
+                         n_actions_p2=2, gamma=0.9, kappa=0.1) for k in range(5)]
+    opponents = [np.random.default_rng(1000 + k).dirichlet(np.ones(2), size=2)
+                 for k in range(5)]
+    results = run_selfplay_batch(
+        [reduce_game_for_opponent(game, opponent) for game, opponent in zip(games, opponents)],
+        [RunConfig(iterations=100_000, eta=0.05, cadence=0, seed=k) for k in range(5)],
+    )
     worst = 0.0
-    for k in range(5):
-        game = random_game(seed=100 + k, n_states=2, n_actions_p1=2,
-                           n_actions_p2=2, gamma=0.9, kappa=0.1)
-        opponent = np.random.default_rng(1000 + k).dirichlet(np.ones(2), size=2)
-        cfg = RunConfig(iterations=100_000, eta=0.05, cadence=0, seed=k)
-        result = run_single_player(game, opponent, cfg)
+    for game, opponent, result in zip(games, opponents, results):
         learned = result.state.x_hat
         v_pair = evaluate_policy_pair(game, JointPolicy(x=learned, y=opponent))
         v_best, _ = best_response(game, opponent, fixed_side=2)

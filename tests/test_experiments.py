@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -169,12 +170,15 @@ class TestRunExperiment:
                                  "n_actions_p2": 2, "gamma": 0.9}},
                 opponent=str(opponent)),
         }
+        # Three distinct sampled runs over two workers: batches of one and two.
+        cases["const-3"] = dict(game="const", repetitions=3)
         for name, case in cases.items():
+            case = {"repetitions": 2, **case}
             serial = run_experiment(_fast_cfg(out_dir=str(tmp_path / name / "s"),
-                                              workers=1, repetitions=2, run=run, **case))
+                                              workers=1, run=run, **case))
             parallel = run_experiment(_fast_cfg(out_dir=str(tmp_path / name / "p"),
-                                                workers=2, repetitions=2, run=run, **case))
-            assert len(serial.rep_paths) == len(parallel.rep_paths) == 2
+                                                workers=2, run=run, **case))
+            assert len(serial.rep_paths) == len(parallel.rep_paths) == case["repetitions"]
             for a, b in zip(serial.rep_paths, parallel.rep_paths):
                 assert a.read_bytes() == b.read_bytes()
             assert serial.aggregate_path.read_bytes() == \
@@ -215,19 +219,55 @@ class TestRunExperiment:
     @pytest.mark.parametrize("estimator, calls", [("exact", 1), ("sampled", 3)])
     def test_one_learner_run_per_distinct_repetition(self, tmp_path, monkeypatch,
                                                      estimator, calls):
-        seeds = []
-        real = experiments_mod.run_selfplay
+        # The distinct runs go through the learner as one batch.
+        seeds, batches = [], []
+        real = experiments_mod.run_selfplay_batch
 
-        def counting(game, run, **kwargs):
-            seeds.append(run.seed)
-            return real(game, run, **kwargs)
+        def counting(games, runs, ground_truths=None):
+            batches.append(len(runs))
+            seeds.extend(run.seed for run in runs)
+            return real(games, runs, ground_truths)
 
-        monkeypatch.setattr(experiments_mod, "run_selfplay", counting)
+        monkeypatch.setattr(experiments_mod, "run_selfplay_batch", counting)
         run = RunConfig(iterations=20, eta=0.05, cadence=10, estimator=estimator,
                         rollout_len=10, epsilon=0.5)
         out = run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=3, run=run))
         assert len(set(seeds)) == len(seeds) == calls
+        assert batches == [calls]
         assert len(out.rep_paths) == 3 and out.aggregate_path is not None
+
+    @pytest.mark.parametrize("reps, workers", [(1, 1), (3, 1), (3, 2), (4, 3)])
+    def test_sampled_bytes_equal_separate_learner_runs(self, tmp_path, reps, workers):
+        # Every sampled repetition's CSV, and the aggregate, has the bytes of
+        # its own run_selfplay call, whatever batches the runs stepped in.
+        cfg = _fast_cfg(out_dir=str(tmp_path / "exp"), repetitions=reps, workers=workers,
+                        game={"random": {"seed": 6, "n_states": 3, "n_actions_p1": 3,
+                                         "n_actions_p2": 2, "gamma": 0.9}},
+                        run=RunConfig(iterations=40, eta=0.05, cadence=10, seed=5,
+                                      estimator="sampled", rollout_len=25, epsilon=0.5))
+        out = run_experiment(cfg)
+        game = resolve_game(cfg.game)
+        ground_truth = shapley_solve(game, tol=cfg.gt_tol)
+        header = {"schema": 1, "tool_version": __version__, "label": "t"}
+        runs = []
+        for rep, seed in enumerate(range(5, 5 + reps)):
+            run = replace(cfg.run, seed=seed)
+            rows = run_selfplay(game, run, ground_truth=ground_truth).rows
+            runs.append(rows)
+            digest = config_digest({"game": game_to_dict(game), "gt_tol": cfg.gt_tol,
+                                    "label": "t", "run": run.to_dict()})
+            expected = tmp_path / f"rep{rep}.csv"
+            write_metrics_csv(expected, rows, metadata={**header, "rep": rep, "seed": seed,
+                                                        "config_hash": digest})
+            assert out.rep_paths[rep].read_bytes() == expected.read_bytes()
+        assert len({tuple(row.game_gap for row in rows) for rows in runs}) == reps
+        if reps == 1:
+            assert out.aggregate_path is None
+            return
+        expected = tmp_path / "aggregate.csv"
+        write_aggregate_csv(expected, aggregate_metrics(runs), metadata={
+            **header, "repetitions": reps, "seeds": ",".join(map(str, range(5, 5 + reps)))})
+        assert out.aggregate_path.read_bytes() == expected.read_bytes()
 
     def test_config_hash_independent_of_out_dir(self, tmp_path):
         a = run_experiment(_fast_cfg(out_dir=str(tmp_path / "a")))
@@ -384,6 +424,23 @@ class TestSharedGroundTruth:
     def test_no_repetitions_rejected_before_solving(self, tmp_path, solves, reps, seeds):
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=reps, seeds=seeds))
+        assert solves == []
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("run, seeds, match", [
+        (dict(iterations=2.5), None, "got iterations=2.5"),
+        (dict(iterations=True), None, "got iterations=True"),
+        (dict(seed="x"), None, "got seed='x'"),
+        (dict(seed=2.5), None, "got seed=2.5"),
+        (dict(estimator="sampled", rollout_len=2.5), None, "got rollout_len=2.5"),
+        ({}, [1, 2.5], "got seeds=2.5"),
+    ], ids=["iterations_float", "iterations_bool", "seed_str", "seed_float",
+            "rollout_len_float", "explicit_seed_float"])
+    def test_integer_field_rejected_before_solving(self, tmp_path, solves, run, seeds, match):
+        run = RunConfig(**{"iterations": 10, "eta": 0.05, "cadence": 10, **run})
+        with pytest.raises(ValueError, match=re.escape(match)):
+            run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=2, seeds=seeds,
+                                     run=run))
         assert solves == []
         assert list(tmp_path.rglob("*.csv")) == []
 

@@ -28,6 +28,7 @@ from zsmg.learner import (
     project_simplex,
     reduce_game_for_opponent,
     run_selfplay,
+    run_selfplay_batch,
     run_single_player,
 )
 
@@ -756,3 +757,141 @@ class TestDiscountRange:
     def test_below_half_allowed_when_not_strict(self, switching_mp, gamma):
         result = run_selfplay(switching_mp, RunConfig(iterations=10, eta=0.05, gamma=gamma))
         assert result.game.gamma == gamma
+
+
+@pytest.mark.usefixtures("no_solve")
+class TestRunFieldChecks:
+    """iterations, seed and a sampled rollout_len must be integers (not bools)
+    of at least 1, 0 and 1; anything else is rejected naming the field and
+    its value before any solve."""
+
+    @pytest.mark.parametrize("field, value, estimator", [
+        ("iterations", 2.5, "exact"),
+        ("iterations", "abc", "exact"),
+        ("iterations", True, "exact"),
+        ("iterations", 0, "exact"),
+        ("rollout_len", True, "sampled"),
+        ("rollout_len", 2.5, "sampled"),
+        ("rollout_len", 0, "sampled"),
+        ("seed", "x", "sampled"),
+        ("seed", 2.5, "sampled"),
+        ("seed", False, "exact"),
+        ("seed", -1, "exact"),
+    ])
+    def test_selfplay_rejects(self, switching_mp, field, value, estimator):
+        cfg = replace(RunConfig(iterations=10, eta=0.05, cadence=5, estimator=estimator,
+                                rollout_len=20 if estimator == "sampled" else 0),
+                      **{field: value})
+        with pytest.raises(ValueError, match=re.escape(f"got {field}={value!r}")):
+            run_selfplay(switching_mp, cfg)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("iterations", 0, "iterations must be >= 1"),
+        ("rollout_len", 0, "sampled mode requires rollout_len >= 1"),
+    ])
+    def test_pinned_messages_kept(self, switching_mp, field, value, message):
+        cfg = replace(RunConfig(iterations=10, eta=0.05, cadence=5, estimator="sampled",
+                                rollout_len=20), **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_selfplay(switching_mp, cfg)
+
+    def test_numpy_integers_accepted(self, switching_mp):
+        cfg = RunConfig(iterations=np.int64(4), eta=0.05, estimator="sampled",
+                        rollout_len=np.int32(5), seed=np.uint8(3))
+        assert run_selfplay(switching_mp, cfg).state.t == 5
+
+
+def _batch_case(seed: int, shape, estimator: str, cadence: int, iterations: int = 30):
+    """A game and a config of the given shape with seeded initial strategies."""
+    n_states, n_a, n_b = shape
+    game = random_game(seed=seed, n_states=n_states, n_actions_p1=n_a, n_actions_p2=n_b,
+                       gamma=0.9)
+    rng = np.random.default_rng(seed)
+    cfg = RunConfig(iterations=iterations, eta=0.01, cadence=cadence, seed=seed,
+                    estimator=estimator, rollout_len=12 if estimator == "sampled" else 0,
+                    epsilon=1.0, init_x=rng.dirichlet(np.ones(n_a), size=n_states),
+                    init_y=rng.dirichlet(np.ones(n_b), size=n_states))
+    return game, cfg
+
+
+class TestRunSelfplayBatch:
+    # numpy's pairwise sum unrolls eight wide, so these widths would show a
+    # diagnostics row sum that mixed the players' columns or the runs.
+    @example(shape=(2, 8, 3), n_runs=3, estimator="exact", cadence=1)
+    @example(shape=(1, 3, 9), n_runs=2, estimator="sampled", cadence=1)
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+           n_runs=st.integers(1, 5), estimator=st.sampled_from(["exact", "sampled"]),
+           cadence=st.sampled_from([0, 1]))
+    def test_every_run_matches_its_own_run(self, shape, n_runs, estimator, cadence):
+        # Each run of a batch keeps the bits of the unstacked oracle loop and
+        # of its own run_selfplay call: iterates, critic and metric rows.
+        base = shape[0] * 100 + shape[1] * 10 + shape[2]
+        cases = [_batch_case(base * 10 + k, shape, estimator, cadence) for k in range(n_runs)]
+        gts = [shapley_solve(game) if cadence else None for game, _ in cases]
+        batch = run_selfplay_batch([game for game, _ in cases], [cfg for _, cfg in cases], gts)
+        assert len(batch) == n_runs
+        for (game, cfg), gt, got in zip(cases, gts, batch):
+            alone = run_selfplay(game, cfg, ground_truth=gt)
+            ref_state, ref_rows = unstacked_selfplay(game, cfg, gt)
+            for name in ("x_hat", "x", "y_hat", "y", "v"):
+                want = getattr(ref_state, name).tobytes()
+                assert getattr(got.state, name).tobytes() == want
+                assert getattr(alone.state, name).tobytes() == want
+            for name in ("z_hat", "z"):
+                assert getattr(got.state, name).tobytes() == getattr(alone.state, name).tobytes()
+            assert got.state.t == alone.state.t == cfg.iterations + 1
+            rows = [replace(row, wall_clock=None) for row in got.rows]
+            assert rows == ref_rows == [replace(row, wall_clock=None) for row in alone.rows]
+            assert got.game.loss.tobytes() == alone.game.loss.tobytes()
+
+    def test_ground_truth_solved_per_run(self):
+        cases = [_batch_case(seed, (2, 3, 2), "exact", 10) for seed in (1, 2)]
+        batch = run_selfplay_batch([game for game, _ in cases], [cfg for _, cfg in cases])
+        for (game, _), result in zip(cases, batch):
+            assert result.ground_truth.v_star.tobytes() == shapley_solve(game).v_star.tobytes()
+
+
+@pytest.mark.usefixtures("no_solve")
+class TestBatchKey:
+    """Runs that do not share what the loop reads once are rejected, naming the
+    field, before anything is solved."""
+
+    @pytest.mark.parametrize("field, game_change, run_change", [
+        ("shape", dict(n_actions_p1=3), {}),
+        ("gamma", {}, dict(gamma=0.8)),
+        ("iterations", {}, dict(iterations=11)),
+        ("cadence", {}, dict(cadence=2)),
+        ("estimator", {}, dict(estimator="exact")),
+        ("rollout_len", {}, dict(rollout_len=21)),
+        ("eta", {}, dict(eta=0.04)),
+        ("alpha", {}, dict(alpha="harmonic")),
+        ("epsilon_prime", {}, dict(epsilon=0.5)),
+    ])
+    def test_mismatch_names_the_field(self, field, game_change, run_change):
+        base_game = dict(seed=3, n_states=2, n_actions_p1=2, n_actions_p2=2, gamma=0.9)
+        run = RunConfig(iterations=10, eta=0.05, cadence=5, estimator="sampled",
+                        rollout_len=20, epsilon=1.0)
+        games = [random_game(**base_game), random_game(**{**base_game, **game_change})]
+        configs = [run, replace(run, seed=1, **run_change)]
+        with pytest.raises(ValueError, match=f"batched runs must share {field}: run 0 has"):
+            run_selfplay_batch(games, configs)
+
+    def test_seed_and_initial_strategies_may_differ(self, switching_mp):
+        configs = [RunConfig(iterations=5, eta=0.05, seed=0),
+                   RunConfig(iterations=5, eta=0.05, seed=9, init_x=[[1.0, 0.0], [0.5, 0.5]])]
+        assert len(run_selfplay_batch([switching_mp] * 2, configs)) == 2
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            run_selfplay_batch([], [])
+
+    def test_length_mismatch_rejected(self, switching_mp):
+        with pytest.raises(ValueError, match="one config and one ground truth per game"):
+            run_selfplay_batch([switching_mp] * 2, [RunConfig(iterations=5, eta=0.05)])
+
+    def test_a_bad_run_is_named_by_its_own_check(self, switching_mp):
+        configs = [RunConfig(iterations=5, eta=0.05, cadence=1),
+                   RunConfig(iterations=5, eta=0.05, cadence=1, seed="x")]
+        with pytest.raises(ValueError, match="got seed='x'"):
+            run_selfplay_batch([switching_mp] * 2, configs)
