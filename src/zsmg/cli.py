@@ -160,45 +160,26 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _experiment_from_args(args, opponent=None) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_json_file(args.config)
-    else:
-        cfg = ExperimentConfig()
+def _experiment_from_args(args) -> ExperimentConfig:
+    cfg = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
     if args.game is not None:
         cfg.game = {"builtin": args.game, "gamma": args.gamma} \
             if args.game in BUILTIN_NAMES else {"file": args.game}
-    run_overrides = {
-        # A builtin takes the discount in its spec; any other game through the run.
-        "gamma": None if args.game in BUILTIN_NAMES else args.gamma,
-        "iterations": args.iterations,
-        "eta": args.eta,
-        "seed": args.seed,
-        "cadence": args.cadence,
-        "estimator": args.estimator,
-        "rollout_len": args.rollout_len,
-        "epsilon": args.epsilon,
-        "epsilon_prime": args.epsilon_prime,
-        "strict": args.strict,
-    }
-    for key, val in run_overrides.items():
-        if val is not None:
-            setattr(cfg.run, key, val)
-    for key, attr in (("reps", "repetitions"), ("workers", "workers"),
-                      ("label", "label"), ("gt_tol", "gt_tol"),
-                      ("out_dir", "out_dir"), ("debug_columns", "debug_columns")):
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if opponent is not None:
-        cfg.opponent = opponent
+    # Each flag overrides the field of its name (--reps: repetitions).  A
+    # builtin takes the discount in its spec; any other game through the run.
+    flags = {**vars(args), "repetitions": args.reps,
+             "gamma": None if args.game in BUILTIN_NAMES else args.gamma}
+    for target in (cfg.run, cfg):
+        for key in target.__dataclass_fields__.keys() - {"game"}:
+            if flags.get(key) is not None:
+                setattr(target, key, flags[key])
     if cfg.run.cadence == 0:
         cfg.run.cadence = max(1, cfg.run.iterations // 100)
     return cfg
 
 
-def _cmd_run(args, opponent=None) -> int:
-    cfg = _experiment_from_args(args, opponent=opponent)
+def _cmd_run(args) -> int:
+    cfg = _experiment_from_args(args)
     output = run_experiment(cfg)
     for path in output.rep_paths:
         print(f"wrote {path}")
@@ -271,10 +252,8 @@ def main(argv=None) -> int:
             return _cmd_gen(args)
         if args.command == "solve":
             return _cmd_solve(args)
-        if args.command == "run":
+        if args.command in ("run", "rational"):
             return _cmd_run(args)
-        if args.command == "rational":
-            return _cmd_run(args, opponent=args.opponent)
         if args.command == "plan":
             return _cmd_plan(args)
         if args.command == "plot":

@@ -25,7 +25,8 @@ from . import __version__
 from .gamegen import builtin, game_from_dict, game_to_dict, load_game, load_policy, random_game
 from .games import MarkovGame
 from .groundtruth import shapley_solve
-from .learner import RunConfig, _check_integer, _prepare_game, _rows_seed, run_selfplay_batch
+from .learner import (RunConfig, _check_fields, _instance, _integer, _integers, _optional,
+                      _real, _run_batch, _setup)
 from .metrics import (
     aggregate_metrics,
     config_digest,
@@ -96,21 +97,33 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def seed_list(self) -> list[int]:
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions!r}")
-        if self.seeds is not None:
-            if len(self.seeds) != self.repetitions:
-                raise ValueError(
-                    f"got {len(self.seeds)} seeds for {self.repetitions} repetitions"
-                )
-            for seed in self.seeds:
-                _check_integer("seeds", seed, 0, "every seed must be >= 0")
-            return [int(s) for s in self.seeds]
-        return [int(self.run.seed) + rep for rep in range(self.repetitions)]
+        return self._checked(int(self.run.seed))["seeds"]
+
+    def _checked(self, run_seed: int) -> dict:
+        """The checked fields, ``seeds`` resolved (``run_seed + rep`` unless given)."""
+        fields = _check_fields(self, _EXPERIMENT_FIELDS)
+        reps, seeds = fields["repetitions"], fields["seeds"]
+        if seeds is None:
+            fields["seeds"] = [run_seed + rep for rep in range(reps)]
+        elif len(seeds) != reps:
+            raise ValueError(f"got {len(seeds)} seeds for {reps} repetitions")
+        return fields
 
     def resolve_out_dir(self) -> Path:
         base = self.out_dir or os.environ.get("ZSMG_OUT_DIR") or "."
         return Path(base)
+
+
+# Each value field's kind, as in ``learner._RUN_FIELDS``; game, run and opponent are sources.
+_EXPERIMENT_FIELDS = {
+    "gt_tol": (_real, "(0, inf)"),
+    "out_dir": (_optional(_instance), (str, os.PathLike)),
+    "repetitions": (_integer, 1),
+    "seeds": (_optional(_integers), 0),
+    "label": (_instance, (str,)),
+    "debug_columns": (_instance, (bool, np.bool_)),
+    "workers": (_integer, 1),
+}
 
 
 def _resolve_opponent(spec, game: MarkovGame) -> np.ndarray:
@@ -121,10 +134,9 @@ def _resolve_opponent(spec, game: MarkovGame) -> np.ndarray:
     return np.asarray(spec, dtype=np.float64)
 
 
-def _learner_rows(game: MarkovGame, runs: list[RunConfig], ground_truth) -> list[list]:
-    """Worker entry: the metric rows of each run, the runs stepped as one batch."""
-    results = run_selfplay_batch([game] * len(runs), runs, [ground_truth] * len(runs))
-    return [result.rows for result in results]
+def _learner_rows(runs: list, ground_truth) -> list[list]:
+    """Worker entry: the metric rows of each set-up run, the runs stepped as one batch."""
+    return [result.rows for result in _run_batch(runs, [ground_truth] * len(runs))]
 
 
 @dataclass
@@ -138,39 +150,41 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
 
     Writes ``<label>_rep<k>.csv`` per repetition and ``<label>_aggregate.csv``
     (median / quartiles across repetitions) when there is more than one.  The
-    opponent is resolved and the run set up once, through the learner's own
-    set-up, so every config error is raised before anything is solved or
+    run is set up once, through the learner's own set-up, and the fields
+    checked, so every config error is raised before anything is solved or
     written; the ground truth behind the metric rows is then solved once.
     Repetitions whose rows read the same seed share one learner run: exact
     repetitions all share one (and one ``wall_clock`` under
-    ``debug_columns``), sampled ones run one per seed.  The distinct runs go
-    through ``run_selfplay_batch``: one batch, or with ``workers`` > 1 at most
+    ``debug_columns``), sampled ones run one per seed, each the set-up run
+    with its seed.  The distinct runs go through the learner's batch loop:
+    one batch, or with ``workers`` > 1 at most
     ``workers`` contiguous batches, one process-pool task each.  A run's rows
     do not depend on its batch, so the bytes do not depend on ``workers``.
     """
     game = resolve_game(cfg.game)
     opponent = None if cfg.opponent is None else _resolve_opponent(cfg.opponent, game)
-    run_game = _prepare_game(game, cfg.run, opponent)
-    seeds = cfg.seed_list()
+    base = _setup(game, cfg.run, opponent)
+    fields = cfg._checked(base.seed)
     out_dir = cfg.resolve_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    ground_truth = (shapley_solve(run_game, tol=cfg.gt_tol)
-                    if int(cfg.run.cadence) > 0 else None)
-    reps = [replace(cfg.run, seed=seed) for seed in seeds]
-    # The gamma override is already in run_game; one run per distinct row seed.
-    runs = {_rows_seed(run): replace(run, gamma=None) for run in reps}
+    ground_truth = (shapley_solve(base.game, tol=fields["gt_tol"])
+                    if base.shared["cadence"] > 0 else None)
+    reps = [replace(cfg.run, seed=seed) for seed in fields["seeds"]]
+    # One learner run per distinct row seed: only the sampled estimator reads one.
+    row_seeds = [run.seed if base.shared["estimator"] == "sampled" else None for run in reps]
+    runs = {key: base._replace(config=run, seed=run.seed) for key, run in zip(row_seeds, reps)}
     distinct = list(runs.values())
-    n_batches = max(1, min(cfg.workers, len(distinct)))
+    n_batches = min(fields["workers"], len(distinct))
     bounds = [len(distinct) * k // n_batches for k in range(n_batches + 1)]
     batches = [distinct[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    job = partial(_learner_rows, run_game, ground_truth=ground_truth)
+    job = partial(_learner_rows, ground_truth=ground_truth)
     if n_batches > 1:
         with ProcessPoolExecutor(max_workers=n_batches) as pool:
             batch_rows = list(pool.map(job, batches))
     else:
         batch_rows = list(map(job, batches))
     rows_by_seed = dict(zip(runs, (rows for batch in batch_rows for rows in batch)))
-    rep_rows = [rows_by_seed[_rows_seed(run)] for run in reps]
+    rep_rows = [rows_by_seed[row_seed] for row_seed in row_seeds]
 
     # Everything that determines a repetition's rows (no paths, no timing).
     payload = {"game": game_to_dict(game), "gt_tol": cfg.gt_tol, "label": cfg.label}
@@ -187,6 +201,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     if len(reps) > 1:
         aggregate_path = out_dir / f"{cfg.label}_aggregate.csv"
         metadata = {**header, "repetitions": len(reps),
-                    "seeds": ",".join(str(s) for s in seeds)}
+                    "seeds": ",".join(str(s) for s in fields["seeds"])}
         write_aggregate_csv(aggregate_path, aggregate_metrics(rep_rows), metadata=metadata)
     return ExperimentOutput(rep_paths=rep_paths, aggregate_path=aggregate_path)

@@ -163,17 +163,13 @@ def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
     return problems
 
 
-def _check_policy_dims(game: MarkovGame, policy: JointPolicy) -> None:
-    if policy.x.shape != (game.n_states, game.n_actions_p1):
-        raise DimensionMismatchError(
-            f"player-1 policy shape {policy.x.shape} does not match "
-            f"(S, A) = {(game.n_states, game.n_actions_p1)}"
-        )
-    if policy.y.shape != (game.n_states, game.n_actions_p2):
-        raise DimensionMismatchError(
-            f"player-2 policy shape {policy.y.shape} does not match "
-            f"(S, B) = {(game.n_states, game.n_actions_p2)}"
-        )
+def _check_policy_shape(game: MarkovGame, policy: np.ndarray, side: int, who: str = "") -> None:
+    """Raise DimensionMismatchError unless ``policy`` is player ``side``'s
+    ``(S, A)`` or ``(S, B)`` strategy array; ``who`` prefixes the message."""
+    want = (game.n_states, game.loss.shape[side])
+    if policy.shape != want:
+        raise DimensionMismatchError(f"{who}player-{side} policy shape {policy.shape} does "
+                                     f"not match (S, {'AB'[side - 1]}) = {want}")
 
 
 def evaluate_policy_pair(
@@ -185,7 +181,8 @@ def evaluate_policy_pair(
     solution is verified against the Bellman residual; a residual above
     ``residual_tol`` (scaled by the value magnitude) raises ``ArithmeticError``.
     """
-    _check_policy_dims(game, policy)
+    _check_policy_shape(game, policy.x, 1)
+    _check_policy_shape(game, policy.y, 2)
     loss_xy = np.einsum("sab,sa,sb->s", game.loss, policy.x, policy.y)
     p_xy = np.einsum("sabt,sa,sb->st", game.transition, policy.x, policy.y)
     mat = np.eye(game.n_states) - game.gamma * p_xy
@@ -215,24 +212,15 @@ def q_from_v(game: MarkovGame, v: np.ndarray) -> np.ndarray:
 
 def _induced_mdp(game: MarkovGame, fixed_policy: np.ndarray, fixed_side: int):
     """Collapse the fixed player out of the game, leaving the free player's MDP."""
+    if fixed_side not in (1, 2):
+        raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
+    _check_policy_shape(game, fixed_policy, fixed_side, "fixed ")
     if fixed_side == 2:
-        if fixed_policy.shape != (game.n_states, game.n_actions_p2):
-            raise DimensionMismatchError(
-                f"fixed player-2 policy shape {fixed_policy.shape} does not match "
-                f"(S, B) = {(game.n_states, game.n_actions_p2)}"
-            )
         loss = np.einsum("sab,sb->sa", game.loss, fixed_policy)
         trans = np.einsum("sabt,sb->sat", game.transition, fixed_policy)
-    elif fixed_side == 1:
-        if fixed_policy.shape != (game.n_states, game.n_actions_p1):
-            raise DimensionMismatchError(
-                f"fixed player-1 policy shape {fixed_policy.shape} does not match "
-                f"(S, A) = {(game.n_states, game.n_actions_p1)}"
-            )
+    else:
         loss = np.einsum("sab,sa->sb", game.loss, fixed_policy)
         trans = np.einsum("sabt,sa->sbt", game.transition, fixed_policy)
-    else:
-        raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
     return loss, trans
 
 

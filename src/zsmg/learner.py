@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import truediv
 from typing import Any, Callable
 
 import numpy as np
@@ -116,15 +118,12 @@ def alpha_schedule(t: int, gamma: float) -> float:
 
 def make_alpha_schedule(name: str, gamma: float) -> Callable[[int], float]:
     """Critic step-size schedule by name: 'horizon' (default) or 'harmonic' 1/t."""
-    _check_alpha_name(name)
-    if name == "horizon":
-        return lambda t: alpha_schedule(t, gamma)
-    return lambda t: 1.0 / t
+    return _schedule(_choice("alpha", name, _RUN_FIELDS["alpha"][1]), gamma)
 
 
-def _check_alpha_name(name: str) -> None:
-    if name not in ("horizon", "harmonic"):
-        raise ValueError(f"unknown alpha schedule {name!r} (expected 'horizon' or 'harmonic')")
+def _schedule(name: str, gamma: float) -> Callable[[int], float]:
+    """The checked schedule ``name`` as a picklable callable."""
+    return partial(alpha_schedule, gamma=gamma) if name == "horizon" else partial(truediv, 1.0)
 
 
 def eta_max(gamma: float, n_states: int) -> float:
@@ -193,33 +192,20 @@ def initial_state(
     Defaults to the uniform policy per state; explicit initial strategies must
     be row-stochastic within 1e-9.
     """
-    n_states, n_a, n_b = game.loss.shape
-    x, y = _initial_strategies(game, init_x, init_y)
+    shape = game.loss.shape
+    z_hat = _stacked(_strategy_rows("init_x", init_x, 1, shape),
+                     _strategy_rows("init_y", init_y, 2, shape))
+    return LearnerState(z_hat=z_hat, z=z_hat.copy(), v=np.zeros(shape[0]), t=1,
+                        eta=float(eta), n_actions_p1=shape[1], n_actions_p2=shape[2])
+
+
+def _stacked(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Both players' strategies in the stacked ``(2S, W)`` layout, padding 0."""
+    (n_states, n_a), n_b = x.shape, y.shape[1]
     z_hat = np.zeros((2 * n_states, max(n_a, n_b)))
     z_hat[:n_states, :n_a] = x
     z_hat[n_states:, :n_b] = y
-    return LearnerState(z_hat=z_hat, z=z_hat.copy(), v=np.zeros(n_states), t=1,
-                        eta=float(eta), n_actions_p1=n_a, n_actions_p2=n_b)
-
-
-def _initial_strategies(game: MarkovGame, init_x, init_y) -> tuple[np.ndarray, np.ndarray]:
-    """Both players' checked initial strategies, uniform where none is given."""
-    n_states, n_a, n_b = game.loss.shape
-    if init_x is None:
-        x = np.full((n_states, n_a), 1.0 / n_a)
-    else:
-        x = np.array(init_x, dtype=np.float64)
-    if init_y is None:
-        y = np.full((n_states, n_b), 1.0 / n_b)
-    else:
-        y = np.array(init_y, dtype=np.float64)
-    for name, arr, width in (("init_x", x, n_a), ("init_y", y, n_b)):
-        if arr.shape != (n_states, width):
-            raise ValueError(f"{name} has shape {arr.shape}, expected {(n_states, width)}")
-        problem = distribution_rows_error(name, arr)
-        if problem:
-            raise ValueError(problem)
-    return x, y
+    return z_hat
 
 
 def ogda_step(state: LearnerState, ell: np.ndarray, r: np.ndarray,
@@ -297,15 +283,7 @@ def reduce_game_for_opponent(game: MarkovGame, opponent_y: np.ndarray) -> Markov
     are the opponent-averaged originals, so self-play on it is exactly the
     single-player learning problem against that opponent.
     """
-    y = np.asarray(opponent_y, dtype=np.float64)
-    if y.shape != (game.n_states, game.n_actions_p2):
-        raise ValueError(
-            f"opponent policy shape {y.shape} does not match "
-            f"(S, B) = {(game.n_states, game.n_actions_p2)}"
-        )
-    problem = distribution_rows_error("opponent_y", y)
-    if problem:
-        raise ValueError(problem)
+    y = _strategy_rows("opponent_y", opponent_y, 2, game.loss.shape)
     loss, trans = _induced_mdp(game, y, fixed_side=2)
     return MarkovGame(loss=loss[:, :, None], transition=trans[:, :, None, :], gamma=game.gamma,
                       name=f"{game.name or 'game'}|fixed-opponent")
@@ -321,7 +299,7 @@ class RunConfig:
     In sampled mode each iteration rolls out ``rollout_len`` steps under the
     exploration-mixed strategies (mixing weight ``epsilon_prime`` in [0, 1],
     default (1-gamma) * epsilon), continuing from the last state unless
-    ``rollout_reset`` is set.
+    ``rollout_reset`` is set.  ``_RUN_FIELDS`` gives each field's kind.
     """
 
     iterations: int = 1000
@@ -368,109 +346,165 @@ class RunResult:
     config: RunConfig
 
 
-def _resolve_eta(config: RunConfig, game: MarkovGame) -> float:
-    cap = eta_max(game.gamma, game.n_states)
-    if config.eta == "auto":
-        return cap
+def _integer(name, value, minimum, shape=None) -> int:
+    """An integer >= ``minimum``; not a bool, which Python counts as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be >= {minimum} and an integer (not a bool), "
+                         f"got {name}={value!r}")
+    return int(value)
+
+
+def _integers(name, value, minimum, shape=None) -> list[int]:
+    """A list, tuple or array of integers >= ``minimum``."""
+    _instance(name, value, (list, tuple, np.ndarray))
+    return [_integer(name, item, minimum) for item in value]
+
+
+def _number(value) -> float | None:
+    """A real number, or a string that float() reads, as a float; else None (bools too)."""
     try:
-        eta = float(config.eta)
-    except (TypeError, ValueError):
-        raise ValueError(f"step size must be a number or 'auto', got eta={config.eta!r}") from None
-    # NaN fails the test too, so it needs no case of its own.
+        return None if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _real(name, value, interval, shape=None) -> float:
+    """A number in ``interval``, written like ``'[0, 1)'``; NaN lies in none."""
+    x, (low, high) = _number(value), map(float, interval[1:-1].split(","))
+    if (x is None or not low <= x <= high or (x == low and interval[0] == "(")
+            or (x == high and interval[-1] == ")")):
+        raise ValueError(f"{name}={value!r} must lie in {interval}")
+    return x
+
+
+def _step_size(name, value, _, shape=None) -> float | str:
+    """'auto', or a finite positive number."""
+    if isinstance(value, str) and value == "auto":
+        return value
+    eta = _number(value)
+    if eta is None:
+        raise ValueError(f"step size must be a number or 'auto', got {name}={value!r}")
     if not 0.0 < eta < math.inf:
-        raise ValueError(f"step size must be finite and positive, got eta={eta!r}")
-    if config.strict and eta > cap * (1.0 + 1e-12):
-        raise ValueError(
-            f"strict mode: eta={eta} exceeds the guaranteed-stable maximum {cap:.6e}"
-        )
+        raise ValueError(f"step size must be finite and positive, got {name}={eta!r}")
     return eta
 
 
-def _prepare_game(game: MarkovGame, config: RunConfig,
-                  opponent_y: np.ndarray | None = None) -> MarkovGame:
-    """Check a run before anything is solved and return the game it runs on.
+def _instance(name, value, types, shape=None):
+    """An instance of one of ``types``: for a bool field, no 'false' or 0."""
+    if not isinstance(value, types):
+        kinds = " or ".join(dict.fromkeys(t.__name__ for t in types))
+        raise ValueError(f"{name} must be a {kinds}, got {name}={value!r}")
+    return value
 
-    Applies the discount override and folds in a fixed opponent, then checks
-    the game, ``iterations``, ``cadence``, ``seed``, ``eta``, strict
-    ``epsilon``, the alpha schedule's name, the initial strategies and the
-    estimator settings, in that order.  Builds nothing else: the run loop
-    builds the schedule, the state and the estimator of the run.
-    """
-    if config.gamma is not None and config.gamma != game.gamma:
-        game = MarkovGame(loss=game.loss, transition=game.transition,
-                          gamma=config.gamma, name=game.name)
+
+def _choice(name, value, choices, shape=None) -> str:
+    """One of ``choices[1:]``; ``choices[0]`` says what they name."""
+    what, *names = choices
+    if not (isinstance(value, str) and value in names):
+        raise ValueError(f"unknown {what}: expected {' or '.join(map(repr, names))}, "
+                         f"got {name}={value!r}")
+    return value
+
+
+def _strategy_rows(name, value, side, shape) -> np.ndarray:
+    """Player ``side``'s ``(S, shape[side])`` distribution rows (within 1e-9); uniform if None."""
+    want = (shape[0], shape[side])
+    if value is None:
+        return np.full(want, 1.0 / want[1])
+    try:
+        rows = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.shape != want:
+        raise ValueError(f"{name} must be None or an array of shape {want}, got {name}={value!r}")
+    problem = distribution_rows_error(name, rows)
+    if problem:
+        raise ValueError(problem)
+    return rows
+
+
+def _optional(kind):
+    """``kind``, with None accepted as well."""
+    return lambda name, value, arg, shape=None: (
+        None if value is None else kind(name, value, arg, shape))
+
+
+# Every RunConfig field's kind and the argument ``_check_fields`` passes it.
+_RUN_FIELDS = {
+    "iterations": (_integer, 1),
+    "eta": (_step_size, None),
+    "alpha": (_choice, ("alpha schedule", "horizon", "harmonic")),
+    "estimator": (_choice, ("estimator mode", "exact", "sampled")),
+    "rollout_len": (_integer, 0),
+    "epsilon": (_real, "[0, inf)"),
+    "epsilon_prime": (_optional(_real), "[0, 1]"),
+    "seed": (_integer, 0),
+    "init_x": (_strategy_rows, 1),
+    "init_y": (_strategy_rows, 2),
+    "cadence": (_integer, 0),
+    "strict": (_instance, (bool, np.bool_)),
+    "gamma": (_optional(_real), "[0, 1)"),
+    "rollout_reset": (_instance, (bool, np.bool_)),
+}
+
+
+def _check_fields(obj, table: dict, shape=None) -> dict:
+    """Each field of ``obj`` in ``table`` order, as ``kind(name, value, arg, shape)``
+    returns it, or ValueError naming both; ``shape`` is the game's (S, A, B)."""
+    return {name: kind(name, getattr(obj, name), arg, shape)
+            for name, (kind, arg) in table.items()}
+
+
+# A checked run and what its loop reads; ``shared`` is what a batch shares.
+_Run = namedtuple("_Run", "game config shared alpha_fn z_hat seed rollout_reset")
+
+
+def _setup(game: MarkovGame, config: RunConfig, opponent_y: np.ndarray | None = None) -> _Run:
+    """Check a run before anything is solved and resolve what its loop reads.
+
+    Folds in a fixed opponent, walks ``_RUN_FIELDS``, applies the discount
+    override and checks the game; then resolves ``eta`` and the exploration
+    weight and checks what strict and sampled mode ask of them."""
     if opponent_y is not None:
         game = reduce_game_for_opponent(game, opponent_y)
-    problems = validate_game(game)
-    if not config.strict:
-        # Off the guarantee regime gamma may lie in [0, 1/2), but never
-        # outside [0, 1): the critic's horizon 2/(1-gamma) needs it.
-        problems = [p for p in problems if not p.startswith("gamma")]
-        if not 0.0 <= game.gamma < 1.0:
-            problems.insert(0, f"gamma must lie in [0, 1), got gamma={game.gamma}")
+    f = _check_fields(config, _RUN_FIELDS, game.loss.shape)
+    if f["gamma"] is not None:
+        game = replace(game, gamma=f["gamma"])
+    # Off the guarantee regime gamma may lie in [0, 1/2), but never outside
+    # [0, 1): the critic's horizon 2/(1-gamma) needs it.
+    problems = [p for p in validate_game(game) if f["strict"] or not p.startswith("gamma")]
+    if not (f["strict"] or 0.0 <= game.gamma < 1.0):
+        problems.insert(0, f"gamma must lie in [0, 1), got gamma={game.gamma}")
     if problems:
         raise ValueError("invalid game: " + "; ".join(problems))
-    _check_integer("iterations", config.iterations, 1, "iterations must be >= 1")
-    cadence = config.cadence
-    if not (isinstance(cadence, numbers.Real) and float(cadence).is_integer() and cadence >= 0):
-        raise ValueError(f"cadence must be a nonnegative integer, got cadence={cadence!r}")
-    _check_integer("seed", config.seed, 0, "seed must be >= 0")
-    _resolve_eta(config, game)
-    if config.strict and not (0.0 <= config.epsilon <= 1.0 / (1.0 - game.gamma)):
-        raise ValueError(
-            f"strict mode: epsilon={config.epsilon} outside [0, 1/(1-gamma)]"
-        )
-    _check_alpha_name(config.alpha)
-    _initial_strategies(game, config.init_x, config.init_y)
-    _exploration_weight(config, game)
-    return game
+    cap = eta_max(game.gamma, game.n_states)
+    eta = cap if f["eta"] == "auto" else f["eta"]
+    if f["strict"] and eta > cap * (1.0 + 1e-12):
+        raise ValueError(f"strict mode: eta={eta} exceeds the guaranteed-stable maximum {cap:.6e}")
+    if f["strict"] and f["epsilon"] > 1.0 / (1.0 - game.gamma):
+        raise ValueError(f"strict mode: epsilon={config.epsilon} outside [0, 1/(1-gamma)]")
+    sampled = f["estimator"] == "sampled"
+    if sampled and f["rollout_len"] < 1:
+        raise ValueError(f"sampled mode requires rollout_len >= 1, "
+                         f"got rollout_len={config.rollout_len!r}")
+    eps_prime = f["epsilon_prime"] if sampled else None
+    if sampled and eps_prime is None:
+        eps_prime = float((1.0 - game.gamma) * f["epsilon"])
+        if eps_prime > 1.0:
+            raise ValueError(f"epsilon_prime = (1 - gamma) * epsilon = (1 - {game.gamma!r}) * "
+                             f"{config.epsilon!r} = {eps_prime!r} must lie in [0, 1]")
+    shared = dict(shape=game.loss.shape, gamma=game.gamma, eta=eta, alpha=f["alpha"],
+                  iterations=f["iterations"], cadence=f["cadence"], estimator=f["estimator"],
+                  rollout_len=f["rollout_len"] if sampled else None, epsilon_prime=eps_prime)
+    return _Run(game, config, shared, _schedule(f["alpha"], game.gamma),
+                _stacked(f["init_x"], f["init_y"]), f["seed"], f["rollout_reset"])
 
 
-def _check_integer(name: str, value, minimum: int, requirement: str) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``.
-
-    A bool is rejected although Python counts it as an integer: ``True``
-    would silently mean 1.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{requirement} and an integer (not a bool), got {name}={value!r}")
-
-
-def _exploration_weight(config: RunConfig, game: MarkovGame) -> float | None:
-    """The checked exploration weight of a sampled run; None in exact mode."""
-    if config.estimator == "exact":
-        return None
-    if config.estimator != "sampled":
-        raise ValueError(f"unknown estimator mode {config.estimator!r}")
-    _check_integer("rollout_len", config.rollout_len, 1, "sampled mode requires rollout_len >= 1")
-    # The exploration weight; out of [0, 1] raises naming its source.
-    if config.epsilon_prime is not None:
-        eps_prime = float(config.epsilon_prime)
-        source = f"epsilon_prime={eps_prime!r}"
-    else:
-        eps_prime = float((1.0 - game.gamma) * config.epsilon)
-        source = (f"epsilon_prime = (1 - gamma) * epsilon = "
-                  f"(1 - {game.gamma!r}) * {config.epsilon!r} = {eps_prime!r}")
-    if not 0.0 <= eps_prime <= 1.0:
-        raise ValueError(f"{source} must lie in [0, 1]")
-    return eps_prime
-
-
-def _build_estimator(config: RunConfig, game: MarkovGame):
-    eps_prime = _exploration_weight(config, game)
-    if eps_prime is None:
+def _build_estimator(run: _Run):
+    if run.shared["estimator"] == "exact":
         return est_mod.ExactEstimator()
-    return est_mod.SampledEstimator(
-        rollout_len=config.rollout_len,
-        epsilon_prime=eps_prime,
-        seed=config.seed,
-        reset_each_iteration=config.rollout_reset,
-    )
-
-
-def _rows_seed(config: RunConfig) -> int | None:
-    """The seed a run's rows depend on: only the sampled estimator reads one."""
-    return int(config.seed) if config.estimator == "sampled" else None
+    return est_mod.SampledEstimator(run.shared["rollout_len"], run.shared["epsilon_prime"],
+                                    run.seed, reset_each_iteration=run.rollout_reset)
 
 
 def run_selfplay(
@@ -492,7 +526,7 @@ def run_selfplay(
     Deterministic given the config.  This is the batch loop of
     ``run_selfplay_batch`` with a batch of one.
     """
-    return _run_batch([game], [config], [ground_truth], sink, iteration_hook)[0]
+    return _run_batch([_setup(game, config)], [ground_truth], sink, iteration_hook)[0]
 
 
 def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
@@ -515,25 +549,6 @@ def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
     do not share raises ValueError naming it, all before anything is solved.
     An empty batch raises ValueError too.
     """
-    return _run_batch(games, configs, ground_truths)
-
-
-def _batch_key(game: MarkovGame, config: RunConfig) -> dict:
-    """The settings of a checked run that every run of a batch must share."""
-    eps_prime = _exploration_weight(config, game)
-    return {
-        "shape": game.loss.shape, "gamma": game.gamma, "eta": _resolve_eta(config, game),
-        "alpha": config.alpha, "iterations": config.iterations,
-        "cadence": int(config.cadence), "estimator": config.estimator,
-        "rollout_len": None if eps_prime is None else config.rollout_len,
-        "epsilon_prime": eps_prime,
-    }
-
-
-def _run_batch(games, configs, ground_truths, sink=None, iteration_hook=None
-               ) -> list[RunResult]:
-    """The loop of ``run_selfplay_batch``; ``sink`` and ``iteration_hook``
-    see every run's rows and states, in run order."""
     if ground_truths is None:
         ground_truths = [None] * len(configs)
     if not len(games) == len(configs) == len(ground_truths):
@@ -542,26 +557,30 @@ def _run_batch(games, configs, ground_truths, sink=None, iteration_hook=None
                          f"{len(ground_truths)} ground truths")
     if not configs:
         raise ValueError("a batch needs at least one run")
-    games = [_prepare_game(game, config) for game, config in zip(games, configs)]
-    keys = [_batch_key(game, config) for game, config in zip(games, configs)]
-    for run, key in enumerate(keys[1:], 1):
-        for name, value in key.items():
-            if value != keys[0][name]:
-                raise ValueError(f"batched runs must share {name}: run 0 has "
-                                 f"{keys[0][name]!r}, run {run} has {value!r}")
+    return _run_batch([_setup(game, config) for game, config in zip(games, configs)],
+                      ground_truths)
 
-    config, n_runs = configs[0], len(configs)
-    gamma, eta, cadence = games[0].gamma, keys[0]["eta"], keys[0]["cadence"]
-    n_states, n_a, n_b = games[0].loss.shape
-    alpha_fn = make_alpha_schedule(config.alpha, gamma)
-    starts = [initial_state(game, eta, run.init_x, run.init_y)
-              for game, run in zip(games, configs)]
-    exact = config.estimator == "exact"
+
+def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
+               ) -> list[RunResult]:
+    """The loop of ``run_selfplay_batch`` over set-up runs; ``sink`` and
+    ``iteration_hook`` see every run's rows and states, in run order."""
+    key = runs[0].shared
+    for index, run in enumerate(runs[1:], 1):
+        for name, value in run.shared.items():
+            if value != key[name]:
+                raise ValueError(f"batched runs must share {name}: run 0 has "
+                                 f"{key[name]!r}, run {index} has {value!r}")
+
+    games, n_runs = [run.game for run in runs], len(runs)
+    gamma, eta, cadence, iterations = key["gamma"], key["eta"], key["cadence"], key["iterations"]
+    n_states, n_a, n_b = key["shape"]
+    alpha_fn = runs[0].alpha_fn
+    exact = key["estimator"] == "exact"
     # Exact estimates read only the stage games and strategies, so one
     # estimator call serves every run; sampled runs each roll out with their
     # own generator.
-    estimators = ([_build_estimator(config, games[0])] if exact
-                  else [_build_estimator(run, game) for game, run in zip(games, configs)])
+    estimators = [_build_estimator(run) for run in (runs[:1] if exact else runs)]
     if cadence > 0 and None in ground_truths:
         from .groundtruth import shapley_solve
         ground_truths = [shapley_solve(game) if gt is None else gt
@@ -577,7 +596,7 @@ def _run_batch(games, configs, ground_truths, sink=None, iteration_hook=None
     # cause without estimating again.
     loss = np.stack([game.loss for game in games])
     transition = np.stack([game.transition for game in games])
-    z_hat = np.stack([start.z_hat for start in starts])
+    z_hat = np.stack([run.z_hat for run in runs])
     z, v = z_hat.copy(), np.zeros((n_runs, n_states))
     ell, r = np.empty((n_runs, n_states, n_a)), np.empty((n_runs, n_states, n_b))
     g = np.full_like(z, _PAD)
@@ -594,7 +613,7 @@ def _run_batch(games, configs, ground_truths, sink=None, iteration_hook=None
         return LearnerState(z_hat=z_hat[run], z=z[run], v=v[run], t=t, eta=eta,
                             n_actions_p1=n_a, n_actions_p2=n_b)
 
-    for t in range(1, config.iterations + 1):
+    for t in range(1, iterations + 1):
         # q_from_v for every run at once, with the same arithmetic per run.
         q_t = loss + gamma * (transition @ v[:, None, None, :, None])[..., 0]
         alpha_t = alpha_fn(t)
@@ -632,9 +651,9 @@ def _run_batch(games, configs, ground_truths, sink=None, iteration_hook=None
             for run in range(n_runs):
                 iteration_hook(t, state_of(run, t + 1))
 
-    return [RunResult(state=state_of(run, config.iterations + 1), rows=rows[run],
-                      game=games[run], ground_truth=ground_truths[run], config=configs[run])
-            for run in range(n_runs)]
+    return [RunResult(state=state_of(index, iterations + 1), rows=rows[index], game=run.game,
+                      ground_truth=ground_truths[index], config=run.config)
+            for index, run in enumerate(runs)]
 
 
 def run_single_player(
@@ -653,7 +672,5 @@ def run_single_player(
     exactly the player's exploitability against the fixed opponent, and the
     distance column measures distance to the best-response strategy set.
     """
-    return run_selfplay(
-        _prepare_game(game, config, opponent_y), replace(config, gamma=None), sink=sink,
-        ground_truth=ground_truth, iteration_hook=iteration_hook,
-    )
+    return _run_batch([_setup(game, config, opponent_y)], [ground_truth], sink,
+                      iteration_hook)[0]

@@ -319,16 +319,17 @@ def unstacked_selfplay(game, config, ground_truth=None):
     ``contiguous_exact_triple``.  ``ground_truth`` is required when
     ``config.cadence > 0``.
     """
-    from zsmg.learner import (_build_estimator, _prepare_game, _resolve_eta, critic_step,
-                              initial_state, make_alpha_schedule)
+    from zsmg.learner import (_build_estimator, _setup, critic_step, initial_state,
+                              make_alpha_schedule)
     from zsmg.metrics import make_metrics_row
     from zsmg.games import q_from_v
 
-    game = _prepare_game(game, config)
+    run = _setup(game, config)
+    game = run.game
     alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
-    stacked = initial_state(game, eta=_resolve_eta(config, game),
+    stacked = initial_state(game, eta=run.shared["eta"],
                             init_x=config.init_x, init_y=config.init_y)
-    estimator = _build_estimator(config, game)
+    estimator = _build_estimator(run)
     state = UnstackedState(
         x_hat=stacked.x_hat.copy(), x=stacked.x.copy(), y_hat=stacked.y_hat.copy(),
         y=stacked.y.copy(), v=stacked.v, t=stacked.t, eta=stacked.eta,

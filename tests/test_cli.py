@@ -190,6 +190,15 @@ class TestRunCommands:
         assert err.startswith("error:") and "eta='abc'" in err
         assert out == "" and not (tmp_path / "out").exists()
 
+    def test_string_strict_in_config_fails_naming_it(self, cli, tmp_path):
+        # "false" is a non-empty string, so it used to turn strict mode on.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"game": "mp1", "run": {"iterations": 10, "strict": "false"}}))
+        code, out, err = cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:") and "strict='false'" in err
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_negative_cadence_fails_naming_it(self, cli, tmp_path):
         code, out, err = cli("run", "--game", "mp1", "--iterations", "10", "--cadence", "-3",
                              "--out-dir", str(tmp_path))

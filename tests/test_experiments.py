@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zsmg.experiments as experiments_mod
 import zsmg.groundtruth as groundtruth_mod
+import zsmg.learner as learner_mod
 from zsmg import __version__
 from zsmg.experiments import ExperimentConfig, resolve_game, run_experiment
 from zsmg.gamegen import builtin, game_to_dict, save_game, save_policy
@@ -221,14 +224,14 @@ class TestRunExperiment:
                                                      estimator, calls):
         # The distinct runs go through the learner as one batch.
         seeds, batches = [], []
-        real = experiments_mod.run_selfplay_batch
+        real = experiments_mod._run_batch
 
-        def counting(games, runs, ground_truths=None):
+        def counting(runs, ground_truths, *args):
             batches.append(len(runs))
             seeds.extend(run.seed for run in runs)
-            return real(games, runs, ground_truths)
+            return real(runs, ground_truths, *args)
 
-        monkeypatch.setattr(experiments_mod, "run_selfplay_batch", counting)
+        monkeypatch.setattr(experiments_mod, "_run_batch", counting)
         run = RunConfig(iterations=20, eta=0.05, cadence=10, estimator=estimator,
                         rollout_len=10, epsilon=0.5)
         out = run_experiment(_fast_cfg(out_dir=str(tmp_path), repetitions=3, run=run))
@@ -464,3 +467,134 @@ class TestSharedGroundTruth:
         with pytest.raises(ValueError, match="invalid game: gamma"):
             run_experiment(_fast_cfg(out_dir=str(tmp_path), run=run))
         assert solves == []
+
+
+# ---------------------------------------------------------------------------
+# One set-up pass: every field checked once, before anything is solved
+# ---------------------------------------------------------------------------
+
+class _Solved(Exception):
+    """Raised by the patched ground-truth solver: the set-up let the run through."""
+
+
+_RUN_FIELDS = [f.name for f in fields(RunConfig)]
+_EXPERIMENT_FIELDS = ["gt_tol", "out_dir", "repetitions", "seeds", "label",
+                      "debug_columns", "workers"]
+_ODD_VALUES = [True, 2.5, "x", math.nan, math.inf, -math.inf, -1]
+# The (field, value) pairs above that run, each with its README meaning: a
+# step size, exploration scale or ground-truth tolerance of 2.5, a bool flag
+# set, and "x" as a label or as an out_dir relative to the working directory.
+_ACCEPTED = {("eta", 2.5), ("epsilon", 2.5), ("gt_tol", 2.5), ("strict", True),
+             ("rollout_reset", True), ("debug_columns", True), ("label", "x"),
+             ("out_dir", "x")}
+
+
+def _odd_cfg(field: str, value) -> ExperimentConfig:
+    """A sampled two-repetition experiment on switching-mp with ``field`` set to ``value``."""
+    run = RunConfig(iterations=6, eta="auto", cadence=3, estimator="sampled", rollout_len=5,
+                    epsilon=1.0)
+    cfg = ExperimentConfig(game="switching-mp", run=run, repetitions=2, label="t",
+                           out_dir="out")
+    setattr(cfg.run if field in _RUN_FIELDS else cfg, field, value)
+    return cfg
+
+
+class TestEveryFieldChecked:
+    """Every RunConfig field and every ExperimentConfig value field (game, run
+    and opponent are sources with their own resolvers) either runs with its
+    documented meaning or raises ValueError naming the field and its value,
+    before the ground truth is solved or any CSV is written."""
+
+    def test_tables_list_every_field(self):
+        assert list(learner_mod._RUN_FIELDS) == _RUN_FIELDS
+        assert set(experiments_mod._EXPERIMENT_FIELDS) == set(_EXPERIMENT_FIELDS)
+        assert {f.name for f in fields(ExperimentConfig)} - set(_EXPERIMENT_FIELDS) == \
+            {"game", "run", "opponent"}
+
+    @pytest.mark.parametrize("value", _ODD_VALUES,
+                             ids=["bool", "float", "str", "nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("field", _RUN_FIELDS + _EXPERIMENT_FIELDS)
+    def test_odd_value_runs_or_is_named(self, tmp_path, monkeypatch, field, value):
+        monkeypatch.chdir(tmp_path)
+        solves = []
+
+        def solve(game, *args, **kwargs):
+            solves.append(game.name)
+            raise _Solved
+
+        monkeypatch.setattr(experiments_mod, "shapley_solve", solve)
+        monkeypatch.setattr(groundtruth_mod, "shapley_solve", solve)
+        cfg = _odd_cfg(field, value)
+        if (field, value) in _ACCEPTED:
+            with pytest.raises(_Solved):
+                run_experiment(cfg)
+            assert solves == ["switching-mp"]
+        else:
+            with pytest.raises(ValueError) as caught:
+                run_experiment(cfg)
+            assert f"{field}={value!r}" in str(caught.value)
+            assert solves == []
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("field, value", sorted(_ACCEPTED, key=str))
+    def test_accepted_values_run_to_the_end(self, tmp_path, monkeypatch, field, value):
+        monkeypatch.chdir(tmp_path)
+        out = run_experiment(_odd_cfg(field, value))
+        label, out_dir = ("x", "out") if field == "label" else ("t", "x" if field == "out_dir"
+                                                                 else "out")
+        assert out.rep_paths == [Path(out_dir) / f"{label}_rep{rep}.csv" for rep in (0, 1)]
+        header, rows = read_metrics_csv(out.rep_paths[0])
+        assert [row.t for row in rows] == [3, 6]
+        assert (rows[0].wall_clock is not None) == (field == "debug_columns")
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0), ("workers", np.int64(-2)), ("repetitions", np.bool_(True)),
+        ("seeds", "12"), ("seeds", [1, True]), ("gt_tol", 0.0), ("gt_tol", "inf"),
+        ("debug_columns", "false"), ("debug_columns", 1), ("label", 5), ("out_dir", 2),
+    ])
+    def test_experiment_field_rejected_before_solving(self, tmp_path, monkeypatch,
+                                                      field, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("ground truth solved before the config was checked")
+
+        monkeypatch.setattr(experiments_mod, "shapley_solve", no_solve)
+        cfg = _odd_cfg(field, value)
+        if field != "out_dir":
+            cfg.out_dir = str(tmp_path)
+        shown = value[1] if field == "seeds" and isinstance(value, list) else value
+        with pytest.raises(ValueError, match=re.escape(f"{field}={shown!r}")):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_bools_and_numeric_strings_run(self, tmp_path):
+        run = RunConfig(iterations=12, eta=0.05, cadence=4, estimator="sampled",
+                        rollout_len=5, epsilon_prime=0.1, strict=np.False_,
+                        rollout_reset=np.bool_(False))
+        as_text = replace(run, eta="0.05", epsilon_prime="0.1")
+        paths = [run_experiment(ExperimentConfig(game="switching-mp", run=cfg, gt_tol="1e-9",
+                                                 debug_columns=np.False_, label=label,
+                                                 out_dir=str(tmp_path))).rep_paths[0]
+                 for cfg, label in ((run, "number"), (as_text, "text"))]
+        # Only the config_hash header line differs: it hashes the fields as given.
+        number, text = (path.read_text().splitlines() for path in paths)
+        assert [line for line in number if "config_hash" not in line] == \
+            [line.replace("# label: text", "# label: number") for line in text
+             if "config_hash" not in line]
+
+    def test_each_game_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = learner_mod.validate_game
+
+        def counting(game, *args, **kwargs):
+            calls.append(game.name)
+            return real(game, *args, **kwargs)
+
+        monkeypatch.setattr(learner_mod, "validate_game", counting)
+        run = RunConfig(iterations=6, eta=0.05, cadence=3, estimator="sampled", rollout_len=5,
+                        epsilon=1.0)
+        run_experiment(ExperimentConfig(game="switching-mp", run=run, repetitions=3,
+                                        out_dir=str(tmp_path)))
+        assert calls == ["switching-mp"]
+        calls.clear()
+        run_single_player(builtin("switching-mp"), np.full((2, 2), 0.5), run)
+        assert calls == ["switching-mp|fixed-opponent"]

@@ -635,7 +635,7 @@ class TestRunSelfplay:
                 {"ell": ell, "r": r, "rho": rho}[name].flat[-1] = value
                 return rho, err
 
-        monkeypatch.setattr(learner_mod, "_build_estimator", lambda config, game: Corrupting())
+        monkeypatch.setattr(learner_mod, "_build_estimator", lambda run: Corrupting())
         seen = []
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message)):
             run_selfplay(switching_mp, RunConfig(iterations=3, eta=eta),
