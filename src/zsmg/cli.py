@@ -21,7 +21,7 @@ from .estimators import estimate_mu, plan_accuracy_budget, plan_sample_budget
 from .experiments import ExperimentConfig, run_experiment, resolve_game
 from .gamegen import BUILTIN_NAMES, random_game, save_game
 from .groundtruth import shapley_solve
-from .learner import RunConfig
+from .learner import RunConfig, _integer
 from .metrics import read_metrics_csv
 from .svg import write_line_chart
 
@@ -94,8 +94,8 @@ def _build_parser() -> _Parser:
 
     p_rat = sub.add_parser("rational", help="learn a best response against a fixed opponent")
     add_run_flags(p_rat)
-    p_rat.add_argument("--opponent", default="uniform",
-                       help="policy file path or 'uniform' (default)")
+    p_rat.add_argument("--opponent", default=None,
+                       help="policy file path or 'uniform' (default, unless the config names one)")
 
     p_plan = sub.add_parser("plan", help="compute sampling/iteration budgets")
     p_plan.add_argument("--mode", choices=["samples", "average-gap", "last-iterate"],
@@ -137,12 +137,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.game in BUILTIN_NAMES:
-        game = resolve_game({"builtin": args.game, "gamma": args.gamma})
-    else:
-        game = resolve_game({"file": args.game})
-        if args.gamma is not None:
-            game = replace(game, gamma=args.gamma)
+    game = resolve_game(args.game)
+    if args.gamma is not None:
+        game = replace(game, gamma=args.gamma)
     gt = shapley_solve(game, tol=args.tol)
     for s, val in enumerate(gt.v_star):
         print(f"V*[{s}] = {float(val)!r}")
@@ -173,8 +170,11 @@ def _experiment_from_args(args) -> ExperimentConfig:
         for key in target.__dataclass_fields__.keys() - {"game"}:
             if flags.get(key) is not None:
                 setattr(target, key, flags[key])
-    if cfg.run.cadence == 0:
-        cfg.run.cadence = max(1, cfg.run.iterations // 100)
+    if args.command == "rational" and cfg.opponent is None:
+        cfg.opponent = "uniform"
+    # The default cadence reads iterations, so both are checked first.
+    if _integer("cadence", cfg.run.cadence, 0) == 0:
+        cfg.run.cadence = max(1, _integer("iterations", cfg.run.iterations, 1) // 100)
     return cfg
 
 

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gamegen import builtin, game_from_dict, game_to_dict, load_game, load_policy, random_game
+from .gamegen import (BUILTIN_NAMES, builtin, game_from_dict, game_to_dict, load_game,
+                      load_policy, random_game)
 from .games import MarkovGame
 from .groundtruth import shapley_solve
 from .learner import (RunConfig, _check_fields, _instance, _integer, _integers, _optional,
@@ -42,18 +43,16 @@ def resolve_game(spec) -> MarkovGame:
 
     Accepted forms: a builtin name or file path (string), or a dict with one of
     the keys ``builtin`` (plus optional ``gamma``), ``file``, or ``random``
-    (the keyword arguments of :func:`zsmg.gamegen.random_game`).
+    (the keyword arguments of :func:`zsmg.gamegen.random_game`).  A string or
+    ``file`` that names no builtin and no file raises ``ValueError`` naming ``game``.
     """
     if isinstance(spec, str):
-        from .gamegen import BUILTIN_NAMES
-        if spec in BUILTIN_NAMES:
-            return builtin(spec)
-        return load_game(spec)
+        spec = {"builtin" if spec in BUILTIN_NAMES else "file": spec}
     if isinstance(spec, dict):
         if "builtin" in spec:
             return builtin(spec["builtin"], gamma=spec.get("gamma"))
         if "file" in spec:
-            return load_game(spec["file"])
+            return load_game(_existing_file("game", spec["file"], "a builtin game"))
         if "random" in spec:
             return random_game(**spec["random"])
         if "inline" in spec:
@@ -85,7 +84,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        run = data.pop("run", {})
+        run = _instance("run", data.pop("run", {}), (dict,))
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -126,11 +125,18 @@ _EXPERIMENT_FIELDS = {
 }
 
 
+def _existing_file(name: str, path, other: str):
+    """``path`` if it names a file, else ValueError naming the field."""
+    if isinstance(path, (str, os.PathLike)) and Path(path).is_file():
+        return path
+    raise ValueError(f"{name}={path!r} is neither {other} nor a file")
+
+
 def _resolve_opponent(spec, game: MarkovGame) -> np.ndarray:
     if isinstance(spec, str):
         if spec == "uniform":
             return np.full((game.n_states, game.n_actions_p2), 1.0 / game.n_actions_p2)
-        return load_policy(spec)
+        return load_policy(_existing_file("opponent", spec, "'uniform'"))
     return np.asarray(spec, dtype=np.float64)
 
 
@@ -161,6 +167,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     ``workers`` contiguous batches, one process-pool task each.  A run's rows
     do not depend on its batch, so the bytes do not depend on ``workers``.
     """
+    _instance("run", cfg.run, (RunConfig,))
     game = resolve_game(cfg.game)
     opponent = None if cfg.opponent is None else _resolve_opponent(cfg.opponent, game)
     base = _setup(game, cfg.run, opponent)

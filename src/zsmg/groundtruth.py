@@ -7,18 +7,19 @@ exact projection: one nonnegative least-squares solve finds the active set,
 and a KKT residual certifies the point.  These routines provide the yardstick
 against which learned policies are measured.
 
-Value iteration keeps each state's optimal simplex basis from one sweep to
-the next.  Building the LP, the cold basis, reading a basis and the minimax
-certificate are written once with a leading stack axis: the simplex uses a
-stack of one, and every sweep and the witness step read all S bases at once,
-so a state settles exactly when the simplex, started there, would take no
-pivot.  numpy's stacked ``solve`` and ``matmul`` run the same per-matrix
-kernel on every item, so each item has the bits it would have alone.  The
-scalar simplex stays the only code that pivots.
+Every stage game is solved by ``_stage_solutions``, with a leading stack
+axis: it reads all S start bases at once, restarts a singular or infeasible
+one from the cold basis, sends only the states that must pivot to the
+scalar pivot loop ``_simplex_pivot``, and certifies every terminal basis in
+one stacked call.  ``solve_matrix_game`` is that solve on a stack of one, and
+value iteration keeps each state's optimal basis from one sweep to the next.
+numpy's stacked ``solve`` and ``matmul`` run the same per-matrix kernel on
+every item, so each item has the bits it would have alone.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,23 +163,18 @@ def _cold_bases(a_mat: np.ndarray) -> np.ndarray:
     return bases
 
 
-def _simplex_pivot(
-    q: np.ndarray, a_stack: np.ndarray, tol: float, basis: np.ndarray
-) -> tuple[tuple, np.ndarray, int]:
-    """Solve min_x max_b (Q^T x)_b over the simplex by primal simplex with Bland's rule.
+def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray) -> tuple:
+    """Primal simplex with Bland's rule on the stack-of-one LP ``a_stack`` of ``_value_lp``.
 
-    Works on the stack-of-one LP ``a_stack`` of ``_value_lp``; returns ``(x_b,
-    duals)`` read at the terminal basis, the basis and the pivots taken.  The
-    loop starts from ``basis``, a sorted array it may change.  If that basis
-    is singular or not primal feasible in the loop's first solve, the loop
-    continues from the cold start of ``_cold_bases`` instead.  Every start
-    that ends at the same optimal basis returns the same bits.  The loop ends
-    only at a basis that is both primal and dual feasible within ``tol``, so
-    re-solving from the returned basis takes no pivot (unless rounding made
-    the solve widen ``tol``, see below).
+    Starts from ``basis``, sorted, nonsingular and primal feasible, which it
+    may change in place; returns ``(x_b, duals)`` read at the terminal basis,
+    the basis and the pivots taken.  That basis is primal and dual feasible
+    within ``_PIVOT_TOL`` (unless rounding widened it, see below), so a start
+    there takes no pivot.  A failed pivot raises ``LpSolveError`` carrying ``q``.
     """
     a_mat = a_stack[0]
     m = a_mat.shape[0]
+    tol = _PIVOT_TOL
 
     # Bland's rule cannot cycle in exact arithmetic, but near-tied entries make
     # some bases nearly singular, and rounding there can revisit a basis or
@@ -191,23 +187,12 @@ def _simplex_pivot(
     seen = set()
     careful = False
     previous = None
-    first = True
     for _ in range(20_000):
         try:
-            read = _read_bases(a_stack, basis[None])
-            x_b, _, b_inv, reduced = (part[0] for part in read)
+            x_b, duals, b_inv, reduced = (part[0] for part in _read_bases(a_stack, basis[None]))
         except np.linalg.LinAlgError:
-            if not first and previous is None:
+            if previous is None:
                 raise
-            read = None
-        if first:
-            first = False
-            # A primal-infeasible start would walk the ratio test backwards;
-            # entries within tol of zero are the rounding of degenerate pivots.
-            if read is None or bool((x_b < -tol).any()):
-                basis = _cold_bases(a_stack)[0]
-                continue
-        if read is None:
             basis = previous  # already seen, so the retry is a careful step
             continue
         if basis.tobytes() in seen:
@@ -235,7 +220,7 @@ def _simplex_pivot(
         else:
             infeasible = np.nonzero(x_b < -tol)[0]
             if infeasible.size == 0:
-                return read[:2], basis, pivots
+                return (x_b, duals), basis, pivots
             # Rounding can also end the primal phase at a slightly infeasible
             # basis.  A dual simplex step repairs it and keeps the reduced
             # costs nonnegative; of the near-minimal ratios it takes the
@@ -257,16 +242,60 @@ def _simplex_pivot(
     raise LpSolveError("simplex iteration cap exceeded", q)
 
 
+def _stage_solutions(q: np.ndarray, bases: np.ndarray, tol: float) -> tuple:
+    """``(values, x, y, col_payoffs, row_payoffs, pivots)`` of the stage games ``q``.
+
+    Solves each state from its sorted basis in ``bases`` and writes its final
+    basis there.  All S bases are read at once, or each alone should that
+    solve raise.  A singular or primal-infeasible basis restarts cold; it and
+    every basis with a negative reduced cost go to ``_simplex_pivot``.  Every
+    terminal basis is certified at once: no column payoff under ``x`` above
+    ``value + tol``, no row payoff under ``y`` below ``value - tol``, or
+    ``LpSolveError`` carries the first failing state's matrix.
+    """
+    shift, a_mat = _value_lp(q)
+    n_states, m, n = a_mat.shape
+    try:
+        x_b, duals, _, reduced = _read_bases(a_mat, bases)
+    except np.linalg.LinAlgError:
+        # Read alone, a singular basis keeps x_b = -inf: it restarts cold.
+        x_b = np.full((n_states, m), -np.inf)
+        duals, reduced = np.zeros((n_states, m)), np.zeros((n_states, n))
+        for s in range(n_states):
+            with suppress(np.linalg.LinAlgError):
+                x_b[s:s + 1], duals[s:s + 1], _, reduced[s:s + 1] = \
+                    _read_bases(a_mat[s:s + 1], bases[s:s + 1])
+    # A primal-infeasible start would walk the ratio test backwards; entries
+    # within _PIVOT_TOL of zero are the rounding of degenerate pivots.
+    cold = (x_b < -_PIVOT_TOL).any(axis=1)
+    pivots = np.zeros(n_states, dtype=np.intp)
+    for s in np.flatnonzero(cold | (reduced < -_PIVOT_TOL).any(axis=1)):
+        if cold[s]:
+            bases[s] = _cold_bases(a_mat[s:s + 1])[0]
+        (x_b[s], duals[s]), bases[s], pivots[s] = _simplex_pivot(q[s], a_mat[s:s + 1], bases[s])
+    values, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = _certify(
+        q, shift, bases, x_b, duals, tol)
+    failed = np.flatnonzero(~(dual_ok & payoff_ok))
+    if failed.size:
+        s = failed[0]
+        if not dual_ok[s]:
+            raise LpSolveError(f"dual strategy sum {y_sum[s]:.6f} far from 1", q[s])
+        raise LpSolveError(
+            f"minimax certificate failed: value={float(values[s])!r}, "
+            f"max col payoff={col_payoffs[s].max()!r}, min row payoff={row_payoffs[s].min()!r}",
+            q[s],
+        )
+    return values, x, y, col_payoffs, row_payoffs, pivots
+
+
 def solve_matrix_game(
     q: np.ndarray, tol: float = 1e-9, basis: np.ndarray | None = None
 ) -> MatrixGameSolution:
     """Exact minimax solution of the matrix game where the row player minimizes.
 
-    The optimal strategies are certified directly: every column payoff under
-    ``x`` is at most ``value + tol`` and every row payoff under ``y`` at least
-    ``value - tol``; a failed certificate raises ``LpSolveError``.  A
-    non-finite payoff or a malformed ``basis`` raises ``ValueError`` before
-    any simplex work.
+    ``_stage_solutions`` on a stack of one: the optimal strategies are
+    certified directly, and a failed certificate raises ``LpSolveError``.  A
+    non-finite payoff or a malformed ``basis`` raises ``ValueError`` first.
 
     ``basis`` warm-starts the simplex (by default it starts cold), typically
     with the ``basis`` field of a nearby matrix's solution.  A singular or
@@ -279,32 +308,20 @@ def solve_matrix_game(
     if q.ndim != 2 or q.size == 0:
         raise ValueError(f"expected a nonempty 2-D payoff matrix, got shape {q.shape}")
     _check_finite("payoff", q, "a b")
-    shift, a_stack = _value_lp(q[None])
     if basis is None:
-        basis = _cold_bases(a_stack)[0]
+        bases = _cold_bases(_value_lp(q[None])[1])
     else:
         basis = np.sort(np.asarray(basis, dtype=np.intp))
-        m, n = a_stack.shape[1:]
+        m, n = q.shape[1] + 1, sum(q.shape) + 1
         if (basis.shape != (m,) or basis[0] < 0 or basis[-1] >= n
                 or bool((basis[1:] == basis[:-1]).any())):
             raise ValueError(f"basis must hold {m} distinct column indices in [0, {n}), "
                              f"got {basis.tolist()}")
-    read, basis, pivots = _simplex_pivot(q, a_stack, tol=_PIVOT_TOL, basis=basis)
-    value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = (
-        part[0] for part in _certify(q[None], shift, basis[None], *read, tol))
-    value = float(value)
-    if not dual_ok:
-        raise LpSolveError(f"dual strategy sum {y_sum:.6f} far from 1", q)
-    if not payoff_ok:
-        raise LpSolveError(
-            f"minimax certificate failed: value={value!r}, "
-            f"max col payoff={col_payoffs.max()!r}, min row payoff={row_payoffs.min()!r}",
-            q,
-        )
-    return MatrixGameSolution(
-        value=value, x=x, y=y, col_payoffs=col_payoffs, row_payoffs=row_payoffs,
-        basis=basis, pivots=pivots,
-    )
+        bases = basis[None]
+    value, x, y, col_payoffs, row_payoffs, pivots = (
+        part[0] for part in _stage_solutions(q[None], bases, tol))
+    return MatrixGameSolution(value=float(value), x=x, y=y, col_payoffs=col_payoffs,
+                              row_payoffs=row_payoffs, basis=bases[0], pivots=int(pivots))
 
 
 @dataclass(frozen=True)
@@ -320,31 +337,6 @@ class GroundTruth:
     @property
     def witness_policy(self) -> JointPolicy:
         return JointPolicy(x=self.x_star, y=self.y_star)
-
-
-def _stage_solutions(q: np.ndarray, bases: np.ndarray, tol: float) -> tuple:
-    """``(values, x, y)`` of the stage games ``q``, each solved from its basis in ``bases``.
-
-    All S bases are read at once; a state whose ``solve_matrix_game`` from its
-    basis would take no pivot and pass its certificate gets that solve's bits.
-    The rest (all of a singular stack) go to ``solve_matrix_game`` from their
-    bases, and their new bases are written into ``bases``.
-    """
-    n_states, n_a, n_b = q.shape
-    shift, a_mat = _value_lp(q)
-    try:
-        x_b, duals, _, reduced = _read_bases(a_mat, bases)
-    except np.linalg.LinAlgError:
-        values, x, y = np.empty(n_states), np.empty((n_states, n_a)), np.empty((n_states, n_b))
-        settled = np.zeros(n_states, dtype=bool)
-    else:
-        values, x, y, *_, dual_ok, payoff_ok = _certify(q, shift, bases, x_b, duals, tol)
-        settled = (dual_ok & payoff_ok & ~(x_b < -_PIVOT_TOL).any(axis=1)
-                   & ~(reduced < -_PIVOT_TOL).any(axis=1))
-    for s in np.flatnonzero(~settled):
-        sol = solve_matrix_game(q[s], tol=tol, basis=bases[s])
-        values[s], x[s], y[s], bases[s] = sol.value, sol.x, sol.y, sol.basis
-    return values, x, y
 
 
 def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000) -> GroundTruth:
@@ -390,7 +382,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
             f"(last step {step:.3e}, threshold {threshold:.3e})"
         )
 
-    values, x_star, y_star = _stage_solutions(q, bases, tol)
+    values, x_star, y_star, *_ = _stage_solutions(q, bases, tol)
     for s in range(game.n_states):
         if abs(values[s] - v[s]) > tol:
             raise ArithmeticError(f"fixed-point consistency failed at state {s}: "

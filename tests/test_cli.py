@@ -206,6 +206,18 @@ class TestRunCommands:
         assert err.startswith("error:") and "cadence=-3" in err
         assert out == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("run, shown", [
+        ({"iterations": "abc"}, "iterations='abc'"),
+        ({"iterations": 10, "cadence": False}, "cadence=False"),
+    ], ids=["iterations_str", "cadence_false"])
+    def test_fields_behind_default_cadence_fail_naming_them(self, cli, tmp_path, run, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"game": "mp1", "run": {"eta": 0.05, **run}}))
+        code, out, err = cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: ValueError:") and shown in err
+        assert out == "" and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "rational"])
     def test_gamma_override_applies_to_game_file(self, cli, tmp_path, command):
         game = random_game(seed=2, n_states=2, n_actions_p1=2, n_actions_p2=2, gamma=0.9)
@@ -239,6 +251,20 @@ class TestRunCommands:
         assert code == 0
         _, rows = read_metrics_csv(tmp_path / "run_rep0.csv")
         assert rows[-1].game_gap < 0.05
+
+    def test_rational_reads_the_config_opponent(self, cli, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"game": "mp1", "opponent": [[0.9, 0.1]],
+                                   "run": {"iterations": 10, "eta": 0.05, "cadence": 10}}))
+
+        def last_gap(*args):
+            out_dir = tmp_path / str(len(list(tmp_path.iterdir())))
+            assert cli(*args, "--config", str(cfg), "--out-dir", str(out_dir))[0] == 0
+            return read_metrics_csv(out_dir / "run_rep0.csv")[1][-1].game_gap
+
+        # The file's opponent stands unless --opponent names another.
+        assert last_gap("rational") == last_gap("run") > 1.0
+        assert last_gap("rational", "--opponent", "uniform") <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,28 @@ class TestEveryFieldChecked:
             run_experiment(cfg)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("game", "nosuchgame", "game='nosuchgame'"),
+        ("game", {"file": "missing.json"}, "game='missing.json'"),
+        ("opponent", "missing.json", "opponent='missing.json'"),
+        ("run", True, "run=True"),
+    ], ids=["game_name", "game_file", "opponent_file", "run"])
+    def test_source_rejected_before_solving(self, tmp_path, monkeypatch, field, value, shown):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("ground truth solved before the sources were checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments_mod, "shapley_solve", no_solve)
+        cfg = _odd_cfg("label", "t")
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("run=True")):
+            ExperimentConfig.from_dict({"game": "mp1", "run": True})
+
     def test_numpy_bools_and_numeric_strings_run(self, tmp_path):
         run = RunConfig(iterations=12, eta=0.05, cadence=4, estimator="sampled",
                         rollout_len=5, epsilon_prime=0.1, strict=np.False_,

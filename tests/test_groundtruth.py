@@ -383,29 +383,30 @@ class TestStackedSweep:
 
     @staticmethod
     def _traced_solve(monkeypatch, game, run=shapley_solve):
-        """``run(game)``, recording per ``q_from_v`` call the scalar solves that followed.
+        """``run(game)``, recording per ``q_from_v`` call the pivot loops that followed.
 
         Returns the result and one list per sweep (and one for the witness
-        step) of ``(warm, pivots)`` per scalar solve.  Scalar solves before
-        any ``q_from_v`` call, as in a direct ``_stage_solutions`` call, go
-        into one first list.
+        step) of ``(start basis, pivots)`` per ``_simplex_pivot`` call.  Calls
+        before any ``q_from_v`` call, as in a direct ``_stage_solutions``
+        call, go into one first list.
         """
         sweeps = []
-        q_from_v_, solve_ = groundtruth_mod.q_from_v, groundtruth_mod.solve_matrix_game
+        q_from_v_, pivot_ = groundtruth_mod.q_from_v, groundtruth_mod._simplex_pivot
 
         def traced_q_from_v(*args, **kwargs):
             sweeps.append([])
             return q_from_v_(*args, **kwargs)
 
-        def traced_solve(q, tol=1e-9, basis=None):
-            sol = solve_(q, tol=tol, basis=basis)
+        def traced_pivot(q, a_stack, basis):
+            start = basis.tolist()
+            read, basis, pivots = pivot_(q, a_stack, basis)
             if not sweeps:
                 sweeps.append([])
-            sweeps[-1].append((basis is not None, sol.pivots))
-            return sol
+            sweeps[-1].append((start, pivots))
+            return read, basis, pivots
 
         monkeypatch.setattr(groundtruth_mod, "q_from_v", traced_q_from_v)
-        monkeypatch.setattr(groundtruth_mod, "solve_matrix_game", traced_solve)
+        monkeypatch.setattr(groundtruth_mod, "_simplex_pivot", traced_pivot)
         return run(game), sweeps
 
     @staticmethod
@@ -475,7 +476,7 @@ class TestStackedSweep:
             # The value column and every slack: the simplex row is zero on them.
             bases[rng.integers(n_states)] = np.arange(n_a, n_a + 1 + n_b)
         alone = [solve_matrix_game(q[s], basis=bases[s]) for s in range(n_states)]
-        values, x, y = groundtruth_mod._stage_solutions(q, bases, 1e-9)
+        values, x, y, *_ = groundtruth_mod._stage_solutions(q, bases, 1e-9)
         for stacked, field in ((values, "value"), (x, "x"), (y, "y"), (bases, "basis")):
             assert stacked.tobytes() == np.array([getattr(sol, field) for sol in alone]).tobytes()
 
@@ -497,8 +498,11 @@ class TestStackedSweep:
         cold = [[0, 3] + [4 + b for b in range(3) if b != np.argmax(game.loss[s, 0])]
                 for s in range(4)]
         assert starts[0].tolist() == cold
-        assert all(warm for calls in sweeps for warm, _ in calls)
-        assert sweeps[-1] == []  # every final basis settles: no scalar witness solve
+        # Every pivot loop starts from a basis the sweep was given or a cold one.
+        assert sweeps[0]
+        assert all(start in kept.tolist() + cold
+                   for kept, calls in zip(starts, sweeps, strict=True) for start, _ in calls)
+        assert sweeps[-1] == []  # every final basis settles: no pivot in the witness step
 
     def test_pivoting_state_falls_back_beside_settled_states(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
@@ -517,16 +521,24 @@ class TestStackedSweep:
         solve = np.linalg.solve
 
         def singular_when_stacked(a, b):
+            sizes.append(len(a))
             if np.ndim(a) == 3 and len(a) > 1:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
+        _, unpatched = self._traced_solve(monkeypatch, game)
+        monkeypatch.undo()
+        sizes = []
         monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
         gt, sweeps = self._traced_solve(monkeypatch, game)
         self._assert_matches_oracle(gt, expected)
-        assert all(len(calls) == 4 for calls in sweeps)
+        # Each failed stacked read is followed by one read per state, and the
+        # same states pivot, from the same bases, as in the unpatched solve.
+        after_stacked = [sizes[i + 1:i + 5] for i, size in enumerate(sizes) if size > 1]
+        assert after_stacked and all(reads == [1] * 4 for reads in after_stacked)
+        assert sweeps == unpatched
 
-    def test_singular_basis_settles_no_state(self, monkeypatch):
+    def test_singular_basis_restarts_only_its_state(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         gt = shapley_solve(game)
         bases = np.array([solve_matrix_game(q).basis for q in gt.q_star])
@@ -535,14 +547,17 @@ class TestStackedSweep:
         def stage(q):
             return groundtruth_mod._stage_solutions(q, bases, 1e-9)
 
-        (values, _, _), calls = self._traced_solve(monkeypatch, gt.q_star, stage)
+        (values, *_), calls = self._traced_solve(monkeypatch, gt.q_star, stage)
         assert calls == []  # every state settles
         assert values.tobytes() == expected.tobytes()
         monkeypatch.undo()
         # The value column and every slack: the simplex row is zero on them.
         bases[2] = np.arange(3, 7)
-        (values, _, _), calls = self._traced_solve(monkeypatch, gt.q_star, stage)
-        assert [len(c) for c in calls] == [4]
+        cold = groundtruth_mod._cold_bases(groundtruth_mod._value_lp(gt.q_star[2:3])[1])[0]
+        (values, *_), calls = self._traced_solve(monkeypatch, gt.q_star, stage)
+        # The stacked read raises; read alone, only state 2 is singular, and
+        # it alone pivots, from its cold basis, while the others settle.
+        assert [[start for start, _ in c] for c in calls] == [[cold.tolist()]]
         assert values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("before, after", [
@@ -561,12 +576,26 @@ class TestStackedSweep:
         stale = solve_matrix_game(q_after[0], basis=bases[0])
         assert stale.basis.tolist() != bases[0].tolist()
         value_1 = solve_matrix_game(q_after[1], basis=bases[1]).value
-        (values, _, _), calls = self._traced_solve(
+        (values, *_), calls = self._traced_solve(
             monkeypatch, q_after, lambda q: groundtruth_mod._stage_solutions(q, bases, 1e-9))
-        # One scalar solve, state 0's, which left the stale basis; state 1 settles.
+        # One pivot loop, state 0's, which left the stale basis; state 1 settles.
         assert [len(c) for c in calls] == [1]
         assert bases[0].tolist() == stale.basis.tolist()
         assert values.tolist() == [stale.value, value_1]
+
+    def test_failed_certificate_carries_its_state_matrix(self):
+        # Entries tied to about 1e-9 beside exact zeros: the simplex ends at an
+        # ill-conditioned basis whose row certificate fails by about 1e-9.
+        hard = np.array([[0.0, 0.0, 0.0, 1.0, 0.0],
+                         [0.2265625, 0.0, 0.0625, -2.2389526869789182e-09, 0.0625],
+                         [-1.0, 0.015625, 0.0, 0.0, 0.0],
+                         [0.0, 1e-10, -1.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 0.0, -1.0]])
+        q = np.array([np.eye(5), hard, np.ones((5, 5))])
+        bases = groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
+        with pytest.raises(LpSolveError, match="minimax certificate failed") as caught:
+            groundtruth_mod._stage_solutions(q, bases, 1e-9)
+        assert caught.value.matrix.tobytes() == hard.tobytes()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GAMES))
     def test_q_from_v_counts_sweeps_plus_one(self, monkeypatch, name):
