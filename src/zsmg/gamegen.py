@@ -9,6 +9,7 @@ game bit-for-bit.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,10 @@ def random_game(
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
+    for name, size in (("n_states", n_states), ("n_actions_p1", n_actions_p1),
+                       ("n_actions_p2", n_actions_p2)):
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise ValueError(f"{name} must be an integer >= 1 (not a bool), got {name}={size!r}")
     rng = np.random.default_rng(seed)
     shape = (n_states, n_actions_p1, n_actions_p2)
     loss = rng.uniform(size=shape)

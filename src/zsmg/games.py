@@ -163,13 +163,17 @@ def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
     return problems
 
 
-def _check_policy_shape(game: MarkovGame, policy: np.ndarray, side: int, who: str = "") -> None:
-    """Raise DimensionMismatchError unless ``policy`` is player ``side``'s
-    ``(S, A)`` or ``(S, B)`` strategy array; ``who`` prefixes the message."""
+def _check_policy(game: MarkovGame, policy: np.ndarray, side: int, who: str = "") -> None:
+    """Raise unless ``policy`` is player ``side``'s ``(S, A)`` or ``(S, B)`` array
+    (``DimensionMismatchError``) of distribution rows (``ValueError``); ``who``
+    prefixes the message."""
     want = (game.n_states, game.loss.shape[side])
     if policy.shape != want:
         raise DimensionMismatchError(f"{who}player-{side} policy shape {policy.shape} does "
                                      f"not match (S, {'AB'[side - 1]}) = {want}")
+    problem = distribution_rows_error(f"{who}player-{side} policy", policy)
+    if problem:
+        raise ValueError(problem)
 
 
 def evaluate_policy_pair(
@@ -180,9 +184,11 @@ def evaluate_policy_pair(
     Solves the linear system (I - gamma * P_xy) V = loss_xy by dense LU.  The
     solution is verified against the Bellman residual; a residual above
     ``residual_tol`` (scaled by the value magnitude) raises ``ArithmeticError``.
+    A policy row that is not a distribution (within 1e-9) raises ``ValueError``
+    naming the player and the row.
     """
-    _check_policy_shape(game, policy.x, 1)
-    _check_policy_shape(game, policy.y, 2)
+    _check_policy(game, policy.x, 1)
+    _check_policy(game, policy.y, 2)
     loss_xy = np.einsum("sab,sa,sb->s", game.loss, policy.x, policy.y)
     p_xy = np.einsum("sabt,sa,sb->st", game.transition, policy.x, policy.y)
     mat = np.eye(game.n_states) - game.gamma * p_xy
@@ -214,7 +220,7 @@ def _induced_mdp(game: MarkovGame, fixed_policy: np.ndarray, fixed_side: int):
     """Collapse the fixed player out of the game, leaving the free player's MDP."""
     if fixed_side not in (1, 2):
         raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
-    _check_policy_shape(game, fixed_policy, fixed_side, "fixed ")
+    _check_policy(game, fixed_policy, fixed_side, "fixed ")
     if fixed_side == 2:
         loss = np.einsum("sab,sb->sa", game.loss, fixed_policy)
         trans = np.einsum("sabt,sb->sat", game.transition, fixed_policy)
@@ -239,7 +245,8 @@ def best_response(
     optimal deterministic policy.  Returns ``(value, policy)`` where ``value``
     has shape (S,) and ``policy`` is a one-hot array over the free player's
     actions.  The Bellman residual of the returned value is guaranteed at most
-    ``tol * (1 - gamma)`` (raises ``ArithmeticError`` otherwise).
+    ``tol * (1 - gamma)`` (raises ``ArithmeticError`` otherwise).  A fixed
+    policy row that is not a distribution raises ``ValueError`` first.
     """
     loss, trans = _induced_mdp(game, np.asarray(fixed_policy, dtype=np.float64), fixed_side)
     minimize = fixed_side == 2

@@ -9,16 +9,17 @@ against which learned policies are measured.
 
 Every stage game is solved by ``_stage_solutions``, with a leading stack
 axis: it reads all S start bases at once, restarts a singular or infeasible
-one from the cold basis, sends only the states that must pivot to the
-scalar pivot loop ``_simplex_pivot``, and certifies every terminal basis in
-one stacked call.  ``solve_matrix_game`` is that solve on a stack of one, and
-value iteration keeps each state's optimal basis from one sweep to the next.
+one from the cold basis, hands only the states that must pivot, with their
+read, to the scalar pivot loop ``_simplex_pivot``, and certifies every terminal
+basis in one stacked call.  ``solve_matrix_game`` is that solve on a stack of
+one, and value iteration keeps each state's optimal basis from one sweep to the next.
 numpy's stacked ``solve`` and ``matmul`` run the same per-matrix kernel on
 every item, so each item has the bits it would have alone.
 """
 
 from __future__ import annotations
 
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,6 +66,12 @@ class MatrixGameSolution:
     row_payoffs: np.ndarray  # (A,) payoffs Q y, all >= value - tol
     basis: np.ndarray      # (B+1,) sorted column indices of the final optimal simplex basis
     pivots: int            # simplex pivots taken from the starting basis to ``basis``
+
+
+def _check_tol(tol) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite positive number."""
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got tol={tol!r}")
 
 
 def _check_finite(name: str, array: np.ndarray, axes: str) -> None:
@@ -163,14 +170,15 @@ def _cold_bases(a_mat: np.ndarray) -> np.ndarray:
     return bases
 
 
-def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray) -> tuple:
+def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray, read: tuple) -> tuple:
     """Primal simplex with Bland's rule on the stack-of-one LP ``a_stack`` of ``_value_lp``.
 
     Starts from ``basis``, sorted, nonsingular and primal feasible, which it
-    may change in place; returns ``(x_b, duals)`` read at the terminal basis,
-    the basis and the pivots taken.  That basis is primal and dual feasible
-    within ``_PIVOT_TOL`` (unless rounding widened it, see below), so a start
-    there takes no pivot.  A failed pivot raises ``LpSolveError`` carrying ``q``.
+    may change in place, and its ``read`` by ``_read_bases``; returns ``(x_b,
+    duals)`` at the terminal basis, the basis and the pivots taken.  That basis
+    is primal and dual feasible within ``_PIVOT_TOL`` (unless rounding widened
+    it, see below), so a start there takes no pivot.  A failed pivot raises
+    ``LpSolveError`` carrying ``q``.
     """
     a_mat = a_stack[0]
     m = a_mat.shape[0]
@@ -186,20 +194,13 @@ def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray) -> tup
     pivots = 0
     seen = set()
     careful = False
-    previous = None
     for _ in range(20_000):
-        try:
-            x_b, duals, b_inv, reduced = (part[0] for part in _read_bases(a_stack, basis[None]))
-        except np.linalg.LinAlgError:
-            if previous is None:
-                raise
-            basis = previous  # already seen, so the retry is a careful step
-            continue
+        x_b, duals, b_inv, reduced = read
         if basis.tobytes() in seen:
             careful = True
             tol = min(10.0 * tol, 1e-9)
         seen.add(basis.tobytes())
-        previous = basis.copy()
+        previous = basis.copy(), read
         entering_candidates = np.nonzero(reduced < -tol)[0]
         if entering_candidates.size:
             # Bland: lowest index enters
@@ -239,40 +240,48 @@ def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray) -> tup
         basis[leave_pos] = j
         basis.sort()
         pivots += 1
+        try:
+            read = [part[0] for part in _read_bases(a_stack, basis[None])]
+        except np.linalg.LinAlgError:
+            basis, read = previous  # already seen, so the retry is a careful step
     raise LpSolveError("simplex iteration cap exceeded", q)
 
 
-def _stage_solutions(q: np.ndarray, bases: np.ndarray, tol: float) -> tuple:
-    """``(values, x, y, col_payoffs, row_payoffs, pivots)`` of the stage games ``q``.
+def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float) -> tuple:
+    """``(values, x, y, col_payoffs, row_payoffs, pivots, bases)`` of the stage games ``q``.
 
-    Solves each state from its sorted basis in ``bases`` and writes its final
-    basis there.  All S bases are read at once, or each alone should that
-    solve raise.  A singular or primal-infeasible basis restarts cold; it and
-    every basis with a negative reduced cost go to ``_simplex_pivot``.  Every
-    terminal basis is certified at once: no column payoff under ``x`` above
-    ``value + tol``, no row payoff under ``y`` below ``value - tol``, or
-    ``LpSolveError`` carries the first failing state's matrix.
+    Solves each state from its sorted basis in ``bases`` (None: cold) and writes
+    its final basis there.  All S bases are read at once, or each alone should that
+    solve raise.  Singular or primal-infeasible bases restart cold, read at once;
+    they and every basis with a negative reduced cost go to ``_simplex_pivot`` with
+    their read.  Every terminal basis is certified at once: no column payoff under
+    ``x`` above ``value + tol``, no row payoff under ``y`` below ``value - tol``,
+    or ``LpSolveError`` carries the first failing state's matrix.
     """
     shift, a_mat = _value_lp(q)
     n_states, m, n = a_mat.shape
+    bases = _cold_bases(a_mat) if bases is None else bases
     try:
-        x_b, duals, _, reduced = _read_bases(a_mat, bases)
+        x_b, duals, b_inv, reduced = _read_bases(a_mat, bases)
     except np.linalg.LinAlgError:
         # Read alone, a singular basis keeps x_b = -inf: it restarts cold.
         x_b = np.full((n_states, m), -np.inf)
-        duals, reduced = np.zeros((n_states, m)), np.zeros((n_states, n))
+        duals, b_inv, reduced = (np.zeros((n_states,) + shape) for shape in ((m,), (m, m), (n,)))
         for s in range(n_states):
             with suppress(np.linalg.LinAlgError):
-                x_b[s:s + 1], duals[s:s + 1], _, reduced[s:s + 1] = \
+                x_b[s:s + 1], duals[s:s + 1], b_inv[s:s + 1], reduced[s:s + 1] = \
                     _read_bases(a_mat[s:s + 1], bases[s:s + 1])
     # A primal-infeasible start would walk the ratio test backwards; entries
     # within _PIVOT_TOL of zero are the rounding of degenerate pivots.
-    cold = (x_b < -_PIVOT_TOL).any(axis=1)
+    infeasible = (x_b < -_PIVOT_TOL).any(axis=1)
+    todo = np.flatnonzero(infeasible | (reduced < -_PIVOT_TOL).any(axis=1))
+    if (cold := todo[infeasible[todo]]).size:
+        bases[cold] = _cold_bases(a_mat[cold])
+        x_b[cold], duals[cold], b_inv[cold], reduced[cold] = _read_bases(a_mat[cold], bases[cold])
     pivots = np.zeros(n_states, dtype=np.intp)
-    for s in np.flatnonzero(cold | (reduced < -_PIVOT_TOL).any(axis=1)):
-        if cold[s]:
-            bases[s] = _cold_bases(a_mat[s:s + 1])[0]
-        (x_b[s], duals[s]), bases[s], pivots[s] = _simplex_pivot(q[s], a_mat[s:s + 1], bases[s])
+    for s in todo:
+        (x_b[s], duals[s]), bases[s], pivots[s] = _simplex_pivot(
+            q[s], a_mat[s:s + 1], bases[s], (x_b[s], duals[s], b_inv[s], reduced[s]))
     values, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = _certify(
         q, shift, bases, x_b, duals, tol)
     failed = np.flatnonzero(~(dual_ok & payoff_ok))
@@ -285,7 +294,7 @@ def _stage_solutions(q: np.ndarray, bases: np.ndarray, tol: float) -> tuple:
             f"max col payoff={col_payoffs[s].max()!r}, min row payoff={row_payoffs[s].min()!r}",
             q[s],
         )
-    return values, x, y, col_payoffs, row_payoffs, pivots
+    return values, x, y, col_payoffs, row_payoffs, pivots, bases
 
 
 def solve_matrix_game(
@@ -302,26 +311,23 @@ def solve_matrix_game(
     infeasible basis falls back to the cold start, so the result is always a
     certified solution; ``pivots`` reports how many pivots the solve took.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.size == 0:
         raise ValueError(f"expected a nonempty 2-D payoff matrix, got shape {q.shape}")
     _check_finite("payoff", q, "a b")
-    if basis is None:
-        bases = _cold_bases(_value_lp(q[None])[1])
-    else:
+    if basis is not None:
         basis = np.sort(np.asarray(basis, dtype=np.intp))
         m, n = q.shape[1] + 1, sum(q.shape) + 1
         if (basis.shape != (m,) or basis[0] < 0 or basis[-1] >= n
                 or bool((basis[1:] == basis[:-1]).any())):
             raise ValueError(f"basis must hold {m} distinct column indices in [0, {n}), "
                              f"got {basis.tolist()}")
-        bases = basis[None]
-    value, x, y, col_payoffs, row_payoffs, pivots = (
-        part[0] for part in _stage_solutions(q[None], bases, tol))
+        basis = basis[None]
+    value, x, y, col_payoffs, row_payoffs, pivots, basis = (
+        part[0] for part in _stage_solutions(q[None], basis, tol))
     return MatrixGameSolution(value=float(value), x=x, y=y, col_payoffs=col_payoffs,
-                              row_payoffs=row_payoffs, basis=bases[0], pivots=int(pivots))
+                              row_payoffs=row_payoffs, basis=basis, pivots=int(pivots))
 
 
 @dataclass(frozen=True)
@@ -356,10 +362,10 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     states ended at after it.  A stage game with several optimal bases may
     get another, equally certified, witness than a cold solve would give.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    _check_tol(tol)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1 (not a bool), "
+                         f"got max_iter={max_iter!r}")
     gamma = game.gamma
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got gamma={gamma!r}")
@@ -368,9 +374,9 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma) if gamma else np.inf
     v = np.zeros(game.n_states)
     q = q_from_v(game, v)
-    bases = _cold_bases(_value_lp(q)[1])
+    bases = None
     for _ in range(max_iter):
-        v_new = _stage_solutions(q, bases, tol)[0]
+        v_new, *_, bases = _stage_solutions(q, bases, tol)
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
         q = q_from_v(game, v)

@@ -84,6 +84,23 @@ class TestGenSolve:
         cli(*args, "--out", str(tmp_path / "b.json"))
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("flag, field", [("--states", "n_states"),
+                                             ("--actions-p1", "n_actions_p1"),
+                                             ("--actions-p2", "n_actions_p2")])
+    def test_gen_rejects_empty_dimension(self, cli, tmp_path, flag, field):
+        sizes = {"--states": "2", "--actions-p1": "2", "--actions-p2": "2", flag: "0"}
+        out = tmp_path / "g.json"
+        code, _, err = cli("gen", "--seed", "1", "--gamma", "0.9", "--out", str(out),
+                           *(item for pair in sizes.items() for item in pair))
+        assert code == 2
+        assert err.startswith(f"error: ValueError: {field} must be an integer >= 1")
+        assert not out.exists()
+
+    def test_solve_rejects_infinite_tol(self, cli):
+        code, stdout, err = cli("solve", "--game", "switching-mp", "--tol", "inf")
+        assert code == 2
+        assert stdout == "" and "tol must be positive and finite, got tol=inf" in err
+
     def test_solve_prints_values_and_sidecar(self, cli, tmp_path):
         sidecar = tmp_path / "gt.json"
         code, stdout, _ = cli("solve", "--game", "mp1", "--out", str(sidecar))

@@ -89,6 +89,21 @@ class TestRandomGame:
             random_game(seed=0, n_states=1, n_actions_p1=2, n_actions_p2=2,
                         gamma=0.9, kappa=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_states", 0), ("n_actions_p1", 0), ("n_actions_p2", -1), ("n_states", 2.0),
+        ("n_actions_p1", True), ("n_actions_p2", "3"),
+    ])
+    def test_dimensions_must_be_positive_integers(self, field, value):
+        sizes = {"n_states": 2, "n_actions_p1": 2, "n_actions_p2": 2, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1 .*{field}="):
+            random_game(seed=0, gamma=0.9, **sizes)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        a = random_game(seed=4, n_states=np.int64(2), n_actions_p1=np.int32(3),
+                        n_actions_p2=2, gamma=0.9)
+        b = random_game(seed=4, n_states=2, n_actions_p1=3, n_actions_p2=2, gamma=0.9)
+        assert game_to_dict(a) == game_to_dict(b)
+
     def test_name_records_seed(self):
         game = random_game(seed=17, n_states=1, n_actions_p1=2, n_actions_p2=2,
                            gamma=0.9)

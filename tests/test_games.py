@@ -169,6 +169,13 @@ class TestEvaluation:
         with pytest.raises(DimensionMismatchError):
             evaluate_policy_pair(mp1, bad)
 
+    @pytest.mark.parametrize("side, row", [(1, [3.0, 3.0]), (2, [np.nan, 0.5])])
+    def test_rows_that_are_not_distributions_rejected(self, switching_mp, side, row):
+        x, y = np.full((2, 2), 0.5), np.full((2, 2), 0.5)
+        (x if side == 1 else y)[1] = row
+        with pytest.raises(ValueError, match=rf"player-{side} policy row 1 is not a probability"):
+            evaluate_policy_pair(switching_mp, JointPolicy(x=x, y=y))
+
     def test_matches_linear_system_oracle(self):
         rng = np.random.default_rng(2)
         for i in range(5):
@@ -284,6 +291,13 @@ class TestBestResponse:
     def test_fixed_policy_shape_checked(self, mp1):
         with pytest.raises(DimensionMismatchError):
             best_response(mp1, np.ones((2, 2)) / 2.0, fixed_side=2)
+
+    @pytest.mark.parametrize("row", [[3.0, 3.0], [np.nan, 0.5], [-0.5, 1.5]])
+    def test_fixed_rows_that_are_not_distributions_rejected(self, switching_mp, row):
+        # A NaN opponent used to give NaN values without complaint.
+        fixed = np.array([[0.5, 0.5], row])
+        with pytest.raises(ValueError, match=r"fixed player-2 policy row 1 is not a probability"):
+            best_response(switching_mp, fixed, fixed_side=2)
 
     def test_bad_side_rejected(self, mp1):
         with pytest.raises(ValueError):

@@ -179,7 +179,7 @@ class TestSolveMatrixGame:
         assert sol.x.sum() == pytest.approx(1.0, abs=1e-12)
         assert sol.y.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf"), "a"])
     def test_rejects_nonpositive_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_matrix_game(np.eye(2), tol=tol)
@@ -303,9 +303,10 @@ class TestShapleySolve:
             shapley_solve(mp1, tol=1e-9, max_iter=1)
 
     def test_rejects_bad_arguments(self, mp1):
-        with pytest.raises(ValueError, match="max_iter"):
-            shapley_solve(mp1, max_iter=0)
-        for tol in (0.0, -1e-9, float("nan")):
+        for max_iter in (0, 2.5, "a", True):
+            with pytest.raises(ValueError, match="max_iter"):
+                shapley_solve(mp1, max_iter=max_iter)
+        for tol in (0.0, -1e-9, float("nan"), float("inf"), "a"):
             with pytest.raises(ValueError, match="tol must be positive"):
                 shapley_solve(mp1, tol=tol)
 
@@ -397,9 +398,9 @@ class TestStackedSweep:
             sweeps.append([])
             return q_from_v_(*args, **kwargs)
 
-        def traced_pivot(q, a_stack, basis):
+        def traced_pivot(q, a_stack, basis, read):
             start = basis.tolist()
-            read, basis, pivots = pivot_(q, a_stack, basis)
+            read, basis, pivots = pivot_(q, a_stack, basis, read)
             if not sweeps:
                 sweeps.append([])
             sweeps[-1].append((start, pivots))
@@ -487,7 +488,9 @@ class TestStackedSweep:
         stage = groundtruth_mod._stage_solutions
 
         def traced_stage(q, bases, tol):
-            starts.append(bases.copy())
+            # A None start is every state's cold basis.
+            starts.append(groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
+                          if bases is None else bases.copy())
             return stage(q, bases, tol)
 
         monkeypatch.setattr(groundtruth_mod, "_stage_solutions", traced_stage)
@@ -597,6 +600,54 @@ class TestStackedSweep:
             groundtruth_mod._stage_solutions(q, bases, 1e-9)
         assert caught.value.matrix.tobytes() == hard.tobytes()
 
+    def test_each_basis_is_read_once(self, monkeypatch):
+        # A cold solve builds one LP and reads its start once, then once per
+        # pivot; the pivot loop never reads the basis it was handed.
+        counts = {"_value_lp": 0, "_read_bases": 0}
+        for name in counts:
+            def counted(*args, _name=name, _call=getattr(groundtruth_mod, name)):
+                counts[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(groundtruth_mod, name, counted)
+        q = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 5))
+        sol = solve_matrix_game(q)
+        assert sol.pivots > 0
+        assert counts == {"_value_lp": 1, "_read_bases": sol.pivots + 1}
+        pivot_ = groundtruth_mod._simplex_pivot
+        loops = []
+
+        def traced_pivot(*args):
+            before = counts["_read_bases"]
+            read, basis, pivots = pivot_(*args)
+            loops.append((counts["_read_bases"] - before, pivots))
+            return read, basis, pivots
+
+        monkeypatch.setattr(groundtruth_mod, "_simplex_pivot", traced_pivot)
+        shapley_solve(random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3,
+                                  gamma=0.9))
+        assert loops and any(pivots for _, pivots in loops)
+        assert all(reads == pivots for reads, pivots in loops)
+
+    def test_singular_read_after_a_pivot_falls_back(self, monkeypatch):
+        # The pivot loop goes back to the previous basis and the read it was
+        # handed, and steps carefully from there to a certified solution.
+        q = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 5))
+        cold = solve_matrix_game(q)
+        read_, reads = groundtruth_mod._read_bases, []
+
+        def singular_first_pivot(*args):
+            reads.append(1)
+            if len(reads) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return read_(*args)
+
+        monkeypatch.setattr(groundtruth_mod, "_read_bases", singular_first_pivot)
+        sol = solve_matrix_game(q)
+        assert len(reads) == sol.pivots + 1
+        assert abs(sol.value - cold.value) <= 1e-9
+        assert sol.col_payoffs.max() <= sol.value + 1e-9
+        assert sol.row_payoffs.min() >= sol.value - 1e-9
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_GAMES))
     def test_q_from_v_counts_sweeps_plus_one(self, monkeypatch, name):
         # perfbench derives groundtruth.vi_iterations from this count.
@@ -643,6 +694,12 @@ class TestDualityGaps:
     def test_game_gap_pure_pennies(self, mp1):
         pure = JointPolicy(x=np.array([[1.0, 0.0]]), y=np.array([[1.0, 0.0]]))
         assert game_duality_gap(mp1, pure) == pytest.approx(10.0, abs=1e-8)
+
+    def test_game_gap_rejects_rows_that_are_not_distributions(self, switching_mp):
+        # Rows of 3.0 used to give a negative exploitability.
+        policy = JointPolicy(x=np.full((2, 2), 3.0), y=np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match=r"fixed player-1 policy row 0 is not a probability"):
+            game_duality_gap(switching_mp, policy)
 
     def test_game_gap_dominates_value_suboptimality(self):
         # Exploitability against both sides bounds how far the pair's value
