@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -186,6 +185,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     batches = [distinct[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     job = partial(_learner_rows, ground_truth=ground_truth)
     if n_batches > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_batches) as pool:
             batch_rows = list(pool.map(job, batches))
     else:

@@ -11,6 +11,7 @@ safe to share across worker processes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +177,19 @@ def _check_policy(game: MarkovGame, policy: np.ndarray, side: int, who: str = ""
         raise ValueError(problem)
 
 
+def _check_tol(tol, name: str = "tol") -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite positive number that is not a bool."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {name}={tol!r}")
+
+
+def _check_max_iter(max_iter) -> None:
+    """Raise ``ValueError`` unless ``max_iter`` is an integer >= 1 that is not a bool."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1 (not a bool), "
+                         f"got max_iter={max_iter!r}")
+
+
 def evaluate_policy_pair(
     game: MarkovGame, policy: JointPolicy, residual_tol: float = 1e-10
 ) -> np.ndarray:
@@ -184,9 +198,11 @@ def evaluate_policy_pair(
     Solves the linear system (I - gamma * P_xy) V = loss_xy by dense LU.  The
     solution is verified against the Bellman residual; a residual above
     ``residual_tol`` (scaled by the value magnitude) raises ``ArithmeticError``.
-    A policy row that is not a distribution (within 1e-9) raises ``ValueError``
-    naming the player and the row.
+    A policy row that is not a distribution (within 1e-9), or a
+    ``residual_tol`` that is not a finite positive number, raises
+    ``ValueError`` naming the cause.
     """
+    _check_tol(residual_tol, "residual_tol")
     _check_policy(game, policy.x, 1)
     _check_policy(game, policy.y, 2)
     loss_xy = np.einsum("sab,sa,sb->s", game.loss, policy.x, policy.y)
@@ -246,8 +262,12 @@ def best_response(
     has shape (S,) and ``policy`` is a one-hot array over the free player's
     actions.  The Bellman residual of the returned value is guaranteed at most
     ``tol * (1 - gamma)`` (raises ``ArithmeticError`` otherwise).  A fixed
-    policy row that is not a distribution raises ``ValueError`` first.
+    policy row that is not a distribution, a ``tol`` that is not a finite
+    positive number, or a ``max_iter`` that is not an integer >= 1 raises
+    ``ValueError`` first.
     """
+    _check_tol(tol)
+    _check_max_iter(max_iter)
     loss, trans = _induced_mdp(game, np.asarray(fixed_policy, dtype=np.float64), fixed_side)
     minimize = fixed_side == 2
     n_states, n_act = loss.shape

@@ -5,7 +5,9 @@ a small dense simplex method, the Markov game itself by value iteration over
 per-state matrix games, and distances to the optimal-strategy polytopes by
 exact projection: one nonnegative least-squares solve finds the active set,
 and a KKT residual certifies the point.  These routines provide the yardstick
-against which learned policies are measured.
+against which learned policies are measured.  ``scipy.optimize.nnls`` is
+imported on first use, only by projections onto three or more actions and
+their KKT certificate, so importing this module loads only numpy.
 
 Every stage game is solved by ``_stage_solutions``, with a leading stack
 axis: it reads all S start bases at once, restarts a singular or infeasible
@@ -19,15 +21,13 @@ every item, so each item has the bits it would have alone.
 
 from __future__ import annotations
 
-import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .games import MarkovGame, JointPolicy, best_response, q_from_v
+from .games import MarkovGame, JointPolicy, _check_max_iter, _check_tol, best_response, q_from_v
 
 __all__ = [
     "MatrixGameSolution",
@@ -66,12 +66,6 @@ class MatrixGameSolution:
     row_payoffs: np.ndarray  # (A,) payoffs Q y, all >= value - tol
     basis: np.ndarray      # (B+1,) sorted column indices of the final optimal simplex basis
     pivots: int            # simplex pivots taken from the starting basis to ``basis``
-
-
-def _check_tol(tol) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite positive number."""
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
-        raise ValueError(f"tol must be positive and finite, got tol={tol!r}")
 
 
 def _check_finite(name: str, array: np.ndarray, axes: str) -> None:
@@ -363,9 +357,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     get another, equally certified, witness than a cold solve would give.
     """
     _check_tol(tol)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1 (not a bool), "
-                         f"got max_iter={max_iter!r}")
+    _check_max_iter(max_iter)
     gamma = game.gamma
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got gamma={gamma!r}")
@@ -440,6 +432,7 @@ def _kkt_residual(z, u, a_mat, b_vec, feas_tol=1e-8):
         basis[j] = -1.0
         cols.append(basis)
     mat = np.column_stack(cols)
+    from scipy.optimize import nnls
     _, stat = nnls(mat, z - u)
     return max(feas, float(stat))
 
@@ -513,6 +506,7 @@ def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
     lhs = np.vstack([-g.T, -h])
     target = np.zeros(n)
     target[-1] = 1.0
+    from scipy.optimize import nnls
     multipliers, _ = nnls(lhs, target)
     residual = lhs @ multipliers - target
     if not residual[-1] < 0.0:

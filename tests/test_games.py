@@ -176,6 +176,14 @@ class TestEvaluation:
         with pytest.raises(ValueError, match=rf"player-{side} policy row 1 is not a probability"):
             evaluate_policy_pair(switching_mp, JointPolicy(x=x, y=y))
 
+    @pytest.mark.parametrize("residual_tol", [-1.0, 0.0, np.inf, np.nan, "a", True])
+    def test_bad_residual_tol_rejected(self, switching_mp, residual_tol):
+        # -1 used to blame the solve, inf switched the residual check off.
+        with pytest.raises(ValueError, match=r"residual_tol must be positive and finite, "
+                                             r"got residual_tol="):
+            evaluate_policy_pair(switching_mp, uniform_policy(switching_mp),
+                                 residual_tol=residual_tol)
+
     def test_matches_linear_system_oracle(self):
         rng = np.random.default_rng(2)
         for i in range(5):
@@ -298,6 +306,26 @@ class TestBestResponse:
         fixed = np.array([[0.5, 0.5], row])
         with pytest.raises(ValueError, match=r"fixed player-2 policy row 1 is not a probability"):
             best_response(switching_mp, fixed, fixed_side=2)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan, "a", True])
+    def test_bad_tol_rejected(self, switching_mp, tol):
+        # -1 used to raise "Bellman residual too large", inf returned [5, 5]
+        # unchecked, "a" raised a bare TypeError and True ran as 1.0.
+        with pytest.raises(ValueError, match=r"tol must be positive and finite, got tol="):
+            best_response(switching_mp, np.full((2, 2), 0.5), fixed_side=2, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, "a", None])
+    def test_bad_max_iter_rejected(self, switching_mp, max_iter):
+        # 0 used to raise "policy iteration failed to terminate", 2.5 a bare
+        # TypeError, and True ran one step.
+        with pytest.raises(ValueError, match=r"max_iter must be an integer >= 1 \(not a bool\), "
+                                             r"got max_iter="):
+            best_response(switching_mp, np.full((2, 2), 0.5), fixed_side=2, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self, switching_mp):
+        fixed = np.full((2, 2), 0.5)
+        value, _ = best_response(switching_mp, fixed, fixed_side=2, max_iter=np.int64(5))
+        np.testing.assert_array_equal(value, best_response(switching_mp, fixed, fixed_side=2)[0])
 
     def test_bad_side_rejected(self, mp1):
         with pytest.raises(ValueError):

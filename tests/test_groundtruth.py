@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,7 +184,7 @@ class TestSolveMatrixGame:
         assert sol.x.sum() == pytest.approx(1.0, abs=1e-12)
         assert sol.y.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf"), "a"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf"), "a", True])
     def test_rejects_nonpositive_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_matrix_game(np.eye(2), tol=tol)
@@ -306,7 +311,7 @@ class TestShapleySolve:
         for max_iter in (0, 2.5, "a", True):
             with pytest.raises(ValueError, match="max_iter"):
                 shapley_solve(mp1, max_iter=max_iter)
-        for tol in (0.0, -1e-9, float("nan"), float("inf"), "a"):
+        for tol in (0.0, -1e-9, float("nan"), float("inf"), "a", True):
             with pytest.raises(ValueError, match="tol must be positive"):
                 shapley_solve(mp1, tol=tol)
 
@@ -701,6 +706,11 @@ class TestDualityGaps:
         with pytest.raises(ValueError, match=r"fixed player-1 policy row 0 is not a probability"):
             game_duality_gap(switching_mp, policy)
 
+    @pytest.mark.parametrize("tol", [-1.0, np.inf, "a", True])
+    def test_game_gap_rejects_bad_tol(self, switching_mp, tol):
+        with pytest.raises(ValueError, match=r"tol must be positive and finite, got tol="):
+            game_duality_gap(switching_mp, uniform_policy(switching_mp), tol=tol)
+
     def test_game_gap_dominates_value_suboptimality(self):
         # Exploitability against both sides bounds how far the pair's value
         # sits from the minimax value.
@@ -923,6 +933,46 @@ class TestDistance:
             assert plane.tobytes() == fresh.tobytes()
             np.testing.assert_allclose(plane.T @ plane, np.eye(n - 1), atol=1e-12)
             np.testing.assert_allclose(plane.sum(axis=0), 0.0, atol=1e-12)
+
+
+# A fresh interpreter: the suite's own process imported scipy long ago.
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+from zsmg import (JointPolicy, RunConfig, builtin, dist_to_optimal_sets, random_game,
+                  run_selfplay, shapley_solve)
+
+result = run_selfplay(builtin("switching-mp"), RunConfig(iterations=40, cadence=10))
+assert result.rows
+shapley_solve(random_game(seed=3, n_states=2, n_actions_p1=5, n_actions_p2=5, gamma=0.9))
+small = [name for name in ("scipy.optimize", "concurrent.futures.process")
+         if name in sys.modules]
+gt = shapley_solve(random_game(seed=4, n_states=2, n_actions_p1=3, n_actions_p2=3, gamma=0.9))
+policy = JointPolicy(x=np.tile([0.6, 0.3, 0.1], (2, 1)), y=np.tile([0.2, 0.2, 0.6], (2, 1)))
+dist = dist_to_optimal_sets(gt, policy)
+print(json.dumps({"loaded_before": small, "loaded_after": "scipy.optimize" in sys.modules,
+                  "per_state": dist.per_state.tobytes().hex(),
+                  "x_proj": dist.x_proj.tobytes().hex(),
+                  "y_proj": dist.y_proj.tobytes().hex()}))
+"""
+
+
+def test_import_loads_scipy_optimize_only_for_projections_onto_three_actions():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    probe = json.loads(out.stdout)
+    # Exact 2x2 self-play with metric rows and a 5x5 Shapley solve never call nnls,
+    # and a serial process never needs the process pool.
+    assert probe["loaded_before"] == []
+    assert probe["loaded_after"]
+    gt = shapley_solve(random_game(seed=4, n_states=2, n_actions_p1=3, n_actions_p2=3,
+                                   gamma=0.9))
+    policy = JointPolicy(x=np.tile([0.6, 0.3, 0.1], (2, 1)), y=np.tile([0.2, 0.2, 0.6], (2, 1)))
+    dist = dist_to_optimal_sets(gt, policy)
+    assert probe["per_state"] == dist.per_state.tobytes().hex()
+    assert probe["x_proj"] == dist.x_proj.tobytes().hex()
+    assert probe["y_proj"] == dist.y_proj.tobytes().hex()
 
 
 class TestMarginConstant:
