@@ -20,8 +20,9 @@ from . import __version__
 from .estimators import estimate_mu, plan_accuracy_budget, plan_sample_budget
 from .experiments import ExperimentConfig, run_experiment, resolve_game
 from .gamegen import BUILTIN_NAMES, random_game, save_game
+from .games import _integer
 from .groundtruth import shapley_solve
-from .learner import RunConfig, _integer
+from .learner import RunConfig
 from .metrics import read_metrics_csv
 from .svg import write_line_chart
 

@@ -15,13 +15,14 @@ sampled path touches the game.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .games import MarkovGame
+from .games import MarkovGame, _integer
 
 __all__ = [
     "Trajectory",
@@ -107,6 +108,7 @@ def rollout(
     n_steps: int,
     s_init: int,
     rng: np.random.Generator,
+    rows: dict[int, list[float]] | None = None,
 ) -> Trajectory:
     """Simulate ``n_steps`` of play under stationary strategies (x, y).
 
@@ -116,33 +118,39 @@ def rollout(
     to the last index.  ``bisect_right`` probes the same midpoints as
     ``np.searchsorted(side="right")``, so on NaN-free rows the indices match
     it, even on the slightly non-monotone rows that rounding leaves in a
-    valid kernel.  A transition row is accumulated the first time the walk
+    valid kernel.  A transition row is accumulated the first time a walk
     reaches its (s, a, b), left to right as ``np.cumsum`` does, so the bits
-    match too.  Only visited rows are built, at most L of them, never the
-    whole cumulative kernel; the other buffers are O(L).
+    match too, and kept in ``rows`` under its flat index ``(s*A + a)*B + b``.
+    Passing the same dict to every rollout on one game keeps each row across
+    calls: at most S*A*B rows of S Python floats, built only as visited, never
+    the whole cumulative kernel up front.  The other buffers are O(L).
     """
-    if n_steps < 1:
-        raise ValueError("rollout length must be >= 1")
-    if not 0 <= s_init < game.n_states:
-        raise ValueError(f"initial state {s_init} out of range")
-    n_a, n_b, n_s = game.n_actions_p1, game.n_actions_p2, game.n_states
+    n_steps = _integer("n_steps", n_steps, 1)
+    s = _integer("s_init", s_init, 0)
+    n_s, n_a, n_b = game.loss.shape
+    if s >= n_s:
+        raise ValueError(f"s_init must be < n_states={n_s}, got s_init={s}")
+    rows = {} if rows is None else rows
     cum_x = np.cumsum(x, axis=1).tolist()
     cum_y = np.cumsum(y, axis=1).tolist()
     trans = game.transition.reshape(n_s * n_a * n_b, n_s)
-    u_a, u_b, u_s = rng.random((3, n_steps)).tolist()
-    rows: dict[int, list[float]] = {}
-    states = [s_init]
+    states = [s]
     acts_a = []
     acts_b = []
-    s = s_init
-    for i in range(n_steps):
-        a = min(bisect_right(cum_x[s], u_a[i]), n_a - 1)
-        b = min(bisect_right(cum_y[s], u_b[i]), n_b - 1)
+    for u_a, u_b, u_s in zip(*rng.random((3, n_steps)).tolist()):
+        a = bisect_right(cum_x[s], u_a)
+        if a == n_a:
+            a -= 1
+        b = bisect_right(cum_y[s], u_b)
+        if b == n_b:
+            b -= 1
         k = (s * n_a + a) * n_b + b
         row = rows.get(k)
         if row is None:
             row = rows[k] = list(accumulate(trans[k].tolist()))
-        s = min(bisect_right(row, u_s[i]), n_s - 1)
+        s = bisect_right(row, u_s)
+        if s == n_s:
+            s -= 1
         acts_a.append(a)
         acts_b.append(b)
         states.append(s)
@@ -191,18 +199,24 @@ class SampledEstimator:
     Keeps its own generator (seeded once) and, by default, continues each
     rollout from where the previous one stopped, modeling one uninterrupted
     stream of play.  ``reset_each_iteration`` restarts every rollout from
-    state 0 instead (useful when debugging visitation issues).
+    state 0 instead (useful when debugging visitation issues).  It also keeps
+    the cumulative transition rows its rollouts have visited, for the game it
+    last saw, so each row is built once per run; another game drops them.
     """
 
     def __init__(self, rollout_len: int, epsilon_prime: float, seed: int = 0,
                  reset_each_iteration: bool = False):
-        if rollout_len < 1:
-            raise ValueError("rollout_len must be >= 1")
-        self.rollout_len = int(rollout_len)
+        self.rollout_len = _integer("rollout_len", rollout_len, 1)
+        if isinstance(epsilon_prime, bool) or not (
+                isinstance(epsilon_prime, numbers.Real) and 0.0 <= epsilon_prime <= 1.0):
+            raise ValueError(f"epsilon_prime must lie in [0, 1], "
+                             f"got epsilon_prime={epsilon_prime!r}")
         self.epsilon_prime = float(epsilon_prime)
         self.reset_each_iteration = bool(reset_each_iteration)
         self._current = 0
         self._rng = np.random.default_rng(seed)
+        self._game: MarkovGame | None = None
+        self._rows: dict[int, list[float]] = {}
         self.last_trajectory: Trajectory | None = None
 
     def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
@@ -213,10 +227,12 @@ class SampledEstimator:
         With ``collect_error`` the error is the largest deviation of any
         estimate from the exact one for the exploration-mixed strategies.
         """
+        if game is not self._game:
+            self._game, self._rows = game, {}
         x_mix = explore_mix(x, self.epsilon_prime)
         y_mix = explore_mix(y, self.epsilon_prime)
         start = 0 if self.reset_each_iteration else self._current
-        traj = rollout(game, x_mix, y_mix, self.rollout_len, start, self._rng)
+        traj = rollout(game, x_mix, y_mix, self.rollout_len, start, self._rng, self._rows)
         self._current = int(traj.states[-1])
         self.last_trajectory = traj
         rho = sampled_estimates(traj, v, game.gamma, ell, r)

@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .gamegen import (BUILTIN_NAMES, builtin, game_from_dict, game_to_dict, load_game,
                       load_policy, random_game)
-from .games import MarkovGame
+from .games import MarkovGame, _integer
 from .groundtruth import shapley_solve
-from .learner import (RunConfig, _check_fields, _instance, _integer, _integers, _optional,
+from .learner import (RunConfig, _check_fields, _instance, _integers, _optional,
                       _real, _run_batch, _setup)
 from .metrics import (
     aggregate_metrics,

@@ -190,6 +190,17 @@ def _check_max_iter(max_iter) -> None:
                          f"got max_iter={max_iter!r}")
 
 
+def _integer(name, value, minimum, shape=None) -> int:
+    """An integer >= ``minimum``; not a bool, which Python counts as one."""
+    # A plain int skips the abstract-base-class check, the slow part.
+    if (type(value) is not int
+            and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
+            or value < minimum):
+        raise ValueError(f"{name} must be >= {minimum} and an integer (not a bool), "
+                         f"got {name}={value!r}")
+    return int(value)
+
+
 def evaluate_policy_pair(
     game: MarkovGame, policy: JointPolicy, residual_tol: float = 1e-10
 ) -> np.ndarray:

@@ -12,7 +12,6 @@ a batch of one.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import estimators as est_mod
 from . import metrics as metrics_mod
-from .games import MarkovGame, JointPolicy, _induced_mdp, distribution_rows_error, validate_game
+from .games import (MarkovGame, JointPolicy, _induced_mdp, _integer, distribution_rows_error,
+                    validate_game)
 
 __all__ = [
     "LearnerState",
@@ -344,14 +344,6 @@ class RunResult:
     game: MarkovGame
     ground_truth: Any
     config: RunConfig
-
-
-def _integer(name, value, minimum, shape=None) -> int:
-    """An integer >= ``minimum``; not a bool, which Python counts as one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be >= {minimum} and an integer (not a bool), "
-                         f"got {name}={value!r}")
-    return int(value)
 
 
 def _integers(name, value, minimum, shape=None) -> list[int]:

@@ -139,15 +139,18 @@ def _strategy_rows(rng: np.random.Generator, kind: str, n_rows: int, n: int) -> 
     return 0.5 * rows if kind == "half" else rows
 
 
-def _assert_same_rollout(game, x, y, n_steps, s_init, seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = rollout(game, x, y, n_steps, s_init, rng)
-    want = searchsorted_rollout(game, x, y, n_steps, s_init, ref_rng)
+def _assert_same_trajectory(got, want):
     for name in ("states", "actions_p1", "actions_p2", "losses"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert getattr(got, name).dtype == getattr(want, name).dtype
     assert (got.n_states, got.n_actions_p1, got.n_actions_p2) == \
         (want.n_states, want.n_actions_p1, want.n_actions_p2)
+
+
+def _assert_same_rollout(game, x, y, n_steps, s_init, seed, rows=None):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = rollout(game, x, y, n_steps, s_init, rng, rows)
+    _assert_same_trajectory(got, searchsorted_rollout(game, x, y, n_steps, s_init, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
@@ -202,6 +205,41 @@ class TestRollout:
         y = _strategy_rows(rng, kind_y, n_s, n_b)
         _assert_same_rollout(game, x, y, n_steps, s_init, seed)
 
+    @settings(max_examples=60)
+    @given(n_s=st.integers(1, 6), n_a=st.integers(1, 4), n_b=st.integers(1, 4),
+           n_calls=st.integers(2, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_kept_rows_equal_searchsorted_oracle(self, n_s, n_a, n_b, n_calls, data, seed):
+        # Consecutive rollouts on one game share one rows dict, with fresh
+        # strategies and start states: each equals the oracle, bit for bit.
+        game = random_game(seed=seed, n_states=n_s, n_actions_p1=n_a,
+                           n_actions_p2=n_b, gamma=0.9)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = {}
+        for call in range(n_calls):
+            kinds = data.draw(st.tuples(*[st.sampled_from(["dirichlet", "pure", "half"])] * 2),
+                              label=f"kinds {call}")
+            x = _strategy_rows(rng, kinds[0], n_s, n_a)
+            y = _strategy_rows(rng, kinds[1], n_s, n_b)
+            ref_rng.bit_generator.state = rng.bit_generator.state
+            n_steps = data.draw(st.integers(1, 200), label=f"n_steps {call}")
+            s_init = data.draw(st.integers(0, n_s - 1), label=f"s_init {call}")
+            got = rollout(game, x, y, n_steps, s_init, rng, rows)
+            _assert_same_trajectory(got, searchsorted_rollout(game, x, y, n_steps, s_init,
+                                                              ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(rows) <= n_s * n_a * n_b
+        cum = np.cumsum(game.transition, axis=3).reshape(-1, n_s)
+        for k, row in rows.items():
+            assert row == cum[k].tolist()
+
+    def test_kept_rows_are_not_rebuilt(self, switching_mp):
+        x = np.full((2, 2), 0.5)
+        rows = {}
+        rollout(switching_mp, x, x, 50, 0, np.random.default_rng(0), rows)
+        kept = dict(rows)
+        rollout(switching_mp, x, x, 50, 1, np.random.default_rng(1), rows)
+        assert all(rows[k] is row for k, row in kept.items())
+
     def test_non_monotone_cumulative_row(self):
         # Within validate_game's 1e-12 tolerance, yet the cumulative row falls.
         trans = np.full((2, 2, 2, 2), 0.5)
@@ -212,8 +250,12 @@ class TestRollout:
         cum = np.cumsum(trans[0, 0, 0])
         assert cum[1] < cum[0]
         x = np.full((2, 2), 0.5)
+        kept = {}
         for s_init in (0, 1):
             _assert_same_rollout(game, x, x, 400, s_init, seed=11)
+            # From the second start on, the walk reads rows kept by the first.
+            _assert_same_rollout(game, x, x, 400, s_init, seed=11, rows=kept)
+        assert 0 in kept
 
     def test_draw_inside_non_monotone_window(self):
         # cum = [0.3, 0.5, 0.5 - 1e-12, 1]: a draw in [cum[2], cum[1]) gets 3
@@ -230,10 +272,31 @@ class TestRollout:
                 return np.array([np.zeros(5), np.zeros(5), u_s]).reshape(shape)
 
         x = np.ones((4, 1))
-        got = rollout(game, x, x, 5, 0, FixedDraws())
         want = searchsorted_rollout(game, x, x, 5, 0, FixedDraws())
         np.testing.assert_array_equal(want.states, [0, 3, 3, 3, 0, 3])
-        np.testing.assert_array_equal(got.states, want.states)
+        kept = {}
+        for rows in (None, kept, kept):
+            got = rollout(game, x, x, 5, 0, FixedDraws(), rows)
+            np.testing.assert_array_equal(got.states, want.states)
+        assert sorted(kept) == [0, 3]
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 2.5), ("n_steps", True), ("n_steps", 0), ("n_steps", "3"),
+        ("s_init", 1.5), ("s_init", True), ("s_init", -1), ("s_init", 2), ("s_init", None),
+    ])
+    def test_rejects_bad_step_count_and_start(self, switching_mp, field, value):
+        args = dict(n_steps=10, s_init=0)
+        args[field] = value
+        x = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match=rf"{field} must be .*got {field}={value!r}"):
+            rollout(switching_mp, x, x, args["n_steps"], args["s_init"],
+                    np.random.default_rng(0))
+
+    def test_numpy_integers_accepted(self, switching_mp):
+        x = np.full((2, 2), 0.5)
+        got = rollout(switching_mp, x, x, np.int32(30), np.int64(1), np.random.default_rng(3))
+        want = rollout(switching_mp, x, x, 30, 1, np.random.default_rng(3))
+        _assert_same_trajectory(got, want)
 
 
 class TestSampledEstimates:
@@ -374,6 +437,38 @@ class TestSampledEstimator:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             SampledEstimator(rollout_len=0, epsilon_prime=0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rollout_len", 2.5), ("rollout_len", True), ("rollout_len", 0),
+        ("epsilon_prime", 7.0), ("epsilon_prime", -0.1), ("epsilon_prime", float("nan")),
+        ("epsilon_prime", True), ("epsilon_prime", "0.1"),
+    ])
+    def test_rejects_bad_arguments_at_construction(self, field, value):
+        args = dict(rollout_len=10, epsilon_prime=0.1)
+        args[field] = value
+        with pytest.raises(ValueError, match=rf"{field} must .*got {field}={value!r}"):
+            SampledEstimator(**args)
+
+    def test_numpy_arguments_accepted(self):
+        est = SampledEstimator(rollout_len=np.int64(10), epsilon_prime=np.float64(0.25))
+        assert (type(est.rollout_len), est.rollout_len) == (int, 10)
+        assert (type(est.epsilon_prime), est.epsilon_prime) == (float, 0.25)
+
+    def test_another_game_drops_the_kept_rows(self, switching_mp):
+        # Same shape, another kernel: rows kept for the first game must not
+        # steer the rollouts on the second.
+        other = MarkovGame(loss=switching_mp.loss,
+                           transition=switching_mp.transition[..., ::-1], gamma=0.9)
+        state = initial_state(switching_mp, eta=0.01)
+        est, fresh = (SampledEstimator(rollout_len=60, epsilon_prime=0.2, seed=4,
+                                       reset_each_iteration=True) for _ in range(2))
+        _estimate(est, switching_mp, state, switching_mp.loss)
+        fresh._rng.random((3, 60))  # the draws of the rollout on the first game
+        got = _estimate(est, other, state, other.loss)
+        want = _estimate(fresh, other, state, other.loss)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.tobytes() == w.tobytes()
+        _assert_same_trajectory(est.last_trajectory, fresh.last_trajectory)
 
     def test_selfplay_epsilon_prime_derived_from_epsilon(self, mp1):
         # run_selfplay mixes exploration as (1 - gamma) * epsilon unless
