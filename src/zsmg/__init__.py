@@ -26,7 +26,6 @@ from .groundtruth import (
     dist_to_optimal_sets,
     duality_gap_state,
     game_duality_gap,
-    margin_constant_estimate,
     shapley_solve,
     solve_matrix_game,
 )

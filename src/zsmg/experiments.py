@@ -67,6 +67,9 @@ class ExperimentConfig:
     switches to single-player mode: a policy file path, the string 'uniform',
     or an explicit per-state strategy array for player 2.  ``out_dir`` falls
     back to the ZSMG_OUT_DIR environment variable, then the current directory.
+    ``label`` starts every output file name and fills one CSV header line, so
+    it must be non-empty, with no path separator, no '..' and only printable
+    characters.
     """
 
     game: object = "mp1"
@@ -112,13 +115,23 @@ class ExperimentConfig:
         return Path(base)
 
 
+def _label(name, value, _, shape=None) -> str:
+    """A string that names files inside ``out_dir`` and fills one CSV header line:
+    not empty, with no path separator, no '..' and only printable characters."""
+    _instance(name, value, (str,))
+    if not value or "/" in value or "\\" in value or ".." in value or not value.isprintable():
+        raise ValueError(f"{name} must be a non-empty file-name stem without a path separator, "
+                         f"'..' or an unprintable character, got {name}={value!r}")
+    return value
+
+
 # Each value field's kind, as in ``learner._RUN_FIELDS``; game, run and opponent are sources.
 _EXPERIMENT_FIELDS = {
     "gt_tol": (_real, "(0, inf)"),
     "out_dir": (_optional(_instance), (str, os.PathLike)),
     "repetitions": (_integer, 1),
     "seeds": (_optional(_integers), 0),
-    "label": (_instance, (str,)),
+    "label": (_label, None),
     "debug_columns": (_instance, (bool, np.bool_)),
     "workers": (_integer, 1),
 }

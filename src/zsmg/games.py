@@ -164,15 +164,17 @@ def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
     return problems
 
 
-def _check_policy(game: MarkovGame, policy: np.ndarray, side: int, who: str = "") -> None:
-    """Raise unless ``policy`` is player ``side``'s ``(S, A)`` or ``(S, B)`` array
-    (``DimensionMismatchError``) of distribution rows (``ValueError``); ``who``
-    prefixes the message."""
-    want = (game.n_states, game.loss.shape[side])
+def _check_policy(game: MarkovGame, policy: np.ndarray, side: int, who: str = "",
+                  stack: tuple = ()) -> None:
+    """Raise unless ``policy`` is a ``stack`` of player ``side``'s ``(S, A)`` or ``(S, B)``
+    arrays (``DimensionMismatchError``) of distribution rows (``ValueError``, naming
+    the row counted over the stack in C order); ``who`` prefixes the message."""
+    want = stack + (game.n_states, game.loss.shape[side])
     if policy.shape != want:
         raise DimensionMismatchError(f"{who}player-{side} policy shape {policy.shape} does "
-                                     f"not match (S, {'AB'[side - 1]}) = {want}")
-    problem = distribution_rows_error(f"{who}player-{side} policy", policy)
+                                     f"not match {'(..., ' if stack else '('}S, "
+                                     f"{'AB'[side - 1]}) = {want}")
+    problem = distribution_rows_error(f"{who}player-{side} policy", policy.reshape(-1, want[-1]))
     if problem:
         raise ValueError(problem)
 
@@ -244,23 +246,25 @@ def q_from_v(game: MarkovGame, v: np.ndarray) -> np.ndarray:
 
 
 def _induced_mdp(game: MarkovGame, fixed_policy: np.ndarray, fixed_side: int):
-    """Collapse the fixed player out of the game, leaving the free player's MDP."""
-    if fixed_side not in (1, 2):
-        raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
-    _check_policy(game, fixed_policy, fixed_side, "fixed ")
+    """Collapse the fixed player out of the game, leaving the free player's MDP.
+
+    Leading stack axes on ``fixed_policy`` carry over to the loss and the
+    transition; each item has the bits it would have alone.
+    """
+    _check_policy(game, fixed_policy, fixed_side, "fixed ", fixed_policy.shape[:-2])
     if fixed_side == 2:
-        loss = np.einsum("sab,sb->sa", game.loss, fixed_policy)
-        trans = np.einsum("sabt,sb->sat", game.transition, fixed_policy)
+        loss = np.einsum("sab,...sb->...sa", game.loss, fixed_policy)
+        trans = np.einsum("sabt,...sb->...sat", game.transition, fixed_policy)
     else:
-        loss = np.einsum("sab,sa->sb", game.loss, fixed_policy)
-        trans = np.einsum("sabt,sa->sbt", game.transition, fixed_policy)
+        loss = np.einsum("sab,...sa->...sb", game.loss, fixed_policy)
+        trans = np.einsum("sabt,...sa->...sbt", game.transition, fixed_policy)
     return loss, trans
 
 
 def best_response(
     game: MarkovGame,
     fixed_policy: np.ndarray,
-    fixed_side: int,
+    fixed_side,
     tol: float = 1e-9,
     max_iter: int = 100_000,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -268,46 +272,98 @@ def best_response(
 
     With player 2 fixed (``fixed_side=2``), player 1 minimizes; with player 1
     fixed, player 2 maximizes.  The induced MDP is solved by policy iteration
-    (greedy improvement + exact policy evaluation), which terminates at an
-    optimal deterministic policy.  Returns ``(value, policy)`` where ``value``
-    has shape (S,) and ``policy`` is a one-hot array over the free player's
-    actions.  The Bellman residual of the returned value is guaranteed at most
-    ``tol * (1 - gamma)`` (raises ``ArithmeticError`` otherwise).  A fixed
-    policy row that is not a distribution, a ``tol`` that is not a finite
-    positive number, or a ``max_iter`` that is not an integer >= 1 raises
-    ``ValueError`` first.
+    (Howard 1960: greedy improvement + exact policy evaluation), which
+    terminates at an optimal deterministic policy.  Returns ``(value,
+    policy)`` where ``value`` has shape (S,) and ``policy`` is a one-hot array
+    over the free player's actions.  The Bellman residual of the returned
+    value is guaranteed at most ``tol * (1 - gamma)`` (raises
+    ``ArithmeticError`` otherwise).  A fixed policy row that is not a
+    distribution, a ``tol`` that is not a finite positive number, or a
+    ``max_iter`` that is not an integer >= 1 raises ``ValueError`` first.
+
+    ``fixed_policy`` may carry leading stack axes, and ``fixed_side`` may be
+    an array of sides that broadcasts to them, one per item; items of both
+    sides share a stack only when ``A == B``.  Value and policy then carry
+    the same axes, and each item has the bits it would have alone: one
+    policy-iteration loop runs over the whole stack, an item that has
+    stopped improving is evaluated again with the same actions, and numpy's
+    stacked ``solve`` and ``matmul`` run the same kernel on every item.  The
+    maximizer's items run as minimizers of the negated loss; negation is
+    exact, so their nonzero values keep their bits (a zero may flip sign).
+    A failed certificate names its item.
     """
     _check_tol(tol)
     _check_max_iter(max_iter)
-    loss, trans = _induced_mdp(game, np.asarray(fixed_policy, dtype=np.float64), fixed_side)
-    minimize = fixed_side == 2
-    n_states, n_act = loss.shape
-    pick = np.argmin if minimize else np.argmax
+    fixed_policy = np.asarray(fixed_policy, dtype=np.float64)
+    if fixed_policy.ndim < 2:
+        raise DimensionMismatchError(f"fixed policy must have shape (..., S, A) or (..., S, B), "
+                                     f"got {fixed_policy.shape}")
+    stack, (n_states, width) = fixed_policy.shape[:-2], fixed_policy.shape[-2:]
+    policies = fixed_policy.reshape((-1, n_states, width))
+    if np.ndim(fixed_side) == 0:
+        if fixed_side not in (1, 2):
+            raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
+        loss, trans = _induced_mdp(game, policies, fixed_side)
+        maximize = fixed_side == 1
+    else:
+        # One side per item: each side's items in one call, put back in stack order.
+        sides = np.broadcast_to(fixed_side, stack).reshape(-1)
+        maximize = sides == 1
+        if not (maximize | (sides == 2)).all():
+            raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
+        parts = [(mask, _induced_mdp(game, policies[mask], side))
+                 for side, mask in ((1, maximize), (2, ~maximize)) if mask.any()]
+        loss, trans = (np.empty((sides.size,) + part.shape[1:]) for part in parts[0][1])
+        for mask, (side_loss, side_trans) in parts:
+            loss[mask], trans[mask] = side_loss, side_trans
+    # The maximizer's items run as minimizers of the negated loss; a product
+    # with -1.0 or 1.0 is exact.
+    sign = np.where(maximize, -1.0, 1.0).reshape(-1, 1, 1)
+    v, actions = _policy_iteration(loss * sign, trans, game.gamma, tol, max_iter, stack)
+    v = v * sign[:, 0]
+    policy = np.zeros(loss.shape)
+    policy.reshape(-1)[np.arange(actions.size) * loss.shape[-1] + actions.reshape(-1)] = 1.0
+    return v.reshape(stack + (n_states,)), policy.reshape(stack + loss.shape[1:])
 
-    actions = pick(loss, axis=1)
+
+def _policy_iteration(loss: np.ndarray, trans: np.ndarray, gamma: float, tol: float,
+                      max_iter: int, stack: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizing policy iteration on the stacked MDPs ``loss`` (N, S, n) and
+    ``trans`` (N, S, n, S); returns each item's values (N, S) and actions (N, S).
+
+    ``stack`` is the caller's shape of the N items, used to name a failing one.
+    """
+    n_items, n_states, n_act = loss.shape
+    # Flat indices of each item's and state's first action, for one-index reads.
+    first = np.arange(0, n_items * n_states * n_act, n_act).reshape(n_items, n_states)
+    loss_rows, trans_rows = loss.reshape(-1), trans.reshape(-1, n_states)
+    actions = np.argmin(loss, axis=-1)
     eye = np.eye(n_states)
-    rows = np.arange(n_states)
     for _ in range(max_iter):
-        p_pi = trans[rows, actions]          # (S, S)
-        l_pi = loss[rows, actions]           # (S,)
-        v = np.linalg.solve(eye - game.gamma * p_pi, l_pi)
-        q = loss + game.gamma * (trans @ v)  # (S, n_act)
+        picked = first + actions
+        v = np.linalg.solve(eye - gamma * trans_rows[picked], loss_rows[picked][..., None])[..., 0]
+        q = loss + gamma * (trans @ v[:, None, :, None])[..., 0]  # (N, S, n)
         # Switch actions only on strict improvement; keeping the incumbent on
         # (near-)ties prevents cycling between equally good actions.
-        q_cur = q[rows, actions]
-        q_best = q.min(axis=1) if minimize else q.max(axis=1)
-        tie_tol = 1e-13 * max(1.0, float(np.max(np.abs(v))))
-        improves = (q_cur - q_best > tie_tol) if minimize else (q_best - q_cur > tie_tol)
+        q_best = q.min(axis=-1)
+        tie_tol = 1e-13 * np.maximum(1.0, np.abs(v).max(axis=-1))
+        improves = q.reshape(-1)[picked] - q_best > tie_tol[:, None]
         if not improves.any():
             break
-        actions = np.where(improves, pick(q, axis=1), actions)
+        actions = np.where(improves, np.argmin(q, axis=-1), actions)
     else:
-        raise ArithmeticError("policy iteration failed to terminate")
+        raise ArithmeticError(f"policy iteration failed to terminate"
+                              f"{_item_name(np.flatnonzero(improves.any(axis=-1))[0], stack)}")
 
-    bellman = q.min(axis=1) if minimize else q.max(axis=1)
-    residual = float(np.max(np.abs(v - bellman)))
-    if residual > tol * (1.0 - game.gamma) * max(1.0, float(np.max(np.abs(v)))):
-        raise ArithmeticError(f"best-response Bellman residual {residual:.3e} too large")
-    policy = np.zeros((n_states, n_act))
-    policy[rows, actions] = 1.0
-    return v, policy
+    residual = np.abs(v - q_best).max(axis=-1)
+    bad = residual > tol * (1.0 - gamma) * np.maximum(1.0, np.abs(v).max(axis=-1))
+    if bad.any():
+        item = int(np.argmax(bad))
+        raise ArithmeticError(f"best-response Bellman residual {residual[item]:.3e} too large"
+                              f"{_item_name(item, stack)}")
+    return v, actions
+
+
+def _item_name(index: int, stack: tuple) -> str:
+    """`` at stack item (i, j)`` for the flat ``index`` into ``stack``; empty without a stack."""
+    return f" at stack item {tuple(map(int, np.unravel_index(index, stack)))}" if stack else ""

@@ -40,7 +40,6 @@ __all__ = [
     "game_duality_gap",
     "dist_to_optimal_sets",
     "dist_state",
-    "margin_constant_estimate",
 ]
 
 # The simplex's starting feasibility and optimality tolerance.
@@ -397,15 +396,25 @@ def duality_gap_state(q_star_s: np.ndarray, x_s: np.ndarray, y_s: np.ndarray) ->
     return float(np.max(x_s @ q_star_s) - np.min(q_star_s @ y_s))
 
 
-def game_duality_gap(game: MarkovGame, policy: JointPolicy, tol: float = 1e-9) -> float:
+def game_duality_gap(game: MarkovGame, policy: JointPolicy, tol: float = 1e-9):
     """Game-level duality gap max_s [max_y' V_{x,y'}(s) - min_x' V_{x',y}(s)].
 
     Both inner optimizations are full best-response MDP solves, so this is the
     exploitability of the pair in the Markov game, not just in the stage games.
+    ``policy.x`` and ``policy.y`` may carry the same leading stack axes (the
+    learner's run axis); the gap then has those axes, each item with the bits
+    of its own call.  When ``A == B`` one ``best_response`` call serves both
+    sides of every item, else one call per side.
     """
-    v_max, _ = best_response(game, policy.x, fixed_side=1, tol=tol)
-    v_min, _ = best_response(game, policy.y, fixed_side=2, tol=tol)
-    return float(np.max(v_max - v_min))
+    x, y = policy.x, policy.y
+    if x.shape == y.shape:
+        sides = np.array([1, 2]).reshape((2,) + (1,) * (x.ndim - 2))
+        v_max, v_min = best_response(game, np.stack([x, y]), sides, tol=tol)[0]
+    else:
+        v_max = best_response(game, x, fixed_side=1, tol=tol)[0]
+        v_min = best_response(game, y, fixed_side=2, tol=tol)[0]
+    gap = np.max(v_max - v_min, axis=-1)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +427,14 @@ def _kkt_residual(z, u, a_mat, b_vec, feas_tol=1e-8):
     Recovers multipliers for the active constraints by nonnegative least
     squares and measures how well z - u decomposes into the active normals.
     """
-    feas = max(
-        abs(float(u.sum()) - 1.0),
-        float(np.max(-u, initial=0.0)),
-        float(np.max(a_mat @ u - b_vec, initial=0.0)) if a_mat.size else 0.0,
-    )
-    cols = [np.ones_like(u), -np.ones_like(u)]             # free multiplier for sum(u)=1
-    if a_mat.size:
-        for i in np.nonzero(a_mat @ u >= b_vec - feas_tol)[0]:
-            cols.append(a_mat[i])
-    for j in np.nonzero(u <= feas_tol)[0]:
-        basis = np.zeros_like(u)
-        basis[j] = -1.0
-        cols.append(basis)
-    mat = np.column_stack(cols)
+    a_u = a_mat @ u
+    feas = max(abs(float(u.sum()) - 1.0), float(np.max(-u, initial=0.0)),
+               float(np.max(a_u - b_vec, initial=0.0)))
+    # Columns: a free multiplier for sum(u) = 1 (as +1 and -1), the active
+    # constraint rows, and -e_j for each coordinate at its bound.
+    ones = np.ones((1, u.size))
+    mat = np.concatenate([ones, -ones, a_mat[a_u >= b_vec - feas_tol],
+                          0.0 - np.eye(u.size)[u <= feas_tol]]).T
     from scipy.optimize import nnls
     _, stat = nnls(mat, z - u)
     return max(feas, float(stat))
@@ -456,54 +459,78 @@ def _plane_basis(n: int) -> np.ndarray:
     return plane
 
 
-def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
-                      kkt_tol: float = 1e-9) -> np.ndarray:
-    """Euclidean projection of z onto {u in simplex : a_mat @ u <= b_vec}.
+def _interval(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per item, the interval ``lo <= u_0 <= hi`` of the segment {u in simplex :
+    a_mat @ u <= b_vec} of two actions, for stacked ``a_mat`` (..., m, 2) and
+    ``b_vec`` (..., m); ``ArithmeticError`` when a segment is empty.
 
-    Two-dimensional problems use the exact interval form (the feasible set is
-    a segment of the simplex, so projection is a clamp).  Larger problems are
-    solved as a least-distance program by one nonnegative least-squares solve
-    (Lawson & Hanson 1974, *Solving Least Squares Problems*, ch. 23).  The
+    With u = (t, 1-t) each constraint reads coef * t <= rhs, so one array
+    expression bounds every item.
+    """
+    coef, rhs = a_mat[..., 0] - a_mat[..., 1], b_vec - a_mat[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = rhs / coef
+    lo = np.where(coef < 0.0, bound, 0.0).max(axis=-1, initial=0.0)
+    hi = np.where(coef > 0.0, bound, 1.0).min(axis=-1, initial=1.0)
+    if (lo > hi + 1e-12).any() or ((coef == 0.0) & (rhs < -1e-12)).any():
+        raise ArithmeticError("infeasible polytope in 2-action projection")
+    return lo, hi
+
+
+def _polytope(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple:
+    """What every projection onto {u in simplex : a_mat @ u <= b_vec} of three or
+    more actions reads, built once: ``a_mat`` and ``b_vec``, the constraints
+    ``ineq @ u <= rhs`` with u >= 0 as their first rows, an orthonormal basis
+    ``plane`` of the directions of the plane sum(u) = 1, and the fixed block
+    ``-(ineq @ plane).T`` of the NNLS matrix of ``_project_point``.
+    """
+    a_mat = np.ascontiguousarray(a_mat)  # the layout picks the BLAS kernel, and so the bits
+    n = a_mat.shape[-1]
+    ineq = np.vstack([-np.eye(n), a_mat])
+    plane = _plane_basis(n)
+    return a_mat, b_vec, ineq, np.concatenate([np.zeros(n), b_vec]), plane, -(ineq @ plane).T
+
+
+def _project_states(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
+    """Euclidean projections of the points ``z`` (..., S, n), each row onto its
+    state's polytope {u in simplex : a_mat[s] @ u <= b_vec[s]}.
+
+    Two-dimensional problems use the exact interval form: the projection is
+    a clamp, one array expression for every state and point.  Larger
+    problems are solved point by point as a least-distance program by one
+    nonnegative least-squares solve (Lawson & Hanson 1974, *Solving Least
+    Squares Problems*, ch. 23), from constants built once per state.  The
     constraints with positive multipliers form the active set, and z is
     projected onto their affine hull exactly; should that point fail its
     checks, the NNLS point itself is the fallback.  Either is returned only
     once certified against the KKT conditions.
     """
-    n = z.size
+    n = z.shape[-1]
     if n == 1:
-        return np.ones(1)
+        return np.ones_like(z)
     if n == 2:
-        # u = (t, 1-t); each constraint is linear in t, so the feasible set is an interval.
-        lo, hi = 0.0, 1.0
-        for a, b in zip(a_mat, b_vec):
-            coef = a[0] - a[1]
-            rhs = b - a[1]
-            if coef > 0.0:
-                hi = min(hi, rhs / coef)
-            elif coef < 0.0:
-                lo = max(lo, rhs / coef)
-            elif rhs < -1e-12:
-                raise ArithmeticError("infeasible polytope in 2-action projection")
-        if lo > hi + 1e-12:
-            raise ArithmeticError("infeasible polytope in 2-action projection")
-        t = min(max((z[0] - z[1] + 1.0) / 2.0, lo), min(hi, max(lo, hi)))
-        return np.array([t, 1.0 - t])
+        lo, hi = _interval(a_mat, b_vec)
+        t = np.minimum(np.maximum((z[..., 0] - z[..., 1] + 1.0) / 2.0, lo), hi)
+        return np.stack([t, 1.0 - t], axis=-1)
+    out = np.empty_like(z)
+    for s in range(z.shape[-2]):
+        polytope = _polytope(a_mat[s], b_vec[s])
+        out[..., s, :] = np.reshape([_project_point(point, *polytope)
+                                     for point in z[..., s, :].reshape(-1, n)], z.shape[:-2] + (n,))
+    return out
 
-    a_arr = np.asarray(a_mat, dtype=np.float64).reshape(-1, n)
-    b_arr = np.asarray(b_vec, dtype=np.float64).reshape(-1)
-    ineq = np.vstack([-np.eye(n), a_arr])
-    rhs = np.concatenate([np.zeros(n), b_arr])
+
+def _project_point(z, a_arr, b_arr, ineq, rhs, plane, neg_gt, kkt_tol=1e-9) -> np.ndarray:
+    """One point of ``_project_states`` onto three or more actions."""
+    n = z.size
     # With p the projection of z onto the plane sum(u) = 1 and the columns of
     # ``plane`` an orthonormal basis of its directions, u = p + plane @ w has
     # ||u - z||^2 = ||p - z||^2 + ||w||^2.  So w is the least-norm point of
-    # {w : g @ w <= h}, whose dual is the NNLS below; its residual r gives
-    # w = -r[:-1] / r[-1], and r[-1] = -||r||^2 is zero only when the
-    # constraints are inconsistent.
-    plane = _plane_basis(n)
+    # {w : g @ w <= h}, with g = ineq @ plane, whose dual is the NNLS below;
+    # its residual r gives w = -r[:-1] / r[-1], and r[-1] = -||r||^2 is zero
+    # only when the constraints are inconsistent.
     p = z + (1.0 - float(z.sum())) / n
-    g = ineq @ plane
-    h = rhs - ineq @ p
-    lhs = np.vstack([-g.T, -h])
+    lhs = np.vstack([neg_gt, -(rhs - ineq @ p)])
     target = np.zeros(n)
     target[-1] = 1.0
     from scipy.optimize import nnls
@@ -526,14 +553,25 @@ def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
     )
 
 
+def _project_polytope(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
+    """Euclidean projection of one point z onto {u in simplex : a_mat @ u <= b_vec}."""
+    a_mat = np.asarray(a_mat, dtype=np.float64)
+    return _project_states(np.asarray(z, dtype=np.float64)[None],
+                           a_mat.reshape((1, -1, a_mat.shape[-1])),
+                           np.asarray(b_vec, dtype=np.float64).reshape(1, -1))[0]
+
+
 @dataclass(frozen=True)
 class DistanceResult:
-    """Squared distances of a policy pair to the per-state optimal-strategy sets."""
+    """Squared distances of a policy pair to the per-state optimal-strategy sets.
 
-    per_state: np.ndarray  # (S,) dist^2(x[s] -> X*[s]) + dist^2(y[s] -> Y*[s])
+    A stacked pair gives every field its leading axes; ``mean`` is then an array.
+    """
+
+    per_state: np.ndarray  # (..., S) dist^2(x[s] -> X*[s]) + dist^2(y[s] -> Y*[s])
     mean: float            # average of per_state over states
-    x_proj: np.ndarray     # (S, A) nearest relaxed-optimal player-1 strategies
-    y_proj: np.ndarray     # (S, B) nearest relaxed-optimal player-2 strategies
+    x_proj: np.ndarray     # (..., S, A) nearest relaxed-optimal player-1 strategies
+    y_proj: np.ndarray     # (..., S, B) nearest relaxed-optimal player-2 strategies
 
 
 def dist_state(
@@ -545,57 +583,33 @@ def dist_state(
     solve tolerance keeps the exact optimal set inside, so the reported distance
     is a slight underestimate (never an overestimate) of the true distance.
     """
-    q = gt.q_star[s]
-    v = gt.v_star[s]
-    px = _project_polytope(np.asarray(x_s, dtype=np.float64), q.T, np.full(q.shape[1], v + gt.tol))
-    py = _project_polytope(np.asarray(y_s, dtype=np.float64), -q, np.full(q.shape[0], -(v - gt.tol)))
-    d2 = float(np.sum((x_s - px) ** 2) + float(np.sum((y_s - py) ** 2)))
-    return d2, px, py
+    d2, px, py = _distances(gt.q_star[s:s + 1], gt.v_star[s:s + 1], gt.tol,
+                            np.asarray(x_s, dtype=np.float64)[None],
+                            np.asarray(y_s, dtype=np.float64)[None])
+    return float(d2[0]), px[0], py[0]
+
+
+def _distances(q: np.ndarray, v: np.ndarray, tol: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    """``(per_state, x_proj, y_proj)`` of the points ``x`` (..., S, A) and ``y``
+    (..., S, B) against the relaxed optimal sets of the stage games ``q`` (S, A, B)
+    with values ``v`` (S,)."""
+    n_a, n_b = q.shape[1:]
+    px = _project_states(x, q.transpose(0, 2, 1), np.repeat((v + tol)[:, None], n_b, axis=1))
+    py = _project_states(y, -q, np.repeat((-(v - tol))[:, None], n_a, axis=1))
+    return ((x - px) ** 2).sum(axis=-1) + ((y - py) ** 2).sum(axis=-1), px, py
 
 
 def dist_to_optimal_sets(gt: GroundTruth, policy: JointPolicy) -> DistanceResult:
-    """Per-state and mean squared distance of a policy pair to the optimal sets."""
-    n_states = gt.v_star.shape[0]
-    per_state = np.zeros(n_states)
-    x_proj = np.zeros_like(gt.x_star)
-    y_proj = np.zeros_like(gt.y_star)
-    for s in range(n_states):
-        per_state[s], x_proj[s], y_proj[s] = dist_state(gt, s, policy.x[s], policy.y[s])
-    return DistanceResult(
-        per_state=per_state, mean=float(per_state.mean()), x_proj=x_proj, y_proj=y_proj
-    )
+    """Per-state and mean squared distance of a policy pair to the optimal sets.
 
-
-def margin_constant_estimate(
-    gt: GroundTruth, n_samples: int = 10_000, seed: int = 0, min_dist: float = 1e-6
-) -> float:
-    """Empirical estimate of the error-bound constant relating gap to distance.
-
-    Samples strategy pairs uniformly per state, discards those closer than
-    ``min_dist`` to the optimal sets, and returns the smallest observed ratio
-    duality_gap / distance.  Sampling can only overestimate the true infimum,
-    so treat the result as an upper bound.  Raises if every sample is discarded
-    (e.g. single-action games where every strategy is optimal).
+    ``policy.x`` and ``policy.y`` may carry the same leading stack axes (the
+    learner's run axis); every field of the result then has them, and each
+    item has the bits of its own call.  Each state's polytope constants are
+    built once per call, for every item.
     """
-    rng = np.random.default_rng(seed)
-    n_states, n_a, n_b = gt.q_star.shape
-    best = np.inf
-    kept = 0
-    for _ in range(n_samples):
-        for s in range(n_states):
-            x = rng.dirichlet(np.ones(n_a))
-            y = rng.dirichlet(np.ones(n_b))
-            d2, _, _ = dist_state(gt, s, x, y)
-            d = np.sqrt(d2)
-            if d < min_dist:
-                continue
-            kept += 1
-            ratio = duality_gap_state(gt.q_star[s], x, y) / d
-            if ratio < best:
-                best = ratio
-    if kept == 0:
-        raise RuntimeError(
-            "all samples were discarded: game appears fully optimal "
-            "(every strategy pair is within min_dist of the optimal sets)"
-        )
-    return float(best)
+    per_state, x_proj, y_proj = _distances(gt.q_star, gt.v_star, gt.tol,
+                                           np.asarray(policy.x, dtype=np.float64),
+                                           np.asarray(policy.y, dtype=np.float64))
+    mean = per_state.mean(axis=-1)
+    return DistanceResult(per_state=per_state, mean=float(mean) if mean.ndim == 0 else mean,
+                          x_proj=x_proj, y_proj=y_proj)

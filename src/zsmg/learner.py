@@ -527,12 +527,13 @@ def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
     Run ``i`` is ``run_selfplay(games[i], configs[i],
     ground_truth=ground_truths[i])``, and its iterates and metric rows keep
     the bits of that call; only the ``wall_clock`` debug field differs, as it
-    counts from the start of the batch.  The loop's arrays carry a leading run
-    axis, so one projection per half-step, one critic step and one
-    diagnostics update serve every run, and exact estimates are one
-    ``exact_triple_from_q`` call over the states of all runs.  Sampled runs
-    each keep their own estimator and generator.  Ground truth is solved per
-    run where rows need it and none is given.
+    counts from the start of the batch and the rows of one logged iteration
+    share it.  The loop's arrays carry a leading run axis, so one projection
+    per half-step, one critic step, one diagnostics update and, at each
+    logged iteration, one ``make_metrics_row`` call serve every run, and
+    exact estimates are one ``exact_triple_from_q`` call over the states of
+    all runs.  Sampled runs each keep their own estimator and generator.
+    Ground truth is solved per run where rows need it and none is given.
 
     The runs must share the shape ``(S, A, B)``, ``gamma``, the resolved
     ``eta``, ``alpha``, ``iterations``, ``cadence``, ``estimator`` and, in
@@ -626,15 +627,15 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
                     q_t[run], ell[run], r[run], collect_error=logging_now,
                 )
         if logging_now:
-            for run, (game, gt) in enumerate(zip(games, ground_truths)):
-                row = metrics_mod.make_metrics_row(
-                    t=t, game=game, ground_truth=gt,
-                    x_hat=z_hat[run, :n_states, :n_a], y_hat=z_hat[run, n_states:, :n_b],
-                    q_t=q_t[run], j_max=float(j_state[run].max()),
-                    k_max=float(k_state[run].max()), q_step_max=float(q_step[run].max()),
-                    est_err=est_errs[run], wall_clock=time.perf_counter() - started,
-                )
-                rows[run].append(row)
+            new_rows = metrics_mod.make_metrics_row(
+                t=t, game=games, ground_truth=ground_truths,
+                x_hat=z_hat[:, :n_states, :n_a], y_hat=z_hat[:, n_states:, :n_b], q_t=q_t,
+                j_max=j_state.max(axis=-1), k_max=k_state.max(axis=-1),
+                q_step_max=q_step.max(axis=-1), est_err=est_errs,
+                wall_clock=time.perf_counter() - started,
+            )
+            for run_rows, row in zip(rows, new_rows):
+                run_rows.append(row)
                 if sink is not None:
                     sink(row)
         z_hat, z = _ogda_update(z_hat, g, g_blocks, ell, r, rho, eta)

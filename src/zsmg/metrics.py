@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .games import MarkovGame, JointPolicy
-from .groundtruth import GroundTruth, dist_to_optimal_sets, duality_gap_state, game_duality_gap
+from .groundtruth import GroundTruth, dist_to_optimal_sets, game_duality_gap
 
 __all__ = [
     "MetricsRow",
@@ -113,37 +113,58 @@ def diagnostics_update(
 
 def make_metrics_row(
     t: int,
-    game: MarkovGame,
-    ground_truth: GroundTruth,
+    game: MarkovGame | list[MarkovGame],
+    ground_truth: GroundTruth | list[GroundTruth],
     x_hat: np.ndarray,
     y_hat: np.ndarray,
     q_t: np.ndarray,
-    j_max: float,
-    k_max: float,
-    q_step_max: float,
-    est_err: float | None = None,
+    j_max,
+    k_max,
+    q_step_max,
+    est_err=None,
     wall_clock: float | None = None,
-) -> MetricsRow:
-    """Evaluate the expensive ground-truth metrics for the anchor iterates at ``t``."""
-    policy = JointPolicy(x=x_hat, y=y_hat)
-    gap = game_duality_gap(game, policy, tol=ground_truth.tol)
-    dist = dist_to_optimal_sets(ground_truth, policy)
-    state_gap = max(
-        duality_gap_state(ground_truth.q_star[s], x_hat[s], y_hat[s])
-        for s in range(game.n_states)
-    )
-    return MetricsRow(
-        t=t,
-        game_gap=gap,
-        mean_dist_sq=dist.mean,
-        state_gap_max=float(state_gap),
-        q_err_max=float(np.max(np.abs(q_t - ground_truth.q_star))),
-        policy_step_avg_max=j_max,
-        q_step_avg_max=k_max,
-        q_step_max=q_step_max,
-        est_err_max=est_err,
-        wall_clock=wall_clock,
-    )
+) -> MetricsRow | list[MetricsRow]:
+    """Evaluate the expensive ground-truth metrics for the anchor iterates at ``t``.
+
+    With a leading run axis on ``x_hat``, ``y_hat`` and ``q_t``, the other
+    arguments but ``t`` and ``wall_clock`` are sequences with one entry per
+    run (``est_err`` may be None), and the call returns one row per run,
+    each with the bits of its run's own call; the rows share ``wall_clock``.
+    Runs that share a game and a ground truth (the same objects) share one
+    ``game_duality_gap`` and one ``dist_to_optimal_sets`` call; the stage
+    gaps and critic errors are one array expression over runs and states.
+    """
+    x_hat, y_hat, q_t = (np.asarray(a, dtype=np.float64) for a in (x_hat, y_hat, q_t))
+    single = x_hat.ndim == 2
+    if single:
+        x_hat, y_hat, q_t = x_hat[None], y_hat[None], q_t[None]
+        game, ground_truth, j_max, k_max, q_step_max, est_err = (
+            [game], [ground_truth], [j_max], [k_max], [q_step_max], [est_err])
+    n_runs = len(x_hat)
+    groups: dict[tuple, list[int]] = {}
+    for run, pair in enumerate(zip(map(id, game), map(id, ground_truth))):
+        groups.setdefault(pair, []).append(run)
+    gap, dist = np.empty(n_runs), np.empty(n_runs)
+    for runs in groups.values():
+        run_game, gt = game[runs[0]], ground_truth[runs[0]]
+        # A group of every run reads the iterates as they are, with no gathered copy.
+        index = slice(None) if len(runs) == n_runs else runs
+        policy = JointPolicy(x=x_hat[index], y=y_hat[index])
+        gap[index] = game_duality_gap(run_game, policy, tol=gt.tol)
+        dist[index] = dist_to_optimal_sets(gt, policy).mean
+    q_star = np.stack([gt.q_star for gt in ground_truth])
+    col_payoffs = (x_hat[..., None, :] @ q_star)[..., 0, :]
+    row_payoffs = (q_star @ y_hat[..., None])[..., 0]
+    state_gap = (col_payoffs.max(axis=-1) - row_payoffs.min(axis=-1)).max(axis=-1)
+    q_err = np.abs(q_t - q_star).max(axis=(1, 2, 3))
+    est_err = [None] * n_runs if est_err is None else est_err
+    rows = [MetricsRow(t=t, game_gap=float(gap[run]), mean_dist_sq=float(dist[run]),
+                       state_gap_max=float(state_gap[run]), q_err_max=float(q_err[run]),
+                       policy_step_avg_max=float(j_max[run]), q_step_avg_max=float(k_max[run]),
+                       q_step_max=float(q_step_max[run]), est_err_max=est_err[run],
+                       wall_clock=wall_clock)
+            for run in range(n_runs)]
+    return rows[0] if single else rows
 
 
 def config_digest(payload: dict) -> str:

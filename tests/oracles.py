@@ -125,6 +125,45 @@ def policy_pair_value(loss: np.ndarray, transition: np.ndarray, gamma: float,
     return np.linalg.solve(np.eye(n_s) - gamma * p, sigma)
 
 
+def unstacked_best_response(game, fixed_policy: np.ndarray, fixed_side: int,
+                            tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, int]:
+    """Policy iteration on one induced MDP, each side in its own direction.
+
+    The reference for the stacked ``best_response``, which runs every item
+    through one minimizing loop and writes the maximizer's side as the
+    minimizer of the negated loss.  Here the maximizer takes ``argmax`` and
+    ``max`` on the loss as it is.  Returns ``(value, one-hot policy, the
+    number of improvement steps)``; no certificate is checked.
+    """
+    if fixed_side == 2:
+        loss = np.einsum("sab,sb->sa", game.loss, fixed_policy)
+        trans = np.einsum("sabt,sb->sat", game.transition, fixed_policy)
+    else:
+        loss = np.einsum("sab,sa->sb", game.loss, fixed_policy)
+        trans = np.einsum("sabt,sa->sbt", game.transition, fixed_policy)
+    minimize = fixed_side == 2
+    pick = np.argmin if minimize else np.argmax
+    n_states, n_act = loss.shape
+    rows = np.arange(n_states)
+    actions = pick(loss, axis=1)
+    steps = 0
+    while True:
+        v = np.linalg.solve(np.eye(n_states) - game.gamma * trans[rows, actions],
+                            loss[rows, actions])
+        q = loss + game.gamma * (trans @ v)
+        q_cur = q[rows, actions]
+        q_best = q.min(axis=1) if minimize else q.max(axis=1)
+        tie_tol = 1e-13 * max(1.0, float(np.max(np.abs(v))))
+        improves = (q_cur - q_best > tie_tol) if minimize else (q_best - q_cur > tie_tol)
+        if not improves.any():
+            break
+        actions = np.where(improves, pick(q, axis=1), actions)
+        steps += 1
+    policy = np.zeros((n_states, n_act))
+    policy[rows, actions] = 1.0
+    return v, policy, steps
+
+
 def enumeration_best_response(loss: np.ndarray, transition: np.ndarray,
                               gamma: float, y: np.ndarray) -> np.ndarray:
     """Minimizing best response to y by brute force over deterministic policies.
@@ -311,17 +350,45 @@ def fresh_sampled_estimates(traj, v_prev, gamma):
     return ell, r, mean_by(s, n_s)
 
 
+def per_run_metrics_row(t, game, ground_truth, x_hat, y_hat, q_t, j_max, k_max, q_step_max,
+                        est_err=None, wall_clock=None):
+    """One run's metric row, each metric from its own unstacked call.
+
+    The reference for ``make_metrics_row`` with a run axis: one
+    ``game_duality_gap`` and one ``dist_to_optimal_sets`` call for this run
+    alone, and the stage gaps state by state through ``duality_gap_state``.
+    """
+    from zsmg.games import JointPolicy
+    from zsmg.groundtruth import dist_to_optimal_sets, duality_gap_state, game_duality_gap
+    from zsmg.metrics import MetricsRow
+
+    policy = JointPolicy(x=x_hat, y=y_hat)
+    state_gap = max(duality_gap_state(ground_truth.q_star[s], x_hat[s], y_hat[s])
+                    for s in range(game.n_states))
+    return MetricsRow(
+        t=t,
+        game_gap=float(game_duality_gap(game, policy, tol=ground_truth.tol)),
+        mean_dist_sq=float(dist_to_optimal_sets(ground_truth, policy).mean),
+        state_gap_max=float(state_gap),
+        q_err_max=float(np.max(np.abs(q_t - ground_truth.q_star))),
+        policy_step_avg_max=float(j_max),
+        q_step_avg_max=float(k_max),
+        q_step_max=float(q_step_max),
+        est_err_max=est_err,
+        wall_clock=wall_clock,
+    )
+
+
 def unstacked_selfplay(game, config, ground_truth=None):
     """Self-play loop built on ``unstacked_ogda_step``; returns (final state, rows).
 
     The loop updates the movement diagnostics every iteration, with or
-    without metric rows, and computes exact estimates with
-    ``contiguous_exact_triple``.  ``ground_truth`` is required when
-    ``config.cadence > 0``.
+    without metric rows, computes exact estimates with
+    ``contiguous_exact_triple`` and rows with ``per_run_metrics_row``.
+    ``ground_truth`` is required when ``config.cadence > 0``.
     """
     from zsmg.learner import (_build_estimator, _setup, critic_step, initial_state,
                               make_alpha_schedule)
-    from zsmg.metrics import make_metrics_row
     from zsmg.games import q_from_v
 
     run = _setup(game, config)
@@ -353,7 +420,7 @@ def unstacked_selfplay(game, config, ground_truth=None):
             rho, est_err = estimator.estimate_into(game, state.x, state.y, state.v, q_t,
                                                    ell, r, collect_error=logging_now)
         if logging_now:
-            rows.append(make_metrics_row(
+            rows.append(per_run_metrics_row(
                 t=t, game=game, ground_truth=ground_truth,
                 x_hat=state.x_hat, y_hat=state.y_hat, q_t=q_t,
                 j_max=float(j_state.max()), k_max=float(k_state.max()),

@@ -179,6 +179,14 @@ class TestRunCommands:
         assert "repetitions" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("label", ["", "../escaped", "a\nb"])
+    def test_run_label_that_is_no_file_name_stem_fails(self, cli, tmp_path, label):
+        code, _, err = cli("run", "--game", "mp1", "--iterations", "20", "--eta", "0.05",
+                           "--label", label, "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"label={label!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_byte_identical_across_directories(self, cli, tmp_path):
         args = ["run", "--game", "mp1", "--iterations", "50", "--eta", "0.05",
                 "--cadence", "10", "--seed", "3"]

@@ -566,6 +566,34 @@ class TestEveryFieldChecked:
             run_experiment(cfg)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("label", [
+        "", "a\nb", "../escaped", "sub/run", "a\\b", "..", "tab\there", "nul\x00",
+        "line\u2028break",
+    ], ids=["empty", "newline", "parent", "separator", "backslash", "dotdot", "tab", "nul",
+            "line_separator"])
+    def test_label_that_is_no_file_name_stem_rejected_before_solving(self, tmp_path,
+                                                                     monkeypatch, label):
+        # A newline used to write a CSV that read_metrics_csv rejected, "../escaped"
+        # wrote escaped_rep0.csv outside out_dir, and "" wrote _rep0.csv.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("ground truth solved before the label was checked")
+
+        monkeypatch.setattr(experiments_mod, "shapley_solve", no_solve)
+        cfg = _odd_cfg("label", label)
+        cfg.out_dir = str(tmp_path / "out")
+        with pytest.raises(ValueError, match=re.escape(f"label={label!r}")):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_label_with_spaces_dots_and_letters_round_trips(self, tmp_path):
+        label = "run v1.2 é-ß_x"
+        cfg = _odd_cfg("label", label)
+        cfg.out_dir = str(tmp_path)
+        out = run_experiment(cfg)
+        assert [path.parent for path in out.rep_paths] == [tmp_path, tmp_path]
+        meta, rows = read_metrics_csv(out.rep_paths[0])
+        assert meta["label"] == label and [row.t for row in rows] == [3, 6]
+
     @pytest.mark.parametrize("field, value, shown", [
         ("game", "nosuchgame", "game='nosuchgame'"),
         ("game", {"file": "missing.json"}, "game='missing.json'"),

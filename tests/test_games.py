@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zsmg.games import (
     DimensionMismatchError,
@@ -25,6 +25,7 @@ from oracles import (
     enumeration_best_response,
     policy_pair_value,
     q_values_triple_loop,
+    unstacked_best_response,
 )
 
 
@@ -330,6 +331,98 @@ class TestBestResponse:
     def test_bad_side_rejected(self, mp1):
         with pytest.raises(ValueError):
             best_response(mp1, np.array([[0.5, 0.5]]), fixed_side=3)
+
+
+def _stacked_case(seed: int, n_states: int, n_a: int, n_b: int, n_items: int):
+    """A random game and ``n_items`` fixed policies per side, flat to sharply peaked."""
+    rng = np.random.default_rng(seed)
+    game = random_game(seed=seed % 997, n_states=n_states, n_actions_p1=n_a, n_actions_p2=n_b,
+                       gamma=float(rng.choice([0.5, 0.9, 0.99])))
+
+    def policies(width):
+        return np.stack([rng.dirichlet(np.full(width, rng.choice([0.05, 1.0, 20.0])),
+                                       size=n_states) for _ in range(n_items)])
+
+    return game, policies(n_a), policies(n_b)
+
+
+class TestStackedBestResponse:
+    """One policy-iteration loop over a stack keeps each item's own bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_states=st.integers(1, 3),
+           n_a=st.integers(1, 4), n_b=st.integers(1, 4), n_items=st.integers(1, 4))
+    def test_stack_matches_one_call_per_item_on_both_sides(self, seed, n_states, n_a, n_b,
+                                                           n_items):
+        game, xs, ys = _stacked_case(seed, n_states, n_a, n_b, n_items)
+        for side, fixed in ((1, xs), (2, ys)):
+            value, policy = best_response(game, fixed, fixed_side=side)
+            assert value.shape == (n_items, n_states)
+            for i in range(n_items):
+                alone_value, alone_policy = best_response(game, fixed[i], fixed_side=side)
+                ref_value, ref_policy, _ = unstacked_best_response(game, fixed[i], side)
+                assert value[i].tobytes() == alone_value.tobytes() == ref_value.tobytes()
+                assert policy[i].tobytes() == alone_policy.tobytes() == ref_policy.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_states=st.integers(1, 3),
+           n_actions=st.integers(1, 4), n_items=st.integers(1, 4))
+    def test_both_sides_in_one_call_when_a_equals_b(self, seed, n_states, n_actions, n_items):
+        game, xs, ys = _stacked_case(seed, n_states, n_actions, n_actions, n_items)
+        value, policy = best_response(game, np.stack([xs, ys]), np.array([[1], [2]]))
+        for side, fixed in ((1, xs), (2, ys)):
+            for i in range(n_items):
+                alone_value, alone_policy = best_response(game, fixed[i], fixed_side=side)
+                assert value[side - 1, i].tobytes() == alone_value.tobytes()
+                assert policy[side - 1, i].tobytes() == alone_policy.tobytes()
+        # Sides in any order along the stack.
+        sides = np.random.default_rng(seed).integers(1, 3, size=n_items)
+        fixed = np.where((sides == 1)[:, None, None], xs, ys)
+        value, policy = best_response(game, fixed, sides)
+        for i, side in enumerate(sides):
+            alone_value, alone_policy = best_response(game, fixed[i], fixed_side=int(side))
+            assert value[i].tobytes() == alone_value.tobytes()
+            assert policy[i].tobytes() == alone_policy.tobytes()
+
+    def test_items_that_converge_at_different_steps_keep_their_bits(self):
+        # An item that has stopped improving is evaluated again with the same
+        # actions while the others still improve.
+        found = 0
+        for seed in range(200):
+            game, xs, ys = _stacked_case(seed, 3, 4, 4, 4)
+            for side, fixed in ((1, xs), (2, ys)):
+                refs = [unstacked_best_response(game, fixed[i], side) for i in range(4)]
+                if len({steps for *_, steps in refs}) < 2:
+                    continue
+                found += 1
+                value, policy = best_response(game, fixed, fixed_side=side)
+                for i, (ref_value, ref_policy, _) in enumerate(refs):
+                    assert value[i].tobytes() == ref_value.tobytes()
+                    assert policy[i].tobytes() == ref_policy.tobytes()
+        assert found >= 10
+
+    def test_failed_certificate_names_its_item(self):
+        # At tol = 1e-300 only a rounding-exact Bellman fixed point passes:
+        # items 0 and 2 are one, item 1 is not.
+        game = _one_state_game([[0.1, 0.7], [0.3, 0.9]], gamma=0.7)
+        fixed = np.array([[[0.0, 1.0]], [[0.3, 0.7]], [[0.1, 0.9]]])
+        for i in (0, 2):
+            best_response(game, fixed[i], fixed_side=2, tol=1e-300)
+        with pytest.raises(ArithmeticError, match=r"Bellman residual .* too large$"):
+            best_response(game, fixed[1], fixed_side=2, tol=1e-300)
+        with pytest.raises(ArithmeticError, match=r"residual .* too large at stack item \(1,\)"):
+            best_response(game, fixed, fixed_side=2, tol=1e-300)
+
+    def test_stack_rows_that_are_not_distributions_named(self, switching_mp):
+        fixed = np.full((3, 2, 2), 0.5)
+        fixed[2, 1] = [0.9, 0.9]
+        with pytest.raises(ValueError, match=r"fixed player-2 policy row 5 is not a probability"):
+            best_response(switching_mp, fixed, fixed_side=2)
+
+    def test_sides_of_different_widths_cannot_share_a_stack(self):
+        game = random_game(seed=3, n_states=2, n_actions_p1=2, n_actions_p2=3, gamma=0.9)
+        with pytest.raises(DimensionMismatchError):
+            best_response(game, np.full((2, 2, 2), 0.5), np.array([1, 2]))
 
 
 def test_value_upper_bound():

@@ -28,7 +28,6 @@ from zsmg.groundtruth import (
     dist_to_optimal_sets,
     duality_gap_state,
     game_duality_gap,
-    margin_constant_estimate,
     shapley_solve,
     solve_matrix_game,
 )
@@ -974,21 +973,3 @@ def test_import_loads_scipy_optimize_only_for_projections_onto_three_actions():
     assert probe["x_proj"] == dist.x_proj.tobytes().hex()
     assert probe["y_proj"] == dist.y_proj.tobytes().hex()
 
-
-class TestMarginConstant:
-    def test_matching_pennies_value_is_deterministic(self, mp1):
-        gt = shapley_solve(mp1)
-        first = margin_constant_estimate(gt, n_samples=300, seed=0)
-        second = margin_constant_estimate(gt, n_samples=300, seed=0)
-        assert first == second == 0.7110238988724079
-
-    def test_positive_on_generic_game(self):
-        game = random_game(seed=301, n_states=1, n_actions_p1=3, n_actions_p2=3,
-                           gamma=0.9)
-        gt = shapley_solve(game)
-        assert margin_constant_estimate(gt, n_samples=100, seed=1) > 0.0
-
-    def test_fully_optimal_game_raises(self, const_game):
-        gt = shapley_solve(const_game)
-        with pytest.raises(RuntimeError):
-            margin_constant_estimate(gt, n_samples=50, seed=0)

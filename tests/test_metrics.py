@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from zsmg.gamegen import random_game
 from zsmg.groundtruth import shapley_solve
 from zsmg.metrics import (
     CSV_COLUMNS,
@@ -20,7 +21,7 @@ from zsmg.metrics import (
     write_metrics_csv,
 )
 
-from oracles import unstacked_diagnostics_update
+from oracles import per_run_metrics_row, unstacked_diagnostics_update
 
 
 def _row(t, base=0.5, **overrides):
@@ -134,6 +135,55 @@ class TestMakeMetricsRow:
         )
         # With the critic at zero, every stage value is off by gamma * v_star.
         assert row.q_err_max == pytest.approx(0.9 * 5.0, abs=1e-7)
+
+
+class TestBatchedRows:
+    """With a run axis, one call makes every run's row with that run's own bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_runs=st.integers(1, 4),
+           shape=st.sampled_from([(1, 2, 2), (2, 4, 4), (2, 3, 2), (2, 1, 3), (3, 2, 5)]),
+           shared=st.booleans())
+    def test_rows_match_one_unstacked_row_per_run(self, seed, n_runs, shape, shared):
+        rng = np.random.default_rng(seed)
+        n_states, n_a, n_b = shape
+        n_games = 1 if shared else n_runs
+        games = [random_game(seed=seed % 1009 + i, n_states=n_states, n_actions_p1=n_a,
+                             n_actions_p2=n_b, gamma=0.9) for i in range(n_games)]
+        gts = [shapley_solve(game) for game in games]
+        if shared:
+            games, gts = games * n_runs, gts * n_runs
+        # The learner's layout: both players' rows in one padded array per run.
+        z_hat = np.zeros((n_runs, 2 * n_states, max(n_a, n_b)))
+        for run in range(n_runs):
+            for rows, width, witness in ((slice(None, n_states), n_a, gts[run].x_star),
+                                         (slice(n_states, None), n_b, gts[run].y_star)):
+                kind = rng.integers(3)
+                z_hat[run, rows, :width] = (witness if kind == 0 else np.eye(width)[
+                    rng.integers(width, size=n_states)] if kind == 1 else
+                    rng.dirichlet(np.ones(width), size=n_states))
+        x_hat, y_hat = z_hat[:, :n_states, :n_a], z_hat[:, n_states:, :n_b]
+        q_t = np.stack([gt.q_star + rng.normal(scale=0.01, size=gt.q_star.shape) for gt in gts])
+        j_max, k_max, q_step_max = rng.uniform(size=(3, n_runs))
+        est_err = [None if rng.integers(2) else float(rng.uniform()) for _ in range(n_runs)]
+        batch = make_metrics_row(t=30, game=games, ground_truth=gts, x_hat=x_hat, y_hat=y_hat,
+                                 q_t=q_t, j_max=j_max, k_max=k_max, q_step_max=q_step_max,
+                                 est_err=est_err, wall_clock=1.5)
+        assert [repr(row) for row in batch] == [repr(per_run_metrics_row(
+            30, games[run], gts[run], x_hat[run], y_hat[run], q_t[run], j_max[run],
+            k_max[run], q_step_max[run], est_err[run], 1.5)) for run in range(n_runs)]
+
+    def test_unstacked_call_is_its_batch_of_one(self, switching_mp):
+        gt = shapley_solve(switching_mp)
+        x, y = np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.5], [0.9, 0.1]])
+        args = dict(t=4, game=switching_mp, ground_truth=gt, q_t=gt.q_star, wall_clock=None)
+        row = make_metrics_row(x_hat=x, y_hat=y, j_max=0.1, k_max=0.2, q_step_max=0.3,
+                               est_err=0.4, **args)
+        [batched] = make_metrics_row(x_hat=x[None], y_hat=y[None], j_max=[0.1], k_max=[0.2],
+                                     q_step_max=[0.3], est_err=[0.4], **{
+                                         **args, "game": [switching_mp], "ground_truth": [gt],
+                                         "q_t": gt.q_star[None]})
+        assert repr(row) == repr(batched)
 
 
 class TestConfigDigest:

@@ -3,13 +3,16 @@
 The harness wraps the functions its ``workloads.TRACED`` names at every
 binding in the loaded ``zsmg`` modules, reads rollout lengths and
 trajectories positionally from their calls, and expects an exact learner run
-to reach the traced exact estimate.  An API change that breaks one of these
-would otherwise show only as a failed benchmark run.
+to reach the traced exact estimate.  It also records the seed-0 output digest
+of every workload input in ``perfbench/expected.json``.  An API change that
+breaks one of these, or a change of output bytes, would otherwise show only
+as a failed benchmark run.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 import sys
 import types
 from pathlib import Path
@@ -21,7 +24,8 @@ from zsmg import estimators
 from zsmg.gamegen import builtin
 from zsmg.learner import RunConfig, run_selfplay
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +74,18 @@ def test_exact_run_reaches_the_traced_exact_estimate(monkeypatch):
                 monkeypatch.setattr(module, attr, counting)
     run_selfplay(builtin("switching-mp"), RunConfig(iterations=7, eta=0.05))
     assert len(calls) == 7
+
+
+def test_seed_zero_outputs_match_the_recorded_digests(workloads, tmp_path):
+    # One operation per input of every workload, as the benchmark's first
+    # cycle at seed 0 makes it, against the digests the benchmark checks.
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    assert sorted(expected["sha256"]) == sorted(workloads.WORKLOADS)
+    for name, make in workloads.WORKLOADS.items():
+        recorded = expected["sha256"][name]
+        assert len(recorded) == make.inputs, name
+        for k in range(make.inputs):
+            work = make(expected["seed"], k, tmp_path)
+            out = work.run()
+            assert work.check(out) == [], (name, k)
+            assert workloads.sha256(work.output_bytes(out)) == recorded[k], (name, k)
