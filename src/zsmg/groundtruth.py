@@ -129,8 +129,9 @@ def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarra
     """``(value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok)`` at each basis.
 
     x and y (the duals of the column constraints) are clipped and normalised;
-    ``dual_ok`` when the clipped duals sum into (0.5, 2), ``payoff_ok`` when no
-    column payoff exceeds ``value + tol`` and no row payoff is below ``value - tol``.
+    ``dual_ok`` when the clipped duals sum into (0.5, 2), ``payoff_ok`` when
+    every column payoff is at most ``value + tol`` and every row payoff at least
+    ``value - tol``.  Both tests are written so that NaN fails them.
     """
     n_states, n_a, n_b = q.shape
     primal = np.zeros((n_states, n_a + 1 + n_b))
@@ -144,8 +145,8 @@ def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarra
         y /= y_sum[:, None]
         col_payoffs = (x[:, None, :] @ q)[:, 0]
         row_payoffs = (q @ y[:, :, None])[:, :, 0]
-        payoff_ok = ~((col_payoffs.max(axis=1) > value + tol)
-                      | (row_payoffs.min(axis=1) < value - tol))
+        payoff_ok = ((col_payoffs.max(axis=1) <= value + tol)
+                     & (row_payoffs.min(axis=1) >= value - tol))
     dual_ok = (0.5 < y_sum) & (y_sum < 2.0)
     return value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok
 

@@ -137,6 +137,10 @@ def eta_max(gamma: float, n_states: int) -> float:
 # tests the whole gradient, pad included, for finiteness in one pass.
 _PAD = 1e30
 
+# Most iterations the loop keeps for one movement-diagnostics interval, so the
+# iterates it holds stay bounded whatever the cadence.
+_INTERVAL = 64
+
 
 @dataclass(frozen=True)
 class LearnerState:
@@ -514,7 +518,8 @@ def run_selfplay(
     produced every ``config.cadence`` iterations (computed on the anchor
     iterates entering the iteration) and pushed to ``sink`` as they appear;
     the movement diagnostics they report are only tracked when ``cadence > 0``,
-    and ground truth is solved on demand when metrics are requested.
+    in intervals that end at logged iterations and not past the last one, and
+    ground truth is solved on demand when metrics are requested.
     Deterministic given the config.  This is the batch loop of
     ``run_selfplay_batch`` with a batch of one.
     """
@@ -529,8 +534,8 @@ def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
     the bits of that call; only the ``wall_clock`` debug field differs, as it
     counts from the start of the batch and the rows of one logged iteration
     share it.  The loop's arrays carry a leading run axis, so one projection
-    per half-step, one critic step, one diagnostics update and, at each
-    logged iteration, one ``make_metrics_row`` call serve every run, and
+    per half-step, one critic step, one diagnostics update per interval and,
+    at each logged iteration, one ``make_metrics_row`` call serve every run, and
     exact estimates are one ``exact_triple_from_q`` call over the states of
     all runs.  Sampled runs each keep their own estimator and generator.
     Ground truth is solved per run where rows need it and none is given.
@@ -594,6 +599,12 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
     ell, r = np.empty((n_runs, n_states, n_a)), np.empty((n_runs, n_states, n_b))
     g = np.full_like(z, _PAD)
     g_blocks = (g[:, :n_states, :n_a], g[:, n_states:, :n_b])
+    # The movement diagnostics advance once per interval: the loop keeps the
+    # fresh z, q_t and alpha_t of each iteration up to the last logged one,
+    # and hands them over at each logged iteration or after _INTERVAL steps.
+    # z_prev and q_prev are the ones before the open interval.
+    last_logged = cadence * (iterations // cadence) if cadence > 0 else 0
+    kept_z, kept_q, kept_alpha = [], [], []
     q_prev = np.zeros_like(loss)
     z_prev = np.zeros_like(z)
     j_state = np.zeros((n_runs, n_states))
@@ -610,12 +621,17 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
         # q_from_v for every run at once, with the same arithmetic per run.
         q_t = loss + gamma * (transition @ v[:, None, None, :, None])[..., 0]
         alpha_t = alpha_fn(t)
-        if cadence > 0:
-            j_state, k_state, q_step = metrics_mod.diagnostics_update(
-                j_state, k_state, z, z_prev, q_t, q_prev, alpha_t
-            )
-            z_prev, q_prev = z, q_t
         logging_now = cadence > 0 and t % cadence == 0
+        if t <= last_logged:
+            kept_z.append(z)
+            kept_q.append(q_t)
+            kept_alpha.append(alpha_t)
+            if logging_now or len(kept_alpha) == _INTERVAL:
+                j_state, k_state, q_step = metrics_mod.diagnostics_update(
+                    j_state, k_state, kept_z, z_prev, kept_q, q_prev, kept_alpha
+                )
+                z_prev, q_prev = z, q_t
+                kept_z, kept_q, kept_alpha = [], [], []
         if exact:
             rho, _ = estimators[0].estimate_into(
                 None, z[:, :n_states, :n_a], z[:, n_states:, :n_b], v, q_t, ell, r)

@@ -77,38 +77,60 @@ class MetricsRow:
 def diagnostics_update(
     j_prev: np.ndarray,
     k_prev: np.ndarray,
-    z_t: np.ndarray,
+    z: np.ndarray,
     z_prev: np.ndarray,
-    q_t: np.ndarray,
+    q: np.ndarray,
     q_prev: np.ndarray,
-    alpha_t: float,
+    alpha,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance the decaying movement averages one iteration.
+    """Advance the decaying movement averages over an interval of T iterations.
 
-    J[s] <- (1-a) J[s] + a * ||z_t[s] - z_{t-1}[s]||^2   (policy movement)
-    K[s] <- (1-a) K[s] + a * ||Q_t[s] - Q_{t-1}[s]||^2   (stage-game movement)
+    For each step t of the interval, in order:
+    J[s] <- (1-a_t) J[s] + a_t * ||z_t[s] - z_{t-1}[s]||^2   (policy movement)
+    K[s] <- (1-a_t) K[s] + a_t * ||Q_t[s] - Q_{t-1}[s]||^2   (stage-game movement)
 
-    ``z_t`` and ``z_prev`` are the learner's stacked ``(2S, W)`` iterates:
-    player 1's strategies in rows ``0..S-1``, player 2's in ``S..2S-1``, each
-    in its own leading ``A`` or ``B`` columns, where ``(S, A, B)`` is the
-    shape of ``q_t``.  Both players' rows are differenced and squared in one
-    pass; each player's squares are then summed over its own columns only.
-    A whole padded row sums in another order once ``W`` reaches 8 (numpy's
-    pairwise sum unrolls eight wide), so it would not keep the bits of
-    summing each player's rows on their own.  Leading axes (the learner's run
-    axis) ride along on every argument, and each run keeps its own bits.
+    ``z`` and ``q`` hold the interval's iterates and stage games in step
+    order, as T arrays or one array with a leading time axis, and ``alpha``
+    the T weights; ``z_prev`` and ``q_prev`` are the ones just before the
+    interval.  A single step is an interval of one.  The iterates are the
+    learner's stacked ``(2S, W)`` arrays: player 1's strategies in rows
+    ``0..S-1``, player 2's in ``S..2S-1``, each in its own leading ``A`` or
+    ``B`` columns, where ``(S, A, B)`` is the shape of ``q_prev``.  Every
+    step's rows are differenced and squared in one pass; each player's
+    squares are then summed over its own columns only.  A whole padded row
+    sums in another order once ``W`` reaches 8 (numpy's pairwise sum unrolls
+    eight wide), so it would not keep the bits of summing each player's rows
+    on their own.  Axes between the time axis and the last ones (the
+    learner's run axis) ride along, and each run keeps its own bits.
+
+    Only the recurrence walks the interval, two ufunc calls a step with J and
+    K stacked; the norms and their ``a_t``-scaled forms are a few array
+    operations over all of it.  Each element goes through the IEEE operations
+    of T one-step updates in the same order, so the bits do not depend on how
+    the iterations are split into intervals.
 
     At t=1 call with zero prev arrays and alpha=1; the recursions then start at
     the first movement norms themselves.  Returns (J, K, per-state max-abs
-    stage-game step) so callers can log the raw step too.
+    stage-game step of the last step) so callers can log the raw step too.
     """
-    n_states, n_a, n_b = q_t.shape[-3:]
-    sq = (z_t - z_prev) ** 2
-    move = sq[..., :n_states, :n_a].sum(axis=-1) + sq[..., n_states:, :n_b].sum(axis=-1)
-    q_step = np.abs(q_t - q_prev).max(axis=(-2, -1))
-    j_new = (1.0 - alpha_t) * j_prev + alpha_t * move
-    k_new = (1.0 - alpha_t) * k_prev + alpha_t * q_step**2
-    return j_new, k_new, q_step
+    n_states, n_a, n_b = np.shape(q_prev)[-3:]
+    # One concatenation each (cheaper than np.stack's per-array views).
+    z = np.concatenate((z_prev, *z)).reshape((-1,) + np.shape(z_prev))
+    q = np.concatenate((q_prev, *q)).reshape((-1,) + np.shape(q_prev))
+    alpha = np.asarray(alpha, dtype=np.float64)
+    sq = (z[1:] - z[:-1]) ** 2
+    # scaled[t] stacks step t's movement norms and squared stage-game steps, times a_t.
+    scaled = np.empty((len(alpha), 2) + np.shape(j_prev))
+    np.add(sq[..., :n_states, :n_a].sum(axis=-1), sq[..., n_states:, :n_b].sum(axis=-1),
+           out=scaled[:, 0])
+    q_step = np.abs(q[1:] - q[:-1]).max(axis=(-2, -1))
+    np.square(q_step, out=scaled[:, 1])
+    scaled *= alpha.reshape((-1,) + (1,) * (scaled.ndim - 1))
+    jk = np.stack((j_prev, k_prev))
+    for decay, step in zip((1.0 - alpha).tolist(), scaled):
+        np.multiply(decay, jk, out=jk)
+        np.add(jk, step, out=jk)
+    return jk[0], jk[1], q_step[-1]
 
 
 def make_metrics_row(

@@ -604,6 +604,24 @@ class TestStackedSweep:
             groundtruth_mod._stage_solutions(q, bases, 1e-9)
         assert caught.value.matrix.tobytes() == hard.tobytes()
 
+    @pytest.mark.parametrize("spoil", ["zero_x", "nan_entry"])
+    def test_certificate_rejects_a_nan_strategy(self, spoil):
+        # Matching pennies read at its optimal basis [x_1, x_2, v]; a spoiled
+        # read makes x all NaN, and NaN must fail the payoff test, not pass it.
+        q = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+        bases = np.array([[0, 1, 2]])
+        shift, a_mat = groundtruth_mod._value_lp(q)
+        x_b, duals = groundtruth_mod._read_bases(a_mat, bases)[:2]
+        assert groundtruth_mod._certify(q, shift, bases, x_b, duals, 1e-9)[-1].all()
+        if spoil == "zero_x":
+            x_b[:, :2] = 0.0
+        else:
+            x_b[0, 0] = np.nan
+        _, x, *_, dual_ok, payoff_ok = groundtruth_mod._certify(q, shift, bases, x_b, duals,
+                                                                1e-9)
+        assert np.isnan(x).all() and dual_ok.all()
+        assert not payoff_ok.any()
+
     def test_each_basis_is_read_once(self, monkeypatch):
         # A cold solve builds one LP and reads its start once, then once per
         # pivot; the pivot loop never reads the basis it was handed.

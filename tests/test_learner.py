@@ -11,11 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from zsmg import groundtruth as groundtruth_mod
 from zsmg import learner as learner_mod
+from zsmg import metrics as metrics_mod
 from zsmg.estimators import ExactEstimator, exact_triple_from_q
 from zsmg.games import MarkovGame, evaluate_policy_pair, JointPolicy, q_from_v
 from zsmg.gamegen import random_game
 from zsmg.groundtruth import shapley_solve
 from zsmg.learner import (
+    _INTERVAL,
     _PAD,
     _projection_constants,
     RunConfig,
@@ -600,6 +602,54 @@ class TestRunSelfplay:
             assert getattr(result.state, name).tobytes() == getattr(ref_state, name).tobytes()
         assert [replace(row, wall_clock=None) for row in result.rows] == ref_rows
         assert len(ref_rows) == (40 if cadence else 0)
+
+    # Iterations span two full diagnostics intervals and part of a third:
+    # a cadence that does not divide them, one past an interval and one past
+    # two (a full interval, then one of one step), and one past the run.
+    @pytest.mark.parametrize("cadence", [7, _INTERVAL + 6, 2 * _INTERVAL + 1, 3 * _INTERVAL])
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (1, 9, 4)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
+    def test_interval_cadences_match_the_unstacked_oracle(self, estimator, shape, cadence):
+        # The oracle advances the diagnostics every iteration; the loop in
+        # intervals that close at logged rows or at _INTERVAL steps.
+        n_states, n_a, n_b = shape
+        game, cfg = _batch_case(n_states * 100 + n_a * 10 + n_b, shape, estimator, cadence,
+                                iterations=2 * _INTERVAL + 20)
+        gt = shapley_solve(game)
+        result = run_selfplay(game, cfg, ground_truth=gt)
+        ref_state, ref_rows = unstacked_selfplay(game, cfg, gt)
+        for name in ("x_hat", "x", "y_hat", "y", "v"):
+            assert getattr(result.state, name).tobytes() == getattr(ref_state, name).tobytes()
+        assert [replace(row, wall_clock=None) for row in result.rows] == ref_rows
+        assert len(ref_rows) == cfg.iterations // cadence
+
+    @pytest.mark.parametrize("n_runs, iterations, cadence", [
+        (1, 200, 500), (1, 150, 7), (1, 300, _INTERVAL + 6), (2, 200, 2 * _INTERVAL + 1),
+        (2, 3 * _INTERVAL, _INTERVAL),
+    ])
+    def test_diagnostics_intervals_stop_at_the_last_row(self, monkeypatch, n_runs, iterations,
+                                                        cadence):
+        # Each interval is at most _INTERVAL steps, every logged iteration
+        # closes one, and no interval runs past the last logged iteration.
+        lengths = []
+
+        def recording(j, k, z, z_prev, q, q_prev, alpha):
+            lengths.append(len(alpha))
+            assert len(z) == len(q) == len(alpha)
+            return update(j, k, z, z_prev, q, q_prev, alpha)
+
+        update = metrics_mod.diagnostics_update
+        monkeypatch.setattr(metrics_mod, "diagnostics_update", recording)
+        cases = [_batch_case(seed, (2, 3, 2), "exact", cadence, iterations)
+                 for seed in range(n_runs)]
+        results = run_selfplay_batch([game for game, _ in cases], [cfg for _, cfg in cases])
+        ends = np.cumsum(lengths).tolist()
+        logged = list(range(cadence, iterations + 1, cadence))
+        assert all(1 <= length <= _INTERVAL for length in lengths)
+        assert set(logged) <= set(ends)
+        assert ends[-1:] == logged[-1:]
+        assert [row.t for row in results[-1].rows] == logged
 
     @pytest.mark.parametrize("estimator", ["exact", "sampled"])
     def test_loop_never_writes_a_state_it_handed_out(self, switching_mp, estimator):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zsmg.gamegen import random_game
 from zsmg.groundtruth import shapley_solve
+from zsmg.learner import _INTERVAL, make_alpha_schedule
 from zsmg.metrics import (
     CSV_COLUMNS,
     DEBUG_COLUMNS,
@@ -45,8 +46,8 @@ class TestDiagnostics:
         x_t = np.array([[0.3, 0.7], [0.5, 0.5]])
         y_t = np.array([[1.0, 0.0], [0.0, 1.0]])
         j, k, q_step = diagnostics_update(
-            np.zeros(2), np.zeros(2), np.vstack([x_t, y_t]), np.vstack([x_prev, y_prev]),
-            np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), alpha_t=1.0,
+            np.zeros(2), np.zeros(2), [np.vstack([x_t, y_t])], np.vstack([x_prev, y_prev]),
+            [np.zeros((2, 2, 2))], np.zeros((2, 2, 2)), alpha=[1.0],
         )
         expected = np.sum(x_t**2, axis=1) + np.sum(y_t**2, axis=1)
         np.testing.assert_array_equal(j, expected)
@@ -59,8 +60,8 @@ class TestDiagnostics:
         x = np.array([[0.5, 0.5]])
         q = np.zeros((1, 2, 2))
         for _ in range(3):
-            j, k, _ = diagnostics_update(j, k, np.vstack([x, x]), np.vstack([x, x]), q, q,
-                                         alpha_t=0.5)
+            j, k, _ = diagnostics_update(j, k, [np.vstack([x, x])], np.vstack([x, x]), [q], q,
+                                         alpha=[0.5])
         assert j[0] == pytest.approx(1.0 / 8.0, abs=1e-15)
         assert k[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -68,8 +69,8 @@ class TestDiagnostics:
         q_prev = np.zeros((1, 2, 2))
         q_t = np.array([[[0.1, -0.4], [0.2, 0.0]]])
         _, _, q_step = diagnostics_update(
-            np.zeros(1), np.zeros(1), np.zeros((2, 2)), np.zeros((2, 2)), q_t, q_prev,
-            alpha_t=1.0,
+            np.zeros(1), np.zeros(1), [np.zeros((2, 2))], np.zeros((2, 2)), [q_t], q_prev,
+            alpha=[1.0],
         )
         assert q_step[0] == pytest.approx(0.4, abs=0)
 
@@ -89,9 +90,54 @@ class TestDiagnostics:
             z[:n_states, :n_a], z[n_states:, :n_b] = x, y
         q_t, q_p = rng.uniform(size=(2, n_states, n_a, n_b))
         j, k = rng.uniform(size=(2, n_states))
-        got = diagnostics_update(j, k, z_t, z_p, q_t, q_p, alpha_t=0.3)
+        got = diagnostics_update(j, k, [z_t], z_p, [q_t], q_p, alpha=[0.3])
         want = unstacked_diagnostics_update(j, k, x_t, x_p, y_t, y_p, q_t, q_p, alpha_t=0.3)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # One step, a whole interval, and intervals past the loop's own length.
+    @example(n_steps=1, n_runs=2, n_states=2, widths=(8, 5), schedule="horizon", start=1,
+             split=1, seed=1)
+    @example(n_steps=_INTERVAL, n_runs=3, n_states=1, widths=(3, 9), schedule="harmonic",
+             start=1, split=_INTERVAL // 2, seed=2)
+    @example(n_steps=_INTERVAL + 9, n_runs=2, n_states=3, widths=(9, 9), schedule="horizon",
+             start=400, split=_INTERVAL + 9, seed=3)
+    @settings(max_examples=40, deadline=None)
+    @given(n_steps=st.integers(1, _INTERVAL + 10), n_runs=st.integers(2, 4),
+           n_states=st.integers(1, 3),
+           widths=st.tuples(st.integers(8, 10), st.integers(1, 10)).flatmap(
+               lambda w: st.sampled_from([w, w[::-1]])),
+           schedule=st.sampled_from(["horizon", "harmonic"]), start=st.integers(1, 1000),
+           split=st.integers(1, _INTERVAL + 10), seed=st.integers(0, 2**31 - 1))
+    def test_interval_matches_one_step_reference_calls(self, n_steps, n_runs, n_states, widths,
+                                                       schedule, start, split, seed):
+        # T steps in one call, or split into two intervals, keep the bits of T
+        # one-step reference calls per run, on rows padded to W >= 8.
+        rng = np.random.default_rng(seed)
+        (n_a, n_b), width = widths, max(widths)
+        x = rng.dirichlet(np.ones(n_a), size=(n_steps + 1, n_runs, n_states))
+        y = rng.dirichlet(np.ones(n_b), size=(n_steps + 1, n_runs, n_states))
+        z = np.zeros((n_steps + 1, n_runs, 2 * n_states, width))
+        z[..., :n_states, :n_a], z[..., n_states:, :n_b] = x, y
+        q = rng.uniform(-1.0, 1.0, size=(n_steps + 1, n_runs, n_states, n_a, n_b))
+        alpha_fn = make_alpha_schedule(schedule, 0.9)
+        alpha = [alpha_fn(t) for t in range(start, start + n_steps)]
+        j, k = rng.uniform(size=(2, n_runs, n_states))
+        got = diagnostics_update(j, k, list(z[1:]), z[0], list(q[1:]), q[0], alpha)
+        assert [a.tobytes() for a in got] == [
+            a.tobytes() for a in diagnostics_update(j, k, z[1:], z[0], q[1:], q[0], alpha)]
+        cut = min(split, n_steps)
+        first = diagnostics_update(j, k, z[1:cut + 1], z[0], q[1:cut + 1], q[0], alpha[:cut])
+        if cut < n_steps:
+            first = diagnostics_update(first[0], first[1], z[cut + 1:], z[cut], q[cut + 1:],
+                                       q[cut], alpha[cut:])
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in got]
+        for run in range(n_runs):
+            want = (j[run], k[run], None)
+            for t in range(1, n_steps + 1):
+                want = unstacked_diagnostics_update(
+                    want[0], want[1], x[t, run], x[t - 1, run], y[t, run], y[t - 1, run],
+                    q[t, run], q[t - 1, run], alpha_t=alpha[t - 1])
+            assert [a[run].tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_outputs_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -101,8 +147,9 @@ class TestDiagnostics:
             x_t, x_p = rng.dirichlet(np.ones(2), size=3), rng.dirichlet(np.ones(2), size=3)
             y_t, y_p = rng.dirichlet(np.ones(2), size=3), rng.dirichlet(np.ones(2), size=3)
             q_t, q_p = rng.uniform(size=(3, 2, 2)), rng.uniform(size=(3, 2, 2))
-            j, k, q_step = diagnostics_update(j, k, np.vstack([x_t, y_t]), np.vstack([x_p, y_p]),
-                                              q_t, q_p, alpha_t=1.0 / t)
+            j, k, q_step = diagnostics_update(j, k, [np.vstack([x_t, y_t])],
+                                              np.vstack([x_p, y_p]), [q_t], q_p,
+                                              alpha=[1.0 / t])
             assert np.all(j >= 0.0) and np.all(k >= 0.0) and np.all(q_step >= 0.0)
 
 
