@@ -46,7 +46,6 @@ from .learner import (
 )
 from .estimators import (
     AccuracyBudget,
-    ExactEstimator,
     MuEstimate,
     ReducibleChainError,
     SampleBudget,

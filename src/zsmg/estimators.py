@@ -2,14 +2,14 @@
 
 The learner only ever sees per-state payoff estimates: each player's
 stage-game payoff vector (``ell`` for player 1, ``r`` for player 2) and the
-scalar payoff both share (``rho``).  An estimator has one method,
-``estimate_into(game, x, y, v, q_t, ell, r, collect_error)``: it writes
-``ell`` and ``r`` into arrays the caller owns and returns ``(rho, est_err)``.
-Its body is one public estimate function.  In exact mode that is
-``exact_triple_from_q``, which reads the critic's stage games directly; in
-sampled mode it is ``sampled_estimates``, which averages visits along a
-rollout generated by the exploration-mixed strategies, the only way the
-sampled path touches the game.
+scalar payoff both share (``rho``).  Both estimate functions write ``ell``
+and ``r`` into arrays the caller owns and return ``rho``.  In exact mode the
+learner calls ``exact_triple_from_q`` itself, once over the stage games of
+every run; it reads the critic's stage games directly.  In sampled mode each
+run has a ``SampledEstimator`` bound to its game, whose ``estimate_into``
+rolls out under the exploration-mixed strategies and averages the visits
+with ``sampled_estimates``: the rollout is the only way the sampled path
+touches the game.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .games import MarkovGame, _integer
+from .games import MarkovGame, _check_tol, _integer
 
 __all__ = [
     "Trajectory",
@@ -31,7 +31,6 @@ __all__ = [
     "MuEstimate",
     "ReducibleChainError",
     "exact_triple_from_q",
-    "ExactEstimator",
     "SampledEstimator",
     "explore_mix",
     "rollout",
@@ -54,21 +53,6 @@ def exact_triple_from_q(q_t: np.ndarray, x: np.ndarray, y: np.ndarray,
     np.einsum("...ab,...b->...a", q_t, y, out=ell)
     np.einsum("...ab,...a->...b", q_t, x, out=r)
     return np.einsum("...a,...a->...", x, ell)
-
-
-class ExactEstimator:
-    """Estimator that reads the stage games directly (zero estimation error).
-
-    ``estimate_into`` writes ``ell`` and ``r`` for the strategies ``(x, y)``
-    into the given arrays and returns ``(rho, None)``.  ``SampledEstimator``
-    has the same method.  Only ``q_t``, ``x`` and ``y`` are read, state by
-    state, so the learner makes one call over every run of a batch.
-    """
-
-    def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
-                      q_t: np.ndarray, ell: np.ndarray, r: np.ndarray,
-                      collect_error: bool = False) -> tuple[np.ndarray, float | None]:
-        return exact_triple_from_q(q_t, x, y, ell, r), None
 
 
 def explore_mix(policy: np.ndarray, epsilon_prime: float) -> np.ndarray:
@@ -194,18 +178,19 @@ def sampled_estimates(traj: Trajectory, v_prev: np.ndarray, gamma: float,
 
 
 class SampledEstimator:
-    """Estimator that learns payoffs from rollouts under exploration-mixed play.
+    """Estimator that learns one game's payoffs from rollouts under exploration-mixed play.
 
-    Keeps its own generator (seeded once) and, by default, continues each
-    rollout from where the previous one stopped, modeling one uninterrupted
-    stream of play.  ``reset_each_iteration`` restarts every rollout from
-    state 0 instead (useful when debugging visitation issues).  It also keeps
-    the cumulative transition rows its rollouts have visited, for the game it
-    last saw, so each row is built once per run; another game drops them.
+    Bound to ``game`` when built.  Keeps its own generator (seeded once) and,
+    by default, continues each rollout from where the previous one stopped,
+    modeling one uninterrupted stream of play.  ``reset_each_iteration``
+    restarts every rollout from state 0 instead (useful when debugging
+    visitation issues).  It also keeps the cumulative transition rows its
+    rollouts have visited, so each row is built once per run.
     """
 
-    def __init__(self, rollout_len: int, epsilon_prime: float, seed: int = 0,
+    def __init__(self, game: MarkovGame, rollout_len: int, epsilon_prime: float, seed: int = 0,
                  reset_each_iteration: bool = False):
+        self.game = game
         self.rollout_len = _integer("rollout_len", rollout_len, 1)
         if isinstance(epsilon_prime, bool) or not (
                 isinstance(epsilon_prime, numbers.Real) and 0.0 <= epsilon_prime <= 1.0):
@@ -215,20 +200,19 @@ class SampledEstimator:
         self.reset_each_iteration = bool(reset_each_iteration)
         self._current = 0
         self._rng = np.random.default_rng(seed)
-        self._game: MarkovGame | None = None
         self._rows: dict[int, list[float]] = {}
         self.last_trajectory: Trajectory | None = None
 
-    def estimate_into(self, game: MarkovGame, x: np.ndarray, y: np.ndarray, v: np.ndarray,
-                      q_t: np.ndarray, ell: np.ndarray, r: np.ndarray,
+    def estimate_into(self, x: np.ndarray, y: np.ndarray, v: np.ndarray, q_t: np.ndarray,
+                      ell: np.ndarray, r: np.ndarray,
                       collect_error: bool = False) -> tuple[np.ndarray, float | None]:
         """Roll out, write the visit means into ``ell`` and ``r``, return ``(rho, est_err)``.
 
         With ``collect_error`` the error is the largest deviation of any
-        estimate from the exact one for the exploration-mixed strategies.
+        estimate from the exact one for the exploration-mixed strategies;
+        otherwise it is None.
         """
-        if game is not self._game:
-            self._game, self._rows = game, {}
+        game = self.game
         x_mix = explore_mix(x, self.epsilon_prime)
         y_mix = explore_mix(y, self.epsilon_prime)
         start = 0 if self.reset_each_iteration else self._current
@@ -252,10 +236,18 @@ class SampledEstimator:
 # Budget planning
 # ---------------------------------------------------------------------------
 
-def _check_planning_gamma(gamma: float) -> None:
-    # Both budgets divide by a power of 1 - gamma; NaN fails the test too.
+def _check_planning(gamma: float, **positive) -> None:
+    """Raise ValueError naming the field unless ``gamma`` lies in [0, 1) and
+    every keyword is a finite positive number (not a bool); NaN fails both.
+
+    Both budgets divide by a power of 1 - gamma and scale with the other
+    inputs, so a zero, negative, infinite or NaN one would give an
+    impossible budget or fail inside the arithmetic without naming itself.
+    """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1) to plan a budget, got gamma={gamma}")
+    for name, value in positive.items():
+        _check_tol(value, name)
 
 
 @dataclass(frozen=True)
@@ -286,17 +278,17 @@ def plan_sample_budget(
 
     L = ceil(c_l * (A^3 + B^3) / ((1-gamma) * mu * epsilon^3) * log(T/delta)^2),
     where T is the number of iterations the estimates must stay accurate for
-    and mu the irreducibility constant of the explored dynamics.
+    and mu the irreducibility constant of the explored dynamics.  Every
+    input is checked before any arithmetic, and a bad one raises ValueError
+    naming it.
     """
-    _check_planning_gamma(gamma)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive to plan a finite budget")
-    if mu <= 0:
-        raise ValueError("mu must be positive (irreducibility constant)")
+    _integer("n_actions_p1", n_actions_p1, 1)
+    _integer("n_actions_p2", n_actions_p2, 1)
+    _check_planning(gamma, epsilon=epsilon, mu=mu, c_l=c_l)
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ValueError(f"delta must lie in (0, 1), got delta={delta!r}")
+    if not 1 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and >= 1, got horizon={horizon!r}")
     log_term = np.log(horizon / delta) ** 2
     raw = c_l * (n_actions_p1**3 + n_actions_p2**3) / ((1.0 - gamma) * mu * epsilon**3) * log_term
     return SampleBudget(
@@ -341,12 +333,11 @@ def plan_accuracy_budget(
     'last-iterate' targets a mean squared distance of xi and needs the margin
     constant estimate ``c_hat``:
         T = ceil(c_t * S^2 / (eta^4 c^4 (1-gamma)^4 xi)),  eps = eta c^2 (1-gamma)^3 xi.
+    Every input is checked before any arithmetic, and a bad one raises
+    ValueError naming it.
     """
-    _check_planning_gamma(gamma)
-    if xi <= 0:
-        raise ValueError("xi must be positive")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_planning(gamma, xi=xi, eta=eta, c_t=c_t)
+    _integer("n_states", n_states, 1)
     one_minus = 1.0 - gamma
     if mode == "average-gap":
         iterations = int(np.ceil(c_t * n_states**2 / (eta**2 * one_minus**4 * xi**2)))
@@ -355,8 +346,7 @@ def plan_accuracy_budget(
     elif mode == "last-iterate":
         if c_hat is None:
             raise ValueError("last-iterate planning requires the margin constant c_hat")
-        if c_hat <= 0:
-            raise ValueError("c_hat must be positive")
+        _check_tol(c_hat, "c_hat")
         iterations = int(np.ceil(c_t * n_states**2 / (eta**4 * c_hat**4 * one_minus**4 * xi)))
         epsilon = eta * c_hat**2 * one_minus**3 * xi
         log_factor = None
@@ -392,7 +382,6 @@ class MuEstimate:
     mu: float
     max_hitting_time: float
     n_pairs_probed: int
-    certified: bool = False
 
 
 def estimate_mu(

@@ -116,12 +116,17 @@ def distribution_rows_error(name: str, rows: np.ndarray) -> str | None:
     1e-9; otherwise a message naming ``name`` and the first bad row.  The
     comparisons are written so that NaN fails them.
     """
+    bad = _first_bad_row(rows)
+    if bad is None:
+        return None
+    return f"{name} row {bad} is not a probability distribution: {rows[bad].tolist()!r}"
+
+
+def _first_bad_row(rows: np.ndarray) -> int | None:
+    """Index of the first row of ``distribution_rows_error``'s ``rows`` that fails it."""
     ok = (rows >= 0.0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
     bad = np.flatnonzero(~ok)
-    if bad.size == 0:
-        return None
-    return (f"{name} row {bad[0]} is not a probability distribution: "
-            f"{rows[bad[0]].tolist()!r}")
+    return int(bad[0]) if bad.size else None
 
 
 def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
@@ -164,19 +169,26 @@ def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
     return problems
 
 
-def _check_policy(game: MarkovGame, policy: np.ndarray, side: int, who: str = "",
+def _check_policy(game: MarkovGame, policy: np.ndarray, side, who: str = "",
                   stack: tuple = ()) -> None:
     """Raise unless ``policy`` is a ``stack`` of player ``side``'s ``(S, A)`` or ``(S, B)``
     arrays (``DimensionMismatchError``) of distribution rows (``ValueError``, naming
-    the row counted over the stack in C order); ``who`` prefixes the message."""
-    want = stack + (game.n_states, game.loss.shape[side])
-    if policy.shape != want:
-        raise DimensionMismatchError(f"{who}player-{side} policy shape {policy.shape} does "
-                                     f"not match {'(..., ' if stack else '('}S, "
-                                     f"{'AB'[side - 1]}) = {want}")
-    problem = distribution_rows_error(f"{who}player-{side} policy", policy.reshape(-1, want[-1]))
-    if problem:
-        raise ValueError(problem)
+    the row counted over the stack in C order); ``who`` prefixes the message.
+
+    ``side`` may be an array of sides that broadcasts to ``stack``, one per
+    item: every side present must fit the arrays, the rows are checked once
+    over the whole stack, and a bad row is named with its own item's side."""
+    for one in dict.fromkeys(np.ravel(side).tolist()):
+        want = stack + (game.n_states, game.loss.shape[one])
+        if policy.shape != want:
+            raise DimensionMismatchError(f"{who}player-{one} policy shape {policy.shape} does "
+                                         f"not match {'(..., ' if stack else '('}S, "
+                                         f"{'AB'[one - 1]}) = {want}")
+    rows = policy.reshape(-1, policy.shape[-1])
+    bad = _first_bad_row(rows)
+    if bad is not None:
+        item_side = np.broadcast_to(side, stack).reshape(-1)[bad // game.n_states]
+        raise ValueError(distribution_rows_error(f"{who}player-{item_side} policy", rows))
 
 
 def _check_tol(tol, name: str = "tol") -> None:
@@ -248,10 +260,10 @@ def q_from_v(game: MarkovGame, v: np.ndarray) -> np.ndarray:
 def _induced_mdp(game: MarkovGame, fixed_policy: np.ndarray, fixed_side: int):
     """Collapse the fixed player out of the game, leaving the free player's MDP.
 
-    Leading stack axes on ``fixed_policy`` carry over to the loss and the
-    transition; each item has the bits it would have alone.
+    ``fixed_policy`` must be checked already.  Leading stack axes on it
+    carry over to the loss and the transition; each item has the bits it
+    would have alone.
     """
-    _check_policy(game, fixed_policy, fixed_side, "fixed ", fixed_policy.shape[:-2])
     if fixed_side == 2:
         loss = np.einsum("sab,...sb->...sa", game.loss, fixed_policy)
         trans = np.einsum("sabt,...sb->...sat", game.transition, fixed_policy)
@@ -290,7 +302,9 @@ def best_response(
     stacked ``solve`` and ``matmul`` run the same kernel on every item.  The
     maximizer's items run as minimizers of the negated loss; negation is
     exact, so their nonzero values keep their bits (a zero may flip sign).
-    A failed certificate names its item.
+    A fixed row that is not a distribution is named by its index over the
+    whole stack in C order and by its item's side; a failed certificate
+    names its item.
     """
     _check_tol(tol)
     _check_max_iter(max_iter)
@@ -299,21 +313,20 @@ def best_response(
         raise DimensionMismatchError(f"fixed policy must have shape (..., S, A) or (..., S, B), "
                                      f"got {fixed_policy.shape}")
     stack, (n_states, width) = fixed_policy.shape[:-2], fixed_policy.shape[-2:]
+    given = set(np.ravel(fixed_side).tolist())
+    if not given <= {1, 2}:
+        raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
+    sides = np.asarray(fixed_side, dtype=np.int64)
+    _check_policy(game, fixed_policy, sides, "fixed ", stack)
     policies = fixed_policy.reshape((-1, n_states, width))
-    if np.ndim(fixed_side) == 0:
-        if fixed_side not in (1, 2):
-            raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
-        loss, trans = _induced_mdp(game, policies, fixed_side)
-        maximize = fixed_side == 1
+    maximize = np.broadcast_to(sides == 1, stack).reshape(-1)
+    if len(given) == 1:
+        loss, trans = _induced_mdp(game, policies, int(sides.flat[0]))
     else:
-        # One side per item: each side's items in one call, put back in stack order.
-        sides = np.broadcast_to(fixed_side, stack).reshape(-1)
-        maximize = sides == 1
-        if not (maximize | (sides == 2)).all():
-            raise ValueError(f"fixed_side must be 1 or 2, got {fixed_side!r}")
+        # Each side's items in one call, put back in stack order.
         parts = [(mask, _induced_mdp(game, policies[mask], side))
-                 for side, mask in ((1, maximize), (2, ~maximize)) if mask.any()]
-        loss, trans = (np.empty((sides.size,) + part.shape[1:]) for part in parts[0][1])
+                 for side, mask in ((1, maximize), (2, ~maximize))]
+        loss, trans = (np.empty((maximize.size,) + part.shape[1:]) for part in parts[0][1])
         for mask, (side_loss, side_trans) in parts:
             loss[mask], trans[mask] = side_loss, side_trans
     # The maximizer's items run as minimizers of the negated loss; a product

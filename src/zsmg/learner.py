@@ -3,10 +3,11 @@
 Each player runs projected optimistic gradient steps on its per-state mixed
 strategy against the stage games induced by a critic value vector; the critic
 itself moves by a decaying average toward the players' payoff estimate.  The
-loop touches only loss/transition feedback through estimator objects, so the
-exact and trajectory-sampled modes share the identical update path.  The loop
-carries a leading run axis: same-shape runs step together, and a single run is
-a batch of one.
+loop sees the game only through its payoff estimates: read exactly from the
+critic's stage games, or averaged along rollouts by each run's sampled
+estimator.  Both modes feed the identical update path.  The loop carries a
+leading run axis: same-shape runs step together, and a single run is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -228,8 +229,9 @@ def ogda_step(state: LearnerState, ell: np.ndarray, r: np.ndarray,
     and the projection works row by row, so every real entry is bit-identical
     to the four separate projections and no row depends on another.
 
-    The estimates are the ones an estimator's ``estimate_into`` yields:
-    player 1's payoffs ``ell``, player 2's ``r`` and the shared ``rho``.
+    The estimates are the ones ``exact_triple_from_q`` or a
+    ``SampledEstimator`` yields: player 1's payoffs ``ell``, player 2's ``r``
+    and the shared ``rho``.
     Estimates whose shapes are not ``(S, A)``, ``(S, B)`` and ``(S,)`` raise
     ValueError before any arithmetic.  One finiteness test on ``g`` and
     ``rho`` then raises ValueError, naming the estimate, if one holds NaN or
@@ -496,13 +498,6 @@ def _setup(game: MarkovGame, config: RunConfig, opponent_y: np.ndarray | None = 
                 _stacked(f["init_x"], f["init_y"]), f["seed"], f["rollout_reset"])
 
 
-def _build_estimator(run: _Run):
-    if run.shared["estimator"] == "exact":
-        return est_mod.ExactEstimator()
-    return est_mod.SampledEstimator(run.shared["rollout_len"], run.shared["epsilon_prime"],
-                                    run.seed, reset_each_iteration=run.rollout_reset)
-
-
 def run_selfplay(
     game: MarkovGame,
     config: RunConfig,
@@ -512,8 +507,8 @@ def run_selfplay(
 ) -> RunResult:
     """Run decentralized self-play for ``config.iterations`` iterations.
 
-    Per iteration: build the critic's stage games, obtain payoff estimates from
-    the estimator, take one stacked optimistic step for both players, then
+    Per iteration: build the critic's stage games, read or sample the payoff
+    estimates, take one stacked optimistic step for both players, then
     average the critic toward the shared payoff estimate.  Metric rows are
     produced every ``config.cadence`` iterations (computed on the anchor
     iterates entering the iteration) and pushed to ``sink`` as they appear;
@@ -537,7 +532,8 @@ def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
     per half-step, one critic step, one diagnostics update per interval and,
     at each logged iteration, one ``make_metrics_row`` call serve every run, and
     exact estimates are one ``exact_triple_from_q`` call over the states of
-    all runs.  Sampled runs each keep their own estimator and generator.
+    all runs.  Sampled runs each keep their own ``SampledEstimator``, bound
+    to the run's game, with its own generator.
     Ground truth is solved per run where rows need it and none is given.
 
     The runs must share the shape ``(S, A, B)``, ``gamma``, the resolved
@@ -576,9 +572,12 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
     alpha_fn = runs[0].alpha_fn
     exact = key["estimator"] == "exact"
     # Exact estimates read only the stage games and strategies, so one
-    # estimator call serves every run; sampled runs each roll out with their
-    # own generator.
-    estimators = [_build_estimator(run) for run in (runs[:1] if exact else runs)]
+    # exact_triple_from_q call serves every run; sampled runs each roll out
+    # with their own estimator and generator.
+    estimators = [] if exact else [
+        est_mod.SampledEstimator(run.game, run.shared["rollout_len"],
+                                 run.shared["epsilon_prime"], run.seed, run.rollout_reset)
+        for run in runs]
     if cadence > 0 and None in ground_truths:
         from .groundtruth import shapley_solve
         ground_truths = [shapley_solve(game) if gt is None else gt
@@ -587,7 +586,7 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
     # The iterates live in locals with a leading run axis; a LearnerState is
     # built only for the hook and the results.  No array handed out is ever
     # written: each step returns fresh z_hat, z and v, and only the buffers
-    # below are reused.  The estimators write the raw estimates into ``ell``
+    # below are reused.  The estimates are written raw into ``ell``
     # and ``r``, and the step scales them into ``g_blocks``, views of ``g``
     # made once, whose padded columns keep _PAD for the whole run.  The raw
     # estimates stay readable, so a failed finiteness test can name its
@@ -633,13 +632,13 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
                 z_prev, q_prev = z, q_t
                 kept_z, kept_q, kept_alpha = [], [], []
         if exact:
-            rho, _ = estimators[0].estimate_into(
-                None, z[:, :n_states, :n_a], z[:, n_states:, :n_b], v, q_t, ell, r)
+            rho = est_mod.exact_triple_from_q(q_t, z[:, :n_states, :n_a], z[:, n_states:, :n_b],
+                                              ell, r)
         else:
             rho = np.empty((n_runs, n_states))
             for run, estimator in enumerate(estimators):
                 rho[run], est_errs[run] = estimator.estimate_into(
-                    games[run], z[run, :n_states, :n_a], z[run, n_states:, :n_b], v[run],
+                    z[run, :n_states, :n_a], z[run, n_states:, :n_b], v[run],
                     q_t[run], ell[run], r[run], collect_error=logging_now,
                 )
         if logging_now:

@@ -135,8 +135,8 @@ def diagnostics_update(
 
 def make_metrics_row(
     t: int,
-    game: MarkovGame | list[MarkovGame],
-    ground_truth: GroundTruth | list[GroundTruth],
+    game: list[MarkovGame],
+    ground_truth: list[GroundTruth],
     x_hat: np.ndarray,
     y_hat: np.ndarray,
     q_t: np.ndarray,
@@ -145,23 +145,18 @@ def make_metrics_row(
     q_step_max,
     est_err=None,
     wall_clock: float | None = None,
-) -> MetricsRow | list[MetricsRow]:
+) -> list[MetricsRow]:
     """Evaluate the expensive ground-truth metrics for the anchor iterates at ``t``.
 
-    With a leading run axis on ``x_hat``, ``y_hat`` and ``q_t``, the other
+    ``x_hat``, ``y_hat`` and ``q_t`` carry a leading run axis, and the other
     arguments but ``t`` and ``wall_clock`` are sequences with one entry per
-    run (``est_err`` may be None), and the call returns one row per run,
-    each with the bits of its run's own call; the rows share ``wall_clock``.
-    Runs that share a game and a ground truth (the same objects) share one
+    run (``est_err`` may be None).  Returns one row per run, each with the
+    bits its run's metrics have alone; the rows share ``wall_clock``.  Runs
+    that share a game and a ground truth (the same objects) share one
     ``game_duality_gap`` and one ``dist_to_optimal_sets`` call; the stage
     gaps and critic errors are one array expression over runs and states.
     """
     x_hat, y_hat, q_t = (np.asarray(a, dtype=np.float64) for a in (x_hat, y_hat, q_t))
-    single = x_hat.ndim == 2
-    if single:
-        x_hat, y_hat, q_t = x_hat[None], y_hat[None], q_t[None]
-        game, ground_truth, j_max, k_max, q_step_max, est_err = (
-            [game], [ground_truth], [j_max], [k_max], [q_step_max], [est_err])
     n_runs = len(x_hat)
     groups: dict[tuple, list[int]] = {}
     for run, pair in enumerate(zip(map(id, game), map(id, ground_truth))):
@@ -180,13 +175,12 @@ def make_metrics_row(
     state_gap = (col_payoffs.max(axis=-1) - row_payoffs.min(axis=-1)).max(axis=-1)
     q_err = np.abs(q_t - q_star).max(axis=(1, 2, 3))
     est_err = [None] * n_runs if est_err is None else est_err
-    rows = [MetricsRow(t=t, game_gap=float(gap[run]), mean_dist_sq=float(dist[run]),
+    return [MetricsRow(t=t, game_gap=float(gap[run]), mean_dist_sq=float(dist[run]),
                        state_gap_max=float(state_gap[run]), q_err_max=float(q_err[run]),
                        policy_step_avg_max=float(j_max[run]), q_step_avg_max=float(k_max[run]),
                        q_step_max=float(q_step_max[run]), est_err_max=est_err[run],
                        wall_clock=wall_clock)
             for run in range(n_runs)]
-    return rows[0] if single else rows
 
 
 def config_digest(payload: dict) -> str:

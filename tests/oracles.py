@@ -387,8 +387,8 @@ def unstacked_selfplay(game, config, ground_truth=None):
     ``contiguous_exact_triple`` and rows with ``per_run_metrics_row``.
     ``ground_truth`` is required when ``config.cadence > 0``.
     """
-    from zsmg.learner import (_build_estimator, _setup, critic_step, initial_state,
-                              make_alpha_schedule)
+    from zsmg.estimators import SampledEstimator
+    from zsmg.learner import _setup, critic_step, initial_state, make_alpha_schedule
     from zsmg.games import q_from_v
 
     run = _setup(game, config)
@@ -396,7 +396,10 @@ def unstacked_selfplay(game, config, ground_truth=None):
     alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
     stacked = initial_state(game, eta=run.shared["eta"],
                             init_x=config.init_x, init_y=config.init_y)
-    estimator = _build_estimator(run)
+    estimator = None
+    if config.estimator == "sampled":
+        estimator = SampledEstimator(game, run.shared["rollout_len"],
+                                     run.shared["epsilon_prime"], run.seed, run.rollout_reset)
     state = UnstackedState(
         x_hat=stacked.x_hat.copy(), x=stacked.x.copy(), y_hat=stacked.y_hat.copy(),
         y=stacked.y.copy(), v=stacked.v, t=stacked.t, eta=stacked.eta,
@@ -417,7 +420,7 @@ def unstacked_selfplay(game, config, ground_truth=None):
             (ell, r, rho), est_err = contiguous_exact_triple(q_t, state.x, state.y), None
         else:
             ell, r = np.empty_like(state.x), np.empty_like(state.y)
-            rho, est_err = estimator.estimate_into(game, state.x, state.y, state.v, q_t,
+            rho, est_err = estimator.estimate_into(state.x, state.y, state.v, q_t,
                                                    ell, r, collect_error=logging_now)
         if logging_now:
             rows.append(per_run_metrics_row(

@@ -345,6 +345,14 @@ class TestPlan:
         assert "rollout_len =" not in stdout
         assert "log_factor =" not in stdout
 
+    def test_impossible_budget_input_fails_naming_it(self, cli):
+        # It used to print rollout_len = -47676227 and exit 0.
+        code, stdout, err = cli("plan", "--mode", "samples", "--gamma", "0.9", "--mu", "0.5",
+                                "--epsilon", "0.1", "--c-l", "-1")
+        assert code == 2
+        assert "c_l must be positive and finite, got c_l=-1.0" in err
+        assert "rollout_len =" not in stdout
+
     @pytest.mark.parametrize("argv,fragment", [
         (["plan", "--mode", "samples", "--gamma", "0.9", "--mu", "0.5"],
          "--epsilon"),

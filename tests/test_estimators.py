@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zsmg.estimators import (
-    ExactEstimator,
     ReducibleChainError,
     SampledEstimator,
     Trajectory,
@@ -82,16 +81,6 @@ class TestExactEstimates:
         x = np.array([[0.5, 0.5]])
         _, _, rho = _exact(q_from_v(mp1, np.zeros(1)), x, x)
         assert rho[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_estimator_protocol_returns_no_error(self, mp1):
-        state = initial_state(mp1, eta=0.01)
-        ell, r = np.full((1, 2), np.nan), np.full((1, 2), np.nan)
-        rho, err = ExactEstimator().estimate_into(mp1, state.x, state.y, state.v, mp1.loss,
-                                                  ell, r)
-        assert err is None
-        want = _exact(mp1.loss, state.x, state.y)
-        for got, ref in zip((ell, r, rho), want):
-            assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +371,21 @@ class TestSampledEstimates:
         assert (ell[~visited] == 0.0).all() and not np.signbit(ell[~visited]).any()
 
 
-def _estimate(est, game, state, q_t, collect_error=False):
+def _estimate(est, state, q_t, collect_error=False):
     """One ``estimate_into`` call on a learner state into NaN-filled arrays."""
     ell, r = np.full(state.x.shape, np.nan), np.full(state.y.shape, np.nan)
-    rho, err = est.estimate_into(game, state.x, state.y, state.v, q_t, ell, r,
+    rho, err = est.estimate_into(state.x, state.y, state.v, q_t, ell, r,
                                  collect_error=collect_error)
     return ell, r, rho, err
 
 
 class TestSampledEstimator:
     def test_continues_from_last_state(self, switching_mp):
-        est = SampledEstimator(rollout_len=30, epsilon_prime=0.1, seed=0)
+        est = SampledEstimator(switching_mp, rollout_len=30, epsilon_prime=0.1, seed=0)
         state = initial_state(switching_mp, eta=0.01)
-        _estimate(est, switching_mp, state, switching_mp.loss)
+        _estimate(est, state, switching_mp.loss)
         first = est.last_trajectory
-        _estimate(est, switching_mp, state, switching_mp.loss)
+        _estimate(est, state, switching_mp.loss)
         second = est.last_trajectory
         assert second.states[0] == first.states[-1]
 
@@ -406,69 +395,53 @@ class TestSampledEstimator:
         state = initial_state(switching_mp, eta=0.01)
         starts = {}
         for reset in (False, True):
-            est = SampledEstimator(rollout_len=30, epsilon_prime=0.1, seed=1,
+            est = SampledEstimator(switching_mp, rollout_len=30, epsilon_prime=0.1, seed=1,
                                    reset_each_iteration=reset)
             starts[reset] = []
             for _ in range(3):
-                _estimate(est, switching_mp, state, switching_mp.loss)
+                _estimate(est, state, switching_mp.loss)
                 starts[reset].append(int(est.last_trajectory.states[0]))
         assert starts[False] == [0, 1, 0]
         assert starts[True] == [0, 0, 0]
 
     def test_writes_the_visit_means_of_its_rollout(self, switching_mp):
-        est = SampledEstimator(rollout_len=40, epsilon_prime=0.3, seed=2)
+        est = SampledEstimator(switching_mp, rollout_len=40, epsilon_prime=0.3, seed=2)
         state = replace(initial_state(switching_mp, eta=0.01), v=np.array([0.5, 2.0]))
-        ell, r, rho, err = _estimate(est, switching_mp, state, switching_mp.loss)
+        ell, r, rho, err = _estimate(est, state, switching_mp.loss)
         assert err is None
         want = fresh_sampled_estimates(est.last_trajectory, state.v, switching_mp.gamma)
         for got, ref in zip((ell, r, rho), want):
             assert got.tobytes() == ref.tobytes()
 
     def test_collect_error_reports_sup_deviation(self, mp1):
-        est = SampledEstimator(rollout_len=200, epsilon_prime=0.2, seed=1)
+        est = SampledEstimator(mp1, rollout_len=200, epsilon_prime=0.2, seed=1)
         state = initial_state(mp1, eta=0.01)
         q_t = mp1.loss
-        ell, r, rho, err = _estimate(est, mp1, state, q_t, collect_error=True)
+        ell, r, rho, err = _estimate(est, state, q_t, collect_error=True)
         # err is measured against the exploration-mixed strategies.
         exact = _exact(q_t, explore_mix(state.x, 0.2), explore_mix(state.y, 0.2))
         assert err == max(float(np.max(np.abs(got - ref)))
                           for got, ref in zip((ell, r, rho), exact))
 
-    def test_rejects_zero_length(self):
+    def test_rejects_zero_length(self, mp1):
         with pytest.raises(ValueError):
-            SampledEstimator(rollout_len=0, epsilon_prime=0.1)
+            SampledEstimator(mp1, rollout_len=0, epsilon_prime=0.1)
 
     @pytest.mark.parametrize("field, value", [
         ("rollout_len", 2.5), ("rollout_len", True), ("rollout_len", 0),
         ("epsilon_prime", 7.0), ("epsilon_prime", -0.1), ("epsilon_prime", float("nan")),
         ("epsilon_prime", True), ("epsilon_prime", "0.1"),
     ])
-    def test_rejects_bad_arguments_at_construction(self, field, value):
-        args = dict(rollout_len=10, epsilon_prime=0.1)
+    def test_rejects_bad_arguments_at_construction(self, mp1, field, value):
+        args = dict(game=mp1, rollout_len=10, epsilon_prime=0.1)
         args[field] = value
         with pytest.raises(ValueError, match=rf"{field} must .*got {field}={value!r}"):
             SampledEstimator(**args)
 
-    def test_numpy_arguments_accepted(self):
-        est = SampledEstimator(rollout_len=np.int64(10), epsilon_prime=np.float64(0.25))
+    def test_numpy_arguments_accepted(self, mp1):
+        est = SampledEstimator(mp1, rollout_len=np.int64(10), epsilon_prime=np.float64(0.25))
         assert (type(est.rollout_len), est.rollout_len) == (int, 10)
         assert (type(est.epsilon_prime), est.epsilon_prime) == (float, 0.25)
-
-    def test_another_game_drops_the_kept_rows(self, switching_mp):
-        # Same shape, another kernel: rows kept for the first game must not
-        # steer the rollouts on the second.
-        other = MarkovGame(loss=switching_mp.loss,
-                           transition=switching_mp.transition[..., ::-1], gamma=0.9)
-        state = initial_state(switching_mp, eta=0.01)
-        est, fresh = (SampledEstimator(rollout_len=60, epsilon_prime=0.2, seed=4,
-                                       reset_each_iteration=True) for _ in range(2))
-        _estimate(est, switching_mp, state, switching_mp.loss)
-        fresh._rng.random((3, 60))  # the draws of the rollout on the first game
-        got = _estimate(est, other, state, other.loss)
-        want = _estimate(fresh, other, state, other.loss)
-        for g, w in zip(got[:3], want[:3]):
-            assert g.tobytes() == w.tobytes()
-        _assert_same_trajectory(est.last_trajectory, fresh.last_trajectory)
 
     def test_selfplay_epsilon_prime_derived_from_epsilon(self, mp1):
         # run_selfplay mixes exploration as (1 - gamma) * epsilon unless
@@ -548,6 +521,20 @@ class TestSampleBudget:
             plan_sample_budget(2, 2, gamma, 0.5, 0.1, 10**3, 0.05)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("c_l", -1.0), ("c_l", 0.0), ("epsilon", np.inf), ("mu", np.inf),
+        ("epsilon", np.nan), ("mu", np.nan), ("horizon", np.nan), ("horizon", np.inf),
+        ("delta", np.nan), ("n_actions_p1", 0), ("n_actions_p2", 2.5),
+    ])
+    def test_impossible_budget_inputs_rejected_by_name(self, field, value):
+        # c_l=-1 used to give a negative rollout length, inf and 0 gave 0, and
+        # NaN failed only in the conversion to an integer.
+        args = dict(n_actions_p1=2, n_actions_p2=2, gamma=0.9, mu=0.5, epsilon=0.1,
+                    horizon=1e4, delta=0.05)
+        with pytest.raises(ValueError, match=rf"^{field} must .*got {field}="):
+            plan_sample_budget(**{**args, field: value})
+
+
 class TestAccuracyBudget:
     def test_average_gap_matches_reference(self):
         budget = plan_accuracy_budget(xi=0.1, mode="average-gap", n_states=2,
@@ -609,6 +596,25 @@ class TestAccuracyBudget:
                                  eta=0.01, c_hat=0.7)
 
 
+    @pytest.mark.parametrize("mode", ["average-gap", "last-iterate"])
+    @pytest.mark.parametrize("field, value", [
+        ("c_t", -1.0), ("c_t", 0.0), ("xi", np.inf), ("xi", np.nan), ("eta", np.nan),
+        ("eta", np.inf), ("n_states", 0), ("n_states", 1.5),
+    ])
+    def test_impossible_budget_inputs_rejected_by_name(self, mode, field, value):
+        # c_t=-1 used to give negative iterations, xi=inf gave 0, NaN failed
+        # only in the conversion to an integer and n_states=0 divided by zero.
+        args = dict(xi=0.1, mode=mode, n_states=2, gamma=0.9, eta=0.01, c_hat=0.7)
+        with pytest.raises(ValueError, match=rf"^{field} must .*got {field}="):
+            plan_accuracy_budget(**{**args, field: value})
+
+    @pytest.mark.parametrize("c_hat", [np.inf, np.nan])
+    def test_impossible_margin_constant_rejected_by_name(self, c_hat):
+        with pytest.raises(ValueError, match=r"^c_hat must .*got c_hat="):
+            plan_accuracy_budget(xi=0.1, mode="last-iterate", n_states=2, gamma=0.9,
+                                 eta=0.01, c_hat=c_hat)
+
+
 # ---------------------------------------------------------------------------
 # Irreducibility probing
 # ---------------------------------------------------------------------------
@@ -619,7 +625,6 @@ class TestEstimateMu:
         assert est.mu == 1.0
         assert est.max_hitting_time == 0.0
         assert est.n_pairs_probed == 0
-        assert est.certified is False
 
     def test_symmetric_two_state_chain(self):
         # Always switch with probability 1/2: expected hitting time 2 both ways.

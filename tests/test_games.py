@@ -419,6 +419,16 @@ class TestStackedBestResponse:
         with pytest.raises(ValueError, match=r"fixed player-2 policy row 5 is not a probability"):
             best_response(switching_mp, fixed, fixed_side=2)
 
+    @pytest.mark.parametrize("sides, player", [([1, 2], 2), ([2, 2], 2), (2, 2), ([2, 1], 1)])
+    def test_bad_row_named_over_the_whole_stack_with_its_side(self, switching_mp, sides,
+                                                              player):
+        # Item 1's state-1 row is row 3 of the stack, whatever the other
+        # item's side; it was once counted within its own side's items.
+        fixed = np.full((2, 2, 2), 0.5)
+        fixed[1, 1] = [0.9, 0.3]
+        with pytest.raises(ValueError, match=rf"^fixed player-{player} policy row 3 is not a "):
+            best_response(switching_mp, fixed, sides)
+
     def test_sides_of_different_widths_cannot_share_a_stack(self):
         game = random_game(seed=3, n_states=2, n_actions_p1=2, n_actions_p2=3, gamma=0.9)
         with pytest.raises(DimensionMismatchError):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from zsmg import groundtruth as groundtruth_mod
 from zsmg import learner as learner_mod
 from zsmg import metrics as metrics_mod
-from zsmg.estimators import ExactEstimator, exact_triple_from_q
+from zsmg.estimators import exact_triple_from_q
 from zsmg.games import MarkovGame, evaluate_policy_pair, JointPolicy, q_from_v
 from zsmg.gamegen import random_game
 from zsmg.groundtruth import shapley_solve
@@ -679,13 +679,12 @@ class TestRunSelfplay:
                                                            name, value, eta, message):
         # The loop scales the estimates into its gradient buffer; the cause
         # is still named from the raw estimates, before any state is handed out.
-        class Corrupting(ExactEstimator):
-            def estimate_into(self, game, x, y, v, q_t, ell, r, collect_error=False):
-                rho, err = super().estimate_into(game, x, y, v, q_t, ell, r, collect_error)
-                {"ell": ell, "r": r, "rho": rho}[name].flat[-1] = value
-                return rho, err
+        def corrupting(q_t, x, y, ell, r):
+            rho = exact_triple_from_q(q_t, x, y, ell, r)
+            {"ell": ell, "r": r, "rho": rho}[name].flat[-1] = value
+            return rho
 
-        monkeypatch.setattr(learner_mod, "_build_estimator", lambda run: Corrupting())
+        monkeypatch.setattr(learner_mod.est_mod, "exact_triple_from_q", corrupting)
         seen = []
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message)):
             run_selfplay(switching_mp, RunConfig(iterations=3, eta=eta),

@@ -161,9 +161,9 @@ class TestMakeMetricsRow:
     def test_equilibrium_witness_scores_zero(self, mp1):
         gt = shapley_solve(mp1)
         q_t = gt.q_star.copy()
-        row = make_metrics_row(
-            t=7, game=mp1, ground_truth=gt, x_hat=gt.x_star, y_hat=gt.y_star,
-            q_t=q_t, j_max=0.125, k_max=0.25, q_step_max=0.5,
+        [row] = make_metrics_row(
+            t=7, game=[mp1], ground_truth=[gt], x_hat=gt.x_star[None], y_hat=gt.y_star[None],
+            q_t=q_t[None], j_max=[0.125], k_max=[0.25], q_step_max=[0.5],
         )
         assert row.t == 7
         assert row.game_gap <= 2e-9
@@ -176,9 +176,9 @@ class TestMakeMetricsRow:
 
     def test_critic_error_measured_against_solved_games(self, mp1):
         gt = shapley_solve(mp1)
-        row = make_metrics_row(
-            t=1, game=mp1, ground_truth=gt, x_hat=gt.x_star, y_hat=gt.y_star,
-            q_t=mp1.loss, j_max=0.0, k_max=0.0, q_step_max=0.0,
+        [row] = make_metrics_row(
+            t=1, game=[mp1], ground_truth=[gt], x_hat=gt.x_star[None], y_hat=gt.y_star[None],
+            q_t=mp1.loss[None], j_max=[0.0], k_max=[0.0], q_step_max=[0.0],
         )
         # With the critic at zero, every stage value is off by gamma * v_star.
         assert row.q_err_max == pytest.approx(0.9 * 5.0, abs=1e-7)
@@ -219,18 +219,6 @@ class TestBatchedRows:
         assert [repr(row) for row in batch] == [repr(per_run_metrics_row(
             30, games[run], gts[run], x_hat[run], y_hat[run], q_t[run], j_max[run],
             k_max[run], q_step_max[run], est_err[run], 1.5)) for run in range(n_runs)]
-
-    def test_unstacked_call_is_its_batch_of_one(self, switching_mp):
-        gt = shapley_solve(switching_mp)
-        x, y = np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.5], [0.9, 0.1]])
-        args = dict(t=4, game=switching_mp, ground_truth=gt, q_t=gt.q_star, wall_clock=None)
-        row = make_metrics_row(x_hat=x, y_hat=y, j_max=0.1, k_max=0.2, q_step_max=0.3,
-                               est_err=0.4, **args)
-        [batched] = make_metrics_row(x_hat=x[None], y_hat=y[None], j_max=[0.1], k_max=[0.2],
-                                     q_step_max=[0.3], est_err=[0.4], **{
-                                         **args, "game": [switching_mp], "ground_truth": [gt],
-                                         "q_t": gt.q_star[None]})
-        assert repr(row) == repr(batched)
 
 
 class TestConfigDigest:

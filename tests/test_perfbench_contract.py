@@ -59,21 +59,42 @@ def test_observed_arguments_keep_their_positions(fn, index, param):
     assert list(inspect.signature(fn).parameters)[index] == param
 
 
-def test_exact_run_reaches_the_traced_exact_estimate(monkeypatch):
-    real = estimators.exact_triple_from_q
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
+def _observe(monkeypatch, real, seen: list) -> None:
+    """Rebind ``real`` wherever it is bound, as the tracer does, to a wrapper
+    that appends each call's ``(args, kwargs)`` to ``seen``."""
+    def observing(*args, **kwargs):
+        seen.append((args, kwargs))
         return real(*args, **kwargs)
 
-    # Rebind wherever the function is bound, as the tracer does.
     for module in _zsmg_modules():
         for attr, value in list(vars(module).items()):
             if value is real:
-                monkeypatch.setattr(module, attr, counting)
+                monkeypatch.setattr(module, attr, observing)
+
+
+def test_exact_run_reaches_the_traced_exact_estimate(monkeypatch):
+    calls = []
+    _observe(monkeypatch, estimators.exact_triple_from_q, calls)
     run_selfplay(builtin("switching-mp"), RunConfig(iterations=7, eta=0.05))
     assert len(calls) == 7
+
+
+def test_sampled_run_reaches_the_traced_rollout_and_estimates(monkeypatch):
+    # The harness sums the rollouts' n_steps and counts zero visits from the
+    # six Trajectory fields that child.zero_visits reads.
+    rollouts, estimates = [], []
+    _observe(monkeypatch, estimators.rollout, rollouts)
+    _observe(monkeypatch, estimators.sampled_estimates, estimates)
+    run_selfplay(builtin("switching-mp"), RunConfig(iterations=7, eta=0.05, estimator="sampled",
+                                                   rollout_len=20, epsilon=1.0))
+    assert len(rollouts) == len(estimates) == 7
+    assert [args[3] for args, _ in rollouts] == [20] * 7
+    for args, _ in estimates:
+        traj = args[0]
+        assert isinstance(traj, estimators.Trajectory)
+        assert (traj.n_states, traj.n_actions_p1, traj.n_actions_p2) == (2, 2, 2)
+        assert traj.states.shape == (21,)
+        assert traj.actions_p1.shape == traj.actions_p2.shape == (20,)
 
 
 def test_seed_zero_outputs_match_the_recorded_digests(workloads, tmp_path):
