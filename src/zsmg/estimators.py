@@ -250,6 +250,19 @@ def _check_planning(gamma: float, **positive) -> None:
         _check_tol(value, name)
 
 
+def _representable(value: float, term: str, **inputs) -> float:
+    """``value``, the intermediate ``term`` of a budget, unless it went to zero or
+    infinity: then the budget cannot be represented, and ValueError names the inputs.
+
+    Checking the intermediate, rather than reordering the arithmetic, keeps
+    every budget that can be represented at its value.
+    """
+    if 0.0 < value < math.inf:
+        return value
+    given = ", ".join(f"{name}={x!r}" for name, x in inputs.items())
+    raise ValueError(f"the budget overflows: {term} is {float(value)!r} at {given}")
+
+
 @dataclass(frozen=True)
 class SampleBudget:
     """Rollout length sufficient for epsilon-accurate estimates, with inputs echoed."""
@@ -280,7 +293,7 @@ def plan_sample_budget(
     where T is the number of iterations the estimates must stay accurate for
     and mu the irreducibility constant of the explored dynamics.  Every
     input is checked before any arithmetic, and a bad one raises ValueError
-    naming it.
+    naming it; so does a budget that overflows float64 on valid inputs.
     """
     _integer("n_actions_p1", n_actions_p1, 1)
     _integer("n_actions_p2", n_actions_p2, 1)
@@ -290,7 +303,11 @@ def plan_sample_budget(
     if not 1 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and >= 1, got horizon={horizon!r}")
     log_term = np.log(horizon / delta) ** 2
-    raw = c_l * (n_actions_p1**3 + n_actions_p2**3) / ((1.0 - gamma) * mu * epsilon**3) * log_term
+    inputs = dict(epsilon=epsilon, mu=mu, gamma=gamma, c_l=c_l, horizon=horizon, delta=delta)
+    scale = _representable((1.0 - gamma) * mu * epsilon**3, "(1-gamma) * mu * epsilon^3",
+                           **inputs)
+    raw = _representable(c_l * (n_actions_p1**3 + n_actions_p2**3) / scale * log_term,
+                         "rollout_len", **inputs)
     return SampleBudget(
         rollout_len=int(np.ceil(raw)),
         epsilon=float(epsilon),
@@ -334,21 +351,31 @@ def plan_accuracy_budget(
     constant estimate ``c_hat``:
         T = ceil(c_t * S^2 / (eta^4 c^4 (1-gamma)^4 xi)),  eps = eta c^2 (1-gamma)^3 xi.
     Every input is checked before any arithmetic, and a bad one raises
-    ValueError naming it.
+    ValueError naming it; so does a budget that overflows float64 on valid
+    inputs.
     """
     _check_planning(gamma, xi=xi, eta=eta, c_t=c_t)
     _integer("n_states", n_states, 1)
     one_minus = 1.0 - gamma
+    inputs = dict(xi=xi, eta=eta, gamma=gamma, n_states=n_states, c_t=c_t)
     if mode == "average-gap":
-        iterations = int(np.ceil(c_t * n_states**2 / (eta**2 * one_minus**4 * xi**2)))
-        epsilon = eta * one_minus**4 * xi**2 / n_states**2
+        scale = _representable(eta**2 * one_minus**4 * xi**2, "eta^2 (1-gamma)^4 xi^2",
+                               **inputs)
+        iterations = int(np.ceil(_representable(c_t * n_states**2 / scale, "iterations",
+                                                **inputs)))
+        epsilon = _representable(eta * one_minus**4 * xi**2 / n_states**2, "epsilon",
+                                 **inputs)
         log_factor = float(np.log(n_states / (eta * one_minus * xi)))
     elif mode == "last-iterate":
         if c_hat is None:
             raise ValueError("last-iterate planning requires the margin constant c_hat")
         _check_tol(c_hat, "c_hat")
-        iterations = int(np.ceil(c_t * n_states**2 / (eta**4 * c_hat**4 * one_minus**4 * xi)))
-        epsilon = eta * c_hat**2 * one_minus**3 * xi
+        inputs["c_hat"] = c_hat
+        scale = _representable(eta**4 * c_hat**4 * one_minus**4 * xi,
+                               "eta^4 c^4 (1-gamma)^4 xi", **inputs)
+        iterations = int(np.ceil(_representable(c_t * n_states**2 / scale, "iterations",
+                                                **inputs)))
+        epsilon = _representable(eta * c_hat**2 * one_minus**3 * xi, "epsilon", **inputs)
         log_factor = None
     else:
         raise ValueError(f"unknown planning mode {mode!r}")

@@ -15,8 +15,12 @@ one from the cold basis, hands only the states that must pivot, with their
 read, to the scalar pivot loop ``_simplex_pivot``, and certifies every terminal
 basis in one stacked call.  ``solve_matrix_game`` is that solve on a stack of
 one, and value iteration keeps each state's optimal basis from one sweep to the next.
-numpy's stacked ``solve`` and ``matmul`` run the same per-matrix kernel on
-every item, so each item has the bits it would have alone.
+Value iteration also keeps one ``_LpStack`` per solve: the LP stack, whose
+constant frame is written once, the state index and the basis cost rows, so a
+sweep rewrites only the payoff block.  Most sweeps settle every state; one
+whole-stack test each for settlement and for the certificate then replaces
+the per-state bookkeeping.  numpy's stacked ``solve`` and ``matmul`` run the
+same per-matrix kernel on every item, so each item has the bits it would have alone.
 """
 
 from __future__ import annotations
@@ -91,51 +95,57 @@ def _lp_constants(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return constants
 
 
-def _value_lp(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _value_lp(q: np.ndarray, a_mat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Shifts (S,) and standard-form LPs (S, B+1, A+1+B) of the stage games ``q``.
 
     Each LP minimizes v s.t. Q^T x <= v * 1, sum(x) = 1, x >= 0, on entries
     shifted to at least 1 so v is basic at every feasible basis.  Columns are
     [x_1..x_A, v, s_1..s_B]; rows the B column constraints, then sum(x) = 1.
+    Given an earlier result's ``a_mat``, only its payoff block is rewritten.
     """
     n_states, n_a, n_b = q.shape
     shift = 1.0 - q.min(axis=(1, 2))
-    frame = _lp_constants(n_a, n_b)[0]
-    a_mat = np.empty((n_states,) + frame.shape)
-    a_mat[:] = frame
-    a_mat[:, :n_b, :n_a] = (q + shift[:, None, None]).transpose(0, 2, 1)
+    if a_mat is None:
+        frame = _lp_constants(n_a, n_b)[0]
+        a_mat = np.empty((n_states,) + frame.shape)
+        a_mat[:] = frame
+    np.add(q.transpose(0, 2, 1), shift[:, None, None], out=a_mat[:, :n_b, :n_a])
     return shift, a_mat
 
 
-def _read_bases(a_mat: np.ndarray, bases: np.ndarray) -> tuple:
+def _read_bases(a_mat: np.ndarray, bases: np.ndarray, rows: np.ndarray | None = None,
+                basis_cost: np.ndarray | None = None) -> tuple:
     """Read each LP of ``_value_lp`` at its basis: ``(x_b, duals, b_inv, reduced)``.
 
     One stacked solve gives ``[B^-1 b | B^-1]``; the duals are ``c_B B^-1``, the
     reduced costs ``c - duals A`` (zero on the basis).  Any singular basis raises.
+    A caller may keep ``rows``, the state index (S, 1), and ``basis_cost = cost[bases]``.
     """
     n_states, m, n = a_mat.shape
     _, rhs, cost = _lp_constants(n - m, m - 1)
-    rows = np.arange(n_states)[:, None]
+    rows = np.arange(n_states)[:, None] if rows is None else rows
+    basis_cost = cost[bases] if basis_cost is None else basis_cost
     b_inv_ab = np.linalg.solve(a_mat[rows, :, bases].transpose(0, 2, 1), rhs)
     b_inv = b_inv_ab[:, :, 1:]
-    duals = (cost[bases][:, None, :] @ b_inv)[:, 0]
+    duals = (basis_cost[:, None, :] @ b_inv)[:, 0]
     reduced = cost - (duals[:, None, :] @ a_mat)[:, 0]
     reduced[rows, bases] = 0.0
     return b_inv_ab[:, :, 0], duals, b_inv, reduced
 
 
 def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray,
-             duals: np.ndarray, tol: float) -> tuple:
+             duals: np.ndarray, tol: float, rows: np.ndarray | None = None) -> tuple:
     """``(value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok)`` at each basis.
 
     x and y (the duals of the column constraints) are clipped and normalised;
     ``dual_ok`` when the clipped duals sum into (0.5, 2), ``payoff_ok`` when
     every column payoff is at most ``value + tol`` and every row payoff at least
-    ``value - tol``.  Both tests are written so that NaN fails them.
+    ``value - tol``.  Both tests are written so that NaN fails them.  ``rows`` is
+    the state index (S, 1), as for ``_read_bases``.
     """
     n_states, n_a, n_b = q.shape
     primal = np.zeros((n_states, n_a + 1 + n_b))
-    primal[np.arange(n_states)[:, None], bases] = x_b
+    primal[np.arange(n_states)[:, None] if rows is None else rows, bases] = x_b
     value = primal[:, n_a] - shift
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.maximum(primal[:, :n_a], 0.0)
@@ -241,7 +251,18 @@ def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray, read: 
     raise LpSolveError("simplex iteration cap exceeded", q)
 
 
-def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float) -> tuple:
+@dataclass
+class _LpStack:
+    """What ``_stage_solutions`` keeps between its calls on one ``bases`` array,
+    filled on first use; only the states that restart or pivot refresh their cost row."""
+
+    a_mat: np.ndarray | None = None       # (S, B+1, A+1+B)
+    rows: np.ndarray | None = None        # (S, 1) state index
+    basis_cost: np.ndarray | None = None  # (S, B+1) cost rows of the current bases
+
+
+def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float,
+                     stack: _LpStack | None = None) -> tuple:
     """``(values, x, y, col_payoffs, row_payoffs, pivots, bases)`` of the stage games ``q``.
 
     Solves each state from its sorted basis in ``bases`` (None: cold) and writes
@@ -251,12 +272,20 @@ def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float) -> tup
     their read.  Every terminal basis is certified at once: no column payoff under
     ``x`` above ``value + tol``, no row payoff under ``y`` below ``value - tol``,
     or ``LpSolveError`` carries the first failing state's matrix.
+    ``stack`` keeps the LP stack and cost rows between calls (None: this call's).
+    Settlement and the certificate are each tested once over the whole stack;
+    the per-state work runs only when such a test fires.
     """
-    shift, a_mat = _value_lp(q)
+    stack = _LpStack() if stack is None else stack
+    shift, a_mat = _value_lp(q, stack.a_mat)
     n_states, m, n = a_mat.shape
+    cost = _lp_constants(n - m, m - 1)[2]
     bases = _cold_bases(a_mat) if bases is None else bases
+    if stack.a_mat is None:
+        stack.a_mat, stack.rows, stack.basis_cost = a_mat, np.arange(n_states)[:, None], cost[bases]
+    rows = stack.rows
     try:
-        x_b, duals, b_inv, reduced = _read_bases(a_mat, bases)
+        x_b, duals, b_inv, reduced = _read_bases(a_mat, bases, rows, stack.basis_cost)
     except np.linalg.LinAlgError:
         # Read alone, a singular basis keeps x_b = -inf: it restarts cold.
         x_b = np.full((n_states, m), -np.inf)
@@ -267,20 +296,25 @@ def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float) -> tup
                     _read_bases(a_mat[s:s + 1], bases[s:s + 1])
     # A primal-infeasible start would walk the ratio test backwards; entries
     # within _PIVOT_TOL of zero are the rounding of degenerate pivots.
-    infeasible = (x_b < -_PIVOT_TOL).any(axis=1)
-    todo = np.flatnonzero(infeasible | (reduced < -_PIVOT_TOL).any(axis=1))
-    if (cold := todo[infeasible[todo]]).size:
-        bases[cold] = _cold_bases(a_mat[cold])
-        x_b[cold], duals[cold], b_inv[cold], reduced[cold] = _read_bases(a_mat[cold], bases[cold])
+    infeasible, improvable = x_b < -_PIVOT_TOL, reduced < -_PIVOT_TOL
     pivots = np.zeros(n_states, dtype=np.intp)
-    for s in todo:
-        (x_b[s], duals[s]), bases[s], pivots[s] = _simplex_pivot(
-            q[s], a_mat[s:s + 1], bases[s], (x_b[s], duals[s], b_inv[s], reduced[s]))
+    if infeasible.any() or improvable.any():
+        infeasible = infeasible.any(axis=1)
+        todo = np.flatnonzero(infeasible | improvable.any(axis=1))
+        if (cold := todo[infeasible[todo]]).size:
+            bases[cold] = _cold_bases(a_mat[cold])
+            x_b[cold], duals[cold], b_inv[cold], reduced[cold] = \
+                _read_bases(a_mat[cold], bases[cold])
+        for s in todo:
+            (x_b[s], duals[s]), bases[s], pivots[s] = _simplex_pivot(
+                q[s], a_mat[s:s + 1], bases[s], (x_b[s], duals[s], b_inv[s], reduced[s]))
+        # A cold restart changes the basis even when it takes no pivot.
+        stack.basis_cost[todo] = cost[bases[todo]]
     values, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = _certify(
-        q, shift, bases, x_b, duals, tol)
-    failed = np.flatnonzero(~(dual_ok & payoff_ok))
-    if failed.size:
-        s = failed[0]
+        q, shift, bases, x_b, duals, tol, rows)
+    certified = dual_ok & payoff_ok
+    if not certified.all():
+        s = np.flatnonzero(~certified)[0]
         if not dual_ok[s]:
             raise LpSolveError(f"dual strategy sum {y_sum[s]:.6f} far from 1", q[s])
         raise LpSolveError(
@@ -355,6 +389,10 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     from the simplex's cold bases in the first sweep and from the bases the
     states ended at after it.  A stage game with several optimal bases may
     get another, equally certified, witness than a cold solve would give.
+    The calls share one ``_LpStack``: the LP stack is allocated and framed
+    once, and only the states that restart or pivot refresh their basis cost
+    row.  A sweep in which every state keeps its basis costs one stacked basis
+    read, two whole-stack settlement tests and one whole-stack certificate.
     """
     _check_tol(tol)
     _check_max_iter(max_iter)
@@ -366,10 +404,10 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma) if gamma else np.inf
     v = np.zeros(game.n_states)
     q = q_from_v(game, v)
-    bases = None
+    bases, stack = None, _LpStack()
     for _ in range(max_iter):
-        v_new, *_, bases = _stage_solutions(q, bases, tol)
-        step = float(np.max(np.abs(v_new - v)))
+        v_new, *_, bases = _stage_solutions(q, bases, tol, stack)
+        step = float(np.abs(v_new - v).max())
         v = v_new
         q = q_from_v(game, v)
         if step <= threshold:
@@ -380,7 +418,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
             f"(last step {step:.3e}, threshold {threshold:.3e})"
         )
 
-    values, x_star, y_star, *_ = _stage_solutions(q, bases, tol)
+    values, x_star, y_star, *_ = _stage_solutions(q, bases, tol, stack)
     for s in range(game.n_states):
         if abs(values[s] - v[s]) > tol:
             raise ArithmeticError(f"fixed-point consistency failed at state {s}: "

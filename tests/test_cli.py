@@ -353,6 +353,14 @@ class TestPlan:
         assert "c_l must be positive and finite, got c_l=-1.0" in err
         assert "rollout_len =" not in stdout
 
+    def test_budget_that_overflows_fails_naming_the_input(self, cli):
+        # It used to exit with a ZeroDivisionError traceback.
+        code, stdout, err = cli("plan", "--mode", "samples", "--gamma", "0.9", "--mu", "0.5",
+                                "--epsilon", "1e-120")
+        assert code == 2
+        assert "the budget overflows" in err and "epsilon=1e-120" in err
+        assert "rollout_len =" not in stdout
+
     @pytest.mark.parametrize("argv,fragment", [
         (["plan", "--mode", "samples", "--gamma", "0.9", "--mu", "0.5"],
          "--epsilon"),

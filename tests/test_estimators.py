@@ -534,6 +534,18 @@ class TestSampleBudget:
         with pytest.raises(ValueError, match=rf"^{field} must .*got {field}="):
             plan_sample_budget(**{**args, field: value})
 
+    @pytest.mark.parametrize("changed, named", [
+        # epsilon**3 underflows to 0: this divided by zero.
+        (dict(epsilon=1e-120), "epsilon=1e-120"),
+        # The quotient overflows to inf: this failed converting it to an integer.
+        (dict(mu=1e-300, epsilon=1e-5), "mu=1e-300"),
+    ])
+    def test_budget_that_overflows_rejected_naming_the_input(self, changed, named):
+        args = dict(n_actions_p1=2, n_actions_p2=2, gamma=0.9, mu=0.5, epsilon=0.1,
+                    horizon=1e4, delta=0.05)
+        with pytest.raises(ValueError, match=rf"^the budget overflows: .*{named}"):
+            plan_sample_budget(**{**args, **changed})
+
 
 class TestAccuracyBudget:
     def test_average_gap_matches_reference(self):
@@ -613,6 +625,24 @@ class TestAccuracyBudget:
         with pytest.raises(ValueError, match=r"^c_hat must .*got c_hat="):
             plan_accuracy_budget(xi=0.1, mode="last-iterate", n_states=2, gamma=0.9,
                                  eta=0.01, c_hat=c_hat)
+
+    @pytest.mark.parametrize("mode, changed, named", [
+        # xi**2 underflows to 0: this divided by zero.
+        ("average-gap", dict(xi=1e-200), "xi=1e-200"),
+        ("last-iterate", dict(xi=1e-320), "xi=1e-320"),
+        ("last-iterate", dict(eta=1e-100), "eta=1e-100"),
+    ])
+    def test_budget_that_overflows_rejected_naming_the_input(self, mode, changed, named):
+        args = dict(xi=0.1, mode=mode, n_states=2, gamma=0.9, eta=0.01, c_hat=0.7)
+        with pytest.raises(ValueError, match=rf"^the budget overflows: .*{named}"):
+            plan_accuracy_budget(**{**args, **changed})
+
+    def test_budgets_near_the_float_range_keep_their_values(self):
+        # The overflow check reads the intermediates; it does not reorder them.
+        budget = plan_accuracy_budget(xi=1e-150, mode="average-gap", n_states=1,
+                                      gamma=0.5, eta=1.0)
+        assert budget.iterations == int(np.ceil(1.0 * 1**2 / (1.0**2 * 0.5**4 * 1e-150**2)))
+        assert budget.epsilon == 1.0 * 0.5**4 * 1e-150**2 / 1**2
 
 
 # ---------------------------------------------------------------------------

@@ -491,11 +491,11 @@ class TestStackedSweep:
         starts = []
         stage = groundtruth_mod._stage_solutions
 
-        def traced_stage(q, bases, tol):
+        def traced_stage(q, bases, tol, stack):
             # A None start is every state's cold basis.
             starts.append(groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
                           if bases is None else bases.copy())
-            return stage(q, bases, tol)
+            return stage(q, bases, tol, stack)
 
         monkeypatch.setattr(groundtruth_mod, "_stage_solutions", traced_stage)
         gt, sweeps = self._traced_solve(monkeypatch, game)
@@ -567,6 +567,26 @@ class TestStackedSweep:
         assert [[start for start, _ in c] for c in calls] == [[cold.tolist()]]
         assert values.tobytes() == expected.tobytes()
 
+    def test_cold_restart_without_a_pivot_refreshes_its_kept_cost_row(self, monkeypatch):
+        # State 0 ends sweep 0 at [x_0, x_1, v]; in sweep 1 that basis is primal
+        # infeasible, and it restarts cold at [x_0, v, s_1], which is optimal, so it
+        # takes no pivot.  v moved from basis position 2 to 1, so the cost row kept
+        # for sweep 2 must be the cold basis's, not the one from before the restart.
+        game = random_game(seed=254, n_states=2, n_actions_p1=3, n_actions_p2=2, gamma=0.7)
+        expected = per_state_shapley(game)
+        starts = []
+        stage = groundtruth_mod._stage_solutions
+
+        def traced_stage(q, bases, tol, stack):
+            starts.append(None if bases is None else bases.tolist())
+            return stage(q, bases, tol, stack)
+
+        monkeypatch.setattr(groundtruth_mod, "_stage_solutions", traced_stage)
+        gt, sweeps = self._traced_solve(monkeypatch, game)
+        self._assert_matches_oracle(gt, expected)
+        assert starts[1][0] == [0, 1, 3]
+        assert sweeps[1] == [([0, 3, 5], 0)]
+
     @pytest.mark.parametrize("before, after", [
         # Player 2's best column moves: the old basis is primal infeasible.
         ([[1e-10, 0.0]], [[0.0, 1e-10]]),
@@ -592,17 +612,43 @@ class TestStackedSweep:
 
     def test_failed_certificate_carries_its_state_matrix(self):
         # Entries tied to about 1e-9 beside exact zeros: the simplex ends at an
-        # ill-conditioned basis whose row certificate fails by about 1e-9.
+        # ill-conditioned basis whose row certificate fails by about 1e-9.  Only
+        # state 2 fails; the error is the one it raises alone, with its matrix.
         hard = np.array([[0.0, 0.0, 0.0, 1.0, 0.0],
                          [0.2265625, 0.0, 0.0625, -2.2389526869789182e-09, 0.0625],
                          [-1.0, 0.015625, 0.0, 0.0, 0.0],
                          [0.0, 1e-10, -1.0, 0.0, 0.0],
                          [0.0, 0.0, 0.0, 0.0, -1.0]])
-        q = np.array([np.eye(5), hard, np.ones((5, 5))])
+        q = np.array([np.eye(5), np.ones((5, 5)), hard, -np.eye(5)])
         bases = groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
-        with pytest.raises(LpSolveError, match="minimax certificate failed") as caught:
+        with pytest.raises(LpSolveError) as alone:
+            groundtruth_mod._stage_solutions(q[2:3], bases[2:3].copy(), 1e-9)
+        with pytest.raises(LpSolveError, match="^minimax certificate failed: value=") as caught:
             groundtruth_mod._stage_solutions(q, bases, 1e-9)
+        assert str(caught.value) == str(alone.value)
         assert caught.value.matrix.tobytes() == hard.tobytes()
+
+    @pytest.mark.parametrize("spoil, message", [
+        ("x_b", r"^minimax certificate failed: value=nan, "),
+        ("duals", r"^dual strategy sum nan far from 1$"),
+    ])
+    def test_nan_read_in_one_state_fails_its_certificate(self, monkeypatch, spoil, message):
+        # A NaN read passes both settlement tests (NaN is not below -tol), so
+        # the state settles, and the certificate must name it.
+        q = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]],
+                      [[0.5, -1.0], [-1.0, 0.5]]])
+        bases = np.array([solve_matrix_game(m).basis for m in q])
+        read_ = groundtruth_mod._read_bases
+
+        def nan_in_state_1(*args):
+            read = read_(*args)
+            read[("x_b", "duals").index(spoil)][1] = np.nan
+            return read
+
+        monkeypatch.setattr(groundtruth_mod, "_read_bases", nan_in_state_1)
+        with pytest.raises(LpSolveError, match=message) as caught:
+            groundtruth_mod._stage_solutions(q, bases, 1e-9)
+        assert caught.value.matrix.tobytes() == q[1].tobytes()
 
     @pytest.mark.parametrize("spoil", ["zero_x", "nan_entry"])
     def test_certificate_rejects_a_nan_strategy(self, spoil):
