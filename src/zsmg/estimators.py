@@ -5,17 +5,19 @@ stage-game payoff vector (``ell`` for player 1, ``r`` for player 2) and the
 scalar payoff both share (``rho``).  Both estimate functions write ``ell``
 and ``r`` into arrays the caller owns and return ``rho``.  In exact mode the
 learner calls ``exact_triple_from_q`` itself, once over the stage games of
-every run; it reads the critic's stage games directly.  In sampled mode each
-run has a ``SampledEstimator`` bound to its game, whose ``estimate_into``
-rolls out under the exploration-mixed strategies and averages the visits
-with ``sampled_estimates``: the rollout is the only way the sampled path
-touches the game.
+every run; it reads the critic's stage games directly.  In sampled mode the
+learner mixes exploration into the strategies of every run at once with
+``explore_mix``, and each run has a ``SampledEstimator`` bound to its game,
+whose ``estimate_into`` rolls out under the run's mixed strategies and
+averages the visits with ``sampled_estimates``: the rollout is the only way
+the sampled path touches the game.  At logged iterations the learner measures
+every run's estimate error in one ``exact_triple_from_q`` call over the mixed
+strategies.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -107,7 +109,10 @@ def rollout(
     match too, and kept in ``rows`` under its flat index ``(s*A + a)*B + b``.
     Passing the same dict to every rollout on one game keeps each row across
     calls: at most S*A*B rows of S Python floats, built only as visited, never
-    the whole cumulative kernel up front.  The other buffers are O(L).
+    the whole cumulative kernel up front.  The walk records only each step's
+    flat index, then the final state's as ``s*A*B``; one array and one
+    ``np.unravel_index`` call give the states and both players' actions, and
+    the losses are read at the flat indices.  The other buffers are O(L).
     """
     n_steps = _integer("n_steps", n_steps, 1)
     s = _integer("s_init", s_init, 0)
@@ -118,9 +123,7 @@ def rollout(
     cum_x = np.cumsum(x, axis=1).tolist()
     cum_y = np.cumsum(y, axis=1).tolist()
     trans = game.transition.reshape(n_s * n_a * n_b, n_s)
-    states = [s]
-    acts_a = []
-    acts_b = []
+    walk = []
     for u_a, u_b, u_s in zip(*rng.random((3, n_steps)).tolist()):
         a = bisect_right(cum_x[s], u_a)
         if a == n_a:
@@ -129,21 +132,19 @@ def rollout(
         if b == n_b:
             b -= 1
         k = (s * n_a + a) * n_b + b
+        walk.append(k)
         row = rows.get(k)
         if row is None:
             row = rows[k] = list(accumulate(trans[k].tolist()))
         s = bisect_right(row, u_s)
         if s == n_s:
             s -= 1
-        acts_a.append(a)
-        acts_b.append(b)
-        states.append(s)
-    states = np.array(states, dtype=np.int64)
-    acts_a = np.array(acts_a, dtype=np.int64)
-    acts_b = np.array(acts_b, dtype=np.int64)
+    walk.append(s * n_a * n_b)
+    flat = np.array(walk, dtype=np.int64)
+    states, acts_a, acts_b = np.unravel_index(flat, (n_s, n_a, n_b))
     return Trajectory(
-        states=states, actions_p1=acts_a, actions_p2=acts_b,
-        losses=game.loss[states[:-1], acts_a, acts_b],
+        states=states, actions_p1=acts_a[:-1], actions_p2=acts_b[:-1],
+        losses=game.loss.reshape(-1)[flat[:-1]],
         n_states=n_s, n_actions_p1=n_a, n_actions_p2=n_b,
     )
 
@@ -156,80 +157,57 @@ def sampled_estimates(traj: Trajectory, v_prev: np.ndarray, gamma: float,
     of the observed next state; estimates average these over the matching
     visits.  The means for ``ell`` and ``r`` are written into the given
     arrays, and the one for ``rho`` is returned.  Entries with zero visits
-    are exactly 0, whatever the arrays held before.
+    are exactly 0, whatever the arrays held before.  The three means share
+    one bin range: the ``(s, a)`` bins, then the ``(s, b)`` bins, then the
+    states.  Each bin receives only its own samples, in step order, so one
+    pair of bincounts keeps the sums of three.
     """
     v_prev = np.asarray(v_prev, dtype=np.float64)
     n_s, n_a, n_b = traj.n_states, traj.n_actions_p1, traj.n_actions_p2
+    n_sa, n_sab = n_s * n_a, n_s * (n_a + n_b)
     target = traj.losses + gamma * v_prev[traj.states[1:]]
     s = traj.states[:-1]
-
-    def mean_into(idx: np.ndarray, shape: tuple[int, ...], out: np.ndarray) -> np.ndarray:
-        # Sums and counts are fresh, so their reshapes are views; ``out`` is
-        # written only by the fill and the division.
-        n_bins = math.prod(shape)
-        sums = np.bincount(idx, weights=target, minlength=n_bins).reshape(shape)
-        counts = np.bincount(idx, minlength=n_bins).reshape(shape)
-        out[...] = 0.0
-        return np.divide(sums, counts, out=out, where=counts > 0)
-
-    mean_into(s * n_a + traj.actions_p1, (n_s, n_a), ell)
-    mean_into(s * n_b + traj.actions_p2, (n_s, n_b), r)
-    return mean_into(s, (n_s,), np.empty(n_s))
+    idx = np.concatenate((s * n_a + traj.actions_p1, s * n_b + traj.actions_p2 + n_sa,
+                          s + n_sab))
+    sums = np.bincount(idx, weights=np.concatenate((target, target, target)),
+                       minlength=n_sab + n_s)
+    counts = np.bincount(idx, minlength=n_sab + n_s)
+    means = np.zeros(n_sab + n_s)
+    np.divide(sums, counts, out=means, where=counts > 0)
+    ell[...] = means[:n_sa].reshape(n_s, n_a)
+    r[...] = means[n_sa:n_sab].reshape(n_s, n_b)
+    return means[n_sab:]
 
 
 class SampledEstimator:
-    """Estimator that learns one game's payoffs from rollouts under exploration-mixed play.
+    """One run's rollout stream on one game: its generator, its current state
+    and the cumulative transition rows its rollouts have visited.
 
-    Bound to ``game`` when built.  Keeps its own generator (seeded once) and,
-    by default, continues each rollout from where the previous one stopped,
+    Bound to ``game`` when built.  The generator is seeded once and, by
+    default, each rollout continues from where the previous one stopped,
     modeling one uninterrupted stream of play.  ``reset_each_iteration``
     restarts every rollout from state 0 instead (useful when debugging
-    visitation issues).  It also keeps the cumulative transition rows its
-    rollouts have visited, so each row is built once per run.
+    visitation issues).  The kept rows make each transition row built once
+    per run.  Exploration is mixed by the caller: the learner mixes it once
+    over the run axis and hands each run its own rows of the mixed stack.
     """
 
-    def __init__(self, game: MarkovGame, rollout_len: int, epsilon_prime: float, seed: int = 0,
+    def __init__(self, game: MarkovGame, rollout_len: int, seed: int = 0,
                  reset_each_iteration: bool = False):
         self.game = game
         self.rollout_len = _integer("rollout_len", rollout_len, 1)
-        if isinstance(epsilon_prime, bool) or not (
-                isinstance(epsilon_prime, numbers.Real) and 0.0 <= epsilon_prime <= 1.0):
-            raise ValueError(f"epsilon_prime must lie in [0, 1], "
-                             f"got epsilon_prime={epsilon_prime!r}")
-        self.epsilon_prime = float(epsilon_prime)
         self.reset_each_iteration = bool(reset_each_iteration)
         self._current = 0
         self._rng = np.random.default_rng(seed)
         self._rows: dict[int, list[float]] = {}
-        self.last_trajectory: Trajectory | None = None
 
-    def estimate_into(self, x: np.ndarray, y: np.ndarray, v: np.ndarray, q_t: np.ndarray,
-                      ell: np.ndarray, r: np.ndarray,
-                      collect_error: bool = False) -> tuple[np.ndarray, float | None]:
-        """Roll out, write the visit means into ``ell`` and ``r``, return ``(rho, est_err)``.
-
-        With ``collect_error`` the error is the largest deviation of any
-        estimate from the exact one for the exploration-mixed strategies;
-        otherwise it is None.
-        """
-        game = self.game
-        x_mix = explore_mix(x, self.epsilon_prime)
-        y_mix = explore_mix(y, self.epsilon_prime)
+    def estimate_into(self, x: np.ndarray, y: np.ndarray, v: np.ndarray,
+                      ell: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Roll out under (x, y), write the visit means into ``ell`` and ``r``, return ``rho``."""
         start = 0 if self.reset_each_iteration else self._current
-        traj = rollout(game, x_mix, y_mix, self.rollout_len, start, self._rng, self._rows)
+        traj = rollout(self.game, x, y, self.rollout_len, start, self._rng, self._rows)
         self._current = int(traj.states[-1])
-        self.last_trajectory = traj
-        rho = sampled_estimates(traj, v, game.gamma, ell, r)
-        err = None
-        if collect_error:
-            exact_ell, exact_r = np.empty(x_mix.shape), np.empty(y_mix.shape)
-            exact_rho = exact_triple_from_q(q_t, x_mix, y_mix, exact_ell, exact_r)
-            err = float(max(
-                np.max(np.abs(ell - exact_ell)),
-                np.max(np.abs(r - exact_r)),
-                np.max(np.abs(rho - exact_rho)),
-            ))
-        return rho, err
+        return sampled_estimates(traj, v, self.game.gamma, ell, r)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +228,18 @@ def _check_planning(gamma: float, **positive) -> None:
         _check_tol(value, name)
 
 
-def _representable(value: float, term: str, **inputs) -> float:
-    """``value``, the intermediate ``term`` of a budget, unless it went to zero or
-    infinity: then the budget cannot be represented, and ValueError names the inputs.
+def _representable(compute, term: str, **inputs) -> float:
+    """``compute()``, the intermediate ``term`` of a budget, unless it goes to zero
+    or infinity or raises OverflowError (as a float power does): then the
+    budget cannot be represented, and ValueError names the inputs.
 
     Checking the intermediate, rather than reordering the arithmetic, keeps
     every budget that can be represented at its value.
     """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
     if 0.0 < value < math.inf:
         return value
     given = ", ".join(f"{name}={x!r}" for name, x in inputs.items())
@@ -304,9 +287,9 @@ def plan_sample_budget(
         raise ValueError(f"horizon must be finite and >= 1, got horizon={horizon!r}")
     log_term = np.log(horizon / delta) ** 2
     inputs = dict(epsilon=epsilon, mu=mu, gamma=gamma, c_l=c_l, horizon=horizon, delta=delta)
-    scale = _representable((1.0 - gamma) * mu * epsilon**3, "(1-gamma) * mu * epsilon^3",
-                           **inputs)
-    raw = _representable(c_l * (n_actions_p1**3 + n_actions_p2**3) / scale * log_term,
+    scale = _representable(lambda: (1.0 - gamma) * mu * epsilon**3,
+                           "(1-gamma) * mu * epsilon^3", **inputs)
+    raw = _representable(lambda: c_l * (n_actions_p1**3 + n_actions_p2**3) / scale * log_term,
                          "rollout_len", **inputs)
     return SampleBudget(
         rollout_len=int(np.ceil(raw)),
@@ -359,11 +342,11 @@ def plan_accuracy_budget(
     one_minus = 1.0 - gamma
     inputs = dict(xi=xi, eta=eta, gamma=gamma, n_states=n_states, c_t=c_t)
     if mode == "average-gap":
-        scale = _representable(eta**2 * one_minus**4 * xi**2, "eta^2 (1-gamma)^4 xi^2",
-                               **inputs)
-        iterations = int(np.ceil(_representable(c_t * n_states**2 / scale, "iterations",
-                                                **inputs)))
-        epsilon = _representable(eta * one_minus**4 * xi**2 / n_states**2, "epsilon",
+        scale = _representable(lambda: eta**2 * one_minus**4 * xi**2,
+                               "eta^2 (1-gamma)^4 xi^2", **inputs)
+        iterations = int(np.ceil(_representable(lambda: c_t * n_states**2 / scale,
+                                                "iterations", **inputs)))
+        epsilon = _representable(lambda: eta * one_minus**4 * xi**2 / n_states**2, "epsilon",
                                  **inputs)
         log_factor = float(np.log(n_states / (eta * one_minus * xi)))
     elif mode == "last-iterate":
@@ -371,11 +354,11 @@ def plan_accuracy_budget(
             raise ValueError("last-iterate planning requires the margin constant c_hat")
         _check_tol(c_hat, "c_hat")
         inputs["c_hat"] = c_hat
-        scale = _representable(eta**4 * c_hat**4 * one_minus**4 * xi,
+        scale = _representable(lambda: eta**4 * c_hat**4 * one_minus**4 * xi,
                                "eta^4 c^4 (1-gamma)^4 xi", **inputs)
-        iterations = int(np.ceil(_representable(c_t * n_states**2 / scale, "iterations",
-                                                **inputs)))
-        epsilon = _representable(eta * c_hat**2 * one_minus**3 * xi, "epsilon", **inputs)
+        iterations = int(np.ceil(_representable(lambda: c_t * n_states**2 / scale,
+                                                "iterations", **inputs)))
+        epsilon = _representable(lambda: eta * c_hat**2 * one_minus**3 * xi, "epsilon", **inputs)
         log_factor = None
     else:
         raise ValueError(f"unknown planning mode {mode!r}")

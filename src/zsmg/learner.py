@@ -532,8 +532,11 @@ def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
     per half-step, one critic step, one diagnostics update per interval and,
     at each logged iteration, one ``make_metrics_row`` call serve every run, and
     exact estimates are one ``exact_triple_from_q`` call over the states of
-    all runs.  Sampled runs each keep their own ``SampledEstimator``, bound
-    to the run's game, with its own generator.
+    all runs.  In sampled mode exploration is mixed once per player over all
+    runs, and each run rolls out on its own rows of the mixed strategies with
+    its own ``SampledEstimator``, bound to the run's game, with its own
+    generator; at logged iterations one ``exact_triple_from_q`` call over the
+    mixed strategies gives every run's estimate error.
     Ground truth is solved per run where rows need it and none is given.
 
     The runs must share the shape ``(S, A, B)``, ``gamma``, the resolved
@@ -573,10 +576,10 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
     exact = key["estimator"] == "exact"
     # Exact estimates read only the stage games and strategies, so one
     # exact_triple_from_q call serves every run; sampled runs each roll out
-    # with their own estimator and generator.
+    # with their own estimator and generator on the stack mixed once per player.
+    eps_prime = key["epsilon_prime"]
     estimators = [] if exact else [
-        est_mod.SampledEstimator(run.game, run.shared["rollout_len"],
-                                 run.shared["epsilon_prime"], run.seed, run.rollout_reset)
+        est_mod.SampledEstimator(run.game, key["rollout_len"], run.seed, run.rollout_reset)
         for run in runs]
     if cadence > 0 and None in ground_truths:
         from .groundtruth import shapley_solve
@@ -608,7 +611,7 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
     z_prev = np.zeros_like(z)
     j_state = np.zeros((n_runs, n_states))
     k_state = np.zeros((n_runs, n_states))
-    est_errs = [None] * n_runs
+    est_err = None
     rows: list[list[metrics_mod.MetricsRow]] = [[] for _ in games]
     started = time.perf_counter()
 
@@ -635,18 +638,26 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
             rho = est_mod.exact_triple_from_q(q_t, z[:, :n_states, :n_a], z[:, n_states:, :n_b],
                                               ell, r)
         else:
+            x_mix = est_mod.explore_mix(z[:, :n_states, :n_a], eps_prime)
+            y_mix = est_mod.explore_mix(z[:, n_states:, :n_b], eps_prime)
             rho = np.empty((n_runs, n_states))
             for run, estimator in enumerate(estimators):
-                rho[run], est_errs[run] = estimator.estimate_into(
-                    z[run, :n_states, :n_a], z[run, n_states:, :n_b], v[run],
-                    q_t[run], ell[run], r[run], collect_error=logging_now,
-                )
+                rho[run] = estimator.estimate_into(x_mix[run], y_mix[run], v[run],
+                                                   ell[run], r[run])
+            if logging_now:
+                # Each run's error is the largest deviation of any estimate
+                # from the exact one for its exploration-mixed strategies.
+                exact_ell, exact_r = np.empty_like(ell), np.empty_like(r)
+                exact_rho = est_mod.exact_triple_from_q(q_t, x_mix, y_mix, exact_ell, exact_r)
+                est_err = np.maximum(np.maximum(np.abs(ell - exact_ell).max(axis=(1, 2)),
+                                                np.abs(r - exact_r).max(axis=(1, 2))),
+                                     np.abs(rho - exact_rho).max(axis=1)).tolist()
         if logging_now:
             new_rows = metrics_mod.make_metrics_row(
                 t=t, game=games, ground_truth=ground_truths,
                 x_hat=z_hat[:, :n_states, :n_a], y_hat=z_hat[:, n_states:, :n_b], q_t=q_t,
                 j_max=j_state.max(axis=-1), k_max=k_state.max(axis=-1),
-                q_step_max=q_step.max(axis=-1), est_err=est_errs,
+                q_step_max=q_step.max(axis=-1), est_err=est_err,
                 wall_clock=time.perf_counter() - started,
             )
             for run_rows, row in zip(rows, new_rows):

@@ -9,7 +9,7 @@ the two is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -49,10 +49,12 @@ def grid_minimax_value(q: np.ndarray, step: float = 1e-3) -> float:
 
     The inner maximum over the opponent's simplex is attained at a vertex, so
     only the outer player needs the grid; the result is within O(step) of the
-    exact matrix-game value.
+    exact matrix-game value.  The columns are folded with ``np.maximum``, one
+    pass each, rather than reduced along a short row axis, which is several
+    times slower; max and min are exact, so the value is the same.
     """
     grid = simplex_grid(q.shape[0], step)
-    return float(np.min(np.max(grid @ q, axis=1)))
+    return float(np.min(reduce(np.maximum, (grid @ q).T)))
 
 
 def grid_distance_sq(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
@@ -385,9 +387,14 @@ def unstacked_selfplay(game, config, ground_truth=None):
     The loop updates the movement diagnostics every iteration, with or
     without metric rows, computes exact estimates with
     ``contiguous_exact_triple`` and rows with ``per_run_metrics_row``.
+    Sampled estimates mix exploration per run, walk with
+    ``searchsorted_rollout`` from a generator seeded once, building no kept
+    rows, and average with ``fresh_sampled_estimates``; at logged iterations
+    the estimate error is the largest of three whole-array deviations from
+    ``contiguous_exact_triple`` on the mixed strategies.
     ``ground_truth`` is required when ``config.cadence > 0``.
     """
-    from zsmg.estimators import SampledEstimator
+    from zsmg.estimators import explore_mix
     from zsmg.learner import _setup, critic_step, initial_state, make_alpha_schedule
     from zsmg.games import q_from_v
 
@@ -396,10 +403,7 @@ def unstacked_selfplay(game, config, ground_truth=None):
     alpha_fn = make_alpha_schedule(config.alpha, game.gamma)
     stacked = initial_state(game, eta=run.shared["eta"],
                             init_x=config.init_x, init_y=config.init_y)
-    estimator = None
-    if config.estimator == "sampled":
-        estimator = SampledEstimator(game, run.shared["rollout_len"],
-                                     run.shared["epsilon_prime"], run.seed, run.rollout_reset)
+    eps_prime, rng, current = run.shared["epsilon_prime"], np.random.default_rng(run.seed), 0
     state = UnstackedState(
         x_hat=stacked.x_hat.copy(), x=stacked.x.copy(), y_hat=stacked.y_hat.copy(),
         y=stacked.y.copy(), v=stacked.v, t=stacked.t, eta=stacked.eta,
@@ -419,9 +423,15 @@ def unstacked_selfplay(game, config, ground_truth=None):
         if config.estimator == "exact":
             (ell, r, rho), est_err = contiguous_exact_triple(q_t, state.x, state.y), None
         else:
-            ell, r = np.empty_like(state.x), np.empty_like(state.y)
-            rho, est_err = estimator.estimate_into(state.x, state.y, state.v, q_t,
-                                                   ell, r, collect_error=logging_now)
+            x_mix, y_mix = explore_mix(state.x, eps_prime), explore_mix(state.y, eps_prime)
+            traj = searchsorted_rollout(game, x_mix, y_mix, run.shared["rollout_len"],
+                                        0 if run.rollout_reset else current, rng)
+            current = int(traj.states[-1])
+            (ell, r, rho), est_err = fresh_sampled_estimates(traj, state.v, game.gamma), None
+            if logging_now:
+                exact = contiguous_exact_triple(q_t, x_mix, y_mix)
+                est_err = float(max(np.max(np.abs(got - want))
+                                    for got, want in zip((ell, r, rho), exact)))
         if logging_now:
             rows.append(per_run_metrics_row(
                 t=t, game=game, ground_truth=ground_truth,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zsmg.estimators import (
     ReducibleChainError,
@@ -22,7 +22,7 @@ from zsmg.estimators import (
 )
 from zsmg.games import MarkovGame, q_from_v, validate_game
 from zsmg.gamegen import random_game
-from zsmg.learner import RunConfig, initial_state, run_selfplay
+from zsmg.learner import RunConfig, initial_state, run_selfplay, run_selfplay_batch
 
 from oracles import (
     average_gap_budget_reference,
@@ -120,6 +120,9 @@ class TestExploreMix:
 # Rollouts
 # ---------------------------------------------------------------------------
 
+_KIND = st.sampled_from(["dirichlet", "pure", "half"])
+
+
 def _strategy_rows(rng: np.random.Generator, kind: str, n_rows: int, n: int) -> np.ndarray:
     if kind == "pure":
         return np.eye(n)[rng.integers(n, size=n_rows)]
@@ -130,8 +133,9 @@ def _strategy_rows(rng: np.random.Generator, kind: str, n_rows: int, n: int) -> 
 
 def _assert_same_trajectory(got, want):
     for name in ("states", "actions_p1", "actions_p2", "losses"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert getattr(got, name).dtype == getattr(want, name).dtype
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert (got_array.shape, got_array.dtype) == (want_array.shape, want_array.dtype)
+        assert got_array.tobytes() == want_array.tobytes(), name
     assert (got.n_states, got.n_actions_p1, got.n_actions_p2) == \
         (want.n_states, want.n_actions_p1, want.n_actions_p2)
 
@@ -194,24 +198,39 @@ class TestRollout:
         y = _strategy_rows(rng, kind_y, n_s, n_b)
         _assert_same_rollout(game, x, y, n_steps, s_init, seed)
 
+    # Edge shapes of the flat index (s*A + a)*B + b: one action on either
+    # side, one state, a 3x5 game (wider than the drawn ones), and
+    # single-step walks, two flat indices each with the final state's.
+    @example(n_s=4, n_a=1, n_b=3, seed=1,
+             calls=[("pure", "dirichlet", 40, 3), ("half", "half", 25, 0)])
+    @example(n_s=4, n_a=3, n_b=1, seed=2,
+             calls=[("dirichlet", "pure", 40, 2), ("half", "dirichlet", 25, 1)])
+    @example(n_s=1, n_a=2, n_b=3, seed=3,
+             calls=[("dirichlet", "half", 30, 0), ("pure", "dirichlet", 10, 0)])
+    @example(n_s=3, n_a=3, n_b=5, seed=4,
+             calls=[("dirichlet", "dirichlet", 120, 2), ("half", "pure", 60, 0),
+                    ("pure", "half", 30, 1)])
+    @example(n_s=3, n_a=2, n_b=2, seed=5,
+             calls=[("dirichlet", "dirichlet", 1, 2), ("half", "pure", 1, 0),
+                    ("pure", "half", 1, 1)])
     @settings(max_examples=60)
     @given(n_s=st.integers(1, 6), n_a=st.integers(1, 4), n_b=st.integers(1, 4),
-           n_calls=st.integers(2, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_kept_rows_equal_searchsorted_oracle(self, n_s, n_a, n_b, n_calls, data, seed):
+           calls=st.lists(st.tuples(_KIND, _KIND, st.integers(1, 200), st.integers(0, 5)),
+                          min_size=2, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kept_rows_equal_searchsorted_oracle(self, n_s, n_a, n_b, calls, seed):
         # Consecutive rollouts on one game share one rows dict, with fresh
-        # strategies and start states: each equals the oracle, bit for bit.
+        # strategies and start states (a drawn start taken modulo S): each
+        # equals the oracle, bit for bit.
         game = random_game(seed=seed, n_states=n_s, n_actions_p1=n_a,
                            n_actions_p2=n_b, gamma=0.9)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         rows = {}
-        for call in range(n_calls):
-            kinds = data.draw(st.tuples(*[st.sampled_from(["dirichlet", "pure", "half"])] * 2),
-                              label=f"kinds {call}")
-            x = _strategy_rows(rng, kinds[0], n_s, n_a)
-            y = _strategy_rows(rng, kinds[1], n_s, n_b)
+        for kind_x, kind_y, n_steps, start in calls:
+            x = _strategy_rows(rng, kind_x, n_s, n_a)
+            y = _strategy_rows(rng, kind_y, n_s, n_b)
             ref_rng.bit_generator.state = rng.bit_generator.state
-            n_steps = data.draw(st.integers(1, 200), label=f"n_steps {call}")
-            s_init = data.draw(st.integers(0, n_s - 1), label=f"s_init {call}")
+            s_init = start % n_s
             got = rollout(game, x, y, n_steps, s_init, rng, rows)
             _assert_same_trajectory(got, searchsorted_rollout(game, x, y, n_steps, s_init,
                                                               ref_rng))
@@ -371,77 +390,97 @@ class TestSampledEstimates:
         assert (ell[~visited] == 0.0).all() and not np.signbit(ell[~visited]).any()
 
 
-def _estimate(est, state, q_t, collect_error=False):
-    """One ``estimate_into`` call on a learner state into NaN-filled arrays."""
-    ell, r = np.full(state.x.shape, np.nan), np.full(state.y.shape, np.nan)
-    rho, err = est.estimate_into(state.x, state.y, state.v, q_t, ell, r,
-                                 collect_error=collect_error)
-    return ell, r, rho, err
+@pytest.fixture
+def rollouts(monkeypatch):
+    """The trajectories of every ``rollout`` call the estimator makes, in order."""
+    import zsmg.estimators as est_mod
+
+    seen, real = [], est_mod.rollout
+
+    def recording(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(est_mod, "rollout", recording)
+    return seen
+
+
+def _estimate(est, x, y, v, epsilon_prime):
+    """One ``estimate_into`` call on exploration-mixed strategies into NaN-filled arrays."""
+    ell, r = np.full(x.shape, np.nan), np.full(y.shape, np.nan)
+    rho = est.estimate_into(explore_mix(x, epsilon_prime), explore_mix(y, epsilon_prime), v,
+                            ell, r)
+    return ell, r, rho
 
 
 class TestSampledEstimator:
-    def test_continues_from_last_state(self, switching_mp):
-        est = SampledEstimator(switching_mp, rollout_len=30, epsilon_prime=0.1, seed=0)
+    def test_continues_from_last_state(self, switching_mp, rollouts):
+        est = SampledEstimator(switching_mp, rollout_len=30, seed=0)
         state = initial_state(switching_mp, eta=0.01)
-        _estimate(est, state, switching_mp.loss)
-        first = est.last_trajectory
-        _estimate(est, state, switching_mp.loss)
-        second = est.last_trajectory
+        for _ in range(2):
+            _estimate(est, state.x, state.y, state.v, 0.1)
+        first, second = rollouts
         assert second.states[0] == first.states[-1]
 
-    def test_reset_mode_restarts(self, switching_mp):
+    def test_reset_mode_restarts(self, switching_mp, rollouts):
         # At seed 1 the continuing rollouts start in states 0, 1, 0, so a
         # reset that were ignored would start the second rollout in state 1.
         state = initial_state(switching_mp, eta=0.01)
         starts = {}
         for reset in (False, True):
-            est = SampledEstimator(switching_mp, rollout_len=30, epsilon_prime=0.1, seed=1,
+            est = SampledEstimator(switching_mp, rollout_len=30, seed=1,
                                    reset_each_iteration=reset)
-            starts[reset] = []
+            rollouts.clear()
             for _ in range(3):
-                _estimate(est, state, switching_mp.loss)
-                starts[reset].append(int(est.last_trajectory.states[0]))
+                _estimate(est, state.x, state.y, state.v, 0.1)
+            starts[reset] = [int(traj.states[0]) for traj in rollouts]
         assert starts[False] == [0, 1, 0]
         assert starts[True] == [0, 0, 0]
 
-    def test_writes_the_visit_means_of_its_rollout(self, switching_mp):
-        est = SampledEstimator(switching_mp, rollout_len=40, epsilon_prime=0.3, seed=2)
+    def test_writes_the_visit_means_of_its_rollout(self, switching_mp, rollouts):
+        est = SampledEstimator(switching_mp, rollout_len=40, seed=2)
         state = replace(initial_state(switching_mp, eta=0.01), v=np.array([0.5, 2.0]))
-        ell, r, rho, err = _estimate(est, state, switching_mp.loss)
-        assert err is None
-        want = fresh_sampled_estimates(est.last_trajectory, state.v, switching_mp.gamma)
+        ell, r, rho = _estimate(est, state.x, state.y, state.v, 0.3)
+        want = fresh_sampled_estimates(rollouts[-1], state.v, switching_mp.gamma)
         for got, ref in zip((ell, r, rho), want):
             assert got.tobytes() == ref.tobytes()
 
-    def test_collect_error_reports_sup_deviation(self, mp1):
-        est = SampledEstimator(mp1, rollout_len=200, epsilon_prime=0.2, seed=1)
-        state = initial_state(mp1, eta=0.01)
-        q_t = mp1.loss
-        ell, r, rho, err = _estimate(est, state, q_t, collect_error=True)
-        # err is measured against the exploration-mixed strategies.
-        exact = _exact(q_t, explore_mix(state.x, 0.2), explore_mix(state.y, 0.2))
-        assert err == max(float(np.max(np.abs(got - ref)))
-                          for got, ref in zip((ell, r, rho), exact))
+    def test_est_err_reports_sup_deviation(self, switching_mp):
+        # The loop measures every run's error in one exact triple over the
+        # mixed stack; each equals the largest whole-array deviation of that
+        # run's first estimates from the exact ones for its exploration-mixed
+        # strategies, the critic still 0.
+        other = random_game(seed=7, n_states=2, n_actions_p1=2, n_actions_p2=2,
+                            gamma=switching_mp.gamma)
+        games, seeds = [switching_mp, other], [1, 4]
+        configs = [RunConfig(iterations=1, eta=0.01, estimator="sampled", rollout_len=200,
+                             epsilon_prime=0.2, cadence=1, seed=seed) for seed in seeds]
+        results = run_selfplay_batch(games, configs)
+        for game, seed, result in zip(games, seeds, results):
+            state = initial_state(game, eta=0.01)
+            est = SampledEstimator(game, rollout_len=200, seed=seed)
+            ell, r, rho = _estimate(est, state.x, state.y, state.v, 0.2)
+            exact = _exact(q_from_v(game, state.v), explore_mix(state.x, 0.2),
+                           explore_mix(state.y, 0.2))
+            want = max(float(np.max(np.abs(got - ref))) for got, ref in zip((ell, r, rho), exact))
+            assert result.rows[0].est_err_max == want > 0.0
 
     def test_rejects_zero_length(self, mp1):
         with pytest.raises(ValueError):
-            SampledEstimator(mp1, rollout_len=0, epsilon_prime=0.1)
+            SampledEstimator(mp1, rollout_len=0)
 
     @pytest.mark.parametrize("field, value", [
         ("rollout_len", 2.5), ("rollout_len", True), ("rollout_len", 0),
-        ("epsilon_prime", 7.0), ("epsilon_prime", -0.1), ("epsilon_prime", float("nan")),
-        ("epsilon_prime", True), ("epsilon_prime", "0.1"),
     ])
     def test_rejects_bad_arguments_at_construction(self, mp1, field, value):
-        args = dict(game=mp1, rollout_len=10, epsilon_prime=0.1)
+        args = dict(game=mp1, rollout_len=10)
         args[field] = value
         with pytest.raises(ValueError, match=rf"{field} must .*got {field}={value!r}"):
             SampledEstimator(**args)
 
     def test_numpy_arguments_accepted(self, mp1):
-        est = SampledEstimator(mp1, rollout_len=np.int64(10), epsilon_prime=np.float64(0.25))
+        est = SampledEstimator(mp1, rollout_len=np.int64(10), seed=np.int64(3))
         assert (type(est.rollout_len), est.rollout_len) == (int, 10)
-        assert (type(est.epsilon_prime), est.epsilon_prime) == (float, 0.25)
 
     def test_selfplay_epsilon_prime_derived_from_epsilon(self, mp1):
         # run_selfplay mixes exploration as (1 - gamma) * epsilon unless
@@ -455,6 +494,12 @@ class TestSampledEstimator:
         (dict(epsilon=30.0), r"epsilon_prime = \(1 - gamma\) \* epsilon = "
                              r"\(1 - 0\.9\) \* 30\.0 = 2\.99"),
         (dict(epsilon_prime=1.5), r"epsilon_prime=1\.5 must lie in \[0, 1\]"),
+        # The loop mixes exploration for every estimator, so the run checks
+        # the weight that SampledEstimator used to check.
+        (dict(epsilon_prime=-0.1), r"epsilon_prime=-0\.1 must lie in \[0, 1\]"),
+        (dict(epsilon_prime=float("nan")), r"epsilon_prime=nan must lie in \[0, 1\]"),
+        (dict(epsilon_prime=float("inf")), r"epsilon_prime=inf must lie in \[0, 1\]"),
+        (dict(epsilon_prime=True), r"epsilon_prime=True must lie in \[0, 1\]"),
     ])
     def test_bad_exploration_weight_fails_before_ground_truth(
             self, monkeypatch, switching_mp, fields, message):
@@ -539,6 +584,8 @@ class TestSampleBudget:
         (dict(epsilon=1e-120), "epsilon=1e-120"),
         # The quotient overflows to inf: this failed converting it to an integer.
         (dict(mu=1e-300, epsilon=1e-5), "mu=1e-300"),
+        # epsilon**3 overflows: the float power raised a bare OverflowError.
+        (dict(epsilon=1e200), r"epsilon=1e\+200"),
     ])
     def test_budget_that_overflows_rejected_naming_the_input(self, changed, named):
         args = dict(n_actions_p1=2, n_actions_p2=2, gamma=0.9, mu=0.5, epsilon=0.1,
@@ -631,6 +678,9 @@ class TestAccuracyBudget:
         ("average-gap", dict(xi=1e-200), "xi=1e-200"),
         ("last-iterate", dict(xi=1e-320), "xi=1e-320"),
         ("last-iterate", dict(eta=1e-100), "eta=1e-100"),
+        # eta**4 and xi**2 overflow: the float powers raised a bare OverflowError.
+        ("last-iterate", dict(eta=1e100, c_hat=0.5), r"eta=1e\+100"),
+        ("average-gap", dict(xi=1e200), r"xi=1e\+200"),
     ])
     def test_budget_that_overflows_rejected_naming_the_input(self, mode, changed, named):
         args = dict(xi=0.1, mode=mode, n_states=2, gamma=0.9, eta=0.01, c_hat=0.7)

@@ -22,7 +22,7 @@ import pytest
 import zsmg
 from zsmg import estimators
 from zsmg.gamegen import builtin
-from zsmg.learner import RunConfig, run_selfplay
+from zsmg.learner import RunConfig, run_selfplay, run_selfplay_batch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS_PATH = PERFBENCH / "workloads.py"
@@ -79,22 +79,41 @@ def test_exact_run_reaches_the_traced_exact_estimate(monkeypatch):
     assert len(calls) == 7
 
 
-def test_sampled_run_reaches_the_traced_rollout_and_estimates(monkeypatch):
-    # The harness sums the rollouts' n_steps and counts zero visits from the
-    # six Trajectory fields that child.zero_visits reads.
-    rollouts, estimates = [], []
-    _observe(monkeypatch, estimators.rollout, rollouts)
-    _observe(monkeypatch, estimators.sampled_estimates, estimates)
-    run_selfplay(builtin("switching-mp"), RunConfig(iterations=7, eta=0.05, estimator="sampled",
-                                                   rollout_len=20, epsilon=1.0))
-    assert len(rollouts) == len(estimates) == 7
-    assert [args[3] for args, _ in rollouts] == [20] * 7
+def _assert_traced_sampled_calls(rollouts, estimates, n_calls):
+    """``n_calls`` rollouts of 20 steps on switching-mp, each read as the
+    harness reads it: ``n_steps`` fourth, and a one-run Trajectory carrying
+    the six fields that child.zero_visits reads."""
+    assert len(rollouts) == len(estimates) == n_calls
+    assert [args[3] for args, _ in rollouts] == [20] * n_calls
     for args, _ in estimates:
         traj = args[0]
         assert isinstance(traj, estimators.Trajectory)
         assert (traj.n_states, traj.n_actions_p1, traj.n_actions_p2) == (2, 2, 2)
         assert traj.states.shape == (21,)
         assert traj.actions_p1.shape == traj.actions_p2.shape == (20,)
+
+
+def test_sampled_run_reaches_the_traced_rollout_and_estimates(monkeypatch):
+    # The harness sums the rollouts' n_steps and counts zero visits per trajectory.
+    rollouts, estimates = [], []
+    _observe(monkeypatch, estimators.rollout, rollouts)
+    _observe(monkeypatch, estimators.sampled_estimates, estimates)
+    run_selfplay(builtin("switching-mp"), RunConfig(iterations=7, eta=0.05, estimator="sampled",
+                                                   rollout_len=20, epsilon=1.0))
+    _assert_traced_sampled_calls(rollouts, estimates, 7)
+
+
+def test_sampled_batch_reaches_the_traced_rollout_and_estimates_per_run(monkeypatch):
+    # experiment-wide steps its sampled repetitions as one batch, with metric
+    # rows; each run still makes its own traced calls every iteration.
+    rollouts, estimates = [], []
+    _observe(monkeypatch, estimators.rollout, rollouts)
+    _observe(monkeypatch, estimators.sampled_estimates, estimates)
+    game = builtin("switching-mp")
+    configs = [RunConfig(iterations=7, eta=0.05, estimator="sampled", rollout_len=20,
+                         epsilon=1.0, seed=seed, cadence=3) for seed in (0, 1)]
+    run_selfplay_batch([game, game], configs)
+    _assert_traced_sampled_calls(rollouts, estimates, 2 * 7)
 
 
 def test_seed_zero_outputs_match_the_recorded_digests(workloads, tmp_path):
