@@ -9,29 +9,37 @@ against which learned policies are measured.  ``scipy.optimize.nnls`` is
 imported on first use, only by projections onto three or more actions and
 their KKT certificate, so importing this module loads only numpy.
 
-Every stage game is solved by ``_stage_solutions``, with a leading stack
-axis: it reads all S start bases at once, restarts a singular or infeasible
-one from the cold basis, hands only the states that must pivot, with their
-read, to the scalar pivot loop ``_simplex_pivot``, and certifies every terminal
-basis in one stacked call.  ``solve_matrix_game`` is that solve on a stack of
-one, and value iteration keeps each state's optimal basis from one sweep to the next.
-Value iteration also keeps one ``_LpStack`` per solve: the LP stack, whose
-constant frame is written once, the state index and the basis cost rows, so a
-sweep rewrites only the payoff block.  Most sweeps settle every state; one
-whole-stack test each for settlement and for the certificate then replaces
-the per-state bookkeeping.  numpy's stacked ``solve`` and ``matmul`` run the
-same per-matrix kernel on every item, so each item has the bits it would have alone.
+Every stage game is solved with a leading stack axis, in two halves.
+``_settle`` reads all S start bases at once, restarts a singular or infeasible
+one from the cold basis, and hands only the states that must pivot, with their
+read, to the scalar pivot loop ``_simplex_pivot``; ``_certified`` certifies
+every terminal basis in one stacked call.  ``_stage_solutions`` is the one
+then the other, and ``solve_matrix_game`` is that solve on a stack of one.
+Value iteration keeps each state's optimal basis from one sweep to the next,
+and one ``_LpStack`` per solve: the LP stack, whose constant frame is written
+once, the state index and the basis cost rows, so a sweep rewrites only the
+payoff block.  Most sweeps settle every state, which two whole-stack tests
+show.  A sweep's certificate never changes its path, so value iteration
+queues each settled sweep and certifies ``_CERTIFY_EVERY`` (16) of them in
+one call, and the rest at convergence, at the iteration cap or before any
+other error leaves the loop: a failing certificate raises its own sweep's
+error, with that sweep's matrix, up to 15 sweeps later.  numpy's stacked
+``solve`` and ``matmul`` run the same per-matrix kernel on every item, so
+each item has the bits it would have alone, in a stack of one state or of 16
+sweeps.
 """
 
 from __future__ import annotations
 
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .games import MarkovGame, JointPolicy, _check_max_iter, _check_tol, best_response, q_from_v
+from .games import (MarkovGame, JointPolicy, _check_max_iter, _check_tol, _integer,
+                    best_response, q_from_v)
 
 __all__ = [
     "MatrixGameSolution",
@@ -48,6 +56,9 @@ __all__ = [
 
 # The simplex's starting feasibility and optimality tolerance.
 _PIVOT_TOL = 1e-11
+
+# Value iteration certifies its settled sweeps in one call per this many sweeps.
+_CERTIFY_EVERY = 16
 
 
 class LpSolveError(ArithmeticError):
@@ -133,6 +144,18 @@ def _read_bases(a_mat: np.ndarray, bases: np.ndarray, rows: np.ndarray | None = 
     return b_inv_ab[:, :, 0], duals, b_inv, reduced
 
 
+def _basic_solutions(shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray, n_a: int,
+                     rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(primal, value)``: each LP's basic solution ``x_b`` placed at its columns
+    ``bases``, and the stage-game value ``v - shift`` it gives (``rows`` as for
+    ``_read_bases``).  A value iteration sweep and ``_certify`` both take their
+    values here, so the two cannot differ by a bit."""
+    n_states, m = bases.shape
+    primal = np.zeros((n_states, n_a + m))
+    primal[np.arange(n_states)[:, None] if rows is None else rows, bases] = x_b
+    return primal, primal[:, n_a] - shift
+
+
 def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray,
              duals: np.ndarray, tol: float, rows: np.ndarray | None = None) -> tuple:
     """``(value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok)`` at each basis.
@@ -143,10 +166,8 @@ def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarra
     ``value - tol``.  Both tests are written so that NaN fails them.  ``rows`` is
     the state index (S, 1), as for ``_read_bases``.
     """
-    n_states, n_a, n_b = q.shape
-    primal = np.zeros((n_states, n_a + 1 + n_b))
-    primal[np.arange(n_states)[:, None] if rows is None else rows, bases] = x_b
-    value = primal[:, n_a] - shift
+    n_a, n_b = q.shape[1:]
+    primal, value = _basic_solutions(shift, bases, x_b, n_a, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.maximum(primal[:, :n_a], 0.0)
         x /= x.sum(axis=1, keepdims=True)
@@ -261,22 +282,18 @@ class _LpStack:
     basis_cost: np.ndarray | None = None  # (S, B+1) cost rows of the current bases
 
 
-def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float,
-                     stack: _LpStack | None = None) -> tuple:
-    """``(values, x, y, col_payoffs, row_payoffs, pivots, bases)`` of the stage games ``q``.
+def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
+    """``(shift, x_b, duals, pivots, bases)``: the stage games ``q`` read at optimal bases.
 
-    Solves each state from its sorted basis in ``bases`` (None: cold) and writes
-    its final basis there.  All S bases are read at once, or each alone should that
-    solve raise.  Singular or primal-infeasible bases restart cold, read at once;
-    they and every basis with a negative reduced cost go to ``_simplex_pivot`` with
-    their read.  Every terminal basis is certified at once: no column payoff under
-    ``x`` above ``value + tol``, no row payoff under ``y`` below ``value - tol``,
-    or ``LpSolveError`` carries the first failing state's matrix.
-    ``stack`` keeps the LP stack and cost rows between calls (None: this call's).
-    Settlement and the certificate are each tested once over the whole stack;
-    the per-state work runs only when such a test fires.
+    The first half of ``_stage_solutions``, uncertified.  Solves each state from
+    its sorted basis in ``bases`` (None: cold) and writes its final basis there.
+    All S bases are read at once, or each alone should that solve raise.
+    Singular or primal-infeasible bases restart cold, read at once; they and
+    every basis with a negative reduced cost go to ``_simplex_pivot`` with their
+    read.  ``stack`` keeps the LP stack and cost rows between calls.  Settlement
+    is tested once over the whole stack; the per-state work runs only when a
+    test fires.
     """
-    stack = _LpStack() if stack is None else stack
     shift, a_mat = _value_lp(q, stack.a_mat)
     n_states, m, n = a_mat.shape
     cost = _lp_constants(n - m, m - 1)[2]
@@ -310,6 +327,17 @@ def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float,
                 q[s], a_mat[s:s + 1], bases[s], (x_b[s], duals[s], b_inv[s], reduced[s]))
         # A cold restart changes the basis even when it takes no pivot.
         stack.basis_cost[todo] = cost[bases[todo]]
+    return shift, x_b, duals, pivots, bases
+
+
+def _certified(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray,
+               duals: np.ndarray, tol: float, rows: np.ndarray | None = None) -> tuple:
+    """``(values, x, y, col_payoffs, row_payoffs)`` of ``_certify`` once every state passes.
+
+    The second half of ``_stage_solutions``: no column payoff under ``x`` above
+    ``value + tol``, no row payoff under ``y`` below ``value - tol``, or
+    ``LpSolveError`` carries the first failing state's matrix.
+    """
     values, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = _certify(
         q, shift, bases, x_b, duals, tol, rows)
     certified = dual_ok & payoff_ok
@@ -322,7 +350,22 @@ def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float,
             f"max col payoff={col_payoffs[s].max()!r}, min row payoff={row_payoffs[s].min()!r}",
             q[s],
         )
-    return values, x, y, col_payoffs, row_payoffs, pivots, bases
+    return values, x, y, col_payoffs, row_payoffs
+
+
+def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float,
+                     stack: _LpStack | None = None) -> tuple:
+    """``(values, x, y, col_payoffs, row_payoffs, pivots, bases)`` of the stage games ``q``.
+
+    ``_settle``, then ``_certified``: solves each state from its sorted basis in
+    ``bases`` (None: cold), writes its final basis there, and certifies every
+    terminal basis at once, or ``LpSolveError`` carries the first failing
+    state's matrix.  ``stack`` keeps the LP stack and cost rows between calls
+    (None: this call's).
+    """
+    stack = _LpStack() if stack is None else stack
+    shift, x_b, duals, pivots, bases = _settle(q, bases, stack)
+    return _certified(q, shift, bases, x_b, duals, tol, stack.rows) + (pivots, bases)
 
 
 def solve_matrix_game(
@@ -332,7 +375,9 @@ def solve_matrix_game(
 
     ``_stage_solutions`` on a stack of one: the optimal strategies are
     certified directly, and a failed certificate raises ``LpSolveError``.  A
-    non-finite payoff or a malformed ``basis`` raises ``ValueError`` first.
+    non-finite payoff or a malformed ``basis`` (anything but B+1 distinct
+    integer column indices in range; a bool or a float is not one) raises
+    ``ValueError`` first.
 
     ``basis`` warm-starts the simplex (by default it starts cold), typically
     with the ``basis`` field of a nearby matrix's solution.  A singular or
@@ -345,13 +390,18 @@ def solve_matrix_game(
         raise ValueError(f"expected a nonempty 2-D payoff matrix, got shape {q.shape}")
     _check_finite("payoff", q, "a b")
     if basis is not None:
-        basis = np.sort(np.asarray(basis, dtype=np.intp))
         m, n = q.shape[1] + 1, sum(q.shape) + 1
-        if (basis.shape != (m,) or basis[0] < 0 or basis[-1] >= n
-                or bool((basis[1:] == basis[:-1]).any())):
+        # An intp cast would truncate 0.9 to 0 and read [True, False, 2] as
+        # ints, so every entry is checked, range included, before the cast.
+        integral = all(
+            isinstance(b, numbers.Integral) and not isinstance(b, bool) and 0 <= b < n
+            for b in np.asarray(basis, dtype=object).ravel())
+        cast = np.asarray(basis, dtype=np.intp) if integral else None
+        if (cast is None or cast.shape != (m,)
+                or ((ordered := np.sort(cast))[1:] == ordered[:-1]).any()):
             raise ValueError(f"basis must hold {m} distinct column indices in [0, {n}), "
-                             f"got {basis.tolist()}")
-        basis = basis[None]
+                             f"got {np.asarray(basis, dtype=object).tolist()}")
+        basis = ordered[None]
     value, x, y, col_payoffs, row_payoffs, pivots, basis = (
         part[0] for part in _stage_solutions(q[None], basis, tol))
     return MatrixGameSolution(value=float(value), x=x, y=y, col_payoffs=col_payoffs,
@@ -373,6 +423,15 @@ class GroundTruth:
         return JointPolicy(x=self.x_star, y=self.y_star)
 
 
+def _certify_sweeps(sweeps: list, tol: float) -> None:
+    """Certify the queued sweeps ``(q, shift, bases, x_b, duals)`` in one ``_certified``
+    call over their concatenated stacks, first sweep first, and empty the queue."""
+    if sweeps:
+        stacked = [np.concatenate(part) for part in zip(*sweeps)]
+        sweeps.clear()
+        _certified(*stacked, tol)
+
+
 def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000) -> GroundTruth:
     """Solve the Markov game by value iteration with per-state matrix-game solves.
 
@@ -385,14 +444,22 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     [0, 1) or a non-finite loss or transition entry raises ``ValueError``
     before any sweep.
 
-    Every sweep and the witness step at ``q_star`` call ``_stage_solutions``,
-    from the simplex's cold bases in the first sweep and from the bases the
-    states ended at after it.  A stage game with several optimal bases may
-    get another, equally certified, witness than a cold solve would give.
-    The calls share one ``_LpStack``: the LP stack is allocated and framed
-    once, and only the states that restart or pivot refresh their basis cost
-    row.  A sweep in which every state keeps its basis costs one stacked basis
-    read, two whole-stack settlement tests and one whole-stack certificate.
+    Every sweep calls ``_settle``, and the witness step at ``q_star``
+    ``_stage_solutions``, from the simplex's cold bases in the first sweep and
+    from the bases the states ended at after it.  A stage game with several
+    optimal bases may get another, equally certified, witness than a cold
+    solve would give.  The calls share one ``_LpStack``: the LP stack is
+    allocated and framed once, and only the states that restart or pivot
+    refresh their basis cost row.  A sweep in which every state keeps its
+    basis costs one stacked basis read and two whole-stack settlement tests.
+    Each sweep takes its values with ``_certify``'s own arithmetic and is
+    queued; ``_certified`` checks the queued sweeps in one call every
+    ``_CERTIFY_EVERY`` sweeps, at convergence before the witness step, and
+    before the iteration cap's or any other error leaves the loop.  A
+    failing certificate therefore raises the ``LpSolveError``, message and
+    matrix, that ``_stage_solutions`` gives on its own sweep, up to
+    ``_CERTIFY_EVERY - 1`` sweeps later; an error of a later sweep, or the
+    cap, does not hide it.
     """
     _check_tol(tol)
     _check_max_iter(max_iter)
@@ -404,19 +471,30 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma) if gamma else np.inf
     v = np.zeros(game.n_states)
     q = q_from_v(game, v)
-    bases, stack = None, _LpStack()
-    for _ in range(max_iter):
-        v_new, *_, bases = _stage_solutions(q, bases, tol, stack)
-        step = float(np.abs(v_new - v).max())
-        v = v_new
-        q = q_from_v(game, v)
-        if step <= threshold:
-            break
-    else:
-        raise ArithmeticError(
-            f"value iteration did not converge in {max_iter} iterations "
-            f"(last step {step:.3e}, threshold {threshold:.3e})"
-        )
+    bases, stack, sweeps = None, _LpStack(), []
+    try:
+        for _ in range(max_iter):
+            shift, x_b, duals, _, bases = _settle(q, bases, stack)
+            sweeps.append((q, shift, bases.copy(), x_b, duals))
+            if len(sweeps) == _CERTIFY_EVERY:
+                _certify_sweeps(sweeps, tol)
+            v_new = _basic_solutions(shift, bases, x_b, game.n_actions_p1, stack.rows)[1]
+            step = float(np.abs(v_new - v).max())
+            v = v_new
+            q = q_from_v(game, v)
+            if step <= threshold:
+                break
+        else:
+            raise ArithmeticError(
+                f"value iteration did not converge in {max_iter} iterations "
+                f"(last step {step:.3e}, threshold {threshold:.3e})"
+            )
+        _certify_sweeps(sweeps, tol)
+    except Exception:
+        # The iteration cap or a later sweep's error must not hide an earlier
+        # sweep's failed certificate: the first failing sweep's error wins.
+        _certify_sweeps(sweeps, tol)
+        raise
 
     values, x_star, y_star, *_ = _stage_solutions(q, bases, tol, stack)
     for s in range(game.n_states):
@@ -621,7 +699,11 @@ def dist_state(
     The player-1 set is {u in simplex : Q*^T u <= (v* + tol) 1}; relaxing by the
     solve tolerance keeps the exact optimal set inside, so the reported distance
     is a slight underestimate (never an overestimate) of the true distance.
+    A state index that is not an integer in [0, S) raises ``ValueError``.
     """
+    s = _integer("s", s, 0)
+    if s >= len(gt.v_star):
+        raise ValueError(f"s must be < n_states={len(gt.v_star)}, got s={s}")
     d2, px, py = _distances(gt.q_star[s:s + 1], gt.v_star[s:s + 1], gt.tol,
                             np.asarray(x_s, dtype=np.float64)[None],
                             np.asarray(y_s, dtype=np.float64)[None])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zsmg import groundtruth as groundtruth_mod
 from zsmg.games import JointPolicy, MarkovGame, evaluate_policy_pair, q_from_v, uniform_policy
@@ -198,6 +198,12 @@ class TestSolveMatrixGame:
         # The 2x2 LP has columns [x_0, x_1, v, s_0, s_1] and 3 rows.
         for basis in ([0, 2], [0, 2, 2], [0, 2, 5], [-1, 0, 2]):
             with pytest.raises(ValueError, match="basis"):
+                solve_matrix_game(np.eye(2), basis=basis)
+        # Entries that an integer cast would read as [0, 1, 2].
+        for basis in ([0.9, 1.2, 2.7], [True, False, 2], ["0", "1", "2"],
+                      np.array([0.0, 1.0, 2.0]), [np.True_, 1, 2]):
+            with pytest.raises(ValueError, match=r"^basis must hold 3 distinct column indices "
+                                                 r"in \[0, 5\), got \["):
                 solve_matrix_game(np.eye(2), basis=basis)
 
     def test_unusable_basis_falls_back_to_cold_start(self):
@@ -489,15 +495,15 @@ class TestStackedSweep:
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         expected = per_state_shapley(game)
         starts = []
-        stage = groundtruth_mod._stage_solutions
+        settle = groundtruth_mod._settle
 
-        def traced_stage(q, bases, tol, stack):
+        def traced_settle(q, bases, stack):
             # A None start is every state's cold basis.
             starts.append(groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
                           if bases is None else bases.copy())
-            return stage(q, bases, tol, stack)
+            return settle(q, bases, stack)
 
-        monkeypatch.setattr(groundtruth_mod, "_stage_solutions", traced_stage)
+        monkeypatch.setattr(groundtruth_mod, "_settle", traced_settle)
         gt, sweeps = self._traced_solve(monkeypatch, game)
         self._assert_matches_oracle(gt, expected)
         # The simplex's cold start x = e_0, v = max_b Q[0, b]: x_0, v and the
@@ -575,13 +581,13 @@ class TestStackedSweep:
         game = random_game(seed=254, n_states=2, n_actions_p1=3, n_actions_p2=2, gamma=0.7)
         expected = per_state_shapley(game)
         starts = []
-        stage = groundtruth_mod._stage_solutions
+        settle = groundtruth_mod._settle
 
-        def traced_stage(q, bases, tol, stack):
+        def traced_settle(q, bases, stack):
             starts.append(None if bases is None else bases.tolist())
-            return stage(q, bases, tol, stack)
+            return settle(q, bases, stack)
 
-        monkeypatch.setattr(groundtruth_mod, "_stage_solutions", traced_stage)
+        monkeypatch.setattr(groundtruth_mod, "_settle", traced_settle)
         gt, sweeps = self._traced_solve(monkeypatch, game)
         self._assert_matches_oracle(gt, expected)
         assert starts[1][0] == [0, 1, 3]
@@ -667,6 +673,174 @@ class TestStackedSweep:
                                                                 1e-9)
         assert np.isnan(x).all() and dual_ok.all()
         assert not payoff_ok.any()
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 5), min_size=2,
+                          max_size=groundtruth_mod._CERTIFY_EVERY),
+           n_a=st.integers(1, 6), n_b=st.integers(1, 6), tied=st.booleans(),
+           scale=st.sampled_from([1.0, 1e3]), spoil=st.booleans())
+    # A full queue of solve-large's shape: _CERTIFY_EVERY sweeps of 10 states, 5x5.
+    @example(seed=0, sizes=[10] * groundtruth_mod._CERTIFY_EVERY, n_a=5, n_b=5, tied=False,
+             scale=1.0, spoil=False)
+    @example(seed=1, sizes=[10] * groundtruth_mod._CERTIFY_EVERY, n_a=5, n_b=5, tied=True,
+             scale=1.0, spoil=True)
+    def test_certificate_over_queued_sweeps_matches_each_sweep_alone(
+            self, seed, sizes, n_a, n_b, tied, scale, spoil):
+        # Value iteration certifies its queued sweeps in one call over their
+        # concatenated stacks.  Each sweep's numbers and verdicts from that call
+        # must be byte-equal to its own call's, and the error raised must be
+        # the first failing sweep's own.
+        rng = np.random.default_rng(seed)
+        sweeps = []
+        for n_states in sizes:
+            shape = (n_states, n_a, n_b)
+            q = scale * (rng.integers(-2, 3, size=shape) if tied
+                         else rng.uniform(-1.0, 1.0, shape))
+            moved = rng.integers(-1, 2, size=shape) * rng.integers(0, 2, size=(n_states, 1, 1))
+            shift, a_mat = groundtruth_mod._value_lp(q)
+            try:
+                bases = np.array([solve_matrix_game(m).basis for m in q + moved])
+                x_b, duals = groundtruth_mod._read_bases(a_mat, bases)[:2]
+            except np.linalg.LinAlgError:
+                bases = np.array([solve_matrix_game(m).basis for m in q])
+                x_b, duals = groundtruth_mod._read_bases(a_mat, bases)[:2]
+            if spoil:
+                # Failing verdicts of both kinds: a moved basic solution, scaled duals.
+                x_b[rng.integers(n_states)] += rng.uniform(-0.5, 0.5, size=n_b + 1)
+                duals[rng.integers(n_states)] *= 3.0
+            sweeps.append((q, shift, bases, x_b, duals))
+        whole = groundtruth_mod._certify(*(np.concatenate(part) for part in zip(*sweeps)), 1e-9)
+        start, first_error = 0, None
+        for sweep in sweeps:
+            alone = groundtruth_mod._certify(*sweep, 1e-9)
+            stop = start + len(sweep[0])
+            for part, part_alone in zip(whole, alone, strict=True):
+                assert part[start:stop].tobytes() == part_alone.tobytes()
+            start = stop
+            if first_error is None:
+                try:
+                    groundtruth_mod._certified(*sweep, 1e-9)
+                except LpSolveError as error:
+                    first_error = error
+        queue = list(sweeps)
+        if first_error is None:
+            groundtruth_mod._certify_sweeps(queue, 1e-9)
+        else:
+            with pytest.raises(LpSolveError) as caught:
+                groundtruth_mod._certify_sweeps(queue, 1e-9)
+            assert str(caught.value) == str(first_error)
+            assert caught.value.matrix.tobytes() == first_error.matrix.tobytes()
+        assert queue == []
+
+    @staticmethod
+    def _spoil_reads(monkeypatch, spoils: dict) -> dict:
+        """Let ``spoils[k]`` change in place the first, stacked read of the k-th
+        ``_settle`` call (counted from 0), as ``_read_bases`` gives it.
+
+        Returns a log, filled as calls are made: the ``q`` and start bases of
+        every ``_settle`` call, and the number of ``q_from_v`` calls.
+        """
+        log = {"q": [], "bases": [], "q_from_v": 0, "fresh": False}
+        settle, read_, q_from_v_ = (groundtruth_mod._settle, groundtruth_mod._read_bases,
+                                    groundtruth_mod.q_from_v)
+
+        def traced_settle(q, bases, stack):
+            log["q"].append(q)
+            log["bases"].append(None if bases is None else bases.copy())
+            log["fresh"] = True
+            return settle(q, bases, stack)
+
+        def spoiled_read(*args):
+            read = read_(*args)
+            if log["fresh"] and len(log["q"]) - 1 in spoils:
+                spoils[len(log["q"]) - 1](read)
+            log["fresh"] = False
+            return read
+
+        def counted_q_from_v(*args):
+            log["q_from_v"] += 1
+            return q_from_v_(*args)
+
+        monkeypatch.setattr(groundtruth_mod, "_settle", traced_settle)
+        monkeypatch.setattr(groundtruth_mod, "_read_bases", spoiled_read)
+        monkeypatch.setattr(groundtruth_mod, "q_from_v", counted_q_from_v)
+        return log
+
+    @staticmethod
+    def _nan_in_state_1(field: str):
+        """A spoil for ``_spoil_reads``: NaN in state 1's ``x_b`` or ``duals``."""
+        def spoil(read):
+            read[("x_b", "duals").index(field)][1] = np.nan
+        return spoil
+
+    def _assert_is_the_sweep_error(self, caught, log, spoils, sweep):
+        """The error ``_stage_solutions`` raises on sweep ``sweep``'s ``q`` and start
+        bases, its read spoiled alike, is ``caught``: same message, same matrix."""
+        spoils[len(log["q"])] = spoils[sweep]
+        with pytest.raises(LpSolveError) as alone:
+            groundtruth_mod._stage_solutions(log["q"][sweep], log["bases"][sweep].copy(), 1e-9)
+        assert str(caught.value) == str(alone.value)
+        assert caught.value.matrix.tobytes() == alone.value.matrix.tobytes()
+
+    @pytest.mark.parametrize("sweep", [3, groundtruth_mod._CERTIFY_EVERY - 1,
+                                       groundtruth_mod._CERTIFY_EVERY, "last"])
+    @pytest.mark.parametrize("field, message", [
+        ("x_b", r"^minimax certificate failed: value=nan, "),
+        ("duals", r"^dual strategy sum nan far from 1$"),
+    ])
+    def test_queued_certificate_raises_its_sweeps_error(self, monkeypatch, sweep, field,
+                                                       message):
+        # The sweeps after the spoiled one are not certified one by one; the
+        # queue is, within K - 1 more q_from_v calls, or at convergence.
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        if sweep == "last":
+            log = self._spoil_reads(monkeypatch, {})
+            shapley_solve(game)
+            monkeypatch.undo()
+            sweep = len(log["q"]) - 2  # the last settle call is the witness step's
+        spoils = {sweep: self._nan_in_state_1(field)}
+        log = self._spoil_reads(monkeypatch, spoils)
+        with pytest.raises(LpSolveError, match=message) as caught:
+            shapley_solve(game)
+        # q_from_v ran sweep + 1 times before the spoiled sweep.
+        assert log["q_from_v"] - (sweep + 1) <= groundtruth_mod._CERTIFY_EVERY - 1
+        self._assert_is_the_sweep_error(caught, log, spoils, sweep)
+
+    def test_later_sweep_error_does_not_mask_a_queued_certificate(self, monkeypatch):
+        # Sweep 3 fails its certificate, still queued, when sweep 4 raises in
+        # the pivot loop: the solve raises sweep 3's error, as it would have
+        # before reaching sweep 4.
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+
+        def improvable_state_2(read):
+            read[3][2] = -1.0  # every reduced cost: state 2 must pivot
+
+        def capped_in_sweep_4(q, *args):
+            if len(log["q"]) == 5:
+                raise LpSolveError("simplex iteration cap exceeded", q)
+            return pivot_(q, *args)
+
+        pivot_ = groundtruth_mod._simplex_pivot
+        spoils = {3: self._nan_in_state_1("duals"), 4: improvable_state_2}
+        log = self._spoil_reads(monkeypatch, spoils)
+        monkeypatch.setattr(groundtruth_mod, "_simplex_pivot", capped_in_sweep_4)
+        with pytest.raises(LpSolveError, match="^dual strategy sum nan") as caught:
+            shapley_solve(game)
+        assert len(log["q"]) == 5
+        assert str(caught.value.__context__) == "simplex iteration cap exceeded"
+        self._assert_is_the_sweep_error(caught, log, spoils, 3)
+
+    def test_iteration_cap_certifies_the_queue_first(self, monkeypatch):
+        game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        spoils = {3: self._nan_in_state_1("duals")}
+        log = self._spoil_reads(monkeypatch, spoils)
+        with pytest.raises(LpSolveError, match="^dual strategy sum nan") as caught:
+            shapley_solve(game, max_iter=5)
+        assert len(log["q"]) == 5
+        assert str(caught.value.__context__).startswith(
+            "value iteration did not converge in 5 iterations")
+        self._assert_is_the_sweep_error(caught, log, spoils, 3)
 
     def test_each_basis_is_read_once(self, monkeypatch):
         # A cold solve builds one LP and reads its start once, then once per
@@ -972,6 +1146,17 @@ class TestDistance:
         assert d2 == 0.0
         np.testing.assert_array_equal(px, [1.0])
         np.testing.assert_array_equal(py, [1.0])
+
+    @pytest.mark.parametrize("s, message", [
+        (-1, r"^s must be >= 0 and an integer \(not a bool\), got s=-1$"),
+        (2, r"^s must be < n_states=2, got s=2$"),
+        (True, r"^s must be >= 0 and an integer \(not a bool\), got s=True$"),
+        (1.0, r"^s must be >= 0 and an integer \(not a bool\), got s=1.0$"),
+    ])
+    def test_dist_state_rejects_a_state_out_of_range(self, switching_mp, s, message):
+        gt = shapley_solve(switching_mp)
+        with pytest.raises(ValueError, match=message):
+            dist_state(gt, s, gt.x_star[0], gt.y_star[0])
 
     def test_infeasible_interval_raises(self):
         a_mat = np.array([[1.0, 0.0], [-1.0, 0.0]])
