@@ -58,6 +58,9 @@ class MarkovGame:
         trans = np.array(self.transition, dtype=np.float64, order="C")
         if loss.ndim != 3:
             raise DimensionMismatchError(f"loss must have shape (S, A, B), got {loss.shape}")
+        if 0 in loss.shape:
+            raise DimensionMismatchError(f"loss must have at least one state and one action "
+                                         f"per player, got shape {loss.shape}")
         if trans.shape != loss.shape + (loss.shape[0],):
             raise DimensionMismatchError(
                 f"transition shape {trans.shape} does not match loss shape {loss.shape}"

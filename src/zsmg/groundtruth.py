@@ -38,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .games import (MarkovGame, JointPolicy, _check_max_iter, _check_tol, _integer,
-                    best_response, q_from_v)
+from .games import (DimensionMismatchError, MarkovGame, JointPolicy, _check_max_iter,
+                    _check_tol, _integer, best_response, distribution_rows_error, q_from_v)
 
 __all__ = [
     "MatrixGameSolution",
@@ -115,7 +115,7 @@ def _value_lp(q: np.ndarray, a_mat: np.ndarray | None = None) -> tuple[np.ndarra
     Given an earlier result's ``a_mat``, only its payoff block is rewritten.
     """
     n_states, n_a, n_b = q.shape
-    shift = 1.0 - q.min(axis=(1, 2))
+    shift = 1.0 - np.minimum.reduce(q, axis=(1, 2))
     if a_mat is None:
         frame = _lp_constants(n_a, n_b)[0]
         a_mat = np.empty((n_states,) + frame.shape)
@@ -315,7 +315,7 @@ def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
     # within _PIVOT_TOL of zero are the rounding of degenerate pivots.
     infeasible, improvable = x_b < -_PIVOT_TOL, reduced < -_PIVOT_TOL
     pivots = np.zeros(n_states, dtype=np.intp)
-    if infeasible.any() or improvable.any():
+    if np.logical_or.reduce(infeasible, axis=None) or np.logical_or.reduce(improvable, axis=None):
         infeasible = infeasible.any(axis=1)
         todo = np.flatnonzero(infeasible | improvable.any(axis=1))
         if (cold := todo[infeasible[todo]]).size:
@@ -479,7 +479,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
             if len(sweeps) == _CERTIFY_EVERY:
                 _certify_sweeps(sweeps, tol)
             v_new = _basic_solutions(shift, bases, x_b, game.n_actions_p1, stack.rows)[1]
-            step = float(np.abs(v_new - v).max())
+            step = float(np.maximum.reduce(np.abs(v_new - v)))
             v = v_new
             q = q_from_v(game, v)
             if step <= threshold:
@@ -699,15 +699,32 @@ def dist_state(
     The player-1 set is {u in simplex : Q*^T u <= (v* + tol) 1}; relaxing by the
     solve tolerance keeps the exact optimal set inside, so the reported distance
     is a slight underestimate (never an overestimate) of the true distance.
-    A state index that is not an integer in [0, S) raises ``ValueError``.
+    A state index that is not an integer in [0, S) raises ``ValueError``, and
+    so do strategies that are not ``_check_strategies``'s distributions.
     """
     s = _integer("s", s, 0)
     if s >= len(gt.v_star):
         raise ValueError(f"s must be < n_states={len(gt.v_star)}, got s={s}")
-    d2, px, py = _distances(gt.q_star[s:s + 1], gt.v_star[s:s + 1], gt.tol,
-                            np.asarray(x_s, dtype=np.float64)[None],
-                            np.asarray(y_s, dtype=np.float64)[None])
+    x, y = np.asarray(x_s, dtype=np.float64), np.asarray(y_s, dtype=np.float64)
+    _check_strategies(x, y, gt.q_star.shape[1:2], gt.q_star.shape[2:], "({},)")
+    d2, px, py = _distances(gt.q_star[s:s + 1], gt.v_star[s:s + 1], gt.tol, x[None], y[None])
     return float(d2[0]), px[0], py[0]
+
+
+def _check_strategies(x: np.ndarray, y: np.ndarray, want_x: tuple, want_y: tuple,
+                      form: str) -> None:
+    """Raise ``DimensionMismatchError`` naming the player unless ``x`` and ``y``
+    have the shapes ``want_x`` and ``want_y`` (``form`` spells them with the
+    action letter), and ``ValueError`` naming the player and the row, counted
+    over any stack in C order, unless every row is a distribution within
+    ``distribution_rows_error``'s 1e-9, the rule ``best_response`` applies."""
+    for player, point, want in ((1, x, want_x), (2, y, want_y)):
+        if point.shape != want:
+            raise DimensionMismatchError(f"player-{player} strategy shape {point.shape} does not "
+                                         f"match {form.format('AB'[player - 1])} = {want}")
+        error = distribution_rows_error(f"player-{player} strategy", point.reshape(-1, want[-1]))
+        if error is not None:
+            raise ValueError(error)
 
 
 def _distances(q: np.ndarray, v: np.ndarray, tol: float, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -726,11 +743,15 @@ def dist_to_optimal_sets(gt: GroundTruth, policy: JointPolicy) -> DistanceResult
     ``policy.x`` and ``policy.y`` may carry the same leading stack axes (the
     learner's run axis); every field of the result then has them, and each
     item has the bits of its own call.  Each state's polytope constants are
-    built once per call, for every item.
+    built once per call, for every item.  Strategies that are not
+    ``_check_strategies``'s distributions, or whose stacks differ, raise
+    ``ValueError`` first, with one check over the whole stack.
     """
-    per_state, x_proj, y_proj = _distances(gt.q_star, gt.v_star, gt.tol,
-                                           np.asarray(policy.x, dtype=np.float64),
-                                           np.asarray(policy.y, dtype=np.float64))
+    x, y = np.asarray(policy.x, dtype=np.float64), np.asarray(policy.y, dtype=np.float64)
+    stack = x.shape[:-2]
+    _check_strategies(x, y, stack + gt.q_star.shape[:2], stack + gt.q_star.shape[::2],
+                      "(..., S, {})")
+    per_state, x_proj, y_proj = _distances(gt.q_star, gt.v_star, gt.tol, x, y)
     mean = per_state.mean(axis=-1)
     return DistanceResult(per_state=per_state, mean=float(mean) if mean.ndim == 0 else mean,
                           x_proj=x_proj, y_proj=y_proj)

@@ -48,10 +48,14 @@ __all__ = [
 @lru_cache(maxsize=64)
 def _projection_constants(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only per-shape constants of ``project_simplex``: the ranks ``1..n``
-    as floats and, per row, the flat index of its first entry minus one."""
+    as floats and, shaped ``shape[:-1]``, the flat index of each row's first
+    entry minus one.  A shape with no last axis, or an empty one, raises
+    ``ValueError``; the cache keeps the check off the hot path."""
+    if not shape or shape[-1] == 0:
+        raise ValueError(f"project_simplex needs rows of at least one entry, got shape {shape}")
     n = shape[-1]
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    offsets = np.arange(-1, math.prod(shape) - 1, n)
+    offsets = np.arange(-1, math.prod(shape) - 1, n).reshape(shape[:-1])
     for array in (ranks, offsets):
         array.flags.writeable = False
     return ranks, offsets
@@ -64,8 +68,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     prefix of the descending sort with positive water level, subtract the
     level, clip at zero.  Accepts a single vector or a batch of row vectors;
     rows are processed by the same elementwise arithmetic either way, so
-    batched and single calls agree bit-for-bit.  The ranks and row offsets
-    depend only on the shape and come from a cache of read-only arrays.
+    batched and single calls agree bit-for-bit.  The per-shape constants are
+    cached read-only, and ufunc calls write levels and output in place.
 
     A row whose support would be empty raises ``ValueError`` naming the row
     (counted over the leading axes in C order) and its largest entry, and no
@@ -73,7 +77,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     ``u_0 + (1 - u_0) / 1 > 0``, always holds; it fails only when rounding
     swamps it (a largest entry of magnitude about 1e16 or more) or the row
     holds NaN, +inf or nothing but -inf.  Such a row has no meaningful
-    projection, so it is not clamped.
+    projection, so it is not clamped.  An input with no last axis, or an
+    empty one, raises ``ValueError`` naming its shape.
 
     Padding contract: extra entries that lie below every real entry of their
     row, and more than 1 below its largest, sort last, change no prefix sum of
@@ -85,14 +90,13 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u = v.copy()
     u.sort(axis=-1)
     u = u[..., ::-1]
-    # levels[..., j-1] = (css_j - 1) / j is the water level if the support
-    # were the top j entries, and ``u > levels`` is bit-for-bit the Duchi test
-    # ``u + (1 - css) / j > 0``: IEEE rounding is sign-symmetric, and a
-    # rounded difference is positive exactly when the exact one is.  The
-    # level at the support size rho is tau, with the bits of
-    # ``(css_rho - 1) / rho``.
-    levels = (u.cumsum(axis=-1) - 1.0) / ranks
-    rho = (u > levels).sum(axis=-1).reshape(-1)
+    # levels[..., j-1] = (css_j - 1) / j, the water level of a support of the
+    # top j entries; tau is the level at rho.  ``u > levels`` is bit-for-bit the
+    # Duchi test ``u + (1 - css) / j > 0``: IEEE rounding is sign-symmetric, so
+    # a rounded difference is positive exactly when the exact one is.
+    levels = np.add.accumulate(u, axis=-1)
+    np.divide(np.subtract(levels, 1.0, out=levels), ranks, out=levels)
+    rho = np.add.reduce(np.greater(u, levels), axis=-1)
     if np.count_nonzero(rho) < rho.size:
         row = int(np.argmin(rho))
         largest = float(np.max(v.reshape(rho.size, -1)[row]))
@@ -101,8 +105,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
             f"{largest!r} fails the threshold test at rank 1 (rounding swamps the "
             f"test from a magnitude of about 1e16; NaN and inf always fail it)"
         )
-    tau = levels.reshape(-1)[offsets + rho].reshape(v.shape[:-1] + (1,))
-    return np.maximum(v - tau, 0.0)
+    tau = levels.ravel()[offsets + rho]
+    return np.maximum(out := np.subtract(v, tau[..., None]), 0.0, out=out)
 
 
 def alpha_schedule(t: int, gamma: float) -> float:
@@ -267,9 +271,10 @@ def _ogda_update(z_hat: np.ndarray, g: np.ndarray, g_blocks: tuple, ell: np.ndar
     """
     np.multiply(ell, eta, out=g_blocks[0])
     np.multiply(r, -eta, out=g_blocks[1])
-    if not (np.isfinite(g).all() and np.isfinite(rho).all()):
+    if not (np.logical_and.reduce(np.isfinite(g), axis=None)
+            and np.logical_and.reduce(np.isfinite(rho), axis=None)):
         for name, estimate in (("ell", ell), ("r", r), ("rho", rho)):
-            if not np.isfinite(estimate).all():
+            if not np.logical_and.reduce(np.isfinite(estimate), axis=None):
                 raise ValueError(f"non-finite payoff estimate {name} passed to ogda_step")
         raise ValueError(f"eta={eta!r} times a payoff estimate overflows in ogda_step")
     step = z_hat - g
@@ -620,8 +625,10 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
                             n_actions_p1=n_a, n_actions_p2=n_b)
 
     for t in range(1, iterations + 1):
-        # q_from_v for every run at once, with the same arithmetic per run.
-        q_t = loss + gamma * (transition @ v[:, None, None, :, None])[..., 0]
+        # q_from_v for every run at once, with the same arithmetic per run.  Only
+        # exact estimates and the logged intervals' diagnostics and rows read it.
+        if exact or t <= last_logged:
+            q_t = loss + gamma * (transition @ v[:, None, None, :, None])[..., 0]
         alpha_t = alpha_fn(t)
         logging_now = cadence > 0 and t % cadence == 0
         if t <= last_logged:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ class TestConstruction:
     def test_transition_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             MarkovGame(loss=np.zeros((2, 2, 2)), transition=np.zeros((2, 2, 2, 3)), gamma=0.9)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 2), (0, 2, 2), (2, 2, 0)])
+    def test_empty_axis_raises_naming_the_shape(self, shape):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}")):
+            MarkovGame(loss=np.zeros(shape), transition=np.zeros(shape + (shape[0],)), gamma=0.9)
 
     def test_dimension_error_is_value_error(self):
         assert issubclass(DimensionMismatchError, ValueError)

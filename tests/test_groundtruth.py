@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zsmg import groundtruth as groundtruth_mod
-from zsmg.games import JointPolicy, MarkovGame, evaluate_policy_pair, q_from_v, uniform_policy
+from zsmg.games import (DimensionMismatchError, JointPolicy, MarkovGame, evaluate_policy_pair,
+                        q_from_v, uniform_policy)
 from zsmg.gamegen import BUILTIN_NAMES, builtin, random_game
 from zsmg.groundtruth import (
     GroundTruth,
@@ -1157,6 +1159,50 @@ class TestDistance:
         gt = shapley_solve(switching_mp)
         with pytest.raises(ValueError, match=message):
             dist_state(gt, s, gt.x_star[0], gt.y_star[0])
+
+    @pytest.mark.parametrize("x_s, y_s, error, message", [
+        ([0.5, 0.25, 0.25], [0.5, 0.5], DimensionMismatchError,
+         "player-1 strategy shape (3,) does not match (A,) = (2,)"),
+        ([[0.5, 0.5]], [0.5, 0.5], DimensionMismatchError,
+         "player-1 strategy shape (1, 2) does not match (A,) = (2,)"),
+        ([0.5, 0.5], [1.0], DimensionMismatchError,
+         "player-2 strategy shape (1,) does not match (B,) = (2,)"),
+        ([np.nan, 1.0], [0.5, 0.5], ValueError,
+         "player-1 strategy row 0 is not a probability distribution: [nan, 1.0]"),
+        ([0.5, 0.5], [0.5, 0.5 + 1e-8], ValueError,
+         "player-2 strategy row 0 is not a probability distribution: [0.5, 0.50000001]"),
+        ([1.5, -0.5], [0.5, 0.5], ValueError,
+         "player-1 strategy row 0 is not a probability distribution: [1.5, -0.5]"),
+    ], ids=["long", "two_dimensional", "short_player_2", "nan", "sum", "negative"])
+    def test_dist_state_rejects_bad_strategies_naming_the_player(self, switching_mp, x_s, y_s,
+                                                                 error, message):
+        gt = shapley_solve(switching_mp)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            dist_state(gt, 1, np.array(x_s), np.array(y_s))
+
+    def test_dist_state_rejects_nan_on_three_actions(self):
+        gt = shapley_solve(random_game(seed=4, n_states=2, n_actions_p1=3, n_actions_p2=3,
+                                       gamma=0.9))
+        with pytest.raises(ValueError, match=re.escape("player-2 strategy row 0 is not a")):
+            dist_state(gt, 0, np.full(3, 1 / 3), np.array([np.nan, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("x, y, error, message", [
+        (np.full((3, 2, 2), 0.5), np.full((2, 2, 2), 0.5), DimensionMismatchError,
+         "player-2 strategy shape (2, 2, 2) does not match (..., S, B) = (3, 2, 2)"),
+        (np.full((2, 3), 1 / 3), np.full((2, 2), 0.5), DimensionMismatchError,
+         "player-1 strategy shape (2, 3) does not match (..., S, A) = (2, 2)"),
+        (np.full(2, 0.5), np.full(2, 0.5), DimensionMismatchError,
+         "player-1 strategy shape (2,) does not match (..., S, A) = (2, 2)"),
+        (np.full((3, 2, 2), 0.5), np.where(np.arange(12).reshape(3, 2, 2) == 6, np.nan, 0.5),
+         ValueError, "player-2 strategy row 3 is not a probability distribution: [nan, 0.5]"),
+        (np.full((2, 2), 0.6), np.full((2, 2), 0.5), ValueError,
+         "player-1 strategy row 0 is not a probability distribution: [0.6, 0.6]"),
+    ], ids=["stacks_differ", "wrong_width", "one_dimensional", "nan_in_stack", "sum"])
+    def test_dist_to_optimal_sets_rejects_bad_strategies_naming_the_player(
+            self, switching_mp, x, y, error, message):
+        gt = shapley_solve(switching_mp)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            dist_to_optimal_sets(gt, JointPolicy(x=x, y=y))
 
     def test_infeasible_interval_raises(self):
         a_mat = np.array([[1.0, 0.0], [-1.0, 0.0]])

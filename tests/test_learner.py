@@ -112,7 +112,8 @@ class TestProjectSimplex:
     def test_interleaved_shapes_match_the_row_oracle(self, data):
         # Each shape twice, in a drawn order, so the cached constants of one
         # shape are used between calls on every other shape.
-        shapes = data.draw(st.permutations([(3,), (2, 3), (4, 2), (4, 8), (1, 1)] * 2))
+        shapes = data.draw(st.permutations([(3,), (2, 3), (4, 2), (4, 8), (1, 1), (1, 4, 2),
+                                            (3, 4, 4), (2, 20, 3)] * 2))
         value = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
                           st.floats(-1e3, 1e3, allow_nan=False))
         for shape in shapes:
@@ -131,10 +132,17 @@ class TestProjectSimplex:
         ([[0.3, 0.1], [0.2, np.nan]], 1, "nan"),
         ([[np.inf, 0.0]], 0, "inf"),
         ([[0.3, 0.1], [-np.inf, -np.inf]], 1, "-inf"),
-    ], ids=["huge_first_row", "huge_vector", "huge_negative_row", "nan", "inf", "all_minus_inf"])
+        # Rows with no entries at all, and a 0-d input, are named by the shape.
+        (np.zeros((2, 0)), None, "(2, 0)"),
+        (np.zeros((3, 4, 0)), None, "(3, 4, 0)"),
+        ([], None, "(0,)"),
+        (2.5, None, "()"),
+    ], ids=["huge_first_row", "huge_vector", "huge_negative_row", "nan", "inf", "all_minus_inf",
+            "zero_width_rows", "zero_width_3d", "empty_vector", "zero_d"])
     def test_empty_support_raises_naming_the_row(self, v, row, largest):
-        with pytest.raises(ValueError, match=re.escape(
-                f"row {row} has empty support: its largest entry {largest} ")):
+        message = (f"row {row} has empty support: its largest entry {largest} " if row is not None
+                   else f"needs rows of at least one entry, got shape {largest}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             project_simplex(np.array(v))
 
     @given(data=st.data())
