@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .games import MarkovGame, _check_tol, _integer
+from .games import DimensionMismatchError, MarkovGame, _check_tol, _integer
 
 __all__ = [
     "Trajectory",
@@ -94,9 +94,14 @@ def rollout(
     n_steps: int,
     s_init: int,
     rng: np.random.Generator,
-    rows: dict[int, list[float]] | None = None,
+    rows: list[list[float] | None] | None = None,
 ) -> Trajectory:
     """Simulate ``n_steps`` of play under stationary strategies (x, y).
+
+    ``x`` has shape (S, A) and ``y`` shape (S, B), and every row of each must
+    be a distribution: the shapes are checked, the values are not (the
+    learner's mixed strategies are distributions by construction).  A shape
+    that does not match raises ``DimensionMismatchError`` naming ``x`` or ``y``.
 
     Draws are inverse-CDF lookups against pre-drawn uniforms, so the trajectory
     is a pure function of the generator state.  The walk runs over plain
@@ -104,42 +109,53 @@ def rollout(
     to the last index.  ``bisect_right`` probes the same midpoints as
     ``np.searchsorted(side="right")``, so on NaN-free rows the indices match
     it, even on the slightly non-monotone rows that rounding leaves in a
-    valid kernel.  A transition row is accumulated the first time a walk
-    reaches its (s, a, b), left to right as ``np.cumsum`` does, so the bits
-    match too, and kept in ``rows`` under its flat index ``(s*A + a)*B + b``.
-    Passing the same dict to every rollout on one game keeps each row across
-    calls: at most S*A*B rows of S Python floats, built only as visited, never
-    the whole cumulative kernel up front.  The walk records only each step's
-    flat index, then the final state's as ``s*A*B``; one array and one
-    ``np.unravel_index`` call give the states and both players' actions, and
-    the losses are read at the flat indices.  The other buffers are O(L).
+    valid kernel.  The strategy rows are accumulated by ``np.add.accumulate``
+    and a transition row the first time a walk reaches its (s, a, b), both
+    left to right as ``np.cumsum`` does, so the bits match too.  A transition
+    row is kept in ``rows``, a list of length S*A*B that holds ``None`` until
+    the walk visits the flat index ``(s*A + a)*B + b``.  Passing the same list
+    to every rollout on one game keeps each row across calls: at most S*A*B
+    rows of S Python floats, built only as visited, never the whole
+    cumulative kernel up front.  The list belongs to that game: one of
+    another length raises ``DimensionMismatchError``.  The walk records only
+    each step's flat index, with both strategy clamps folded into it, then
+    the final state's as ``s*A*B``; one array and one ``np.unravel_index``
+    call give the states and both players' actions, and the losses are read
+    at the flat indices.  The other buffers are O(L).
     """
     n_steps = _integer("n_steps", n_steps, 1)
     s = _integer("s_init", s_init, 0)
     n_s, n_a, n_b = game.loss.shape
     if s >= n_s:
         raise ValueError(f"s_init must be < n_states={n_s}, got s_init={s}")
-    rows = {} if rows is None else rows
-    cum_x = np.cumsum(x, axis=1).tolist()
-    cum_y = np.cumsum(y, axis=1).tolist()
-    trans = game.transition.reshape(n_s * n_a * n_b, n_s)
+    for name, point, axes, want in (("x", x, "(S, A)", (n_s, n_a)),
+                                    ("y", y, "(S, B)", (n_s, n_b))):
+        if np.shape(point) != want:
+            raise DimensionMismatchError(f"{name} shape {np.shape(point)} does not match "
+                                         f"{axes} = {want}")
+    n_ab = n_a * n_b
+    if rows is None:
+        rows = [None] * (n_s * n_ab)
+    elif len(rows) != n_s * n_ab:
+        raise DimensionMismatchError(f"rows has length {len(rows)}, expected S*A*B = "
+                                     f"{n_s * n_ab} for a game of shape {(n_s, n_a, n_b)}")
+    cum_x = np.add.accumulate(x, axis=1).tolist()
+    cum_y = np.add.accumulate(y, axis=1).tolist()
+    last_a, last_b = n_a - 1, n_b - 1
+    trans = game.transition.reshape(n_s * n_ab, n_s)
     walk = []
     for u_a, u_b, u_s in zip(*rng.random((3, n_steps)).tolist()):
         a = bisect_right(cum_x[s], u_a)
-        if a == n_a:
-            a -= 1
         b = bisect_right(cum_y[s], u_b)
-        if b == n_b:
-            b -= 1
-        k = (s * n_a + a) * n_b + b
+        k = s * n_ab + (a if a < n_a else last_a) * n_b + (b if b < n_b else last_b)
         walk.append(k)
-        row = rows.get(k)
+        row = rows[k]
         if row is None:
             row = rows[k] = list(accumulate(trans[k].tolist()))
         s = bisect_right(row, u_s)
         if s == n_s:
             s -= 1
-    walk.append(s * n_a * n_b)
+    walk.append(s * n_ab)
     flat = np.array(walk, dtype=np.int64)
     states, acts_a, acts_b = np.unravel_index(flat, (n_s, n_a, n_b))
     return Trajectory(
@@ -160,10 +176,18 @@ def sampled_estimates(traj: Trajectory, v_prev: np.ndarray, gamma: float,
     are exactly 0, whatever the arrays held before.  The three means share
     one bin range: the ``(s, a)`` bins, then the ``(s, b)`` bins, then the
     states.  Each bin receives only its own samples, in step order, so one
-    pair of bincounts keeps the sums of three.
+    pair of bincounts keeps the sums of three.  A ``v_prev`` of a shape other
+    than (S,), or an ``ell`` or ``r`` other than (S, A) or (S, B), raises
+    ``DimensionMismatchError`` naming it.
     """
     v_prev = np.asarray(v_prev, dtype=np.float64)
     n_s, n_a, n_b = traj.n_states, traj.n_actions_p1, traj.n_actions_p2
+    for name, array, want in (("v_prev", v_prev, (n_s,)), ("ell", ell, (n_s, n_a)),
+                              ("r", r, (n_s, n_b))):
+        if np.shape(array) != want:
+            raise DimensionMismatchError(f"{name} shape {np.shape(array)} does not match "
+                                         f"{want} for a trajectory on {n_s} states with "
+                                         f"{n_a}x{n_b} actions")
     n_sa, n_sab = n_s * n_a, n_s * (n_a + n_b)
     target = traj.losses + gamma * v_prev[traj.states[1:]]
     s = traj.states[:-1]
@@ -187,9 +211,12 @@ class SampledEstimator:
     default, each rollout continues from where the previous one stopped,
     modeling one uninterrupted stream of play.  ``reset_each_iteration``
     restarts every rollout from state 0 instead (useful when debugging
-    visitation issues).  The kept rows make each transition row built once
-    per run.  Exploration is mixed by the caller: the learner mixes it once
-    over the run axis and hands each run its own rows of the mixed stack.
+    visitation issues).  The kept rows, one list of S*A*B slots handed to
+    every ``rollout``, make each transition row built once per run.
+    Exploration is mixed by the caller: the learner mixes it once over the
+    run axis and hands each run its own rows of the mixed stack.  A
+    ``rollout_len`` below 1 or a ``seed`` below 0, or either not an integer,
+    raises ``ValueError`` naming it.
     """
 
     def __init__(self, game: MarkovGame, rollout_len: int, seed: int = 0,
@@ -198,8 +225,8 @@ class SampledEstimator:
         self.rollout_len = _integer("rollout_len", rollout_len, 1)
         self.reset_each_iteration = bool(reset_each_iteration)
         self._current = 0
-        self._rng = np.random.default_rng(seed)
-        self._rows: dict[int, list[float]] = {}
+        self._rng = np.random.default_rng(_integer("seed", seed, 0))
+        self._rows: list[list[float] | None] = [None] * game.loss.size
 
     def estimate_into(self, x: np.ndarray, y: np.ndarray, v: np.ndarray,
                       ell: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -407,7 +434,13 @@ def estimate_mu(
     A singular system or a hitting time above ``horizon`` means the chain is
     (effectively) reducible and raises ``ReducibleChainError`` naming the probe.
     Single-state games return mu = 1 by convention (nothing to traverse).
+    A ``n_probe_policies`` below 1 or a ``seed`` below 0, or either not an
+    integer, or a ``horizon`` that is not a finite positive number, raises
+    ``ValueError`` naming it before any probe.
     """
+    n_probe_policies = _integer("n_probe_policies", n_probe_policies, 1)
+    _check_tol(horizon, "horizon")
+    seed = _integer("seed", seed, 0)
     n_s = game.n_states
     if n_s == 1:
         return MuEstimate(mu=1.0, max_hitting_time=0.0, n_pairs_probed=0)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .games import MarkovGame, distribution_rows_error, validate_game
+from .games import MarkovGame, _integer, distribution_rows_error, validate_game
 
 __all__ = [
     "GameFormatError",
@@ -49,8 +49,10 @@ def random_game(
     Transition rows are (1 - kappa) * Dirichlet(1,...,1) + kappa * uniform; any
     kappa > 0 makes every state reachable from every state under any policy
     pair, so the irreducibility constant is bounded away from zero.
-    Deterministic in ``seed``.
+    Deterministic in ``seed``, which must be an integer >= 0 (not a bool);
+    any other raises ``ValueError`` naming it.
     """
+    _integer("seed", seed, 0)
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     for name, size in (("n_states", n_states), ("n_actions_p1", n_actions_p1),

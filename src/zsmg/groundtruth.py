@@ -637,8 +637,37 @@ def _project_states(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray) -> np.n
     return out
 
 
+def _multipliers_certify(z, u, ineq_active, lam, slack_active, kkt_tol) -> bool:
+    """Whether the first NNLS's own multipliers ``lam`` of the active rows
+    ``ineq_active`` certify ``u`` as the projection of ``z`` within ``kkt_tol``.
+
+    The best multiplier of sum(u) = 1 is the mean of
+    d = z - u - ineq_active.T @ lam, so ||d - mean(d)|| is the stationarity
+    residual of that pair.  The pair is a feasible point of
+    ``_kkt_residual``'s NNLS whenever every active row's slack lies inside
+    its 1e-8 activity window, so that NNLS's residual is no larger.  The
+    window is taken at half its width and the residual at half of
+    ``kkt_tol``, margins that absorb the rounding of the two computations.
+    A ``False`` decides nothing: the caller then runs ``_kkt_residual``.
+    """
+    d = z - u - ineq_active.T @ lam
+    d -= d.sum() / d.size
+    return bool(d @ d <= (kkt_tol / 2.0) ** 2 and (slack_active <= 5e-9).all())
+
+
 def _project_point(z, a_arr, b_arr, ineq, rhs, plane, neg_gt, kkt_tol=1e-9) -> np.ndarray:
-    """One point of ``_project_states`` onto three or more actions."""
+    """One point of ``_project_states`` onto three or more actions.
+
+    The first NNLS solves the least-distance program; its positive
+    multipliers name the active rows, and z is projected onto their affine
+    hull exactly.  A point that is feasible within 1e-10 is accepted first
+    on ``_multipliers_certify``, the KKT certificate those same multipliers
+    give, and only when that fails on ``_kkt_residual``, a second NNLS.
+    Whenever the certificate accepts, ``_kkt_residual`` would too, so the
+    certificate changes which check runs, never which point is returned.
+    Should the affine point fail, the NNLS point itself is the fallback,
+    returned only once ``_kkt_residual`` certifies it.
+    """
     n = z.size
     # With p the projection of z onto the plane sum(u) = 1 and the columns of
     # ``plane`` an orthonormal basis of its directions, u = p + plane @ w has
@@ -647,7 +676,7 @@ def _project_point(z, a_arr, b_arr, ineq, rhs, plane, neg_gt, kkt_tol=1e-9) -> n
     # its residual r gives w = -r[:-1] / r[-1], and r[-1] = -||r||^2 is zero
     # only when the constraints are inconsistent.
     p = z + (1.0 - float(z.sum())) / n
-    lhs = np.vstack([neg_gt, -(rhs - ineq @ p)])
+    lhs = np.concatenate((neg_gt, -(rhs - ineq @ p)[None]))
     target = np.zeros(n)
     target[-1] = 1.0
     from scipy.optimize import nnls
@@ -656,10 +685,14 @@ def _project_point(z, a_arr, b_arr, ineq, rhs, plane, neg_gt, kkt_tol=1e-9) -> n
     if not residual[-1] < 0.0:
         raise ArithmeticError("infeasible polytope in projection")
     active = np.nonzero(multipliers > 0.0)[0]
-    u = _affine_projection(z, np.vstack([np.ones((1, n)), ineq[active]]),
+    ineq_active = ineq[active]
+    u = _affine_projection(z, np.concatenate((np.ones((1, n)), ineq_active)),
                            np.concatenate([[1.0], rhs[active]]))
-    if (abs(float(u.sum()) - 1.0) <= 1e-10 and float(np.max(ineq @ u - rhs)) <= 1e-10
-            and _kkt_residual(z, u, a_arr, b_arr) <= kkt_tol):
+    slack = rhs - ineq @ u
+    if (abs(float(u.sum()) - 1.0) <= 1e-10 and -float(slack.min()) <= 1e-10
+            and (_multipliers_certify(z, u, ineq_active, multipliers[active] / -residual[-1],
+                                      slack[active], kkt_tol)
+                 or _kkt_residual(z, u, a_arr, b_arr) <= kkt_tol)):
         return u
     u = p + plane @ (-residual[:-1] / residual[-1])
     kkt = _kkt_residual(z, u, a_arr, b_arr)

@@ -99,6 +99,43 @@ def enumerate_projection(z: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray) ->
     return best
 
 
+def two_nnls_project_point(z, a_arr, b_arr, ineq, rhs, plane, neg_gt, kkt_tol=1e-9):
+    """``groundtruth._project_point`` as it was before its multiplier
+    certificate: the affine point is accepted only on ``_kkt_residual``, a
+    second NNLS, and otherwise the NNLS point is, under the same check.
+
+    It takes the constants of ``groundtruth._polytope`` and uses the
+    library's ``_affine_projection`` and ``_kkt_residual``, so it pins which
+    point the certificate lets through rather than re-deriving the points.
+    """
+    from scipy.optimize import nnls
+
+    from zsmg.groundtruth import _affine_projection, _kkt_residual
+
+    n = z.size
+    p = z + (1.0 - float(z.sum())) / n
+    lhs = np.vstack([neg_gt, -(rhs - ineq @ p)])
+    target = np.zeros(n)
+    target[-1] = 1.0
+    multipliers, _ = nnls(lhs, target)
+    residual = lhs @ multipliers - target
+    if not residual[-1] < 0.0:
+        raise ArithmeticError("infeasible polytope in projection")
+    active = np.nonzero(multipliers > 0.0)[0]
+    u = _affine_projection(z, np.vstack([np.ones((1, n)), ineq[active]]),
+                           np.concatenate([[1.0], rhs[active]]))
+    if (abs(float(u.sum()) - 1.0) <= 1e-10 and float(np.max(ineq @ u - rhs)) <= 1e-10
+            and _kkt_residual(z, u, a_arr, b_arr) <= kkt_tol):
+        return u
+    u = p + plane @ (-residual[:-1] / residual[-1])
+    kkt = _kkt_residual(z, u, a_arr, b_arr)
+    if kkt <= kkt_tol:
+        return u
+    raise ArithmeticError(
+        f"projection failed to reach KKT residual {kkt_tol:.1e} (got {kkt:.3e})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive solvers for small Markov games
 # ---------------------------------------------------------------------------

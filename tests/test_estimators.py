@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from zsmg.estimators import (
     rollout,
     sampled_estimates,
 )
-from zsmg.games import MarkovGame, q_from_v, validate_game
+from zsmg.games import DimensionMismatchError, MarkovGame, q_from_v, validate_game
 from zsmg.gamegen import random_game
 from zsmg.learner import RunConfig, initial_state, run_selfplay, run_selfplay_batch
 
@@ -140,6 +141,11 @@ def _assert_same_trajectory(got, want):
         (want.n_states, want.n_actions_p1, want.n_actions_p2)
 
 
+def _kept(rows):
+    """``(flat index, row)`` of every row a kept-rows list holds, in index order."""
+    return [(k, row) for k, row in enumerate(rows) if row is not None]
+
+
 def _assert_same_rollout(game, x, y, n_steps, s_init, seed, rows=None):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = rollout(game, x, y, n_steps, s_init, rng, rows)
@@ -219,13 +225,13 @@ class TestRollout:
                           min_size=2, max_size=3),
            seed=st.integers(0, 2**32 - 1))
     def test_kept_rows_equal_searchsorted_oracle(self, n_s, n_a, n_b, calls, seed):
-        # Consecutive rollouts on one game share one rows dict, with fresh
+        # Consecutive rollouts on one game share one rows list, with fresh
         # strategies and start states (a drawn start taken modulo S): each
         # equals the oracle, bit for bit.
         game = random_game(seed=seed, n_states=n_s, n_actions_p1=n_a,
                            n_actions_p2=n_b, gamma=0.9)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = {}
+        rows = [None] * (n_s * n_a * n_b)
         for kind_x, kind_y, n_steps, start in calls:
             x = _strategy_rows(rng, kind_x, n_s, n_a)
             y = _strategy_rows(rng, kind_y, n_s, n_b)
@@ -235,18 +241,18 @@ class TestRollout:
             _assert_same_trajectory(got, searchsorted_rollout(game, x, y, n_steps, s_init,
                                                               ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert len(rows) <= n_s * n_a * n_b
+        assert len(rows) == n_s * n_a * n_b
         cum = np.cumsum(game.transition, axis=3).reshape(-1, n_s)
-        for k, row in rows.items():
+        for k, row in _kept(rows):
             assert row == cum[k].tolist()
 
     def test_kept_rows_are_not_rebuilt(self, switching_mp):
         x = np.full((2, 2), 0.5)
-        rows = {}
+        rows = [None] * switching_mp.loss.size
         rollout(switching_mp, x, x, 50, 0, np.random.default_rng(0), rows)
-        kept = dict(rows)
+        kept = _kept(rows)
         rollout(switching_mp, x, x, 50, 1, np.random.default_rng(1), rows)
-        assert all(rows[k] is row for k, row in kept.items())
+        assert all(rows[k] is row for k, row in kept)
 
     def test_non_monotone_cumulative_row(self):
         # Within validate_game's 1e-12 tolerance, yet the cumulative row falls.
@@ -258,12 +264,12 @@ class TestRollout:
         cum = np.cumsum(trans[0, 0, 0])
         assert cum[1] < cum[0]
         x = np.full((2, 2), 0.5)
-        kept = {}
+        kept = [None] * 8
         for s_init in (0, 1):
             _assert_same_rollout(game, x, x, 400, s_init, seed=11)
             # From the second start on, the walk reads rows kept by the first.
             _assert_same_rollout(game, x, x, 400, s_init, seed=11, rows=kept)
-        assert 0 in kept
+        assert kept[0] is not None
 
     def test_draw_inside_non_monotone_window(self):
         # cum = [0.3, 0.5, 0.5 - 1e-12, 1]: a draw in [cum[2], cum[1]) gets 3
@@ -282,11 +288,11 @@ class TestRollout:
         x = np.ones((4, 1))
         want = searchsorted_rollout(game, x, x, 5, 0, FixedDraws())
         np.testing.assert_array_equal(want.states, [0, 3, 3, 3, 0, 3])
-        kept = {}
+        kept = [None] * 4
         for rows in (None, kept, kept):
             got = rollout(game, x, x, 5, 0, FixedDraws(), rows)
             np.testing.assert_array_equal(got.states, want.states)
-        assert sorted(kept) == [0, 3]
+        assert [k for k, _ in _kept(kept)] == [0, 3]
 
     @pytest.mark.parametrize("field, value", [
         ("n_steps", 2.5), ("n_steps", True), ("n_steps", 0), ("n_steps", "3"),
@@ -299,6 +305,32 @@ class TestRollout:
         with pytest.raises(ValueError, match=rf"{field} must be .*got {field}={value!r}"):
             rollout(switching_mp, x, x, args["n_steps"], args["s_init"],
                     np.random.default_rng(0))
+
+    @pytest.mark.parametrize("x_shape, y_shape, message", [
+        ((3, 3), (3, 2), "x shape (3, 3) does not match (S, A) = (3, 2)"),
+        ((3, 1), (3, 2), "x shape (3, 1) does not match (S, A) = (3, 2)"),
+        ((2, 2), (3, 2), "x shape (2, 2) does not match (S, A) = (3, 2)"),
+        ((3, 2), (3, 3), "y shape (3, 3) does not match (S, B) = (3, 2)"),
+        ((3, 2), (6,), "y shape (6,) does not match (S, B) = (3, 2)"),
+        ((1, 3, 2), (3, 2), "x shape (1, 3, 2) does not match (S, A) = (3, 2)"),
+    ], ids=["wide", "narrow", "short", "wide_y", "flat_y", "stacked"])
+    def test_rejects_strategies_of_another_shape(self, x_shape, y_shape, message):
+        # A wider x drew from the wrong cumulative rows and a narrower one
+        # raised a bare IndexError; neither draws anything now.
+        game = random_game(seed=1, n_states=3, n_actions_p1=2, n_actions_p2=2, gamma=0.9)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            rollout(game, np.full(x_shape, 0.5), np.full(y_shape, 0.5), 10, 0, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rows", [[None] * 12, [None] * 4, {}], ids=["long", "short", "dict"])
+    def test_rejects_kept_rows_of_another_game(self, switching_mp, rows):
+        # A list kept on a 3-state 2x2 game (12 slots) aliased rows here.
+        x = np.full((2, 2), 0.5)
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^rows has length {len(rows)}, expected S\*A\*B = 8 "):
+            rollout(switching_mp, x, x, 10, 0, np.random.default_rng(0), rows)
 
     def test_numpy_integers_accepted(self, switching_mp):
         x = np.full((2, 2), 0.5)
@@ -348,6 +380,20 @@ class TestSampledEstimates:
         for arr in _sampled(traj, v, switching_mp.gamma):
             assert arr.min() >= 0.0
             assert arr.max() <= upper + 1e-12
+
+    @pytest.mark.parametrize("name, shape", [
+        ("v_prev", (3,)), ("v_prev", (1,)), ("ell", (2, 3)), ("r", (1, 2, 2)),
+    ], ids=["long_v", "short_v", "wide_ell", "stacked_r"])
+    def test_rejects_arrays_of_another_shape(self, switching_mp, name, shape):
+        # A short v_prev raised a bare IndexError; a long one passed unread.
+        traj = rollout(switching_mp, np.full((2, 2), 0.5), np.full((2, 2), 0.5), 20, 0,
+                       np.random.default_rng(0))
+        arrays = dict(v_prev=np.zeros(2), ell=np.zeros((2, 2)), r=np.zeros((2, 2)))
+        want = arrays[name].shape
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{re.escape(f'{name} shape {shape} does not match {want}')}"):
+            sampled_estimates(traj, arrays["v_prev"], 0.9, arrays["ell"], arrays["r"])
 
     def test_long_rollout_concentrates_on_exact(self, switching_mp):
         x = np.full((2, 2), 0.5)
@@ -477,6 +523,13 @@ class TestSampledEstimator:
         args[field] = value
         with pytest.raises(ValueError, match=rf"{field} must .*got {field}={value!r}"):
             SampledEstimator(**args)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_rejects_a_bad_seed_at_construction(self, mp1, seed):
+        # -1 raised numpy's bare "expected non-negative integer" and 1.5 a
+        # SeedSequence TypeError.
+        with pytest.raises(ValueError, match=rf"^seed must be >= 0 .*got seed={seed!r}$"):
+            SampledEstimator(mp1, rollout_len=10, seed=seed)
 
     def test_numpy_arguments_accepted(self, mp1):
         est = SampledEstimator(mp1, rollout_len=np.int64(10), seed=np.int64(3))
@@ -734,3 +787,25 @@ class TestEstimateMu:
         est = estimate_mu(game, n_probe_policies=8)
         assert 0.0 < est.mu <= 1.0
         assert np.isfinite(est.max_hitting_time)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_probe_policies", 0), ("n_probe_policies", -1), ("n_probe_policies", 2.5),
+        ("n_probe_policies", True), ("horizon", float("nan")), ("horizon", -1.0),
+        ("horizon", 0.0), ("horizon", float("inf")), ("seed", -1), ("seed", 1.5),
+        ("seed", None),
+    ])
+    @pytest.mark.parametrize("n_states", [1, 3])
+    def test_rejects_bad_arguments_before_any_probe(self, monkeypatch, field, value, n_states):
+        # 0 and -1 probes divided by zero and 2.5 raised a bare TypeError; a NaN
+        # horizon was ignored and -1.0 blamed the chain; a bad seed failed in
+        # numpy.  A one-state game, which probes nothing, checks them too.
+        import zsmg.estimators as est_mod
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was built before the arguments were checked")
+
+        game = random_game(seed=10, n_states=n_states, n_actions_p1=2, n_actions_p2=2,
+                           gamma=0.9)
+        monkeypatch.setattr(est_mod.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=rf"^{field} must .*got {field}="):
+            estimate_mu(game, **{field: value})

@@ -98,6 +98,13 @@ class TestRandomGame:
         with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1 .*{field}="):
             random_game(seed=0, gamma=0.9, **sizes)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # -1 raised numpy's bare "expected non-negative integer", 1.5 a
+        # SeedSequence TypeError, and None drew an unseeded game.
+        with pytest.raises(ValueError, match=rf"^seed must be >= 0 .*got seed={seed!r}$"):
+            random_game(seed=seed, n_states=2, n_actions_p1=2, n_actions_p2=2, gamma=0.9)
+
     def test_numpy_integer_dimensions_accepted(self):
         a = random_game(seed=4, n_states=np.int64(2), n_actions_p1=np.int32(3),
                         n_actions_p2=2, gamma=0.9)

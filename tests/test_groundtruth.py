@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -41,6 +42,7 @@ from oracles import (
     grid_minimax_value,
     per_state_shapley,
     simplex_grid,
+    two_nnls_project_point,
 )
 
 # sha256 of the <f8 bytes of v_star, x_star and y_star, recorded with the
@@ -91,9 +93,10 @@ def _projection_case(seed: int, n: int, m: int, game: str, tol: float, point: st
     """(z, a_mat, b_vec) for projecting onto one player's tol-relaxed optimal set.
 
     ``game`` is "random" (a random one-state Markov game, whose optimal sets
-    are often slivers around an x* with zero entries) or "tied" (an integer
-    matrix game in [-2, 2], whose optimal sets are often whole faces).  The
-    point z is interior, has zero entries, or lies near the witness.
+    are often slivers around an x* with zero entries), "tied" (an integer
+    matrix game in [-2, 2], whose optimal sets are often whole faces) or
+    "near-tied" (the same, each entry moved by about 1e-9).  The point z is
+    interior, has zero entries, lies near the witness, or is a vertex.
     """
     rng = np.random.default_rng(seed)
     if game == "random":
@@ -103,6 +106,8 @@ def _projection_case(seed: int, n: int, m: int, game: str, tol: float, point: st
         witness = gt.x_star[0] if side == 1 else gt.y_star[0]
     else:
         q = rng.integers(-2, 3, size=(n, m) if side == 1 else (m, n)).astype(np.float64)
+        if game == "near-tied":
+            q += rng.normal(scale=1e-9, size=q.shape)
         sol = solve_matrix_game(q)
         value, witness = sol.value, sol.x if side == 1 else sol.y
     # Player 2's set {y : -Q y <= -(v - tol)} has the same form as player 1's.
@@ -114,6 +119,8 @@ def _projection_case(seed: int, n: int, m: int, game: str, tol: float, point: st
     elif point == "near":
         z = np.maximum(witness + rng.normal(scale=10.0 ** rng.uniform(-8, -2), size=n), 0.0)
         z /= z.sum()
+    elif point == "vertex":
+        z = np.eye(n)[rng.integers(n)]
     return z, a_mat, b_vec
 
 
@@ -1227,6 +1234,107 @@ class TestDistance:
             assert plane.tobytes() == fresh.tobytes()
             np.testing.assert_allclose(plane.T @ plane, np.eye(n - 1), atol=1e-12)
             np.testing.assert_allclose(plane.sum(axis=0), 0.0, atol=1e-12)
+
+
+def _projection_outcome(project, z, polytope):
+    """The bytes ``project`` returns for z, or the type and message it raises."""
+    try:
+        return project(z, *polytope).tobytes()
+    except Exception as error:  # noqa: BLE001 -- the outcome is compared, not handled
+        return type(error), str(error)
+
+
+@contextlib.contextmanager
+def _certificate_spies():
+    """Record every ``_multipliers_certify`` verdict made inside the block, as
+    ``(accepted, u)``, and every ``_kkt_residual`` call."""
+    verdicts, kkt_calls = [], []
+    certify, kkt = groundtruth_mod._multipliers_certify, groundtruth_mod._kkt_residual
+
+    def spy_certify(z, u, *args):
+        verdicts.append((certify(z, u, *args), u.copy()))
+        return verdicts[-1][0]
+
+    def spy_kkt(*args, **kwargs):
+        kkt_calls.append(args)
+        return kkt(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groundtruth_mod, "_multipliers_certify", spy_certify)
+        patch.setattr(groundtruth_mod, "_kkt_residual", spy_kkt)
+        yield verdicts, kkt_calls
+
+
+class TestMultiplierCertificate:
+    """The projection accepts its affine point on the first NNLS's multipliers
+    first; the two-NNLS oracle is the projection as it was before."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 6), m=st.integers(2, 5),
+           game=st.sampled_from(["random", "tied", "near-tied"]),
+           tol=st.sampled_from([1e-9, 1e-4]),
+           point=st.sampled_from(["interior", "zeros", "near", "vertex"]),
+           side=st.sampled_from([1, 2]))
+    def test_certificate_keeps_the_two_nnls_bits(self, seed, n, m, game, tol, point, side):
+        z, a_mat, b_vec = _projection_case(seed, n, m, game, tol, point, side)
+        polytope = groundtruth_mod._polytope(a_mat, b_vec)
+        want = _projection_outcome(two_nnls_project_point, z, polytope)
+        with _certificate_spies() as (verdicts, _):
+            got = _projection_outcome(groundtruth_mod._project_point, z, polytope)
+        assert got == want
+        for u in (u for accepted, u in verdicts if accepted):
+            assert u.tobytes() == got
+            assert _kkt_residual(z, u, a_mat, b_vec) <= 1e-9
+
+    def test_sliver_point_takes_the_kkt_residual_path(self):
+        # The sliver of test_projection_finds_closer_point_in_sliver, at the
+        # vertex z = (0, 1, 0): the normal equations leave the affine point a
+        # stationarity residual of about 6e-7, which the certificate rejects;
+        # _kkt_residual's own multipliers accept it, as before.
+        gt = shapley_solve(random_game(seed=688578784, n_states=2, n_actions_p1=3,
+                                       n_actions_p2=3, gamma=0.9))
+        polytope = groundtruth_mod._polytope(gt.q_star[0].T, np.full(3, gt.v_star[0] + gt.tol))
+        z = np.array([0.0, 1.0, 0.0])
+        with _certificate_spies() as (verdicts, kkt_calls):
+            got = groundtruth_mod._project_point(z, *polytope)
+        assert [accepted for accepted, _ in verdicts] == [False]
+        assert len(kkt_calls) == 1
+        assert got.tobytes() == two_nnls_project_point(z, *polytope).tobytes()
+
+    def test_certificate_settles_most_generic_projections(self):
+        # Random 4- and 5-action games, distributions and off-plane points:
+        # the multiplier of sum(u) = 1 is the mean of d, rarely zero.
+        rng = np.random.default_rng(8)
+        with _certificate_spies() as (verdicts, kkt_calls):
+            for seed, n in ((301, 4), (302, 4), (303, 5), (304, 5)):
+                gt = shapley_solve(random_game(seed=seed, n_states=2, n_actions_p1=n,
+                                               n_actions_p2=n, gamma=0.9))
+                for s in range(2):
+                    polytope = groundtruth_mod._polytope(gt.q_star[s].T,
+                                                         np.full(n, gt.v_star[s] + gt.tol))
+                    for z in rng.dirichlet(np.ones(n), size=5):
+                        groundtruth_mod._project_point(z, *polytope)
+                        groundtruth_mod._project_point(1.5 * z, *polytope)
+        assert len(verdicts) == 4 * 2 * 5 * 2
+        assert sum(accepted for accepted, _ in verdicts) >= 0.75 * len(verdicts)
+        assert len(kkt_calls) <= 0.25 * len(verdicts)
+
+    @pytest.mark.parametrize("slack, residual, accepted", [
+        (0.0, 0.0, True), (4e-9, 0.0, True), (5e-9, 0.0, True), (6e-9, 0.0, False),
+        (1e-8, 0.0, False), (2e-8, 0.0, False), (0.0, 4e-10, True), (0.0, 6e-10, False),
+        (0.0, 1e-9, False),
+    ])
+    def test_window_and_residual_margins(self, slack, residual, accepted):
+        # u on the plane, one active row with multiplier 0.5 and the sum
+        # multiplier 0.25; ``residual`` moves z off stationarity along a
+        # direction orthogonal to the ones vector.
+        u = np.array([0.25, 0.25, 0.5])
+        row = np.array([[1.0, -2.0, 0.5]])
+        lam = np.array([0.5])
+        off = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        z = u + row[0] * lam[0] + 0.25 + residual * off
+        assert groundtruth_mod._multipliers_certify(z, u, row, lam, np.array([slack]),
+                                                    1e-9) is accepted
 
 
 # A fresh interpreter: the suite's own process imported scipy long ago.
