@@ -146,6 +146,10 @@ _PAD = 1e30
 # iterates it holds stay bounded whatever the cadence.
 _INTERVAL = 64
 
+# Most logged iterations whose metric rows wait for one make_metrics_row pass:
+# it bounds the iterates held and how many logged iterations a row can lag.
+_ROWS_PER_PASS = 64
+
 
 @dataclass(frozen=True)
 class LearnerState:
@@ -515,11 +519,18 @@ def run_selfplay(
     Per iteration: build the critic's stage games, read or sample the payoff
     estimates, take one stacked optimistic step for both players, then
     average the critic toward the shared payoff estimate.  Metric rows are
-    produced every ``config.cadence`` iterations (computed on the anchor
-    iterates entering the iteration) and pushed to ``sink`` as they appear;
-    the movement diagnostics they report are only tracked when ``cadence > 0``,
-    in intervals that end at logged iterations and not past the last one, and
-    ground truth is solved on demand when metrics are requested.
+    logged every ``config.cadence`` iterations (computed on the anchor
+    iterates entering the iteration, with ``wall_clock`` read there) and
+    evaluated in passes: one ``make_metrics_row`` call per
+    ``_ROWS_PER_PASS`` logged iterations, and one at the last.  ``sink``
+    receives each pass's rows in order, so a row reaches it at most 63
+    logged iterations late, and every row before the call returns; an error
+    in a row's metrics is raised by the pass that holds that row, and an
+    error elsewhere drops the rows of the open pass.  The
+    movement diagnostics the rows report are only tracked when
+    ``cadence > 0``, in intervals that end at logged iterations and not past
+    the last one, and ground truth is solved on demand when metrics are
+    requested.
     Deterministic given the config.  This is the batch loop of
     ``run_selfplay_batch`` with a batch of one.
     """
@@ -534,13 +545,16 @@ def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
     the bits of that call; only the ``wall_clock`` debug field differs, as it
     counts from the start of the batch and the rows of one logged iteration
     share it.  The loop's arrays carry a leading run axis, so one projection
-    per half-step, one critic step, one diagnostics update per interval and,
-    at each logged iteration, one ``make_metrics_row`` call serve every run, and
-    exact estimates are one ``exact_triple_from_q`` call over the states of
-    all runs.  In sampled mode exploration is mixed once per player over all
-    runs, and each run rolls out on its own rows of the mixed strategies with
-    its own ``SampledEstimator``, bound to the run's game, with its own
-    generator; at logged iterations one ``exact_triple_from_q`` call over the
+    per half-step, one critic step, one diagnostics update per interval and
+    one ``make_metrics_row`` call per pass serve every run, and exact
+    estimates are one ``exact_triple_from_q`` call over the states of all
+    runs.  A pass stacks up to ``_ROWS_PER_PASS`` logged iterations of every
+    run on the run axis, so one ``game_duality_gap`` and one
+    ``dist_to_optimal_sets`` call per shared game serve them all.  In sampled
+    mode exploration is mixed once per player over all runs, and each run
+    rolls out on its own rows of the mixed strategies with its own
+    ``SampledEstimator``, bound to the run's game, with its own generator; at
+    logged iterations one ``exact_triple_from_q`` call over the
     mixed strategies gives every run's estimate error.
     Ground truth is solved per run where rows need it and none is given.
 
@@ -566,7 +580,13 @@ def run_selfplay_batch(games, configs, ground_truths=None) -> list[RunResult]:
 def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
                ) -> list[RunResult]:
     """The loop of ``run_selfplay_batch`` over set-up runs; ``sink`` and
-    ``iteration_hook`` see every run's rows and states, in run order."""
+    ``iteration_hook`` see every run's rows and states, in run order.
+
+    A logged iteration keeps references to what its rows read, and a pass
+    evaluates the kept ones in one ``make_metrics_row`` call when
+    ``_ROWS_PER_PASS`` are pending or at the last logged iteration, in
+    place of one call per logged iteration.  ``sink`` gets the rows pass by
+    pass, in (t, run) order."""
     key = runs[0].shared
     for index, run in enumerate(runs[1:], 1):
         for name, value in run.shared.items():
@@ -617,6 +637,9 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
     j_state = np.zeros((n_runs, n_states))
     k_state = np.zeros((n_runs, n_states))
     est_err = None
+    # What each logged iteration's rows read, until its pass; references
+    # suffice, as no array handed out is ever written.
+    pending: list[tuple] = []
     rows: list[list[metrics_mod.MetricsRow]] = [[] for _ in games]
     started = time.perf_counter()
 
@@ -660,17 +683,14 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
                                                 np.abs(r - exact_r).max(axis=(1, 2))),
                                      np.abs(rho - exact_rho).max(axis=1)).tolist()
         if logging_now:
-            new_rows = metrics_mod.make_metrics_row(
-                t=t, game=games, ground_truth=ground_truths,
-                x_hat=z_hat[:, :n_states, :n_a], y_hat=z_hat[:, n_states:, :n_b], q_t=q_t,
-                j_max=j_state.max(axis=-1), k_max=k_state.max(axis=-1),
-                q_step_max=q_step.max(axis=-1), est_err=est_err,
-                wall_clock=time.perf_counter() - started,
-            )
-            for run_rows, row in zip(rows, new_rows):
-                run_rows.append(row)
-                if sink is not None:
-                    sink(row)
+            pending.append((t, z_hat, q_t, j_state.max(axis=-1), k_state.max(axis=-1),
+                            q_step.max(axis=-1), est_err, time.perf_counter() - started))
+            if len(pending) == _ROWS_PER_PASS or t == last_logged:
+                for item, row in enumerate(_metrics_pass(pending, games, ground_truths)):
+                    rows[item % n_runs].append(row)
+                    if sink is not None:
+                        sink(row)
+                pending = []
         z_hat, z = _ogda_update(z_hat, g, g_blocks, ell, r, rho, eta)
         v = critic_step(v, rho, alpha_t)
         if iteration_hook is not None:
@@ -680,6 +700,26 @@ def _run_batch(runs: list[_Run], ground_truths, sink=None, iteration_hook=None
     return [RunResult(state=state_of(index, iterations + 1), rows=rows[index], game=run.game,
                       ground_truth=ground_truths[index], config=run.config)
             for index, run in enumerate(runs)]
+
+
+def _metrics_pass(pending: list[tuple], games: list[MarkovGame], ground_truths: list
+                  ) -> list[metrics_mod.MetricsRow]:
+    """The metric rows of the ``pending`` logged iterations of every run from one
+    ``make_metrics_row`` call, logged-iteration-major and run-minor.  Each entry
+    is ``(t, z_hat, q_t, j_max, k_max, q_step_max, est_err, wall_clock)`` with
+    the run axis leading its arrays and ``est_err`` a list or None."""
+    ts, z_hats, q_ts, j_max, k_max, q_step_max, est_errs, clocks = zip(*pending)
+    n_states, n_a, n_b = games[0].loss.shape
+    z_hat = np.concatenate(z_hats)
+    return metrics_mod.make_metrics_row(
+        t=[t for t in ts for _ in games], game=games * len(pending),
+        ground_truth=ground_truths * len(pending),
+        x_hat=z_hat[:, :n_states, :n_a], y_hat=z_hat[:, n_states:, :n_b],
+        q_t=np.concatenate(q_ts), j_max=np.concatenate(j_max), k_max=np.concatenate(k_max),
+        q_step_max=np.concatenate(q_step_max),
+        est_err=None if est_errs[0] is None else [err for errs in est_errs for err in errs],
+        wall_clock=[clock for clock in clocks for _ in games],
+    )
 
 
 def run_single_player(

@@ -134,7 +134,7 @@ def diagnostics_update(
 
 
 def make_metrics_row(
-    t: int,
+    t: int | list[int],
     game: list[MarkovGame],
     ground_truth: list[GroundTruth],
     x_hat: np.ndarray,
@@ -144,43 +144,60 @@ def make_metrics_row(
     k_max,
     q_step_max,
     est_err=None,
-    wall_clock: float | None = None,
+    wall_clock: float | list[float] | None = None,
 ) -> list[MetricsRow]:
-    """Evaluate the expensive ground-truth metrics for the anchor iterates at ``t``.
+    """Evaluate the expensive ground-truth metrics for stacked anchor iterates.
 
-    ``x_hat``, ``y_hat`` and ``q_t`` carry a leading run axis, and the other
-    arguments but ``t`` and ``wall_clock`` are sequences with one entry per
-    run (``est_err`` may be None).  Returns one row per run, each with the
-    bits its run's metrics have alone; the rows share ``wall_clock``.  Runs
-    that share a game and a ground truth (the same objects) share one
-    ``game_duality_gap`` and one ``dist_to_optimal_sets`` call; the stage
-    gaps and critic errors are one array expression over runs and states.
+    ``x_hat``, ``y_hat`` and ``q_t`` carry a leading item axis, and ``game``,
+    ``ground_truth``, ``j_max``, ``k_max``, ``q_step_max`` and ``est_err`` (which
+    may be None) are sequences with one entry per item.  ``t`` and
+    ``wall_clock`` are either one value that every row shares or one entry per
+    item.  An item is a run at one logged iteration: the learner stacks the
+    logged iterations of every run on this axis and evaluates them in one call
+    per pass.  A sequence whose length is not the item count raises
+    ValueError naming it, before any metric is computed.
+
+    Returns one row per item, each with the bits its item's metrics have
+    alone.  Items that share a game and a ground truth (the same objects)
+    share one ``game_duality_gap`` and one ``dist_to_optimal_sets`` call; the
+    stage gaps and critic errors are one array expression over items and
+    states.
     """
     x_hat, y_hat, q_t = (np.asarray(a, dtype=np.float64) for a in (x_hat, y_hat, q_t))
-    n_runs = len(x_hat)
+    n_items = len(x_hat)
+    # A single t or wall_clock is every item's.
+    t, wall_clock = ([value] * n_items if value is None or np.isscalar(value) else value
+                     for value in (t, wall_clock))
+    est_err = [None] * n_items if est_err is None else est_err
+    for name, value in (("game", game), ("ground_truth", ground_truth), ("y_hat", y_hat),
+                        ("q_t", q_t), ("j_max", j_max), ("k_max", k_max),
+                        ("q_step_max", q_step_max), ("est_err", est_err), ("t", t),
+                        ("wall_clock", wall_clock)):
+        if len(value) != n_items:
+            raise ValueError(f"make_metrics_row: {name} has {len(value)} entries, but x_hat "
+                             f"has {n_items} items")
     groups: dict[tuple, list[int]] = {}
-    for run, pair in enumerate(zip(map(id, game), map(id, ground_truth))):
-        groups.setdefault(pair, []).append(run)
-    gap, dist = np.empty(n_runs), np.empty(n_runs)
-    for runs in groups.values():
-        run_game, gt = game[runs[0]], ground_truth[runs[0]]
-        # A group of every run reads the iterates as they are, with no gathered copy.
-        index = slice(None) if len(runs) == n_runs else runs
+    for item, pair in enumerate(zip(map(id, game), map(id, ground_truth))):
+        groups.setdefault(pair, []).append(item)
+    gap, dist = np.empty(n_items), np.empty(n_items)
+    for items in groups.values():
+        item_game, gt = game[items[0]], ground_truth[items[0]]
+        # A group of every item reads the iterates as they are, with no gathered copy.
+        index = slice(None) if len(items) == n_items else items
         policy = JointPolicy(x=x_hat[index], y=y_hat[index])
-        gap[index] = game_duality_gap(run_game, policy, tol=gt.tol)
+        gap[index] = game_duality_gap(item_game, policy, tol=gt.tol)
         dist[index] = dist_to_optimal_sets(gt, policy).mean
     q_star = np.stack([gt.q_star for gt in ground_truth])
     col_payoffs = (x_hat[..., None, :] @ q_star)[..., 0, :]
     row_payoffs = (q_star @ y_hat[..., None])[..., 0]
     state_gap = (col_payoffs.max(axis=-1) - row_payoffs.min(axis=-1)).max(axis=-1)
     q_err = np.abs(q_t - q_star).max(axis=(1, 2, 3))
-    est_err = [None] * n_runs if est_err is None else est_err
-    return [MetricsRow(t=t, game_gap=float(gap[run]), mean_dist_sq=float(dist[run]),
-                       state_gap_max=float(state_gap[run]), q_err_max=float(q_err[run]),
-                       policy_step_avg_max=float(j_max[run]), q_step_avg_max=float(k_max[run]),
-                       q_step_max=float(q_step_max[run]), est_err_max=est_err[run],
-                       wall_clock=wall_clock)
-            for run in range(n_runs)]
+    return [MetricsRow(t=t[item], game_gap=float(gap[item]), mean_dist_sq=float(dist[item]),
+                       state_gap_max=float(state_gap[item]), q_err_max=float(q_err[item]),
+                       policy_step_avg_max=float(j_max[item]),
+                       q_step_avg_max=float(k_max[item]), q_step_max=float(q_step_max[item]),
+                       est_err_max=est_err[item], wall_clock=wall_clock[item])
+            for item in range(n_items)]
 
 
 def config_digest(payload: dict) -> str:
@@ -274,12 +291,14 @@ def aggregate_metrics(runs: list[list[MetricsRow]]) -> dict[str, np.ndarray]:
         if not np.array_equal(np.array([row.t for row in rows]), grid):
             raise ValueError(f"repetition {rep} logged a different iteration grid")
     out: dict[str, np.ndarray] = {"t": grid}
-    for col in CSV_COLUMNS[1:]:
-        stack = np.array([[getattr(row, col) for row in rows] for rows in runs])
-        q25, med, q75 = np.percentile(stack, [25.0, 50.0, 75.0], axis=0)
-        out[f"{col}_med"] = med
-        out[f"{col}_q25"] = q25
-        out[f"{col}_q75"] = q75
+    columns = CSV_COLUMNS[1:]
+    # One percentile call over the (column, repetition, row) stack.
+    stack = np.array([[[getattr(row, col) for row in rows] for rows in runs] for col in columns])
+    q25, med, q75 = np.percentile(stack, [25.0, 50.0, 75.0], axis=1)
+    for index, col in enumerate(columns):
+        out[f"{col}_med"] = med[index]
+        out[f"{col}_q25"] = q25[index]
+        out[f"{col}_q75"] = q75[index]
     return out
 
 

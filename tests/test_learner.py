@@ -909,6 +909,74 @@ class TestRunSelfplayBatch:
             assert result.ground_truth.v_star.tobytes() == shapley_solve(game).v_star.tobytes()
 
 
+class TestMetricsPass:
+    """Logged iterations wait for one make_metrics_row pass per _ROWS_PER_PASS of them.
+
+    130 iterations at cadence 1 cross pass boundaries at 64 and 128 and end
+    with a pass of 2.
+    """
+
+    ITERATIONS = 130
+
+    def _config(self, **changes):
+        return RunConfig(iterations=self.ITERATIONS, eta=0.05, cadence=1, **changes)
+
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
+    def test_rows_match_the_unstacked_oracle(self, switching_mp, estimator):
+        cfg = self._config(**(dict(estimator="sampled", rollout_len=12, epsilon=1.0, seed=3)
+                              if estimator == "sampled" else {}))
+        gt = shapley_solve(switching_mp)
+        result = run_selfplay(switching_mp, cfg, ground_truth=gt)
+        _, ref_rows = unstacked_selfplay(switching_mp, cfg, gt)
+        assert learner_mod._ROWS_PER_PASS == 64
+        assert len(ref_rows) == self.ITERATIONS
+        assert [replace(row, wall_clock=None) for row in result.rows] == ref_rows
+
+    def test_sink_receives_rows_one_pass_at_a_time(self, switching_mp):
+        seen, counts = [], {}
+        result = run_selfplay(switching_mp, self._config(), sink=seen.append,
+                              iteration_hook=lambda t, state: counts.setdefault(t, len(seen)))
+        assert [counts[t] for t in (1, 63, 64, 65, 127, 128, 129, 130)] == \
+            [0, 0, 64, 64, 64, 128, 128, 130]
+        assert [row.t for row in seen] == list(range(1, self.ITERATIONS + 1))
+        assert seen == result.rows
+
+    def test_wall_clock_is_read_at_the_logged_iteration(self, switching_mp):
+        # Two runs: the rows of one t share its clock, which never decreases.
+        batch = run_selfplay_batch([switching_mp] * 2,
+                                   [self._config(seed=seed) for seed in (0, 1)])
+        first, second = ([row.wall_clock for row in result.rows] for result in batch)
+        assert first == second
+        assert all(0.0 <= a <= b for a, b in zip(first, first[1:]))
+        assert [row.t for row in batch[1].rows] == list(range(1, self.ITERATIONS + 1))
+
+    def test_an_error_is_raised_by_the_pass_that_holds_its_row(self, switching_mp,
+                                                               monkeypatch):
+        calls, seen = [], []
+
+        def second_pass_fails(gt, policy):
+            calls.append(len(policy.x))
+            if len(calls) == 2:
+                raise ArithmeticError("projection failed")
+            return groundtruth_mod.dist_to_optimal_sets(gt, policy)
+
+        monkeypatch.setattr(metrics_mod, "dist_to_optimal_sets", second_pass_fails)
+        with pytest.raises(ArithmeticError, match="projection failed"):
+            run_selfplay(switching_mp, self._config(), sink=seen.append)
+        assert calls == [64, 64]
+        assert [row.t for row in seen] == list(range(1, 65))
+
+    def test_runs_of_different_games_match_the_unstacked_oracle(self):
+        # Each game's items are a strided index list inside make_metrics_row.
+        cases = [_batch_case(seed, (2, 3, 2), "exact", 1, iterations=self.ITERATIONS)
+                 for seed in (11, 12)]
+        gts = [shapley_solve(game) for game, _ in cases]
+        batch = run_selfplay_batch([game for game, _ in cases], [cfg for _, cfg in cases], gts)
+        for (game, cfg), gt, got in zip(cases, gts, batch):
+            _, ref_rows = unstacked_selfplay(game, cfg, gt)
+            assert [replace(row, wall_clock=None) for row in got.rows] == ref_rows
+
+
 @pytest.mark.usefixtures("no_solve")
 class TestBatchKey:
     """Runs that do not share what the loop reads once are rejected, naming the

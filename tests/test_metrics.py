@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -184,6 +186,54 @@ class TestMakeMetricsRow:
         assert row.q_err_max == pytest.approx(0.9 * 5.0, abs=1e-7)
 
 
+    @pytest.fixture
+    def witness_args(self, mp1):
+        """Arguments for three runs of mp1 at its witness policy, where every true gap is 0."""
+        gt = shapley_solve(mp1)
+        return dict(t=3, game=[mp1] * 3, ground_truth=[gt] * 3,
+                    x_hat=np.stack([gt.x_star] * 3), y_hat=np.stack([gt.y_star] * 3),
+                    q_t=np.stack([gt.q_star] * 3), j_max=[0.0] * 3, k_max=[0.0] * 3,
+                    q_step_max=[0.0] * 3, est_err=[0.5] * 3, wall_clock=[1.0] * 3)
+
+    @pytest.mark.parametrize("name", ["game", "ground_truth", "y_hat", "q_t", "j_max", "k_max",
+                                      "q_step_max", "est_err", "t", "wall_clock"])
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_per_item_lengths_are_checked_first(self, witness_args, monkeypatch, name, length):
+        # A short sequence once read np.empty garbage or raised a bare
+        # IndexError, and a long one was cut, so every length is checked
+        # before any metric is computed.
+        import zsmg.metrics as metrics_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a metric was computed before the lengths were checked")
+
+        monkeypatch.setattr(metrics_mod, "game_duality_gap", unreachable)
+        monkeypatch.setattr(metrics_mod, "dist_to_optimal_sets", unreachable)
+        value = witness_args[name]
+        witness_args[name] = (list(value) * 4 if isinstance(value, list) else
+                              np.concatenate([value] * 4) if np.ndim(value) else [value] * 4
+                              )[:length]
+        with pytest.raises(ValueError, match=rf"make_metrics_row: {name} has {length} entries, "
+                                             r"but x_hat has 3 items"):
+            make_metrics_row(**witness_args)
+
+    def test_one_game_for_three_runs_is_rejected(self, witness_args):
+        # Runs 1 and 2 once read -0.5 and 1.5 as their gaps and distances.
+        witness_args.update(game=witness_args["game"][:1],
+                            ground_truth=witness_args["ground_truth"][:1])
+        with pytest.raises(ValueError, match="game has 1 entries, but x_hat has 3 items"):
+            make_metrics_row(**witness_args)
+
+    def test_t_and_wall_clock_are_shared_or_per_item(self, witness_args):
+        shared = make_metrics_row(**{**witness_args, "wall_clock": 2.5})
+        assert [(row.t, row.wall_clock) for row in shared] == [(3, 2.5)] * 3
+        assert all(row.game_gap <= 2e-9 and row.mean_dist_sq == 0.0 for row in shared)
+        own = make_metrics_row(**{**witness_args, "t": [4, 5, 6],
+                                  "wall_clock": np.array([0.5, 0.75, 1.0])})
+        assert [(row.t, row.wall_clock) for row in own] == [(4, 0.5), (5, 0.75), (6, 1.0)]
+        assert [replace(row, t=3, wall_clock=2.5) for row in own] == shared
+
+
 class TestBatchedRows:
     """With a run axis, one call makes every run's row with that run's own bits."""
 
@@ -314,6 +364,30 @@ class TestAggregate:
         np.testing.assert_array_equal(agg["game_gap_q75"],
                                       np.percentile(gaps, 75.0, axis=0))
         np.testing.assert_array_equal(agg["t"], [10, 20])
+
+    @pytest.mark.parametrize("n_reps, n_rows", [(1, 3), (4, 5), (5, 1), (3, 0)])
+    def test_matches_the_per_column_percentiles(self, n_reps, n_rows):
+        # One percentile call over the stacked columns keeps the bits of one
+        # call per column; cadence 0 logs zero rows per repetition.
+        rng = np.random.default_rng(n_reps * 10 + n_rows)
+        runs = [[MetricsRow(10 * (i + 1), *rng.uniform(size=7)) for i in range(n_rows)]
+                for _ in range(n_reps)]
+        agg = aggregate_metrics(runs)
+        assert sorted(agg) == sorted(["t"] + [f"{col}_{stat}" for col in CSV_COLUMNS[1:]
+                                              for stat in ("med", "q25", "q75")])
+        for col in CSV_COLUMNS[1:]:
+            stack = np.array([[getattr(row, col) for row in rows] for rows in runs])
+            q25, med, q75 = np.percentile(stack, [25.0, 50.0, 75.0], axis=0)
+            for stat, want in (("med", med), ("q25", q25), ("q75", q75)):
+                assert agg[f"{col}_{stat}"].tobytes() == want.tobytes(), (col, stat)
+
+    def test_zero_row_repetitions_aggregate_to_an_empty_table(self, tmp_path):
+        agg = aggregate_metrics([[], [], []])
+        assert all(len(values) == 0 for values in agg.values())
+        empty, one = tmp_path / "empty.csv", tmp_path / "one.csv"
+        write_aggregate_csv(empty, agg, metadata={"reps": 3})
+        write_aggregate_csv(one, aggregate_metrics([[_row(10)]]), metadata={"reps": 3})
+        assert empty.read_text().splitlines() == one.read_text().splitlines()[:2]
 
     def test_single_run_aggregates_to_itself(self):
         rows = [_row(5, base=0.3), _row(10, base=0.2)]

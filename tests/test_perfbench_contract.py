@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import zsmg
-from zsmg import estimators
+from zsmg import estimators, metrics
 from zsmg.gamegen import builtin
 from zsmg.learner import RunConfig, run_selfplay, run_selfplay_batch
 
@@ -114,6 +114,17 @@ def test_sampled_batch_reaches_the_traced_rollout_and_estimates_per_run(monkeypa
                          epsilon=1.0, seed=seed, cadence=3) for seed in (0, 1)]
     run_selfplay_batch([game, game], configs)
     _assert_traced_sampled_calls(rollouts, estimates, 2 * 7)
+
+
+def test_logged_rows_reach_the_traced_metrics_row_once_per_pass(monkeypatch):
+    # perfbench's self-check reads metrics.make_metrics_row.calls: one call per
+    # pass of up to 64 logged iterations of every run, not one per logged iteration.
+    calls = []
+    _observe(monkeypatch, metrics.make_metrics_row, calls)
+    game = builtin("switching-mp")
+    configs = [RunConfig(iterations=130, eta=0.05, cadence=1, seed=seed) for seed in (0, 1)]
+    run_selfplay_batch([game, game], configs)
+    assert [len(kwargs["x_hat"]) for _, kwargs in calls] == [2 * 64, 2 * 64, 2 * 2]
 
 
 def test_seed_zero_outputs_match_the_recorded_digests(workloads, tmp_path):
