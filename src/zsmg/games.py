@@ -290,10 +290,13 @@ def best_response(
     (Howard 1960: greedy improvement + exact policy evaluation), which
     terminates at an optimal deterministic policy.  Returns ``(value,
     policy)`` where ``value`` has shape (S,) and ``policy`` is a one-hot array
-    over the free player's actions.  The Bellman residual of the returned
-    value is guaranteed at most ``tol * (1 - gamma)`` (raises
-    ``ArithmeticError`` otherwise).  A fixed policy row that is not a
-    distribution, a ``tol`` that is not a finite positive number, or a
+    over the free player's actions.  The Bellman residual of each returned
+    item's value is at most ``tol * (1 - gamma) * max(1, ||v||_inf)``, with
+    ``||v||_inf`` that item's largest absolute value (raises
+    ``ArithmeticError`` otherwise), so each value lies within
+    ``tol * max(1, ||v||_inf)`` of optimal, up to the tie tolerance of the
+    improvement step, ``1e-13 * max(1, ||v||_inf)``.  A fixed policy row that
+    is not a distribution, a ``tol`` that is not a finite positive number, or a
     ``max_iter`` that is not an integer >= 1 raises ``ValueError`` first.
 
     ``fixed_policy`` may carry leading stack axes, and ``fixed_side`` may be

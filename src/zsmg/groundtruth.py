@@ -17,16 +17,20 @@ every terminal basis in one stacked call.  ``_stage_solutions`` is the one
 then the other, and ``solve_matrix_game`` is that solve on a stack of one.
 Value iteration keeps each state's optimal basis from one sweep to the next,
 and one ``_LpStack`` per solve: the LP stack, whose constant frame is written
-once, the state index and the basis cost rows, so a sweep rewrites only the
-payoff block.  Most sweeps settle every state, which two whole-stack tests
-show.  A sweep's certificate never changes its path, so value iteration
-queues each settled sweep and certifies ``_CERTIFY_EVERY`` (16) of them in
-one call, and the rest at convergence, at the iteration cap or before any
-other error leaves the loop: a failing certificate raises its own sweep's
-error, with that sweep's matrix, up to 15 sweeps later.  numpy's stacked
-``solve`` and ``matmul`` run the same per-matrix kernel on every item, so
-each item has the bits it would have alone, in a stack of one state or of 16
-sweeps.
+once, the state index and the basis cost rows.  A basis read is split in two:
+``_solve_bases``, one stacked solve, and ``_read_solved``, the duals and
+reduced costs.  Late in the iteration a sweep rarely moves a basis, so after a
+sweep that runs ``_settle`` value iteration runs stacks of 1, 2, 4, ... up to
+``_CERTIFY_EVERY`` (16) sweeps, each one ``_solve_bases`` and its value.  One
+``_read_solved`` over a stack's (sweeps * S) LPs then tests settlement as
+``_settle`` does, and one ``_certified`` call certifies the settled sweeps.
+The first unsettled sweep is redone through ``_settle`` from its own ``q``
+and bases, which repeats the arithmetic on the same numbers, and the stack's
+later sweeps are discarded; a failing certificate raises its own sweep's
+error, with that sweep's matrix, before any later sweep can raise.  numpy's
+stacked ``solve`` and ``matmul`` run the same per-matrix kernel on every item,
+so each item has the bits it would have alone, in a stack of one state or of
+16 sweeps.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ __all__ = [
 # The simplex's starting feasibility and optimality tolerance.
 _PIVOT_TOL = 1e-11
 
-# Value iteration certifies its settled sweeps in one call per this many sweeps.
+# Value iteration checks and certifies at most this many sweeps in one stacked call.
 _CERTIFY_EVERY = 16
 
 
@@ -124,24 +128,37 @@ def _value_lp(q: np.ndarray, a_mat: np.ndarray | None = None) -> tuple[np.ndarra
     return shift, a_mat
 
 
-def _read_bases(a_mat: np.ndarray, bases: np.ndarray, rows: np.ndarray | None = None,
-                basis_cost: np.ndarray | None = None) -> tuple:
-    """Read each LP of ``_value_lp`` at its basis: ``(x_b, duals, b_inv, reduced)``.
+def _solve_bases(a_mat: np.ndarray, bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``[B^-1 b | B^-1]`` (S, B+1, B+2) of each LP of ``_value_lp`` at its basis, in
+    one stacked solve; any singular basis raises.  ``rows`` is the LP index (S, 1)."""
+    _, m, n = a_mat.shape
+    return np.linalg.solve(a_mat[rows, :, bases].transpose(0, 2, 1), _lp_constants(n - m, m - 1)[1])
 
-    One stacked solve gives ``[B^-1 b | B^-1]``; the duals are ``c_B B^-1``, the
-    reduced costs ``c - duals A`` (zero on the basis).  Any singular basis raises.
-    A caller may keep ``rows``, the state index (S, 1), and ``basis_cost = cost[bases]``.
-    """
-    n_states, m, n = a_mat.shape
-    _, rhs, cost = _lp_constants(n - m, m - 1)
-    rows = np.arange(n_states)[:, None] if rows is None else rows
+
+def _read_solved(a_mat: np.ndarray, bases: np.ndarray, b_inv_ab: np.ndarray, rows: np.ndarray,
+                 basis_cost: np.ndarray | None = None) -> tuple:
+    """``(x_b, duals, b_inv, reduced)`` of the LPs ``a_mat`` from their ``_solve_bases``
+    ``b_inv_ab``: the duals are ``c_B B^-1``, the reduced costs ``c - duals A`` (zero
+    on the basis).  ``rows`` and ``basis_cost`` as for ``_read_bases``."""
+    _, m, n = a_mat.shape
+    cost = _lp_constants(n - m, m - 1)[2]
     basis_cost = cost[bases] if basis_cost is None else basis_cost
-    b_inv_ab = np.linalg.solve(a_mat[rows, :, bases].transpose(0, 2, 1), rhs)
     b_inv = b_inv_ab[:, :, 1:]
     duals = (basis_cost[:, None, :] @ b_inv)[:, 0]
     reduced = cost - (duals[:, None, :] @ a_mat)[:, 0]
     reduced[rows, bases] = 0.0
     return b_inv_ab[:, :, 0], duals, b_inv, reduced
+
+
+def _read_bases(a_mat: np.ndarray, bases: np.ndarray, rows: np.ndarray | None = None,
+                basis_cost: np.ndarray | None = None) -> tuple:
+    """Read each LP of ``_value_lp`` at its basis: ``(x_b, duals, b_inv, reduced)``.
+
+    ``_solve_bases``, then ``_read_solved``.  A caller may keep ``rows``, the
+    state index (S, 1), and ``basis_cost = cost[bases]``.
+    """
+    rows = np.arange(len(a_mat))[:, None] if rows is None else rows
+    return _read_solved(a_mat, bases, _solve_bases(a_mat, bases, rows), rows, basis_cost)
 
 
 def _basic_solutions(shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray, n_a: int,
@@ -275,11 +292,28 @@ def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray, read: 
 @dataclass
 class _LpStack:
     """What ``_stage_solutions`` keeps between its calls on one ``bases`` array,
-    filled on first use; only the states that restart or pivot refresh their cost row."""
+    filled on first use; only the states that restart or pivot refresh their cost row.
+    A caller may hand in ``a_mat`` framed by ``_value_lp``, as value iteration
+    hands in the first slot of its sweeps' LP stacks."""
 
     a_mat: np.ndarray | None = None       # (S, B+1, A+1+B)
     rows: np.ndarray | None = None        # (S, 1) state index
     basis_cost: np.ndarray | None = None  # (S, B+1) cost rows of the current bases
+
+
+def _unsettled(x_b: np.ndarray, reduced: np.ndarray) -> tuple | None:
+    """``(infeasible, unsettled)`` per LP of a ``_read_bases`` read, or None when
+    every basis is optimal where it stands: primal feasible and with no negative
+    reduced cost, within ``_PIVOT_TOL``.  Two whole-stack tests decide that, and
+    NaN passes them; the per-LP flags are built only when a test fires."""
+    # A primal-infeasible start would walk the ratio test backwards; entries
+    # within _PIVOT_TOL of zero are the rounding of degenerate pivots.
+    infeasible, improvable = x_b < -_PIVOT_TOL, reduced < -_PIVOT_TOL
+    if not (np.logical_or.reduce(infeasible, axis=None)
+            or np.logical_or.reduce(improvable, axis=None)):
+        return None
+    infeasible = infeasible.any(axis=1)
+    return infeasible, infeasible | improvable.any(axis=1)
 
 
 def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
@@ -298,7 +332,7 @@ def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
     n_states, m, n = a_mat.shape
     cost = _lp_constants(n - m, m - 1)[2]
     bases = _cold_bases(a_mat) if bases is None else bases
-    if stack.a_mat is None:
+    if stack.rows is None:
         stack.a_mat, stack.rows, stack.basis_cost = a_mat, np.arange(n_states)[:, None], cost[bases]
     rows = stack.rows
     try:
@@ -311,13 +345,10 @@ def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
             with suppress(np.linalg.LinAlgError):
                 x_b[s:s + 1], duals[s:s + 1], b_inv[s:s + 1], reduced[s:s + 1] = \
                     _read_bases(a_mat[s:s + 1], bases[s:s + 1])
-    # A primal-infeasible start would walk the ratio test backwards; entries
-    # within _PIVOT_TOL of zero are the rounding of degenerate pivots.
-    infeasible, improvable = x_b < -_PIVOT_TOL, reduced < -_PIVOT_TOL
     pivots = np.zeros(n_states, dtype=np.intp)
-    if np.logical_or.reduce(infeasible, axis=None) or np.logical_or.reduce(improvable, axis=None):
-        infeasible = infeasible.any(axis=1)
-        todo = np.flatnonzero(infeasible | improvable.any(axis=1))
+    if (tested := _unsettled(x_b, reduced)) is not None:
+        infeasible, unsettled = tested
+        todo = np.flatnonzero(unsettled)
         if (cold := todo[infeasible[todo]]).size:
             bases[cold] = _cold_bases(a_mat[cold])
             x_b[cold], duals[cold], b_inv[cold], reduced[cold] = \
@@ -345,11 +376,16 @@ def _certified(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndar
         s = np.flatnonzero(~certified)[0]
         if not dual_ok[s]:
             raise LpSolveError(f"dual strategy sum {y_sum[s]:.6f} far from 1", q[s])
-        raise LpSolveError(
-            f"minimax certificate failed: value={float(values[s])!r}, "
-            f"max col payoff={col_payoffs[s].max()!r}, min row payoff={row_payoffs[s].min()!r}",
-            q[s],
-        )
+        message = (f"minimax certificate failed: value={float(values[s])!r}, "
+                   f"max col payoff={col_payoffs[s].max()!r}, "
+                   f"min row payoff={row_payoffs[s].min()!r}")
+        # A miss of a few ulps of the value is rounding: tol is below its spacing.
+        miss = np.maximum(col_payoffs[s].max() - values[s], values[s] - row_payoffs[s].min())
+        ulp = np.spacing(abs(values[s]))
+        if miss <= 4.0 * ulp:
+            message += (f" (miss = {miss / ulp:.1f} ulps of the value: tol is below the "
+                        f"float resolution at this payoff scale)")
+        raise LpSolveError(message, q[s])
     return values, x, y, col_payoffs, row_payoffs
 
 
@@ -423,13 +459,53 @@ class GroundTruth:
         return JointPolicy(x=self.x_star, y=self.y_star)
 
 
-def _certify_sweeps(sweeps: list, tol: float) -> None:
-    """Certify the queued sweeps ``(q, shift, bases, x_b, duals)`` in one ``_certified``
-    call over their concatenated stacks, first sweep first, and empty the queue."""
-    if sweeps:
-        stacked = [np.concatenate(part) for part in zip(*sweeps)]
-        sweeps.clear()
-        _certified(*stacked, tol)
+def _sweep_stack(game: MarkovGame, q: np.ndarray, v: np.ndarray, length: int,
+                 threshold: float, tol: float, lps: np.ndarray, tiled: tuple) -> tuple:
+    """``(kept, v, step, redo)``: up to ``length`` value-iteration sweeps from
+    ``q = q_from_v(game, v)`` at the kept bases, checked in one stacked call.
+
+    A sweep is one ``_solve_bases`` on its slot of ``lps`` and its value; a
+    sweep that converges ends the stack, and one whose solve raises ends it
+    unsettled.  One ``_read_solved`` over the stack's (sweeps * S) LPs then
+    tests settlement as ``_settle`` does, and ``_certified`` certifies every
+    sweep before the first unsettled one.  ``kept`` counts those sweeps, ``v``
+    and ``step`` are the last one's (the arguments' and inf when none is
+    kept), and ``redo`` is the unsettled sweep's ``q`` (None: every sweep
+    settled), for ``_settle``; the sweeps after it are discarded.  ``tiled``
+    holds the bases and their cost rows, repeated once per slot of ``lps``,
+    and the LP index (S * len(lps), 1).
+    """
+    n_states = len(q)
+    bases, rows = (part[:n_states] for part in tiled[::2])
+    qs, shifts, solved, values, steps = [], [], [], [], [np.inf]
+    for i in range(length):
+        if i:
+            q = q_from_v(game, values[-1])
+        qs.append(q)
+        shifts.append(_value_lp(q, lps[i])[0])
+        try:
+            solved.append(_solve_bases(lps[i], bases, rows))
+        except np.linalg.LinAlgError:
+            break
+        values.append(_basic_solutions(shifts[-1], bases, solved[-1][:, :, 0],
+                                       game.n_actions_p1, rows)[1])
+        steps.append(float(np.maximum.reduce(np.abs(values[-1] - (values[-2] if i else v)))))
+        if steps[-1] <= threshold:
+            break
+    kept = len(solved)
+    if kept:
+        n_items = kept * n_states
+        bases_t, cost_t, rows_t = (part[:n_items] for part in tiled)
+        x_b, duals, _, reduced = _read_solved(lps[:kept].reshape((n_items,) + lps.shape[2:]),
+                                              bases_t, np.concatenate(solved), rows_t, cost_t)
+        if (tested := _unsettled(x_b, reduced)) is not None:
+            kept = int(np.argmax(tested[1].reshape(kept, n_states).any(axis=1)))
+            n_items = kept * n_states
+        if kept:
+            _certified(np.concatenate(qs[:kept]), np.concatenate(shifts[:kept]),
+                       bases_t[:n_items], x_b[:n_items], duals[:n_items], tol, rows_t[:n_items])
+            v = values[kept - 1]
+    return kept, v, steps[kept], qs[kept] if kept < len(qs) else None
 
 
 def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000) -> GroundTruth:
@@ -444,22 +520,26 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     [0, 1) or a non-finite loss or transition entry raises ``ValueError``
     before any sweep.
 
-    Every sweep calls ``_settle``, and the witness step at ``q_star``
-    ``_stage_solutions``, from the simplex's cold bases in the first sweep and
-    from the bases the states ended at after it.  A stage game with several
+    The first sweep runs ``_settle`` from the simplex's cold bases; later
+    sweeps start from the bases the states ended at, and the witness step at
+    ``q_star`` runs ``_stage_solutions`` from them.  A stage game with several
     optimal bases may get another, equally certified, witness than a cold
-    solve would give.  The calls share one ``_LpStack``: the LP stack is
-    allocated and framed once, and only the states that restart or pivot
-    refresh their basis cost row.  A sweep in which every state keeps its
-    basis costs one stacked basis read and two whole-stack settlement tests.
-    Each sweep takes its values with ``_certify``'s own arithmetic and is
-    queued; ``_certified`` checks the queued sweeps in one call every
-    ``_CERTIFY_EVERY`` sweeps, at convergence before the witness step, and
-    before the iteration cap's or any other error leaves the loop.  A
-    failing certificate therefore raises the ``LpSolveError``, message and
-    matrix, that ``_stage_solutions`` gives on its own sweep, up to
-    ``_CERTIFY_EVERY - 1`` sweeps later; an error of a later sweep, or the
-    cap, does not hide it.
+    solve would give.  Late in the iteration a sweep rarely moves a basis, so
+    the sweeps after a ``_settle`` sweep run in stacks of 1, 2, 4, ... up to
+    ``_CERTIFY_EVERY`` (16) sweeps (``_sweep_stack``): each sweep is one
+    stacked basis solve and its value, and one call per stack tests every
+    sweep's settlement as ``_settle`` would and certifies the settled sweeps
+    with ``_certified``.  The first unsettled sweep, or the first whose solve
+    raises, is redone by ``_settle`` from its own ``q`` and bases, which
+    repeats the same arithmetic on the same numbers, and the stack's later
+    sweeps are discarded.  So the values, bases, pivots and errors are those
+    of running ``_settle`` and ``_certified`` on every sweep: a failing
+    certificate raises the ``LpSolveError``, message and matrix, that
+    ``_stage_solutions`` gives on its own sweep, the first failing sweep's,
+    and the iteration cap raises only after every kept sweep is certified.
+    ``max_iter`` counts kept sweeps; ``q_from_v`` runs once per kept or
+    discarded sweep, and once more before the first.  All calls share one
+    ``_LpStack``, whose LP stack is framed once.
     """
     _check_tol(tol)
     _check_max_iter(max_iter)
@@ -469,32 +549,37 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     _check_finite("loss", game.loss, "s a b")
     _check_finite("transition probability", game.transition, "s a b s'")
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma) if gamma else np.inf
-    v = np.zeros(game.n_states)
-    q = q_from_v(game, v)
-    bases, stack, sweeps = None, _LpStack(), []
-    try:
-        for _ in range(max_iter):
-            shift, x_b, duals, _, bases = _settle(q, bases, stack)
-            sweeps.append((q, shift, bases.copy(), x_b, duals))
-            if len(sweeps) == _CERTIFY_EVERY:
-                _certify_sweeps(sweeps, tol)
+    n_states = game.n_states
+    frame = _lp_constants(game.n_actions_p1, game.n_actions_p2)[0]
+    lps = np.empty((_CERTIFY_EVERY, n_states) + frame.shape)
+    lps[:] = frame
+    stack, bases, length = _LpStack(a_mat=lps[0]), None, 1
+    rows_t = np.arange(_CERTIFY_EVERY * n_states)[:, None]
+    v = np.zeros(n_states)
+    q = redo = q_from_v(game, v)
+    kept = 0
+    while True:
+        if redo is None:
+            done, v, step, redo = _sweep_stack(game, q, v, min(length, max_iter - kept),
+                                               threshold, tol, lps, tiled)
+            kept += done
+            length = min(2 * length, _CERTIFY_EVERY)
+        if redo is not None:
+            shift, x_b, duals, _, bases = _settle(redo, bases, stack)
+            _certified(redo, shift, bases, x_b, duals, tol, stack.rows)
             v_new = _basic_solutions(shift, bases, x_b, game.n_actions_p1, stack.rows)[1]
             step = float(np.maximum.reduce(np.abs(v_new - v)))
-            v = v_new
-            q = q_from_v(game, v)
-            if step <= threshold:
-                break
-        else:
+            v, kept, length, redo = v_new, kept + 1, 1, None
+            tiled = (np.tile(bases, (_CERTIFY_EVERY, 1)),
+                     np.tile(stack.basis_cost, (_CERTIFY_EVERY, 1)), rows_t)
+        q = q_from_v(game, v)
+        if step <= threshold:
+            break
+        if kept == max_iter:
             raise ArithmeticError(
                 f"value iteration did not converge in {max_iter} iterations "
                 f"(last step {step:.3e}, threshold {threshold:.3e})"
             )
-        _certify_sweeps(sweeps, tol)
-    except Exception:
-        # The iteration cap or a later sweep's error must not hide an earlier
-        # sweep's failed certificate: the first failing sweep's error wins.
-        _certify_sweeps(sweeps, tol)
-        raise
 
     values, x_star, y_star, *_ = _stage_solutions(q, bases, tol, stack)
     for s in range(game.n_states):

@@ -581,6 +581,65 @@ def per_state_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_000):
     return v, q_star, np.array([sol.x for sol in sols]), np.array([sol.y for sol in sols])
 
 
+def certify_sweeps(sweeps: list, tol: float) -> None:
+    """Certify the queued sweeps ``(q, shift, bases, x_b, duals)`` in one ``_certified``
+    call over their concatenated stacks, first sweep first, and empty the queue."""
+    from zsmg.groundtruth import _certified
+
+    if sweeps:
+        stacked = [np.concatenate(part) for part in zip(*sweeps)]
+        sweeps.clear()
+        _certified(*stacked, tol)
+
+
+def settle_every_sweep_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_000):
+    """Shapley value iteration in which every sweep runs the whole ``_settle``.
+
+    The solver's loop before its sweeps were checked in stacks, kept as the
+    reference for them: each sweep reads its bases, tests settlement and
+    pivots through ``_settle``; its certificate is queued, and the queue is
+    certified every ``_CERTIFY_EVERY`` sweeps, at convergence, and before the
+    iteration cap's or any other error leaves the loop.  Checking settlement
+    once per stack of sweeps may change neither the returned bits nor the
+    error raised, message and matrix.  Returns (v_star, q_star, x_star, y_star).
+    """
+    from zsmg import groundtruth
+    from zsmg.games import q_from_v
+
+    threshold = tol * (1.0 - game.gamma) ** 2 / (2.0 * game.gamma) if game.gamma else np.inf
+    v = np.zeros(game.n_states)
+    q = q_from_v(game, v)
+    bases, stack, sweeps = None, groundtruth._LpStack(), []
+    try:
+        for _ in range(max_iter):
+            shift, x_b, duals, _, bases = groundtruth._settle(q, bases, stack)
+            sweeps.append((q, shift, bases.copy(), x_b, duals))
+            if len(sweeps) == groundtruth._CERTIFY_EVERY:
+                certify_sweeps(sweeps, tol)
+            v_new = groundtruth._basic_solutions(shift, bases, x_b, game.n_actions_p1,
+                                                 stack.rows)[1]
+            step = float(np.maximum.reduce(np.abs(v_new - v)))
+            v = v_new
+            q = q_from_v(game, v)
+            if step <= threshold:
+                break
+        else:
+            raise ArithmeticError(
+                f"value iteration did not converge in {max_iter} iterations "
+                f"(last step {step:.3e}, threshold {threshold:.3e})"
+            )
+        certify_sweeps(sweeps, tol)
+    except Exception:
+        certify_sweeps(sweeps, tol)
+        raise
+    values, x_star, y_star, *_ = groundtruth._stage_solutions(q, bases, tol, stack)
+    for s in range(game.n_states):
+        if abs(values[s] - v[s]) > tol:
+            raise ArithmeticError(f"fixed-point consistency failed at state {s}: "
+                                  f"val={float(values[s])!r} vs v_star={float(v[s])!r}")
+    return v, q, x_star, y_star
+
+
 # ---------------------------------------------------------------------------
 # Rollouts by numpy binary search
 # ---------------------------------------------------------------------------

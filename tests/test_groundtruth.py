@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zsmg import groundtruth as groundtruth_mod
+from zsmg import games as games_mod, groundtruth as groundtruth_mod
 from zsmg.games import (DimensionMismatchError, JointPolicy, MarkovGame, evaluate_policy_pair,
                         q_from_v, uniform_policy)
 from zsmg.gamegen import BUILTIN_NAMES, builtin, random_game
@@ -36,11 +36,13 @@ from zsmg.groundtruth import (
 )
 
 from oracles import (
+    certify_sweeps,
     cold_start_shapley,
     enumerate_projection,
     grid_distance_sq,
     grid_minimax_value,
     per_state_shapley,
+    settle_every_sweep_shapley,
     simplex_grid,
     two_nnls_project_point,
 )
@@ -446,6 +448,93 @@ class TestStackedSweep:
         self._assert_matches_oracle(shapley_solve(game), per_state_shapley(game))
 
     @staticmethod
+    def _outcome(run, game) -> tuple:
+        """``run(game)``'s result bytes, or its error's type, message and matrix."""
+        try:
+            v, q, x, y = run(game)
+        except Exception as error:  # noqa: BLE001 - the error is the outcome compared
+            return type(error), str(error), getattr(error, "matrix", np.empty(0)).tobytes()
+        return (_solve_bytes(v, q, x, y),)
+
+    @staticmethod
+    def _inject(monkeypatch, game, inject, max_iter) -> list:
+        """Patch ``_solve_bases`` to fail on the LP stack of sweep ``k`` of the reference.
+
+        ``inject`` is ``(kind, k)``: ``"singular"`` raises ``LinAlgError`` on
+        every stacked read of that stack (each state read alone succeeds);
+        ``"nan"`` makes state 1's ``x_b`` NaN, which fails its certificate.
+        Returns a list that counts the injections.
+        """
+        kind, sweep = inject
+        qs, q_from_v_ = [], games_mod.q_from_v
+        monkeypatch.setattr(games_mod, "q_from_v", lambda *args: qs.append(q_from_v_(*args))
+                            or qs[-1])
+        settle_every_sweep_shapley(game, max_iter=max_iter)
+        monkeypatch.undo()
+        assert sweep < len(qs) - 1
+        target = groundtruth_mod._value_lp(qs[sweep])[1]
+        solve_, fired = groundtruth_mod._solve_bases, []
+
+        def injected(a_mat, bases, rows):
+            hit = len(a_mat) > 1 and np.array_equal(a_mat, target)
+            if hit and kind == "singular":
+                fired.append(kind)
+                raise np.linalg.LinAlgError("Singular matrix")
+            b_inv_ab = solve_(a_mat, bases, rows)
+            if hit:
+                fired.append(kind)
+                b_inv_ab[1, :, 0] = np.nan
+            return b_inv_ab
+
+        monkeypatch.setattr(groundtruth_mod, "_solve_bases", injected)
+        return fired
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 10_000), n_states=st.integers(1, 8),
+           n_a=st.integers(1, 5), n_b=st.integers(1, 5), gamma=st.floats(0.5, 0.95),
+           tied=st.booleans(), scale=st.sampled_from([1.0, 1e6]), inject=st.just(None))
+    # Golden random-11, which pivots at sweeps 1 and 2.
+    @example(seed=11, n_states=4, n_a=3, n_b=4, gamma=0.9, tied=False, scale=1.0, inject=None)
+    # Seed-0 solve-large input 7, which discards one checked sweep.
+    @example(seed=1710807516, n_states=10, n_a=5, n_b=5, gamma=0.9, tied=False, scale=1.0,
+             inject=None)
+    # random-11 checks sweeps 10 to 17 in one stack and starts the next at 18.
+    @example(seed=11, n_states=4, n_a=3, n_b=4, gamma=0.9, tied=False, scale=1.0,
+             inject=("singular", 13))
+    @example(seed=11, n_states=4, n_a=3, n_b=4, gamma=0.9, tied=False, scale=1.0,
+             inject=("singular", 17))
+    @example(seed=11, n_states=4, n_a=3, n_b=4, gamma=0.9, tied=False, scale=1.0,
+             inject=("singular", 18))
+    @example(seed=11, n_states=4, n_a=3, n_b=4, gamma=0.9, tied=False, scale=1.0,
+             inject=("nan", 13))
+    @example(seed=11, n_states=4, n_a=3, n_b=4, gamma=0.9, tied=False, scale=1.0,
+             inject=("nan", 17))
+    @example(seed=11, n_states=4, n_a=3, n_b=4, gamma=0.9, tied=False, scale=1.0,
+             inject=("nan", 18))
+    def test_matches_settle_every_sweep_oracle(self, seed, n_states, n_a, n_b, gamma, tied,
+                                               scale, inject):
+        # Checking settlement once per stack of sweeps, redoing an unsettled
+        # sweep and discarding the rest of its stack, gives the bits and the
+        # errors of running _settle on every sweep.  Losses scaled by 1e6 make
+        # certificates fail by a few ulps and some solves reach the cap.
+        game = (self._tied_game(seed, n_states, n_a, n_b, gamma) if tied else
+                random_game(seed=seed, n_states=n_states, n_actions_p1=n_a,
+                            n_actions_p2=n_b, gamma=gamma))
+        game = MarkovGame(loss=game.loss * scale, transition=game.transition, gamma=gamma)
+        max_iter = 2_000
+        with pytest.MonkeyPatch.context() as patch:
+            fired = [] if inject is None else self._inject(patch, game, inject, max_iter)
+            expected = self._outcome(
+                lambda g: settle_every_sweep_shapley(g, max_iter=max_iter), game)
+            injected_in_reference = len(fired)
+            got = self._outcome(lambda g: dataclasses.astuple(shapley_solve(
+                g, max_iter=max_iter))[:4], game)
+        assert got == expected
+        if inject is not None:
+            assert 0 < injected_in_reference < len(fired)
+            assert len(expected) == (1 if inject[0] == "singular" else 3)
+
+    @staticmethod
     def _read_and_certify(q, bases):
         shift, a_mat = groundtruth_mod._value_lp(q)
         read = groundtruth_mod._read_bases(a_mat, bases)
@@ -503,16 +592,22 @@ class TestStackedSweep:
     def test_first_sweep_solves_every_state_alone(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         expected = per_state_shapley(game)
-        starts = []
-        settle = groundtruth_mod._settle
+        starts, loops = [], []
+        settle, pivot_ = groundtruth_mod._settle, groundtruth_mod._simplex_pivot
 
         def traced_settle(q, bases, stack):
             # A None start is every state's cold basis.
             starts.append(groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
                           if bases is None else bases.copy())
+            loops.append([])
             return settle(q, bases, stack)
 
+        def traced_pivot(q, a_stack, basis, read):
+            loops[-1].append(basis.tolist())
+            return pivot_(q, a_stack, basis, read)
+
         monkeypatch.setattr(groundtruth_mod, "_settle", traced_settle)
+        monkeypatch.setattr(groundtruth_mod, "_simplex_pivot", traced_pivot)
         gt, sweeps = self._traced_solve(monkeypatch, game)
         self._assert_matches_oracle(gt, expected)
         # The simplex's cold start x = e_0, v = max_b Q[0, b]: x_0, v and the
@@ -520,10 +615,12 @@ class TestStackedSweep:
         cold = [[0, 3] + [4 + b for b in range(3) if b != np.argmax(game.loss[s, 0])]
                 for s in range(4)]
         assert starts[0].tolist() == cold
-        # Every pivot loop starts from a basis the sweep was given or a cold one.
+        # Only _settle pivots, and each of its pivot loops starts from a basis
+        # that call was given or a cold one.
         assert sweeps[0]
+        assert sum(map(len, loops)) == sum(map(len, sweeps))
         assert all(start in kept.tolist() + cold
-                   for kept, calls in zip(starts, sweeps, strict=True) for start, _ in calls)
+                   for kept, calls in zip(starts, loops, strict=True) for start in calls)
         assert sweeps[-1] == []  # every final basis settles: no pivot in the witness step
 
     def test_pivoting_state_falls_back_beside_settled_states(self, monkeypatch):
@@ -540,25 +637,38 @@ class TestStackedSweep:
     def test_singular_stack_sends_every_state_alone(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         expected = per_state_shapley(game)
-        solve = np.linalg.solve
+        solve, settle = np.linalg.solve, groundtruth_mod._settle
+        in_settle = []
 
         def singular_when_stacked(a, b):
-            sizes.append(len(a))
+            sizes.append((len(a), bool(in_settle)))
             if np.ndim(a) == 3 and len(a) > 1:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
+
+        def flagged_settle(*args):
+            in_settle.append(1)
+            try:
+                return settle(*args)
+            finally:
+                in_settle.pop()
 
         _, unpatched = self._traced_solve(monkeypatch, game)
         monkeypatch.undo()
         sizes = []
         monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
+        monkeypatch.setattr(groundtruth_mod, "_settle", flagged_settle)
         gt, sweeps = self._traced_solve(monkeypatch, game)
         self._assert_matches_oracle(gt, expected)
-        # Each failed stacked read is followed by one read per state, and the
-        # same states pivot, from the same bases, as in the unpatched solve.
-        after_stacked = [sizes[i + 1:i + 5] for i, size in enumerate(sizes) if size > 1]
+        # Each failed stacked read in _settle is followed by one read per state,
+        # and the same states pivot, from the same bases, as in the unpatched solve.
+        after_stacked = [[size for size, _ in sizes[i + 1:i + 5]]
+                         for i, (size, inside) in enumerate(sizes) if size > 1 and inside]
         assert after_stacked and all(reads == [1] * 4 for reads in after_stacked)
         assert sweeps == unpatched
+        # A sweep's own solve that raises is redone by _settle on the same stack.
+        own = [i for i, (size, inside) in enumerate(sizes) if not inside]
+        assert own and all(sizes[i] == (4, False) and sizes[i + 1] == (4, True) for i in own)
 
     def test_singular_basis_restarts_only_its_state(self, monkeypatch):
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
@@ -625,15 +735,20 @@ class TestStackedSweep:
         assert bases[0].tolist() == stale.basis.tolist()
         assert values.tolist() == [stale.value, value_1]
 
-    def test_failed_certificate_carries_its_state_matrix(self):
+    @staticmethod
+    def _ill_conditioned() -> np.ndarray:
         # Entries tied to about 1e-9 beside exact zeros: the simplex ends at an
-        # ill-conditioned basis whose row certificate fails by about 1e-9.  Only
-        # state 2 fails; the error is the one it raises alone, with its matrix.
-        hard = np.array([[0.0, 0.0, 0.0, 1.0, 0.0],
+        # ill-conditioned basis whose row certificate fails by about 1e-9.
+        return np.array([[0.0, 0.0, 0.0, 1.0, 0.0],
                          [0.2265625, 0.0, 0.0625, -2.2389526869789182e-09, 0.0625],
                          [-1.0, 0.015625, 0.0, 0.0, 0.0],
                          [0.0, 1e-10, -1.0, 0.0, 0.0],
                          [0.0, 0.0, 0.0, 0.0, -1.0]])
+
+    def test_failed_certificate_carries_its_state_matrix(self):
+        # Only state 2, the ill-conditioned matrix, fails; the error is the one
+        # it raises alone, with its matrix.
+        hard = self._ill_conditioned()
         q = np.array([np.eye(5), np.ones((5, 5)), hard, -np.eye(5)])
         bases = groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
         with pytest.raises(LpSolveError) as alone:
@@ -642,6 +757,23 @@ class TestStackedSweep:
             groundtruth_mod._stage_solutions(q, bases, 1e-9)
         assert str(caught.value) == str(alone.value)
         assert caught.value.matrix.tobytes() == hard.tobytes()
+
+    def test_certificate_miss_of_a_few_ulps_says_so(self):
+        # Losses near 5e6: the first sweep's certificate of state 0 misses by
+        # 1.86e-9, above tol = 1e-9 but only 2 ulps of the value.
+        base = random_game(seed=0, n_states=3, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
+        game = MarkovGame(loss=base.loss * 1e6, transition=base.transition, gamma=0.9)
+        with pytest.raises(LpSolveError, match=r"^minimax certificate failed: value=") as caught:
+            shapley_solve(game)
+        assert str(caught.value).endswith(
+            ", min row payoff=np.float64(4598414.86364317) (miss = 2.0 ulps of the value: "
+            "tol is below the float resolution at this payoff scale)")
+        # A miss of many ulps, as on an ill-conditioned basis, is not rounding.
+        q = self._ill_conditioned()[None]
+        bases = groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
+        with pytest.raises(LpSolveError, match=r"^minimax certificate failed: ") as caught:
+            groundtruth_mod._stage_solutions(q, bases, 1e-9)
+        assert "ulps" not in str(caught.value)
 
     @pytest.mark.parametrize("spoil, message", [
         ("x_b", r"^minimax certificate failed: value=nan, "),
@@ -696,10 +828,10 @@ class TestStackedSweep:
              scale=1.0, spoil=True)
     def test_certificate_over_queued_sweeps_matches_each_sweep_alone(
             self, seed, sizes, n_a, n_b, tied, scale, spoil):
-        # Value iteration certifies its queued sweeps in one call over their
-        # concatenated stacks.  Each sweep's numbers and verdicts from that call
-        # must be byte-equal to its own call's, and the error raised must be
-        # the first failing sweep's own.
+        # Value iteration certifies a stack of sweeps in one call over their
+        # concatenated stacks, as the reference loop certifies its queue.  Each
+        # sweep's numbers and verdicts from that call must be byte-equal to its
+        # own call's, and the error raised must be the first failing sweep's own.
         rng = np.random.default_rng(seed)
         sweeps = []
         for n_states in sizes:
@@ -734,59 +866,59 @@ class TestStackedSweep:
                     first_error = error
         queue = list(sweeps)
         if first_error is None:
-            groundtruth_mod._certify_sweeps(queue, 1e-9)
+            certify_sweeps(queue, 1e-9)
         else:
             with pytest.raises(LpSolveError) as caught:
-                groundtruth_mod._certify_sweeps(queue, 1e-9)
+                certify_sweeps(queue, 1e-9)
             assert str(caught.value) == str(first_error)
             assert caught.value.matrix.tobytes() == first_error.matrix.tobytes()
         assert queue == []
 
     @staticmethod
     def _spoil_reads(monkeypatch, spoils: dict) -> dict:
-        """Let ``spoils[k]`` change in place the first, stacked read of the k-th
-        ``_settle`` call (counted from 0), as ``_read_bases`` gives it.
+        """Let ``spoils[k]`` change in place the first read of sweep k (counted
+        from 0): the ``[B^-1 b | B^-1]`` of the first ``_solve_bases`` call after
+        the sweep's ``q_from_v`` call, the sweep's own stacked solve or
+        ``_settle``'s.  Setting ``log["fresh"]`` to a key spoils the next call alike.
 
-        Returns a log, filled as calls are made: the ``q`` and start bases of
-        every ``_settle`` call, and the number of ``q_from_v`` calls.
+        Returns a log, filled as calls are made: every ``q_from_v`` result, the
+        bases of each first read, and the number of ``q_from_v`` calls.
         """
-        log = {"q": [], "bases": [], "q_from_v": 0, "fresh": False}
-        settle, read_, q_from_v_ = (groundtruth_mod._settle, groundtruth_mod._read_bases,
-                                    groundtruth_mod.q_from_v)
+        log = {"q": [], "bases": [], "q_from_v": 0, "fresh": None}
+        solve_, q_from_v_ = groundtruth_mod._solve_bases, groundtruth_mod.q_from_v
 
-        def traced_settle(q, bases, stack):
-            log["q"].append(q)
-            log["bases"].append(None if bases is None else bases.copy())
-            log["fresh"] = True
-            return settle(q, bases, stack)
-
-        def spoiled_read(*args):
-            read = read_(*args)
-            if log["fresh"] and len(log["q"]) - 1 in spoils:
-                spoils[len(log["q"]) - 1](read)
-            log["fresh"] = False
-            return read
+        def spoiled_solve(a_mat, bases, rows):
+            b_inv_ab = solve_(a_mat, bases, rows)
+            if log["fresh"] is not None:
+                log["bases"].append(bases.copy())
+                if log["fresh"] in spoils:
+                    spoils[log["fresh"]](b_inv_ab)
+            log["fresh"] = None
+            return b_inv_ab
 
         def counted_q_from_v(*args):
+            log["q"].append(q_from_v_(*args))
+            log["fresh"] = log["q_from_v"]
             log["q_from_v"] += 1
-            return q_from_v_(*args)
+            return log["q"][-1]
 
-        monkeypatch.setattr(groundtruth_mod, "_settle", traced_settle)
-        monkeypatch.setattr(groundtruth_mod, "_read_bases", spoiled_read)
+        monkeypatch.setattr(groundtruth_mod, "_solve_bases", spoiled_solve)
         monkeypatch.setattr(groundtruth_mod, "q_from_v", counted_q_from_v)
         return log
 
     @staticmethod
     def _nan_in_state_1(field: str):
-        """A spoil for ``_spoil_reads``: NaN in state 1's ``x_b`` or ``duals``."""
-        def spoil(read):
-            read[("x_b", "duals").index(field)][1] = np.nan
+        """A spoil for ``_spoil_reads``: NaN in state 1's ``x_b`` or (through
+        ``B^-1``) ``duals``."""
+        def spoil(b_inv_ab):
+            b_inv_ab[1, :, slice(0, 1) if field == "x_b" else slice(1, None)] = np.nan
         return spoil
 
     def _assert_is_the_sweep_error(self, caught, log, spoils, sweep):
         """The error ``_stage_solutions`` raises on sweep ``sweep``'s ``q`` and start
         bases, its read spoiled alike, is ``caught``: same message, same matrix."""
-        spoils[len(log["q"])] = spoils[sweep]
+        log["fresh"] = "alone"
+        spoils["alone"] = spoils[sweep]
         with pytest.raises(LpSolveError) as alone:
             groundtruth_mod._stage_solutions(log["q"][sweep], log["bases"][sweep].copy(), 1e-9)
         assert str(caught.value) == str(alone.value)
@@ -800,14 +932,14 @@ class TestStackedSweep:
     ])
     def test_queued_certificate_raises_its_sweeps_error(self, monkeypatch, sweep, field,
                                                        message):
-        # The sweeps after the spoiled one are not certified one by one; the
-        # queue is, within K - 1 more q_from_v calls, or at convergence.
+        # The sweeps after the spoiled one are not checked one by one; their
+        # stack is, within K - 1 more q_from_v calls, or at convergence.
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
         if sweep == "last":
             log = self._spoil_reads(monkeypatch, {})
             shapley_solve(game)
             monkeypatch.undo()
-            sweep = len(log["q"]) - 2  # the last settle call is the witness step's
+            sweep = len(log["q"]) - 2  # the last q_from_v call gives q_star
         spoils = {sweep: self._nan_in_state_1(field)}
         log = self._spoil_reads(monkeypatch, spoils)
         with pytest.raises(LpSolveError, match=message) as caught:
@@ -817,39 +949,48 @@ class TestStackedSweep:
         self._assert_is_the_sweep_error(caught, log, spoils, sweep)
 
     def test_later_sweep_error_does_not_mask_a_queued_certificate(self, monkeypatch):
-        # Sweep 3 fails its certificate, still queued, when sweep 4 raises in
-        # the pivot loop: the solve raises sweep 3's error, as it would have
-        # before reaching sweep 4.
+        # Sweeps 6 to 9 make one stack.  Sweep 6 fails its certificate and
+        # sweep 7 is unsettled; its redo would enter the pivot loop, which
+        # raises.  The stack's check certifies the sweeps before sweep 7 first,
+        # so the solve raises sweep 6's error, and no pivot loop runs after it.
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
 
-        def improvable_state_2(read):
-            read[3][2] = -1.0  # every reduced cost: state 2 must pivot
+        def infeasible_state_2(b_inv_ab):
+            b_inv_ab[2, :, 0] = -1.0  # every basic variable: state 2 must restart cold
 
-        def capped_in_sweep_4(q, *args):
-            if len(log["q"]) == 5:
+        def capped(q, *args):
+            pivots_after.append(len(log["q"]))
+            if len(log["q"]) > 6:
                 raise LpSolveError("simplex iteration cap exceeded", q)
             return pivot_(q, *args)
 
-        pivot_ = groundtruth_mod._simplex_pivot
-        spoils = {3: self._nan_in_state_1("duals"), 4: improvable_state_2}
+        pivot_, pivots_after = groundtruth_mod._simplex_pivot, []
+        spoils = {6: self._nan_in_state_1("duals"), 7: infeasible_state_2}
         log = self._spoil_reads(monkeypatch, spoils)
-        monkeypatch.setattr(groundtruth_mod, "_simplex_pivot", capped_in_sweep_4)
+        monkeypatch.setattr(groundtruth_mod, "_simplex_pivot", capped)
         with pytest.raises(LpSolveError, match="^dual strategy sum nan") as caught:
             shapley_solve(game)
-        assert len(log["q"]) == 5
-        assert str(caught.value.__context__) == "simplex iteration cap exceeded"
-        self._assert_is_the_sweep_error(caught, log, spoils, 3)
+        assert len(log["q"]) == 10  # the stack ran to sweep 9, and no sweep after it
+        assert caught.value.__context__ is None
+        assert pivots_after and max(pivots_after) <= 6
+        self._assert_is_the_sweep_error(caught, log, spoils, 6)
 
     def test_iteration_cap_certifies_the_queue_first(self, monkeypatch):
+        # The cap raises only after the last stack is checked: a failing
+        # certificate of a kept sweep, the last one's included, raises instead.
         game = random_game(seed=13, n_states=4, n_actions_p1=3, n_actions_p2=3, gamma=0.9)
-        spoils = {3: self._nan_in_state_1("duals")}
-        log = self._spoil_reads(monkeypatch, spoils)
-        with pytest.raises(LpSolveError, match="^dual strategy sum nan") as caught:
-            shapley_solve(game, max_iter=5)
-        assert len(log["q"]) == 5
-        assert str(caught.value.__context__).startswith(
-            "value iteration did not converge in 5 iterations")
-        self._assert_is_the_sweep_error(caught, log, spoils, 3)
+        for max_iter, sweep in [(5, 3), (5, 4), (20, 19)]:
+            spoils = {sweep: self._nan_in_state_1("duals")}
+            log = self._spoil_reads(monkeypatch, spoils)
+            with pytest.raises(LpSolveError, match="^dual strategy sum nan") as caught:
+                shapley_solve(game, max_iter=max_iter)
+            assert len(log["q"]) == sweep + 1
+            assert caught.value.__context__ is None
+            self._assert_is_the_sweep_error(caught, log, spoils, sweep)
+            monkeypatch.undo()
+            with pytest.raises(ArithmeticError,
+                               match=f"did not converge in {max_iter} iterations"):
+                shapley_solve(game, max_iter=max_iter)
 
     def test_each_basis_is_read_once(self, monkeypatch):
         # A cold solve builds one LP and reads its start once, then once per

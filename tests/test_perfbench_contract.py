@@ -20,9 +20,12 @@ from pathlib import Path
 import pytest
 
 import zsmg
-from zsmg import estimators, metrics
+from zsmg import estimators, games, metrics
 from zsmg.gamegen import builtin
+from zsmg.groundtruth import shapley_solve
 from zsmg.learner import RunConfig, run_selfplay, run_selfplay_batch
+
+from oracles import settle_every_sweep_shapley
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS_PATH = PERFBENCH / "workloads.py"
@@ -125,6 +128,28 @@ def test_logged_rows_reach_the_traced_metrics_row_once_per_pass(monkeypatch):
     configs = [RunConfig(iterations=130, eta=0.05, cadence=1, seed=seed) for seed in (0, 1)]
     run_selfplay_batch([game, game], configs)
     assert [len(kwargs["x_hat"]) for _, kwargs in calls] == [2 * 64, 2 * 64, 2 * 2]
+
+
+def test_vi_iterations_counts_kept_and_discarded_sweeps(workloads, monkeypatch, tmp_path):
+    # perfbench's groundtruth.vi_iterations is the q_from_v calls inside
+    # shapley_solve, less one per solve.  A sweep that its stack's check finds
+    # unsettled is redone, and the sweeps its stack ran after it are discarded;
+    # their q_from_v calls count too.  Seed-0 solve-large input 7 discards one.
+    game = workloads.SolveLarge(0, 7, tmp_path).game
+    reference, traced = [], []
+    _observe(monkeypatch, games.q_from_v, reference)
+    settle_every_sweep_shapley(game)
+    monkeypatch.undo()
+    _observe(monkeypatch, games.q_from_v, traced)
+    shapley_solve(game)
+    kept = len(reference) - 1
+    kept_v = {args[1].tobytes() for args, _ in reference}
+    # Every kept sweep's v is the reference's, in the same order.
+    assert ([args[1].tobytes() for args, _ in traced if args[1].tobytes() in kept_v]
+            == [args[1].tobytes() for args, _ in reference])
+    discarded = sum(args[1].tobytes() not in kept_v for args, _ in traced)
+    assert (kept, discarded) == (242, 1)
+    assert len(traced) == kept + 1 + discarded
 
 
 def test_seed_zero_outputs_match_the_recorded_digests(workloads, tmp_path):
