@@ -101,7 +101,9 @@ class JointPolicy:
 
 
 def value_upper_bound(gamma: float) -> float:
-    """Upper bound 1/(1-gamma) on any discounted value when losses lie in [0, 1]."""
+    """Upper bound 1/(1-gamma) on any discounted value when losses lie in [0, 1].
+    A discount outside [0, 1) raises ``ValueError``."""
+    _check_gamma(gamma)
     return 1.0 / (1.0 - gamma)
 
 
@@ -143,17 +145,10 @@ def validate_game(game: MarkovGame, atol: float = 1e-12) -> list[str]:
     problems: list[str] = []
     if not (0.5 <= game.gamma < 1.0):
         problems.append(f"gamma must lie in [1/2, 1), got gamma={game.gamma}")
-    finite_loss = np.isfinite(game.loss)
-    finite_trans = np.isfinite(game.transition)
-    for s, a, b in np.argwhere(~finite_loss):
-        problems.append(f"non-finite loss at (s={s}, a={a}, b={b}): {float(game.loss[s, a, b])!r}")
-    for s, a, b, s2 in np.argwhere(~finite_trans):
-        problems.append(
-            f"non-finite transition probability at (s={s}, a={a}, b={b}, s'={s2}): "
-            f"{float(game.transition[s, a, b, s2])!r}"
-        )
-    if not (finite_loss.all() and finite_trans.all()):
-        return problems
+    non_finite = (_non_finite_entries("loss", game.loss, "s a b")
+                  + _non_finite_entries("transition probability", game.transition, "s a b s'"))
+    if non_finite:
+        return problems + non_finite
     bad = np.argwhere((game.loss < -atol) | (game.loss > 1.0 + atol))
     for s, a, b in bad:
         problems.append(f"loss out of [0, 1] at (s={s}, a={a}, b={b}): {game.loss[s, a, b]!r}")
@@ -192,6 +187,29 @@ def _check_policy(game: MarkovGame, policy: np.ndarray, side, who: str = "",
     if bad is not None:
         item_side = np.broadcast_to(side, stack).reshape(-1)[bad // game.n_states]
         raise ValueError(distribution_rows_error(f"{who}player-{item_side} policy", rows))
+
+
+def _non_finite_entries(name: str, array: np.ndarray, axes: str) -> list[str]:
+    """One message per non-finite entry of ``array``, in C order, naming its
+    index by ``axes`` (such as ``"s a b"``) and its value."""
+    finite = np.isfinite(array)
+    if finite.all():
+        return []
+    return [f"non-finite {name} at ({', '.join(map('{}={}'.format, axes.split(), index))}): "
+            f"{float(array[tuple(index)])!r}" for index in np.argwhere(~finite)]
+
+
+def _check_finite(name: str, array: np.ndarray, axes: str) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of ``array``."""
+    non_finite = _non_finite_entries(name, array, axes)
+    if non_finite:
+        raise ValueError(non_finite[0])
+
+
+def _check_gamma(gamma) -> None:
+    """Raise ``ValueError`` unless the discount ``gamma`` lies in [0, 1); NaN does not."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got gamma={gamma!r}")
 
 
 def _check_tol(tol, name: str = "tol") -> None:

@@ -13,24 +13,25 @@ Every stage game is solved with a leading stack axis, in two halves.
 ``_settle`` reads all S start bases at once, restarts a singular or infeasible
 one from the cold basis, and hands only the states that must pivot, with their
 read, to the scalar pivot loop ``_simplex_pivot``; ``_certified`` certifies
-every terminal basis in one stacked call.  ``_stage_solutions`` is the one
-then the other, and ``solve_matrix_game`` is that solve on a stack of one.
-Value iteration keeps each state's optimal basis from one sweep to the next,
-and one ``_LpStack`` per solve: the LP stack, whose constant frame is written
-once, the state index and the basis cost rows.  A basis read is split in two:
-``_solve_bases``, one stacked solve, and ``_read_solved``, the duals and
-reduced costs.  Late in the iteration a sweep rarely moves a basis, so after a
-sweep that runs ``_settle`` value iteration runs stacks of 1, 2, 4, ... up to
-``_CERTIFY_EVERY`` (16) sweeps, each one ``_solve_bases`` and its value.  One
-``_read_solved`` over a stack's (sweeps * S) LPs then tests settlement as
-``_settle`` does, and one ``_certified`` call certifies the settled sweeps.
-The first unsettled sweep is redone through ``_settle`` from its own ``q``
-and bases, which repeats the arithmetic on the same numbers, and the stack's
-later sweeps are discarded; a failing certificate raises its own sweep's
-error, with that sweep's matrix, before any later sweep can raise.  numpy's
-stacked ``solve`` and ``matmul`` run the same per-matrix kernel on every item,
-so each item has the bits it would have alone, in a stack of one state or of
-16 sweeps.
+every terminal basis in one stacked call.  ``_stage_solutions`` is the one then
+the other, and ``solve_matrix_game`` is that solve on a stack of one.  Every
+stack of LPs is indexed by a cached read-only LP index and its cost rows are
+read off its bases, so no caller keeps either.  Value iteration keeps each
+state's optimal basis from one sweep to the next, and one stack of LPs for its
+checked sweeps, whose constant frame is written once; ``_settle`` frames its
+own.  A basis read is split in two: ``_solve_bases``, one stacked solve, and
+``_read_solved``, the duals and reduced costs.  Late in the iteration a sweep
+rarely moves a basis, so after a sweep that runs ``_settle`` value iteration
+runs stacks of 1, 2, 4, ... up to ``_CERTIFY_EVERY`` (16) sweeps, each one
+``_solve_bases`` and its value.  One ``_read_solved`` over a stack's
+(sweeps * S) LPs then tests settlement as ``_settle`` does, and one ``_certified`` call
+certifies the settled sweeps.  The first unsettled sweep is redone through
+``_settle`` from its own ``q`` and bases, which repeats the arithmetic on the
+same numbers, and the stack's later sweeps are discarded; a failing certificate
+raises its own sweep's error, with that sweep's matrix, before any later sweep
+can raise.  numpy's stacked ``solve`` and ``matmul`` run the same per-matrix
+kernel on every item, so each item has the bits it would have alone, in a stack
+of one state or of 16 sweeps.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .games import (DimensionMismatchError, MarkovGame, JointPolicy, _check_max_iter,
-                    _check_tol, _integer, best_response, distribution_rows_error, q_from_v)
+from .games import (DimensionMismatchError, MarkovGame, JointPolicy, _check_finite, _check_gamma,
+                    _check_max_iter, _check_tol, _integer, best_response, distribution_rows_error,
+                    q_from_v)
 
 __all__ = [
     "MatrixGameSolution",
@@ -86,15 +88,6 @@ class MatrixGameSolution:
     pivots: int            # simplex pivots taken from the starting basis to ``basis``
 
 
-def _check_finite(name: str, array: np.ndarray, axes: str) -> None:
-    """Raise ``ValueError`` naming the first non-finite entry of ``array``."""
-    finite = np.isfinite(array)
-    if not finite.all():
-        bad = np.argwhere(~finite)
-        where = ", ".join(f"{axis}={i}" for axis, i in zip(axes.split(), bad[0]))
-        raise ValueError(f"non-finite {name} at ({where}): {float(array[tuple(bad[0])])!r}")
-
-
 @lru_cache(maxsize=64)
 def _lp_constants(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only shape-only parts of the value-variable LP: the constraint matrix
@@ -108,6 +101,14 @@ def _lp_constants(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for array in constants:
         array.flags.writeable = False
     return constants
+
+
+@lru_cache(maxsize=64)
+def _lp_index(n_lps: int) -> np.ndarray:
+    """Read-only index (n_lps, 1) of a stack of ``n_lps`` LPs, for reading each at its basis."""
+    rows = np.arange(n_lps)[:, None]
+    rows.flags.writeable = False
+    return rows
 
 
 def _value_lp(q: np.ndarray, a_mat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -128,63 +129,56 @@ def _value_lp(q: np.ndarray, a_mat: np.ndarray | None = None) -> tuple[np.ndarra
     return shift, a_mat
 
 
-def _solve_bases(a_mat: np.ndarray, bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _solve_bases(a_mat: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """``[B^-1 b | B^-1]`` (S, B+1, B+2) of each LP of ``_value_lp`` at its basis, in
-    one stacked solve; any singular basis raises.  ``rows`` is the LP index (S, 1)."""
+    one stacked solve; any singular basis raises."""
     _, m, n = a_mat.shape
-    return np.linalg.solve(a_mat[rows, :, bases].transpose(0, 2, 1), _lp_constants(n - m, m - 1)[1])
+    return np.linalg.solve(a_mat[_lp_index(len(a_mat)), :, bases].transpose(0, 2, 1),
+                           _lp_constants(n - m, m - 1)[1])
 
 
-def _read_solved(a_mat: np.ndarray, bases: np.ndarray, b_inv_ab: np.ndarray, rows: np.ndarray,
-                 basis_cost: np.ndarray | None = None) -> tuple:
+def _read_solved(a_mat: np.ndarray, bases: np.ndarray, b_inv_ab: np.ndarray) -> tuple:
     """``(x_b, duals, b_inv, reduced)`` of the LPs ``a_mat`` from their ``_solve_bases``
     ``b_inv_ab``: the duals are ``c_B B^-1``, the reduced costs ``c - duals A`` (zero
-    on the basis).  ``rows`` and ``basis_cost`` as for ``_read_bases``."""
+    on the basis)."""
     _, m, n = a_mat.shape
     cost = _lp_constants(n - m, m - 1)[2]
-    basis_cost = cost[bases] if basis_cost is None else basis_cost
     b_inv = b_inv_ab[:, :, 1:]
-    duals = (basis_cost[:, None, :] @ b_inv)[:, 0]
+    duals = (cost[bases][:, None, :] @ b_inv)[:, 0]
     reduced = cost - (duals[:, None, :] @ a_mat)[:, 0]
-    reduced[rows, bases] = 0.0
+    reduced[_lp_index(len(a_mat)), bases] = 0.0
     return b_inv_ab[:, :, 0], duals, b_inv, reduced
 
 
-def _read_bases(a_mat: np.ndarray, bases: np.ndarray, rows: np.ndarray | None = None,
-                basis_cost: np.ndarray | None = None) -> tuple:
-    """Read each LP of ``_value_lp`` at its basis: ``(x_b, duals, b_inv, reduced)``.
-
-    ``_solve_bases``, then ``_read_solved``.  A caller may keep ``rows``, the
-    state index (S, 1), and ``basis_cost = cost[bases]``.
-    """
-    rows = np.arange(len(a_mat))[:, None] if rows is None else rows
-    return _read_solved(a_mat, bases, _solve_bases(a_mat, bases, rows), rows, basis_cost)
+def _read_bases(a_mat: np.ndarray, bases: np.ndarray) -> tuple:
+    """Read each LP of ``_value_lp`` at its basis: ``(x_b, duals, b_inv, reduced)``,
+    ``_solve_bases`` then ``_read_solved``."""
+    return _read_solved(a_mat, bases, _solve_bases(a_mat, bases))
 
 
-def _basic_solutions(shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray, n_a: int,
-                     rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _basic_solutions(shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray,
+                     n_a: int) -> tuple[np.ndarray, np.ndarray]:
     """``(primal, value)``: each LP's basic solution ``x_b`` placed at its columns
-    ``bases``, and the stage-game value ``v - shift`` it gives (``rows`` as for
-    ``_read_bases``).  A value iteration sweep and ``_certify`` both take their
-    values here, so the two cannot differ by a bit."""
+    ``bases``, and the stage-game value ``v - shift`` it gives.  A value
+    iteration sweep and ``_certify`` both take their values here, so the two
+    cannot differ by a bit."""
     n_states, m = bases.shape
     primal = np.zeros((n_states, n_a + m))
-    primal[np.arange(n_states)[:, None] if rows is None else rows, bases] = x_b
+    primal[_lp_index(n_states), bases] = x_b
     return primal, primal[:, n_a] - shift
 
 
 def _certify(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray,
-             duals: np.ndarray, tol: float, rows: np.ndarray | None = None) -> tuple:
+             duals: np.ndarray, tol: float) -> tuple:
     """``(value, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok)`` at each basis.
 
     x and y (the duals of the column constraints) are clipped and normalised;
     ``dual_ok`` when the clipped duals sum into (0.5, 2), ``payoff_ok`` when
     every column payoff is at most ``value + tol`` and every row payoff at least
-    ``value - tol``.  Both tests are written so that NaN fails them.  ``rows`` is
-    the state index (S, 1), as for ``_read_bases``.
+    ``value - tol``.  Both tests are written so that NaN fails them.
     """
     n_a, n_b = q.shape[1:]
-    primal, value = _basic_solutions(shift, bases, x_b, n_a, rows)
+    primal, value = _basic_solutions(shift, bases, x_b, n_a)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.maximum(primal[:, :n_a], 0.0)
         x /= x.sum(axis=1, keepdims=True)
@@ -289,18 +283,6 @@ def _simplex_pivot(q: np.ndarray, a_stack: np.ndarray, basis: np.ndarray, read: 
     raise LpSolveError("simplex iteration cap exceeded", q)
 
 
-@dataclass
-class _LpStack:
-    """What ``_stage_solutions`` keeps between its calls on one ``bases`` array,
-    filled on first use; only the states that restart or pivot refresh their cost row.
-    A caller may hand in ``a_mat`` framed by ``_value_lp``, as value iteration
-    hands in the first slot of its sweeps' LP stacks."""
-
-    a_mat: np.ndarray | None = None       # (S, B+1, A+1+B)
-    rows: np.ndarray | None = None        # (S, 1) state index
-    basis_cost: np.ndarray | None = None  # (S, B+1) cost rows of the current bases
-
-
 def _unsettled(x_b: np.ndarray, reduced: np.ndarray) -> tuple | None:
     """``(infeasible, unsettled)`` per LP of a ``_read_bases`` read, or None when
     every basis is optimal where it stands: primal feasible and with no negative
@@ -316,7 +298,7 @@ def _unsettled(x_b: np.ndarray, reduced: np.ndarray) -> tuple | None:
     return infeasible, infeasible | improvable.any(axis=1)
 
 
-def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
+def _settle(q: np.ndarray, bases: np.ndarray | None) -> tuple:
     """``(shift, x_b, duals, pivots, bases)``: the stage games ``q`` read at optimal bases.
 
     The first half of ``_stage_solutions``, uncertified.  Solves each state from
@@ -324,19 +306,14 @@ def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
     All S bases are read at once, or each alone should that solve raise.
     Singular or primal-infeasible bases restart cold, read at once; they and
     every basis with a negative reduced cost go to ``_simplex_pivot`` with their
-    read.  ``stack`` keeps the LP stack and cost rows between calls.  Settlement
-    is tested once over the whole stack; the per-state work runs only when a
-    test fires.
+    read.  Settlement is tested once over the whole stack; the per-state work
+    runs only when a test fires.
     """
-    shift, a_mat = _value_lp(q, stack.a_mat)
+    shift, a_mat = _value_lp(q)
     n_states, m, n = a_mat.shape
-    cost = _lp_constants(n - m, m - 1)[2]
     bases = _cold_bases(a_mat) if bases is None else bases
-    if stack.rows is None:
-        stack.a_mat, stack.rows, stack.basis_cost = a_mat, np.arange(n_states)[:, None], cost[bases]
-    rows = stack.rows
     try:
-        x_b, duals, b_inv, reduced = _read_bases(a_mat, bases, rows, stack.basis_cost)
+        x_b, duals, b_inv, reduced = _read_bases(a_mat, bases)
     except np.linalg.LinAlgError:
         # Read alone, a singular basis keeps x_b = -inf: it restarts cold.
         x_b = np.full((n_states, m), -np.inf)
@@ -356,13 +333,11 @@ def _settle(q: np.ndarray, bases: np.ndarray | None, stack: _LpStack) -> tuple:
         for s in todo:
             (x_b[s], duals[s]), bases[s], pivots[s] = _simplex_pivot(
                 q[s], a_mat[s:s + 1], bases[s], (x_b[s], duals[s], b_inv[s], reduced[s]))
-        # A cold restart changes the basis even when it takes no pivot.
-        stack.basis_cost[todo] = cost[bases[todo]]
     return shift, x_b, duals, pivots, bases
 
 
 def _certified(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndarray,
-               duals: np.ndarray, tol: float, rows: np.ndarray | None = None) -> tuple:
+               duals: np.ndarray, tol: float) -> tuple:
     """``(values, x, y, col_payoffs, row_payoffs)`` of ``_certify`` once every state passes.
 
     The second half of ``_stage_solutions``: no column payoff under ``x`` above
@@ -370,15 +345,15 @@ def _certified(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndar
     ``LpSolveError`` carries the first failing state's matrix.
     """
     values, x, y, col_payoffs, row_payoffs, y_sum, dual_ok, payoff_ok = _certify(
-        q, shift, bases, x_b, duals, tol, rows)
+        q, shift, bases, x_b, duals, tol)
     certified = dual_ok & payoff_ok
     if not certified.all():
         s = np.flatnonzero(~certified)[0]
         if not dual_ok[s]:
             raise LpSolveError(f"dual strategy sum {y_sum[s]:.6f} far from 1", q[s])
         message = (f"minimax certificate failed: value={float(values[s])!r}, "
-                   f"max col payoff={col_payoffs[s].max()!r}, "
-                   f"min row payoff={row_payoffs[s].min()!r}")
+                   f"max col payoff={float(col_payoffs[s].max())!r}, "
+                   f"min row payoff={float(row_payoffs[s].min())!r}")
         # A miss of a few ulps of the value is rounding: tol is below its spacing.
         miss = np.maximum(col_payoffs[s].max() - values[s], values[s] - row_payoffs[s].min())
         ulp = np.spacing(abs(values[s]))
@@ -389,19 +364,16 @@ def _certified(q: np.ndarray, shift: np.ndarray, bases: np.ndarray, x_b: np.ndar
     return values, x, y, col_payoffs, row_payoffs
 
 
-def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float,
-                     stack: _LpStack | None = None) -> tuple:
+def _stage_solutions(q: np.ndarray, bases: np.ndarray | None, tol: float) -> tuple:
     """``(values, x, y, col_payoffs, row_payoffs, pivots, bases)`` of the stage games ``q``.
 
     ``_settle``, then ``_certified``: solves each state from its sorted basis in
     ``bases`` (None: cold), writes its final basis there, and certifies every
     terminal basis at once, or ``LpSolveError`` carries the first failing
-    state's matrix.  ``stack`` keeps the LP stack and cost rows between calls
-    (None: this call's).
+    state's matrix.
     """
-    stack = _LpStack() if stack is None else stack
-    shift, x_b, duals, pivots, bases = _settle(q, bases, stack)
-    return _certified(q, shift, bases, x_b, duals, tol, stack.rows) + (pivots, bases)
+    shift, x_b, duals, pivots, bases = _settle(q, bases)
+    return _certified(q, shift, bases, x_b, duals, tol) + (pivots, bases)
 
 
 def solve_matrix_game(
@@ -460,7 +432,7 @@ class GroundTruth:
 
 
 def _sweep_stack(game: MarkovGame, q: np.ndarray, v: np.ndarray, length: int,
-                 threshold: float, tol: float, lps: np.ndarray, tiled: tuple) -> tuple:
+                 threshold: float, tol: float, lps: np.ndarray, tiled: np.ndarray) -> tuple:
     """``(kept, v, step, redo)``: up to ``length`` value-iteration sweeps from
     ``q = q_from_v(game, v)`` at the kept bases, checked in one stacked call.
 
@@ -472,11 +444,10 @@ def _sweep_stack(game: MarkovGame, q: np.ndarray, v: np.ndarray, length: int,
     and ``step`` are the last one's (the arguments' and inf when none is
     kept), and ``redo`` is the unsettled sweep's ``q`` (None: every sweep
     settled), for ``_settle``; the sweeps after it are discarded.  ``tiled``
-    holds the bases and their cost rows, repeated once per slot of ``lps``,
-    and the LP index (S * len(lps), 1).
+    holds the bases, repeated once per slot of ``lps``.
     """
     n_states = len(q)
-    bases, rows = (part[:n_states] for part in tiled[::2])
+    bases = tiled[:n_states]
     qs, shifts, solved, values, steps = [], [], [], [], [np.inf]
     for i in range(length):
         if i:
@@ -484,26 +455,26 @@ def _sweep_stack(game: MarkovGame, q: np.ndarray, v: np.ndarray, length: int,
         qs.append(q)
         shifts.append(_value_lp(q, lps[i])[0])
         try:
-            solved.append(_solve_bases(lps[i], bases, rows))
+            solved.append(_solve_bases(lps[i], bases))
         except np.linalg.LinAlgError:
             break
         values.append(_basic_solutions(shifts[-1], bases, solved[-1][:, :, 0],
-                                       game.n_actions_p1, rows)[1])
+                                       game.n_actions_p1)[1])
         steps.append(float(np.maximum.reduce(np.abs(values[-1] - (values[-2] if i else v)))))
         if steps[-1] <= threshold:
             break
     kept = len(solved)
     if kept:
         n_items = kept * n_states
-        bases_t, cost_t, rows_t = (part[:n_items] for part in tiled)
+        bases_t = tiled[:n_items]
         x_b, duals, _, reduced = _read_solved(lps[:kept].reshape((n_items,) + lps.shape[2:]),
-                                              bases_t, np.concatenate(solved), rows_t, cost_t)
+                                              bases_t, np.concatenate(solved))
         if (tested := _unsettled(x_b, reduced)) is not None:
             kept = int(np.argmax(tested[1].reshape(kept, n_states).any(axis=1)))
             n_items = kept * n_states
         if kept:
             _certified(np.concatenate(qs[:kept]), np.concatenate(shifts[:kept]),
-                       bases_t[:n_items], x_b[:n_items], duals[:n_items], tol, rows_t[:n_items])
+                       bases_t[:n_items], x_b[:n_items], duals[:n_items], tol)
             v = values[kept - 1]
     return kept, v, steps[kept], qs[kept] if kept < len(qs) else None
 
@@ -538,14 +509,14 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     ``_stage_solutions`` gives on its own sweep, the first failing sweep's,
     and the iteration cap raises only after every kept sweep is certified.
     ``max_iter`` counts kept sweeps; ``q_from_v`` runs once per kept or
-    discarded sweep, and once more before the first.  All calls share one
-    ``_LpStack``, whose LP stack is framed once.
+    discarded sweep, and once more before the first.  The checked sweeps
+    share one (16, S) LP stack, framed once per solve, and the bases tiled
+    once per ``_settle`` sweep; each ``_settle`` call frames its own LP.
     """
     _check_tol(tol)
     _check_max_iter(max_iter)
     gamma = game.gamma
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got gamma={gamma!r}")
+    _check_gamma(gamma)
     _check_finite("loss", game.loss, "s a b")
     _check_finite("transition probability", game.transition, "s a b s'")
     threshold = tol * (1.0 - gamma) ** 2 / (2.0 * gamma) if gamma else np.inf
@@ -553,8 +524,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
     frame = _lp_constants(game.n_actions_p1, game.n_actions_p2)[0]
     lps = np.empty((_CERTIFY_EVERY, n_states) + frame.shape)
     lps[:] = frame
-    stack, bases, length = _LpStack(a_mat=lps[0]), None, 1
-    rows_t = np.arange(_CERTIFY_EVERY * n_states)[:, None]
+    bases, length = None, 1
     v = np.zeros(n_states)
     q = redo = q_from_v(game, v)
     kept = 0
@@ -565,13 +535,12 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
             kept += done
             length = min(2 * length, _CERTIFY_EVERY)
         if redo is not None:
-            shift, x_b, duals, _, bases = _settle(redo, bases, stack)
-            _certified(redo, shift, bases, x_b, duals, tol, stack.rows)
-            v_new = _basic_solutions(shift, bases, x_b, game.n_actions_p1, stack.rows)[1]
+            shift, x_b, duals, _, bases = _settle(redo, bases)
+            _certified(redo, shift, bases, x_b, duals, tol)
+            v_new = _basic_solutions(shift, bases, x_b, game.n_actions_p1)[1]
             step = float(np.maximum.reduce(np.abs(v_new - v)))
             v, kept, length, redo = v_new, kept + 1, 1, None
-            tiled = (np.tile(bases, (_CERTIFY_EVERY, 1)),
-                     np.tile(stack.basis_cost, (_CERTIFY_EVERY, 1)), rows_t)
+            tiled = np.tile(bases, (_CERTIFY_EVERY, 1))
         q = q_from_v(game, v)
         if step <= threshold:
             break
@@ -581,7 +550,7 @@ def shapley_solve(game: MarkovGame, tol: float = 1e-9, max_iter: int = 1_000_000
                 f"(last step {step:.3e}, threshold {threshold:.3e})"
             )
 
-    values, x_star, y_star, *_ = _stage_solutions(q, bases, tol, stack)
+    values, x_star, y_star, *_ = _stage_solutions(q, bases, tol)
     for s in range(game.n_states):
         if abs(values[s] - v[s]) > tol:
             raise ArithmeticError(f"fixed-point consistency failed at state {s}: "

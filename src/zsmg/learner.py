@@ -24,8 +24,8 @@ import numpy as np
 
 from . import estimators as est_mod
 from . import metrics as metrics_mod
-from .games import (MarkovGame, JointPolicy, _induced_mdp, _integer, distribution_rows_error,
-                    validate_game)
+from .games import (MarkovGame, JointPolicy, _check_gamma, _induced_mdp, _integer,
+                    distribution_rows_error, validate_game)
 
 __all__ = [
     "LearnerState",
@@ -113,10 +113,12 @@ def alpha_schedule(t: int, gamma: float) -> float:
     """Critic averaging weight (H+1)/(H+t) with horizon H = 2/(1-gamma).
 
     Equals 1 at t=1 (the critic jumps to the first payoff estimate), is
-    non-increasing, and decays like 1/t.
+    non-increasing, and decays like 1/t.  A discount outside [0, 1) raises
+    ``ValueError``.
     """
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
+    _check_gamma(gamma)
     h = 2.0 / (1.0 - gamma)
     return (h + 1.0) / (h + t)
 
@@ -132,7 +134,9 @@ def _schedule(name: str, gamma: float) -> Callable[[int], float]:
 
 
 def eta_max(gamma: float, n_states: int) -> float:
-    """Largest step size with a convergence guarantee: 1e-4 * sqrt((1-gamma)^5 / S)."""
+    """Largest step size with a convergence guarantee: 1e-4 * sqrt((1-gamma)^5 / S).
+    A discount outside [0, 1) raises ``ValueError``."""
+    _check_gamma(gamma)
     return 1e-4 * np.sqrt((1.0 - gamma) ** 5 / n_states)
 
 

@@ -242,7 +242,13 @@ def write_metrics_csv(
 
 
 def read_metrics_csv(path: str | Path) -> tuple[dict, list[MetricsRow]]:
-    """Read a metrics CSV back into (metadata, rows)."""
+    """Read a metrics CSV back into (metadata, rows).
+
+    An unknown column, a header without one of ``CSV_COLUMNS``, a record whose
+    cell count differs from the header's, or a cell that does not parse
+    (``t`` as an integer, the rest as floats) raises ``ValueError`` naming
+    the file and the line.
+    """
     metadata: dict[str, str] = {}
     lines = Path(path).read_text().splitlines()
     data_start = 0
@@ -261,19 +267,30 @@ def read_metrics_csv(path: str | Path) -> tuple[dict, list[MetricsRow]]:
     valid = {f.name for f in fields(MetricsRow)}
     unknown = set(header) - valid
     if unknown:
-        raise ValueError(f"{path}: unknown metric columns {sorted(unknown)}")
+        raise ValueError(f"{path}, line {data_start + 1}: unknown metric columns "
+                         f"{sorted(unknown)}")
+    missing = [col for col in CSV_COLUMNS if col not in header]
+    if missing:
+        raise ValueError(f"{path}, line {data_start + 1}: header lacks the columns {missing}")
     rows = []
     for record in reader:
         if not record:
             continue
+        if len(record) != len(header):
+            raise ValueError(f"{path}, line {data_start + reader.line_num}: {len(record)} cells "
+                             f"for {len(header)} columns")
         kwargs = {}
-        for col, cell in zip(header, record):
-            if cell == "":
-                kwargs[col] = None
-            elif col == "t":
-                kwargs[col] = int(cell)
-            else:
-                kwargs[col] = float(cell)
+        try:
+            for col, cell in zip(header, record):
+                if cell == "":
+                    kwargs[col] = None
+                elif col == "t":
+                    kwargs[col] = int(cell)
+                else:
+                    kwargs[col] = float(cell)
+        except ValueError:
+            raise ValueError(f"{path}, line {data_start + reader.line_num}: column {col} "
+                             f"cannot hold {cell!r}") from None
         rows.append(MetricsRow(**kwargs))
     return metadata, rows
 

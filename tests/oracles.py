@@ -601,7 +601,9 @@ def settle_every_sweep_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_00
     certified every ``_CERTIFY_EVERY`` sweeps, at convergence, and before the
     iteration cap's or any other error leaves the loop.  Checking settlement
     once per stack of sweeps may change neither the returned bits nor the
-    error raised, message and matrix.  Returns (v_star, q_star, x_star, y_star).
+    error raised, message and matrix.  Every ``_settle`` here frames its own LP,
+    so this also checks that the solver's LP stack, framed once per solve,
+    changes no bit.  Returns (v_star, q_star, x_star, y_star).
     """
     from zsmg import groundtruth
     from zsmg.games import q_from_v
@@ -609,15 +611,14 @@ def settle_every_sweep_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_00
     threshold = tol * (1.0 - game.gamma) ** 2 / (2.0 * game.gamma) if game.gamma else np.inf
     v = np.zeros(game.n_states)
     q = q_from_v(game, v)
-    bases, stack, sweeps = None, groundtruth._LpStack(), []
+    bases, sweeps = None, []
     try:
         for _ in range(max_iter):
-            shift, x_b, duals, _, bases = groundtruth._settle(q, bases, stack)
+            shift, x_b, duals, _, bases = groundtruth._settle(q, bases)
             sweeps.append((q, shift, bases.copy(), x_b, duals))
             if len(sweeps) == groundtruth._CERTIFY_EVERY:
                 certify_sweeps(sweeps, tol)
-            v_new = groundtruth._basic_solutions(shift, bases, x_b, game.n_actions_p1,
-                                                 stack.rows)[1]
+            v_new = groundtruth._basic_solutions(shift, bases, x_b, game.n_actions_p1)[1]
             step = float(np.maximum.reduce(np.abs(v_new - v)))
             v = v_new
             q = q_from_v(game, v)
@@ -632,7 +633,7 @@ def settle_every_sweep_shapley(game, tol: float = 1e-9, max_iter: int = 1_000_00
     except Exception:
         certify_sweeps(sweeps, tol)
         raise
-    values, x_star, y_star, *_ = groundtruth._stage_solutions(q, bases, tol, stack)
+    values, x_star, y_star, *_ = groundtruth._stage_solutions(q, bases, tol)
     for s in range(game.n_states):
         if abs(values[s] - v[s]) > tol:
             raise ArithmeticError(f"fixed-point consistency failed at state {s}: "

@@ -446,6 +446,13 @@ def test_value_upper_bound():
     assert value_upper_bound(0.5) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("gamma", [1.5, 1.0, -0.1, np.nan])
+def test_value_upper_bound_rejects_a_discount_outside_the_unit_interval(gamma):
+    message = re.escape(f"gamma must lie in [0, 1), got gamma={gamma!r}")
+    with pytest.raises(ValueError, match=message):
+        value_upper_bound(gamma)
+
+
 def test_uniform_policy_rows():
     game = random_game(seed=1, n_states=2, n_actions_p1=3, n_actions_p2=4, gamma=0.9)
     pol = uniform_policy(game)

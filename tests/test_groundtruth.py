@@ -475,12 +475,12 @@ class TestStackedSweep:
         target = groundtruth_mod._value_lp(qs[sweep])[1]
         solve_, fired = groundtruth_mod._solve_bases, []
 
-        def injected(a_mat, bases, rows):
+        def injected(a_mat, bases):
             hit = len(a_mat) > 1 and np.array_equal(a_mat, target)
             if hit and kind == "singular":
                 fired.append(kind)
                 raise np.linalg.LinAlgError("Singular matrix")
-            b_inv_ab = solve_(a_mat, bases, rows)
+            b_inv_ab = solve_(a_mat, bases)
             if hit:
                 fired.append(kind)
                 b_inv_ab[1, :, 0] = np.nan
@@ -595,12 +595,12 @@ class TestStackedSweep:
         starts, loops = [], []
         settle, pivot_ = groundtruth_mod._settle, groundtruth_mod._simplex_pivot
 
-        def traced_settle(q, bases, stack):
+        def traced_settle(q, bases):
             # A None start is every state's cold basis.
             starts.append(groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
                           if bases is None else bases.copy())
             loops.append([])
-            return settle(q, bases, stack)
+            return settle(q, bases)
 
         def traced_pivot(q, a_stack, basis, read):
             loops[-1].append(basis.tolist())
@@ -692,19 +692,19 @@ class TestStackedSweep:
         assert [[start for start, _ in c] for c in calls] == [[cold.tolist()]]
         assert values.tobytes() == expected.tobytes()
 
-    def test_cold_restart_without_a_pivot_refreshes_its_kept_cost_row(self, monkeypatch):
+    def test_cold_restart_without_a_pivot_reads_its_cold_basis_next(self, monkeypatch):
         # State 0 ends sweep 0 at [x_0, x_1, v]; in sweep 1 that basis is primal
         # infeasible, and it restarts cold at [x_0, v, s_1], which is optimal, so it
-        # takes no pivot.  v moved from basis position 2 to 1, so the cost row kept
-        # for sweep 2 must be the cold basis's, not the one from before the restart.
+        # takes no pivot.  v moved from basis position 2 to 1, so sweep 2 must read
+        # the cold basis's cost row, not the one from before the restart.
         game = random_game(seed=254, n_states=2, n_actions_p1=3, n_actions_p2=2, gamma=0.7)
         expected = per_state_shapley(game)
         starts = []
         settle = groundtruth_mod._settle
 
-        def traced_settle(q, bases, stack):
+        def traced_settle(q, bases):
             starts.append(None if bases is None else bases.tolist())
-            return settle(q, bases, stack)
+            return settle(q, bases)
 
         monkeypatch.setattr(groundtruth_mod, "_settle", traced_settle)
         gt, sweeps = self._traced_solve(monkeypatch, game)
@@ -766,8 +766,9 @@ class TestStackedSweep:
         with pytest.raises(LpSolveError, match=r"^minimax certificate failed: value=") as caught:
             shapley_solve(game)
         assert str(caught.value).endswith(
-            ", min row payoff=np.float64(4598414.86364317) (miss = 2.0 ulps of the value: "
+            ", min row payoff=4598414.86364317 (miss = 2.0 ulps of the value: "
             "tol is below the float resolution at this payoff scale)")
+        assert "np.float64" not in str(caught.value)
         # A miss of many ulps, as on an ill-conditioned basis, is not rounding.
         q = self._ill_conditioned()[None]
         bases = groundtruth_mod._cold_bases(groundtruth_mod._value_lp(q)[1])
@@ -887,8 +888,8 @@ class TestStackedSweep:
         log = {"q": [], "bases": [], "q_from_v": 0, "fresh": None}
         solve_, q_from_v_ = groundtruth_mod._solve_bases, groundtruth_mod.q_from_v
 
-        def spoiled_solve(a_mat, bases, rows):
-            b_inv_ab = solve_(a_mat, bases, rows)
+        def spoiled_solve(a_mat, bases):
+            b_inv_ab = solve_(a_mat, bases)
             if log["fresh"] is not None:
                 log["bases"].append(bases.copy())
                 if log["fresh"] in spoils:

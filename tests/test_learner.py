@@ -205,6 +205,18 @@ class TestSchedules:
     def test_eta_max_scales_inverse_sqrt_states(self):
         assert eta_max(0.9, 4) == eta_max(0.9, 1) / 2.0
 
+    @pytest.mark.parametrize("gamma", [1.5, 1.0, -0.1, np.nan])
+    def test_alpha_rejects_a_discount_outside_the_unit_interval(self, gamma):
+        message = re.escape(f"gamma must lie in [0, 1), got gamma={gamma!r}")
+        with pytest.raises(ValueError, match=message):
+            alpha_schedule(5, gamma)
+
+    @pytest.mark.parametrize("gamma", [1.5, 1.0, -0.1, np.nan])
+    def test_eta_max_rejects_a_discount_outside_the_unit_interval(self, gamma):
+        message = re.escape(f"gamma must lie in [0, 1), got gamma={gamma!r}")
+        with pytest.raises(ValueError, match=message):
+            eta_max(gamma, 2)
+
 
 class TestCriticStep:
     def test_full_replacement_at_alpha_one(self):

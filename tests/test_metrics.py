@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,22 @@ class TestCsvRoundTrip:
         write_metrics_csv(path, [])
         meta, rows = read_metrics_csv(path)
         assert rows == []
+
+    @pytest.mark.parametrize("spoil, where, message", [
+        (lambda lines: lines[4].append("0.1"), 5, "9 cells for 8 columns"),
+        (lambda lines: lines[4].pop(), 5, "7 cells for 8 columns"),
+        (lambda lines: [line.pop() for line in lines[2:]], 3,
+         "header lacks the columns ['q_step_max']"),
+        (lambda lines: lines[4].__setitem__(0, "1.5"), 5, "column t cannot hold '1.5'"),
+    ], ids=["extra-cell", "short-record", "missing-column", "fractional-t"])
+    def test_malformed_record_names_file_and_line(self, tmp_path, spoil, where, message):
+        path = tmp_path / "m.csv"
+        write_metrics_csv(path, [_row(1), _row(2)], metadata={"a": 1, "b": 2})
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        spoil(lines)
+        path.write_text("".join(",".join(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {where}: {message}")):
+            read_metrics_csv(path)
 
 
 # ---------------------------------------------------------------------------
