@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -94,7 +93,6 @@ def rollout(
     n_steps: int,
     s_init: int,
     rng: np.random.Generator,
-    rows: list[list[float] | None] | None = None,
 ) -> Trajectory:
     """Simulate ``n_steps`` of play under stationary strategies (x, y).
 
@@ -109,15 +107,12 @@ def rollout(
     to the last index.  ``bisect_right`` probes the same midpoints as
     ``np.searchsorted(side="right")``, so on NaN-free rows the indices match
     it, even on the slightly non-monotone rows that rounding leaves in a
-    valid kernel.  The strategy rows are accumulated by ``np.add.accumulate``
-    and a transition row the first time a walk reaches its (s, a, b), both
-    left to right as ``np.cumsum`` does, so the bits match too.  A transition
-    row is kept in ``rows``, a list of length S*A*B that holds ``None`` until
-    the walk visits the flat index ``(s*A + a)*B + b``.  Passing the same list
-    to every rollout on one game keeps each row across calls: at most S*A*B
-    rows of S Python floats, built only as visited, never the whole
-    cumulative kernel up front.  The list belongs to that game: one of
-    another length raises ``DimensionMismatchError``.  The walk records only
+    valid kernel.  The strategy rows are accumulated by ``np.add.accumulate``,
+    and the transition rows are the game's own cumulative kernel, built by
+    one ``np.add.accumulate`` the first time any rollout reads that game and
+    kept on it: every rollout on one game object reads the same rows, at flat
+    index ``(s*A + a)*B + b``.  Both accumulate left to right as
+    ``np.cumsum`` does, so the bits match too.  The walk records only
     each step's flat index, with both strategy clamps folded into it, then
     the final state's as ``s*A*B``; one array and one ``np.unravel_index``
     call give the states and both players' actions, and the losses are read
@@ -134,25 +129,17 @@ def rollout(
             raise DimensionMismatchError(f"{name} shape {np.shape(point)} does not match "
                                          f"{axes} = {want}")
     n_ab = n_a * n_b
-    if rows is None:
-        rows = [None] * (n_s * n_ab)
-    elif len(rows) != n_s * n_ab:
-        raise DimensionMismatchError(f"rows has length {len(rows)}, expected S*A*B = "
-                                     f"{n_s * n_ab} for a game of shape {(n_s, n_a, n_b)}")
+    rows = game._cumulative_rows
     cum_x = np.add.accumulate(x, axis=1).tolist()
     cum_y = np.add.accumulate(y, axis=1).tolist()
     last_a, last_b = n_a - 1, n_b - 1
-    trans = game.transition.reshape(n_s * n_ab, n_s)
     walk = []
     for u_a, u_b, u_s in zip(*rng.random((3, n_steps)).tolist()):
         a = bisect_right(cum_x[s], u_a)
         b = bisect_right(cum_y[s], u_b)
         k = s * n_ab + (a if a < n_a else last_a) * n_b + (b if b < n_b else last_b)
         walk.append(k)
-        row = rows[k]
-        if row is None:
-            row = rows[k] = list(accumulate(trans[k].tolist()))
-        s = bisect_right(row, u_s)
+        s = bisect_right(rows[k], u_s)
         if s == n_s:
             s -= 1
     walk.append(s * n_ab)
@@ -204,19 +191,18 @@ def sampled_estimates(traj: Trajectory, v_prev: np.ndarray, gamma: float,
 
 
 class SampledEstimator:
-    """One run's rollout stream on one game: its generator, its current state
-    and the cumulative transition rows its rollouts have visited.
+    """One run's rollout stream on one game: its generator and its current state.
 
     Bound to ``game`` when built.  The generator is seeded once and, by
     default, each rollout continues from where the previous one stopped,
     modeling one uninterrupted stream of play.  ``reset_each_iteration``
     restarts every rollout from state 0 instead (useful when debugging
-    visitation issues).  The kept rows, one list of S*A*B slots handed to
-    every ``rollout``, make each transition row built once per run.
-    Exploration is mixed by the caller: the learner mixes it once over the
-    run axis and hands each run its own rows of the mixed stack.  A
-    ``rollout_len`` below 1 or a ``seed`` below 0, or either not an integer,
-    raises ``ValueError`` naming it.
+    visitation issues).  The rollouts read the game's own cumulative kernel,
+    so every run on one game object shares it.  Exploration is mixed by the
+    caller: the learner mixes it once over the run axis and hands each run
+    its own rows of the mixed stack.  A ``rollout_len`` below 1 or a
+    ``seed`` below 0, or either not an integer, raises ``ValueError``
+    naming it.
     """
 
     def __init__(self, game: MarkovGame, rollout_len: int, seed: int = 0,
@@ -226,13 +212,12 @@ class SampledEstimator:
         self.reset_each_iteration = bool(reset_each_iteration)
         self._current = 0
         self._rng = np.random.default_rng(_integer("seed", seed, 0))
-        self._rows: list[list[float] | None] = [None] * game.loss.size
 
     def estimate_into(self, x: np.ndarray, y: np.ndarray, v: np.ndarray,
                       ell: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Roll out under (x, y), write the visit means into ``ell`` and ``r``, return ``rho``."""
         start = 0 if self.reset_each_iteration else self._current
-        traj = rollout(self.game, x, y, self.rollout_len, start, self._rng, self._rows)
+        traj = rollout(self.game, x, y, self.rollout_len, start, self._rng)
         self._current = int(traj.states[-1])
         return sampled_estimates(traj, v, self.game.gamma, ell, r)
 

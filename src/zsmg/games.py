@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,16 @@ class MarkovGame:
     def __reduce__(self):
         # Rebuild through __post_init__ so an unpickled game is read-only too.
         return (MarkovGame, (self.loss, self.transition, self.gamma, self.name))
+
+    @cached_property
+    def _cumulative_rows(self) -> list[list[float]]:
+        """Each ``(s, a, b)``'s cumulative next-state row as a plain list, at the
+        flat index ``(s*A + a)*B + b``: the kernel the rollout walk reads.
+
+        Built on first read, left to right as ``np.cumsum`` does, and kept
+        for the game's lifetime; a pickled game does not carry it.
+        """
+        return np.add.accumulate(self.transition, axis=-1).reshape(-1, self.n_states).tolist()
 
     @property
     def n_states(self) -> int:

@@ -135,9 +135,10 @@ def _schedule(name: str, gamma: float) -> Callable[[int], float]:
 
 def eta_max(gamma: float, n_states: int) -> float:
     """Largest step size with a convergence guarantee: 1e-4 * sqrt((1-gamma)^5 / S).
-    A discount outside [0, 1) raises ``ValueError``."""
+    A discount outside [0, 1), or an ``n_states`` that is not an integer >= 1,
+    raises ``ValueError``."""
     _check_gamma(gamma)
-    return 1e-4 * np.sqrt((1.0 - gamma) ** 5 / n_states)
+    return 1e-4 * np.sqrt((1.0 - gamma) ** 5 / _integer("n_states", n_states, 1))
 
 
 # Gradient entry in the padded columns of the stacked layout.  A padded iterate

@@ -92,16 +92,18 @@ def diagnostics_update(
     ``z`` and ``q`` hold the interval's iterates and stage games in step
     order, as T arrays or one array with a leading time axis, and ``alpha``
     the T weights; ``z_prev`` and ``q_prev`` are the ones just before the
-    interval.  A single step is an interval of one.  The iterates are the
-    learner's stacked ``(2S, W)`` arrays: player 1's strategies in rows
-    ``0..S-1``, player 2's in ``S..2S-1``, each in its own leading ``A`` or
-    ``B`` columns, where ``(S, A, B)`` is the shape of ``q_prev``.  Every
-    step's rows are differenced and squared in one pass; each player's
-    squares are then summed over its own columns only.  A whole padded row
-    sums in another order once ``W`` reaches 8 (numpy's pairwise sum unrolls
-    eight wide), so it would not keep the bits of summing each player's rows
-    on their own.  Axes between the time axis and the last ones (the
-    learner's run axis) ride along, and each run keeps its own bits.
+    interval.  A ``z`` or ``q`` whose step count is not ``alpha``'s raises
+    ``ValueError`` naming it.  A single step is an interval of one.  The
+    iterates are the learner's stacked ``(2S, W)`` arrays: player 1's
+    strategies in rows ``0..S-1``, player 2's in ``S..2S-1``, each in its own
+    leading ``A`` or ``B`` columns, where ``(S, A, B)`` is the shape of
+    ``q_prev``.  Every step's rows are differenced and squared in one pass;
+    each player's squares are then summed over its own columns only.  A
+    whole padded row sums in another order once ``W`` reaches 8 (numpy's
+    pairwise sum unrolls eight wide), so it would not keep the bits of
+    summing each player's rows on their own.  Axes between the time axis and
+    the last ones (the learner's run axis) ride along, and each run keeps its
+    own bits.
 
     Only the recurrence walks the interval, two ufunc calls a step with J and
     K stacked; the norms and their ``a_t``-scaled forms are a few array
@@ -113,6 +115,10 @@ def diagnostics_update(
     the first movement norms themselves.  Returns (J, K, per-state max-abs
     stage-game step of the last step) so callers can log the raw step too.
     """
+    for name, steps in (("z", z), ("q", q)):
+        if len(steps) != len(alpha):
+            raise ValueError(f"diagnostics_update: {name} has {len(steps)} steps, but alpha "
+                             f"has {len(alpha)}")
     n_states, n_a, n_b = np.shape(q_prev)[-3:]
     # One concatenation each (cheaper than np.stack's per-array views).
     z = np.concatenate((z_prev, *z)).reshape((-1,) + np.shape(z_prev))
@@ -247,7 +253,9 @@ def read_metrics_csv(path: str | Path) -> tuple[dict, list[MetricsRow]]:
     An unknown column, a header without one of ``CSV_COLUMNS``, a record whose
     cell count differs from the header's, or a cell that does not parse
     (``t`` as an integer, the rest as floats) raises ``ValueError`` naming
-    the file and the line.
+    the file and the line.  Only the debug columns ``est_err_max`` and
+    ``wall_clock`` may be empty, read as None; an empty cell elsewhere does
+    not parse.
     """
     metadata: dict[str, str] = {}
     lines = Path(path).read_text().splitlines()
@@ -282,7 +290,7 @@ def read_metrics_csv(path: str | Path) -> tuple[dict, list[MetricsRow]]:
         kwargs = {}
         try:
             for col, cell in zip(header, record):
-                if cell == "":
+                if cell == "" and col in DEBUG_COLUMNS:
                     kwargs[col] = None
                 elif col == "t":
                     kwargs[col] = int(cell)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -141,14 +143,9 @@ def _assert_same_trajectory(got, want):
         (want.n_states, want.n_actions_p1, want.n_actions_p2)
 
 
-def _kept(rows):
-    """``(flat index, row)`` of every row a kept-rows list holds, in index order."""
-    return [(k, row) for k, row in enumerate(rows) if row is not None]
-
-
-def _assert_same_rollout(game, x, y, n_steps, s_init, seed, rows=None):
+def _assert_same_rollout(game, x, y, n_steps, s_init, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = rollout(game, x, y, n_steps, s_init, rng, rows)
+    got = rollout(game, x, y, n_steps, s_init, rng)
     _assert_same_trajectory(got, searchsorted_rollout(game, x, y, n_steps, s_init, ref_rng))
     assert rng.random() == ref_rng.random()
 
@@ -224,35 +221,23 @@ class TestRollout:
            calls=st.lists(st.tuples(_KIND, _KIND, st.integers(1, 200), st.integers(0, 5)),
                           min_size=2, max_size=3),
            seed=st.integers(0, 2**32 - 1))
-    def test_kept_rows_equal_searchsorted_oracle(self, n_s, n_a, n_b, calls, seed):
-        # Consecutive rollouts on one game share one rows list, with fresh
-        # strategies and start states (a drawn start taken modulo S): each
-        # equals the oracle, bit for bit.
+    def test_rollouts_sharing_a_kernel_equal_searchsorted_oracle(self, n_s, n_a, n_b, calls,
+                                                                  seed):
+        # Consecutive rollouts on one game read its one cumulative kernel, with
+        # fresh strategies and start states (a drawn start taken modulo S):
+        # each equals the oracle, bit for bit.
         game = random_game(seed=seed, n_states=n_s, n_actions_p1=n_a,
                            n_actions_p2=n_b, gamma=0.9)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = [None] * (n_s * n_a * n_b)
         for kind_x, kind_y, n_steps, start in calls:
             x = _strategy_rows(rng, kind_x, n_s, n_a)
             y = _strategy_rows(rng, kind_y, n_s, n_b)
             ref_rng.bit_generator.state = rng.bit_generator.state
             s_init = start % n_s
-            got = rollout(game, x, y, n_steps, s_init, rng, rows)
+            got = rollout(game, x, y, n_steps, s_init, rng)
             _assert_same_trajectory(got, searchsorted_rollout(game, x, y, n_steps, s_init,
                                                               ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert len(rows) == n_s * n_a * n_b
-        cum = np.cumsum(game.transition, axis=3).reshape(-1, n_s)
-        for k, row in _kept(rows):
-            assert row == cum[k].tolist()
-
-    def test_kept_rows_are_not_rebuilt(self, switching_mp):
-        x = np.full((2, 2), 0.5)
-        rows = [None] * switching_mp.loss.size
-        rollout(switching_mp, x, x, 50, 0, np.random.default_rng(0), rows)
-        kept = _kept(rows)
-        rollout(switching_mp, x, x, 50, 1, np.random.default_rng(1), rows)
-        assert all(rows[k] is row for k, row in kept)
 
     def test_non_monotone_cumulative_row(self):
         # Within validate_game's 1e-12 tolerance, yet the cumulative row falls.
@@ -264,12 +249,10 @@ class TestRollout:
         cum = np.cumsum(trans[0, 0, 0])
         assert cum[1] < cum[0]
         x = np.full((2, 2), 0.5)
-        kept = [None] * 8
-        for s_init in (0, 1):
+        # From the second call on, the walk reads the kernel the first built.
+        for s_init in (0, 1, 0):
             _assert_same_rollout(game, x, x, 400, s_init, seed=11)
-            # From the second start on, the walk reads rows kept by the first.
-            _assert_same_rollout(game, x, x, 400, s_init, seed=11, rows=kept)
-        assert kept[0] is not None
+        assert game._cumulative_rows[0] == cum.tolist()
 
     def test_draw_inside_non_monotone_window(self):
         # cum = [0.3, 0.5, 0.5 - 1e-12, 1]: a draw in [cum[2], cum[1]) gets 3
@@ -288,11 +271,10 @@ class TestRollout:
         x = np.ones((4, 1))
         want = searchsorted_rollout(game, x, x, 5, 0, FixedDraws())
         np.testing.assert_array_equal(want.states, [0, 3, 3, 3, 0, 3])
-        kept = [None] * 4
-        for rows in (None, kept, kept):
-            got = rollout(game, x, x, 5, 0, FixedDraws(), rows)
+        # The first call builds the kernel and the second reads it.
+        for _ in range(2):
+            got = rollout(game, x, x, 5, 0, FixedDraws())
             np.testing.assert_array_equal(got.states, want.states)
-        assert [k for k, _ in _kept(kept)] == [0, 3]
 
     @pytest.mark.parametrize("field, value", [
         ("n_steps", 2.5), ("n_steps", True), ("n_steps", 0), ("n_steps", "3"),
@@ -324,19 +306,82 @@ class TestRollout:
             rollout(game, np.full(x_shape, 0.5), np.full(y_shape, 0.5), 10, 0, rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("rows", [[None] * 12, [None] * 4, {}], ids=["long", "short", "dict"])
-    def test_rejects_kept_rows_of_another_game(self, switching_mp, rows):
-        # A list kept on a 3-state 2x2 game (12 slots) aliased rows here.
-        x = np.full((2, 2), 0.5)
-        with pytest.raises(DimensionMismatchError,
-                           match=rf"^rows has length {len(rows)}, expected S\*A\*B = 8 "):
-            rollout(switching_mp, x, x, 10, 0, np.random.default_rng(0), rows)
-
     def test_numpy_integers_accepted(self, switching_mp):
         x = np.full((2, 2), 0.5)
         got = rollout(switching_mp, x, x, np.int32(30), np.int64(1), np.random.default_rng(3))
         want = rollout(switching_mp, x, x, 30, 1, np.random.default_rng(3))
         _assert_same_trajectory(got, want)
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The games whose cumulative kernel is built, one entry per build."""
+    built = []
+    build = MarkovGame._cumulative_rows.func
+
+    def counted(game):
+        built.append(game)
+        return build(game)
+
+    prop = cached_property(counted)
+    prop.__set_name__(MarkovGame, "_cumulative_rows")
+    monkeypatch.setattr(MarkovGame, "_cumulative_rows", prop)
+    return built
+
+
+class TestCumulativeKernel:
+    @settings(max_examples=60)
+    @given(n_s=st.integers(1, 12), n_a=st.integers(1, 5), n_b=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_cumsum_bit_for_bit(self, n_s, n_a, n_b, seed):
+        game = random_game(seed=seed, n_states=n_s, n_actions_p1=n_a,
+                           n_actions_p2=n_b, gamma=0.9)
+        rows = game._cumulative_rows
+        assert type(rows) is list and len(rows) == n_s * n_a * n_b
+        assert all(type(row) is list and len(row) == n_s for row in rows)
+        want = np.cumsum(game.transition, axis=3).reshape(-1, n_s)
+        assert np.array(rows).tobytes() == want.tobytes()
+
+    def test_built_once_per_game_across_rollouts(self, kernel_builds):
+        game, other = (random_game(seed=seed, n_states=3, n_actions_p1=2, n_actions_p2=2,
+                                   gamma=0.9) for seed in (1, 2))
+        x = np.full((3, 2), 0.5)
+        for s_init in (0, 1, 2):
+            rollout(game, x, x, 50, s_init, np.random.default_rng(s_init))
+        rows = game._cumulative_rows
+        assert kernel_builds == [game]
+        rollout(game, x, x, 50, 0, np.random.default_rng(3))
+        assert game._cumulative_rows is rows
+        # A game of the same shape reads its own kernel, never this one.
+        rollout(other, x, x, 50, 0, np.random.default_rng(0))
+        assert kernel_builds == [game, other]
+        assert other._cumulative_rows is not rows
+
+    def test_rejected_rollout_builds_nothing(self, kernel_builds, switching_mp):
+        with pytest.raises(DimensionMismatchError):
+            rollout(replace(switching_mp), np.full((2, 3), 0.5), np.full((2, 2), 0.5), 10, 0,
+                    np.random.default_rng(0))
+        assert kernel_builds == []
+
+    def test_built_once_per_game_across_a_batch(self, kernel_builds):
+        shared, alone = (random_game(seed=seed, n_states=3, n_actions_p1=2, n_actions_p2=2,
+                                     gamma=0.9) for seed in (5, 6))
+        configs = [RunConfig(iterations=4, eta=0.01, estimator="sampled", rollout_len=30,
+                             epsilon_prime=0.2, seed=seed) for seed in range(4)]
+        run_selfplay_batch([shared, alone, shared, shared], configs)
+        assert kernel_builds == [shared, alone]
+
+    def test_absent_from_a_pickled_game(self, switching_mp):
+        game = replace(switching_mp)
+        fresh = pickle.dumps(game)
+        x = np.full((2, 2), 0.5)
+        want = rollout(game, x, x, 50, 0, np.random.default_rng(0))
+        assert "_cumulative_rows" in vars(game)
+        assert pickle.dumps(game) == fresh
+        again = pickle.loads(fresh)
+        assert "_cumulative_rows" not in vars(again)
+        assert "_cumulative_rows" not in vars(replace(game))
+        _assert_same_trajectory(rollout(again, x, x, 50, 0, np.random.default_rng(0)), want)
 
 
 class TestSampledEstimates:

@@ -217,6 +217,15 @@ class TestSchedules:
         with pytest.raises(ValueError, match=message):
             eta_max(gamma, 2)
 
+    @pytest.mark.parametrize("n_states", [0, -1, 1.5, True])
+    def test_eta_max_rejects_a_state_count_that_is_not_a_positive_integer(self, n_states):
+        # 0 raised a bare ZeroDivisionError and -1 returned NaN with a
+        # RuntimeWarning.
+        message = re.escape(f"n_states must be >= 1 and an integer (not a bool), "
+                            f"got n_states={n_states!r}")
+        with pytest.raises(ValueError, match=message):
+            eta_max(0.9, n_states)
+
 
 class TestCriticStep:
     def test_full_replacement_at_alpha_one(self):

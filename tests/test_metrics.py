@@ -142,6 +142,21 @@ class TestDiagnostics:
                     q[t, run], q[t - 1, run], alpha_t=alpha[t - 1])
             assert [a[run].tobytes() for a in got] == [a.tobytes() for a in want]
 
+    @pytest.mark.parametrize("n_z, n_q, n_alpha, name", [
+        (1, 3, 3, "z has 1 steps, but alpha has 3"),
+        (3, 2, 3, "q has 2 steps, but alpha has 3"),
+        (2, 2, 1, "z has 2 steps, but alpha has 1"),
+    ], ids=["short-z", "short-q", "short-alpha"])
+    def test_rejects_step_counts_that_differ(self, n_z, n_q, n_alpha, name):
+        # One step of z with three of q and alpha broadcast into a J of its
+        # own, without an error.
+        rng = np.random.default_rng(0)
+        z = rng.dirichlet(np.ones(2), size=(4, 4))
+        q = rng.uniform(size=(4, 2, 2, 2))
+        with pytest.raises(ValueError, match=f"^diagnostics_update: {name}$"):
+            diagnostics_update(np.zeros(2), np.zeros(2), list(z[1:n_z + 1]), z[0],
+                               list(q[1:n_q + 1]), q[0], [0.5] * n_alpha)
+
     def test_outputs_nonnegative(self):
         rng = np.random.default_rng(0)
         j = np.zeros(3)
@@ -351,7 +366,12 @@ class TestCsvRoundTrip:
         (lambda lines: [line.pop() for line in lines[2:]], 3,
          "header lacks the columns ['q_step_max']"),
         (lambda lines: lines[4].__setitem__(0, "1.5"), 5, "column t cannot hold '1.5'"),
-    ], ids=["extra-cell", "short-record", "missing-column", "fractional-t"])
+        # An empty required cell loaded as None, and aggregate_metrics then
+        # raised a bare TypeError.
+        (lambda lines: lines[4].__setitem__(0, ""), 5, "column t cannot hold ''"),
+        (lambda lines: lines[3].__setitem__(2, ""), 4, "column mean_dist_sq cannot hold ''"),
+    ], ids=["extra-cell", "short-record", "missing-column", "fractional-t", "empty-t",
+            "empty-metric"])
     def test_malformed_record_names_file_and_line(self, tmp_path, spoil, where, message):
         path = tmp_path / "m.csv"
         write_metrics_csv(path, [_row(1), _row(2)], metadata={"a": 1, "b": 2})
